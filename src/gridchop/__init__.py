@@ -42,7 +42,6 @@ from .geom import (
     Ring,
     bbox_of,
     buffer_point,
-    clip_ring_to_rect,
     point_in_polygon,
     point_segment_distance,
     polygon_area,

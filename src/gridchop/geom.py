@@ -193,60 +193,6 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
     return crossings % 2 == 1
 
 
-def clip_ring_to_rect(ring: Ring, rect: BBox) -> Ring | None:
-    """Sutherland-Hodgman clip against an axis-aligned rectangle.
-
-    Preserves the input orientation sign; returns None when the ring does
-    not overlap the rectangle.
-    """
-    if rect.width <= 0 or rect.height <= 0:
-        raise InvalidParameterError("degenerate clip rectangle")
-    pts = [(v.x, v.y) for v in ring.vertices]
-
-    def clip_edge(points, inside, intersect):
-        out = []
-        n = len(points)
-        for i in range(n):
-            cur = points[i]
-            prev = points[i - 1]
-            cur_in = inside(cur)
-            if inside(prev) != cur_in:
-                out.append(intersect(prev, cur))
-            if cur_in:
-                out.append(cur)
-        return out
-
-    for bound, axis, keep_ge in (
-        (rect.xmin, 0, True),
-        (rect.xmax, 0, False),
-        (rect.ymin, 1, True),
-        (rect.ymax, 1, False),
-    ):
-        def inside(p, bound=bound, axis=axis, keep_ge=keep_ge):
-            return p[axis] >= bound if keep_ge else p[axis] <= bound
-
-        def intersect(a, b, bound=bound, axis=axis):
-            t = (bound - a[axis]) / (b[axis] - a[axis])
-            if axis == 0:
-                return (bound, a[1] + t * (b[1] - a[1]))
-            return (a[0] + t * (b[0] - a[0]), bound)
-
-        pts = clip_edge(pts, inside, intersect)
-        if not pts:
-            return None
-
-    # Drop consecutive duplicates produced by vertices on the boundary.
-    dedup: list[tuple[float, float]] = []
-    for xy in pts:
-        if not dedup or xy != dedup[-1]:
-            dedup.append(xy)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    if len(dedup) < 3:
-        return None
-    return Ring([Point(x, y) for x, y in dedup])
-
-
 def polygon_area(poly: Polygon) -> float:
     area = abs(signed_ring_area(poly.outer))
     for hole in poly.holes:

@@ -15,11 +15,11 @@ import numpy as np
 from .dataio import FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
 from .geom import BBox, Point, Polygon, bbox_of, polygon_area
-from .raster import Raster, StatSpec, cell_clipped_areas, coverage_fractions, zonal_stat
+from .raster import Raster, StatSpec, cell_areas, coverage_fractions, zonal_stat
 
-# cap on points * cells * vertices per numpy batch; sized so the clip
-# kernel's temporaries stay cache-resident (larger blocks measurably thrash)
-_BATCH_ELEMS = 250_000
+# cap on the coverage kernel's per-batch temporaries, in array elements;
+# larger blocks are no faster and only raise peak memory
+_BATCH_ELEMS = 32_000
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def _buffered_point_stats(
     scalars = np.full(n, np.nan)
     freqs: list[dict[float, float]] = [dict() for _ in range(n)] if stat.kind == "frequency" else []
 
-    # the clip kernel expands each ring to 9 slots per vertex
-    block = max(1, _BATCH_ELEMS // max(1, c_per_pt * segments * 9))
+    # per point the kernel sorts about 2V edge ends plus 4W line crossings
+    # and accumulates W*W cells
+    block = max(1, _BATCH_ELEMS // (2 * segments + 4 * w_cells + c_per_pt))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         bx, by = px[lo:hi], py[lo:hi]
@@ -109,10 +110,12 @@ def _buffered_point_stats(
         cols = np.broadcast_to(cols, (hi - lo, w_cells, w_cells)).reshape(hi - lo, -1)
         rows = np.broadcast_to(rows, (hi - lo, w_cells, w_cells)).reshape(hi - lo, -1)
         inb = (cols >= 0) & (cols < r.ncols) & (rows >= 0) & (rows < r.nrows)
-        cx0 = r.xll + cols * cs
-        cy0 = r.ytop - (rows + 1) * cs
-        area = cell_clipped_areas(vx[:, None, :], vy[:, None, :], cx0, cy0, cs)
-        frac = np.minimum(area / (cs * cs), 1.0)
+        area = cell_areas(
+            vx.ravel(), vy.ravel(), np.roll(vx, -1, axis=1).ravel(),
+            np.roll(vy, -1, axis=1).ravel(), np.repeat(np.arange(hi - lo), segments),
+            r.xll + col0 * cs, r.ytop - row0 * cs, cs, w_cells, w_cells,
+        )
+        frac = np.minimum(area.reshape(hi - lo, -1), 1.0)
         vals = r.values[np.clip(rows, 0, r.nrows - 1), np.clip(cols, 0, r.ncols - 1)]
         valid = inb & (frac > 0.0) & (vals != r.nodata)
         w = np.where(valid, frac, 0.0)
@@ -252,7 +255,9 @@ def _trapezoids(poly: Polygon) -> list[list[tuple[float, float]]]:
         xs.sort()
         for i in range(0, len(xs) - 1, 2):
             (_, l0, l1), (_, r0, r1) = xs[i], xs[i + 1]
-            traps.append([(l0, y0), (r0, y0), (r1, y1), (l1, y1)])
+            # at a shared vertex rounding can put r one ulp left of l; a
+            # reversed edge would make the convex clip drop the trapezoid
+            traps.append([(l0, y0), (max(r0, l0), y0), (max(r1, l1), y1), (l1, y1)])
     return traps
 
 

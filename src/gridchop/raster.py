@@ -105,116 +105,115 @@ def window_for_bbox(r: Raster, b: BBox) -> CellWindow:
     return CellWindow(row0, col0, row1 - row0 + 1, col1 - col0 + 1)
 
 
-def _ring_coords(ring) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.array([v.x for v in ring.vertices], dtype=np.float64)
-    ys = np.array([v.y for v in ring.vertices], dtype=np.float64)
-    return xs, ys
+def ring_edges(poly: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges (ax, ay) -> (bx, by) of every ring of poly, holes included."""
+    xs, ys = [], []
+    for ring in [poly.outer, *poly.holes]:
+        xs.append(np.array([v.x for v in ring.vertices], dtype=np.float64))
+        ys.append(np.array([v.y for v in ring.vertices], dtype=np.float64))
+    ax, ay = np.concatenate(xs), np.concatenate(ys)
+    bx = np.concatenate([np.roll(x, -1) for x in xs])
+    by = np.concatenate([np.roll(y, -1) for y in ys])
+    return ax, ay, bx, by
 
 
-def _clip_slab_insert(x, y, lo, hi, axis):
-    """Clip a ring to the slab lo <= coord <= hi on one axis, batched.
-
-    Vertices outside the slab are clamped onto its boundary lines and true
-    edge/boundary crossing points are inserted, so the traced region equals
-    the clipped polygon plus zero-area excursions along the slab lines.
-    Every edge emits exactly 3 slots (two crossings-or-duplicates plus the
-    clamped end vertex), which keeps shapes fixed for vectorization.
-
-    x/y: ring coordinates (..., N), implicitly closed. lo/hi broadcast
-    against (..., 1). Returns (x', y') shaped (..., 3N).
-    """
-    u, v = (x, y) if axis == 0 else (y, x)
-    ub = np.roll(u, -1, axis=-1)
-    vb = np.roll(v, -1, axis=-1)
-    du = ub - u
-    dv = vb - v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_lo = (lo - u) / du
-        t_hi = (hi - u) / du
-        vc_lo = v + t_lo * dv
-        vc_hi = v + t_hi * dv
-    cross_lo = ((u < lo) & (ub > lo)) | ((u > lo) & (ub < lo))
-    cross_hi = ((u < hi) & (ub > hi)) | ((u > hi) & (ub < hi))
-    u_cl = np.clip(u, lo, hi)
-
-    first_lo = cross_lo & (~cross_hi | (t_lo <= t_hi))
-    first_hi = cross_hi & ~first_lo
-    u1 = np.where(first_lo, lo, np.where(first_hi, hi, u_cl))
-    v1 = np.where(first_lo, vc_lo, np.where(first_hi, vc_hi, v))
-    second_lo = cross_lo & ~first_lo
-    second_hi = cross_hi & ~first_hi
-    u2 = np.where(second_lo, lo, np.where(second_hi, hi, u1))
-    v2 = np.where(second_lo, vc_lo, np.where(second_hi, vc_hi, v1))
-    ub_cl = np.clip(ub, lo, hi)
-
-    u1, u2, ub_cl, v1, v2, vb = np.broadcast_arrays(u1, u2, ub_cl, v1, v2, vb)
-    shape = u1.shape[:-1] + (3 * u1.shape[-1],)
-    out_u = np.empty(shape)
-    out_v = np.empty(shape)
-    # strided interleave, cheaper than stack+reshape for these block sizes
-    out_u[..., 0::3] = u1
-    out_u[..., 1::3] = u2
-    out_u[..., 2::3] = ub_cl
-    out_v[..., 0::3] = v1
-    out_v[..., 1::3] = v2
-    out_v[..., 2::3] = vb
-    return (out_u, out_v) if axis == 0 else (out_v, out_u)
+def _line_crossings(a: np.ndarray, b: np.ndarray, first: float, last: float):
+    """Integer lines first..last strictly between a and b, as (edge, line, t)."""
+    lo = np.maximum(np.floor(np.minimum(a, b)) + 1.0, first)
+    hi = np.minimum(np.ceil(np.maximum(a, b)) - 1.0, last)
+    cnt = np.maximum(hi - lo + 1.0, 0.0).astype(np.intp)
+    edge = np.repeat(np.arange(a.size), cnt)
+    line = lo[edge] + (np.arange(edge.size) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+    t = (line - a[edge]) / (b[edge] - a[edge])
+    return edge, line, t
 
 
-def cell_clipped_areas(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    cx0: np.ndarray,
-    cy0: np.ndarray,
+def cell_areas(
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    win: np.ndarray,
+    x0: np.ndarray,
+    ytop: np.ndarray,
     cellsize: float,
+    nrows: int,
+    ncols: int,
 ) -> np.ndarray:
-    """Signed area of a ring clipped to each cell [cx0, cx0+cs] x [cy0, cy0+cs].
+    """Exact covered area of every cell of a batch of equal-sized windows.
 
-    Exact (a batched Sutherland-Hodgman with crossing-vertex insertion), not
-    an approximation: per-cell results match a scalar polygon clipper.
+    Edges (ax, ay) -> (bx, by) form closed rings, outer rings counterclockwise
+    and holes clockwise; edge i belongs to window win[i], whose top-left
+    corner is (x0[k], ytop[k]). Returns (len(x0), nrows, ncols) signed areas
+    in units of one cell, so a fully covered cell reads 1.0.
 
-    xs/ys: ring vertex coordinates (..., V). cx0/cy0: lower-left cell
-    corners, any shape broadcastable against the leading dims of xs. Returns
-    signed areas shaped like cx0.
+    Green's theorem per cell column: a CCW ring bounds area -sum(y dx). Each
+    edge is split at every cell line it crosses, so every piece lies in one
+    cell; a piece adds dx times its mean height above its row floor to its
+    own cell and dx to every cell below it in the column. Work grows with
+    vertices plus line crossings plus window cells, not with their product.
+    Parts of a ring left or right of the
+    window are dropped, parts above it count as full height, parts below it
+    add nothing, so windows clamped to a raster stay exact.
     """
-    lo_x = cx0[..., None]
-    x1, y1 = _clip_slab_insert(xs, ys, lo_x, lo_x + cellsize, axis=0)
-    lo_y = cy0[..., None]
-    x2, y2 = _clip_slab_insert(x1, y1, lo_y, lo_y + cellsize, axis=1)
-    xr = np.roll(x2, -1, axis=-1)
-    yr = np.roll(y2, -1, axis=-1)
-    return 0.5 * np.sum(x2 * yr - xr * y2, axis=-1)
+    # window-local cell coordinates: u rightwards, h downwards from the top.
+    # u is shifted by a power of two above ncols, so every u inside the
+    # window shares one binade: piece widths are exact differences whose
+    # column sums cancel exactly, and cells outside every ring read 0.
+    off = float(1 << ncols.bit_length())
+    u0 = (ax - x0[win]) / cellsize + off
+    u1 = (bx - x0[win]) / cellsize + off
+    h0 = (ytop[win] - ay) / cellsize
+    h1 = (ytop[win] - by) / cellsize
+    ev, kv, tv = _line_crossings(u0, u1, off, off + ncols)
+    eh, kh, th = _line_crossings(h0, h1, 0.0, float(nrows))
+    ends = np.arange(u0.size)
+    edge = np.concatenate([ends, ev, eh, ends])
+    t = np.concatenate([np.zeros(u0.size), tv, th, np.ones(u0.size)])
+    # crossings are snapped onto the line they cross
+    u = np.concatenate([u0, kv, u0[eh] + th * (u1[eh] - u0[eh]), u1])
+    h = np.concatenate([h0, h0[ev] + tv * (h1[ev] - h0[ev]), kh, h1])
+    order = np.lexsort((t, edge))
+    edge, u, h = edge[order], u[order], np.clip(h[order], 0.0, float(nrows))
+    piece = edge[1:] == edge[:-1]
+    ua, ub = u[:-1][piece], u[1:][piece]
+    hmid = 0.5 * (h[:-1][piece] + h[1:][piece])
+    du = ub - ua
+    col = np.floor(0.5 * (ua + ub) - off).astype(np.intp)
+    row = np.floor(hmid).astype(np.intp)
+    keep = (du != 0.0) & (col >= 0) & (col < ncols) & (row < nrows)
+    du, col, row, hmid = du[keep], col[keep], row[keep], hmid[keep]
+    flat = (win[edge[:-1][piece][keep]] * nrows + row) * ncols + col
+    size = x0.size * nrows * ncols
+    shape = (x0.size, nrows, ncols)
+    own = np.bincount(flat, weights=du * (row + 1.0 - hmid), minlength=size).reshape(shape)
+    below = np.bincount(flat, weights=du, minlength=size).reshape(shape)
+    own[:, 1:] += np.cumsum(below, axis=1)[:, :-1]
+    return -own
 
 
 def coverage_fractions(r: Raster, poly: Polygon) -> list[CoverageCell]:
     """Exact area fraction of every raster cell intersected by poly.
 
-    Holes are handled by summing signed ring areas (the clip window is
-    convex). Cells with zero coverage are omitted.
+    Holes are handled by summing signed ring areas. Cells with zero
+    coverage are omitted.
     """
     win = window_for_bbox(r, bbox_of(poly))
     if win.empty:
         return []
     cs = r.cellsize
-    rows = win.row0 + np.arange(win.nrows_w)
-    cols = win.col0 + np.arange(win.ncols_w)
-    cx0 = r.xll + cols * cs  # (C,)
-    cy0 = r.ytop - (rows + 1) * cs  # (R,)
-    total = np.zeros((win.nrows_w, win.ncols_w), dtype=np.float64)
-    for ring in [poly.outer, *poly.holes]:
-        xs, ys = _ring_coords(ring)
-        total += cell_clipped_areas(
-            xs, ys, np.broadcast_to(cx0, (win.nrows_w, win.ncols_w)),
-            np.broadcast_to(cy0[:, None], (win.nrows_w, win.ncols_w)), cs
-        )
-    frac = total / (cs * cs)
-    out = []
-    for i in range(win.nrows_w):
-        for j in range(win.ncols_w):
-            f = frac[i, j]
-            if f > 0.0:
-                out.append(CoverageCell(int(rows[i]), int(cols[j]), min(float(f), 1.0)))
-    return out
+    ax, ay, bx, by = ring_edges(poly)
+    frac = cell_areas(
+        ax, ay, bx, by, np.zeros(ax.size, dtype=np.intp),
+        np.array([r.xll + win.col0 * cs]), np.array([r.ytop - win.row0 * cs]),
+        cs, win.nrows_w, win.ncols_w,
+    )[0]
+    rows, cols = np.nonzero(frac > 0.0)
+    fracs = np.minimum(frac[rows, cols], 1.0)
+    return [
+        CoverageCell(i, j, f)
+        for i, j, f in zip((rows + win.row0).tolist(), (cols + win.col0).tolist(), fracs.tolist())
+    ]
 
 
 def zonal_stat(r: Raster, cells: list[CoverageCell], spec: StatSpec) -> StatResult:

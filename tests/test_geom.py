@@ -14,12 +14,10 @@ from gridchop import (
     Ring,
     bbox_of,
     buffer_point,
-    clip_ring_to_rect,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
 )
-from gridchop.geom import signed_ring_area
 
 from conftest import square, square_with_hole, star_polygon
 
@@ -71,53 +69,6 @@ class TestPointInPolygon:
             if near_edge(p):
                 continue
             assert point_in_polygon(p, poly) == oracle(p)
-
-
-class TestClipRingToRect:
-    def test_identity_when_contained(self):
-        ring = square().outer
-        clipped = clip_ring_to_rect(ring, BBox(0, 0, 1, 1))
-        assert clipped is not None
-        assert signed_ring_area(clipped) == pytest.approx(1.0)
-
-    def test_half_overlap(self):
-        clipped = clip_ring_to_rect(square().outer, BBox(0.5, 0, 1.5, 1))
-        assert clipped is not None
-        assert signed_ring_area(clipped) == pytest.approx(0.5)
-
-    def test_disjoint_empty(self):
-        assert clip_ring_to_rect(square().outer, BBox(5, 5, 6, 6)) is None
-
-    def test_orientation_preserved(self):
-        cw = Ring(list(reversed(square().outer.vertices)))
-        clipped = clip_ring_to_rect(cw, BBox(0.25, 0.25, 2, 2))
-        assert signed_ring_area(clipped) < 0
-
-    def test_identity_under_expanded_bbox(self, rng):
-        poly = star_polygon(1.0, 2.0, 3.0, 1.2, points=6)
-        box = bbox_of(poly).expand(0.5)
-        clipped = clip_ring_to_rect(poly.outer, box)
-        assert signed_ring_area(clipped) == pytest.approx(
-            signed_ring_area(poly.outer), rel=1e-12
-        )
-
-    def test_split_additivity(self, rng):
-        """area(clip(r, R1)) + area(clip(r, R2)) == area(clip(r, R)) for a
-        rectangle split along a grid line."""
-        for _ in range(50):
-            poly = star_polygon(
-                rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 3), rng.uniform(0.3, 0.9)
-            )
-            big = BBox(-2, -2, 2, 2)
-            xsplit = rng.uniform(-1.5, 1.5)
-            left = BBox(-2, -2, xsplit, 2)
-            right = BBox(xsplit, -2, 2, 2)
-
-            def area(b):
-                c = clip_ring_to_rect(poly.outer, b)
-                return 0.0 if c is None else signed_ring_area(c)
-
-            assert area(left) + area(right) == pytest.approx(area(big), rel=1e-12, abs=1e-12)
 
 
 class TestPolygonArea:

@@ -86,6 +86,20 @@ class TestExtractAtPoints:
                 want = zonal_stat(r, coverage_fractions(r, poly), StatSpec(stat)).value
                 assert t.rows[i][stat] == pytest.approx(want, rel=1e-9), stat
 
+    def test_buffered_row_independent_of_batch(self):
+        # a point's row is the same bytes alone and among 1000 other points,
+        # which span several kernel batches and the raster's edges
+        rng = np.random.default_rng(11)
+        r = Raster(60, 60, 0.0, 0.0, 0.5, -9999.0, rng.uniform(0, 10, (60, 60)))
+        others = [tuple(p) for p in rng.uniform(-2.0, 32.0, (1000, 2))]
+        target = (11.3, 17.9)
+        for stat in ("mean", "stdev", "min", "count"):
+            alone = extract_at(r, points_fs([target]), radius=1.7, stat=stat).rows[0]
+            for at in (0, 437, 1000):
+                pts = others[:at] + [target] + others[at:]
+                row = extract_at(r, points_fs(pts), radius=1.7, stat=stat).rows[at]
+                assert repr((row[stat], row["count"])) == repr((alone[stat], alone["count"]))
+
     def test_frequency_columns(self):
         vals = np.array([[1.0, 1.0], [1.0, 3.0]])
         r = Raster(2, 2, 0.0, 0.0, 1.0, -9999.0, vals, kind="categorical")
@@ -156,6 +170,20 @@ class TestPolygonIntersectionArea:
         donut = make_polygon([outer, hole])
         got = polygon_intersection_area(donut, rect(0, 0, 4, 2))
         assert got == pytest.approx(8.0 - 2.0, abs=1e-12)
+
+    def test_sliver_trapezoid_kept(self):
+        # rounding at a shared vertex puts a trapezoid's right x one ulp left
+        # of its left x; the reversed edge must not drop the trapezoid
+        ring = [
+            (0.9306727210040051, 33.81298807736598), (0.8018921634184671, 33.87562960077943),
+            (0.6064699088253517, 33.96009946566015), (0.38057307133339285, 33.96330284265172),
+            (0.3756736404451636, 33.75638784580735), (0.257459047736317, 33.54032038418853),
+            (0.39895943486943447, 33.40296850442517), (0.6277978069963452, 33.39624980577009),
+            (0.7692396422951988, 33.307692450971466), (0.953275021817341, 33.65376976116628),
+        ]
+        poly = make_polygon([[Point(x, y) for x, y in ring]])
+        got = polygon_intersection_area(poly, rect(0.0, 32.5, 2.5, 35.0))
+        assert got == pytest.approx(polygon_area(poly), rel=1e-12)
 
 
 class TestSummarizeAw:

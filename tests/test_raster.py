@@ -8,8 +8,11 @@ from gridchop import (
     CellWindow,
     InvalidParameterError,
     Point,
+    Polygon,
     Raster,
+    Ring,
     StatSpec,
+    bbox_of,
     buffer_point,
     coverage_fractions,
     polygon_area,
@@ -17,6 +20,9 @@ from gridchop import (
     window_for_bbox,
     zonal_stat,
 )
+from gridchop.geom import make_polygon, signed_ring_area
+from gridchop.geoops import _clip_ring_convex, _shoelace
+from gridchop.raster import cell_areas, ring_edges
 
 from conftest import square, star_polygon
 
@@ -48,6 +54,157 @@ def mc_fraction_oracle(r, poly, row, col, sub=256):
                 xc = a.x + (ys - a.y) * (b.x - a.x) / (b.y - a.y)
             inside += np.where(crosses & (xc > xs), 1, 0)
     return float(np.mean(inside % 2))
+
+
+def kernel_cells(poly, x0, ytop, cs, nrows, ncols):
+    """cell_areas of one polygon over one window, in cell units."""
+    ax, ay, bx, by = ring_edges(poly)
+    win = np.zeros(ax.size, dtype=np.intp)
+    return cell_areas(ax, ay, bx, by, win, np.array([x0]), np.array([ytop]), cs, nrows, ncols)[0]
+
+
+def scalar_clip_cells(poly, x0, ytop, cs, nrows, ncols):
+    """Reference: each ring clipped to each cell by the scalar convex clipper,
+    in coordinates relative to the cell's corner so the shoelace stays exact."""
+    out = np.zeros((nrows, ncols))
+    cell = [(0.0, 0.0), (cs, 0.0), (cs, cs), (0.0, cs)]
+    for i in range(nrows):
+        for j in range(ncols):
+            cx, cy = x0 + j * cs, ytop - (i + 1) * cs
+            for ring in [poly.outer, *poly.holes]:
+                clipped = _clip_ring_convex([(v.x - cx, v.y - cy) for v in ring.vertices], cell)
+                if len(clipped) >= 3:
+                    out[i, j] += _shoelace(clipped) / (cs * cs)
+    return out
+
+
+def random_star(rng, cx, cy, radius, nv):
+    """Simple ring: one vertex per equal angular sector around (cx, cy)."""
+    theta = 2.0 * np.pi * (np.arange(nv) + rng.uniform(0.0, 1.0, nv)) / nv
+    rad = radius * rng.uniform(0.4, 1.0, nv)
+    return [Point(cx + q * math.cos(a), cy + q * math.sin(a)) for a, q in zip(theta, rad)]
+
+
+def _stars(rng):
+    return [make_polygon([random_star(rng, 4.25, 2.0, 1.2, rng.integers(5, 30))])
+            for _ in range(6)]
+
+
+def _stars_with_holes(rng):
+    polys = []
+    for _ in range(6):
+        # 8+ sectors of radius >= 0.48 keep every outer edge 0.33 from the
+        # center, clear of the hole
+        outer = random_star(rng, 4.25, 2.0, 1.2, rng.integers(8, 30))
+        hole = buffer_point(Point(4.25 + rng.uniform(-0.05, 0.05), 2.0), 0.25, 9).outer.vertices
+        polys.append(make_polygon([outer, hole]))
+    return polys
+
+
+def _vertices_on_lines(rng):
+    # every vertex snapped onto a horizontal cell line, every other one onto
+    # a cell corner
+    polys = []
+    for _ in range(6):
+        pts = random_star(rng, 4.25, 2.0, 1.2, 12)
+        snapped = []
+        for k, p in enumerate(pts):
+            x = 3.0 + round((p.x - 3.0) / 0.25) * 0.25 if k % 2 == 0 else p.x
+            y = round(p.y / 0.25) * 0.25
+            if not snapped or (x, y) != snapped[-1]:
+                snapped.append((x, y))
+        if snapped[0] == snapped[-1]:
+            snapped.pop()
+        polys.append(make_polygon([[Point(x, y) for x, y in snapped]]))
+    return polys
+
+
+def _edges_on_lines(rng):
+    # rectilinear rings whose edges run along cell lines, one with a diagonal
+    stairs = [(3.0, 1.0), (5.0, 1.0), (5.0, 1.5), (4.5, 1.5), (4.5, 2.25), (3.75, 3.0),
+              (3.5, 3.0), (3.5, 2.0), (3.0, 2.0)]
+    frame = [[(3.25, 1.25), (5.25, 1.25), (5.25, 3.25), (3.25, 3.25)],
+             [(3.75, 1.75), (4.75, 1.75), (4.75, 2.75), (3.75, 2.75)]]
+    return [make_polygon([[Point(x, y) for x, y in stairs]]),
+            make_polygon([[Point(x, y) for x, y in ring] for ring in frame])]
+
+
+def _below_one_cell(rng):
+    return [buffer_point(Point(rng.uniform(3.2, 5.0), rng.uniform(1.2, 3.2)), 0.4 * 0.25, 64)
+            for _ in range(6)]
+
+
+# window: x0 = 3.0, ytop = 3.5, 0.25-sized cells, 12 rows x 10 columns
+KERNEL_CASES = {
+    "stars": _stars,
+    "stars_with_holes": _stars_with_holes,
+    "vertices_on_lines": _vertices_on_lines,
+    "edges_on_lines": _edges_on_lines,
+    "below_one_cell": _below_one_cell,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_scalar_clipper(case, nprng):
+    ras = Raster(10, 12, 3.0, 0.5, 0.25, -9999.0, np.zeros((12, 10)))
+    for poly in KERNEL_CASES[case](nprng):
+        # the whole raster, and the polygon's own window as coverage_fractions uses
+        win = window_for_bbox(ras, bbox_of(poly))
+        for window in ((3.0, 3.5, 12, 10),
+                       (3.0 + win.col0 * 0.25, 3.5 - win.row0 * 0.25, win.nrows_w, win.ncols_w)):
+            got = kernel_cells(poly, *window[:2], 0.25, *window[2:])
+            want = scalar_clip_cells(poly, *window[:2], 0.25, *window[2:])
+            assert np.max(np.abs(got - want)) <= 1e-12
+            # a cell the ring misses reads exactly 0, or zonal min/max and
+            # frequency would pick it up
+            assert np.all(got[want == 0.0] == 0.0)
+
+
+def test_kernel_clamped_window(nprng):
+    # rings reaching past the window on every side, as when a raster clamps
+    # the window: cells inside the window are still exact
+    for _ in range(6):
+        poly = make_polygon([random_star(nprng, 4.25, 2.0, 2.5, 40)])
+        for x0, ytop, nrows, ncols in ((3.0, 3.5, 12, 10), (2.5, 2.0, 5, 4), (4.0, 5.0, 6, 3)):
+            got = kernel_cells(poly, x0, ytop, 0.25, nrows, ncols)
+            want = scalar_clip_cells(poly, x0, ytop, 0.25, nrows, ncols)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _clip_case(case, rng):
+    """(got, want) for one behaviour of clipping a ring to cells."""
+    sq = square().outer
+    if case == "contained":
+        return kernel_cells(square(), 0.0, 1.0, 1.0, 1, 1)[0, 0], 1.0
+    if case == "contained_star":
+        poly = star_polygon(1.0, 2.0, 3.0, 1.2, points=6)
+        return kernel_cells(poly, -2.5, 5.5, 7.0, 1, 1)[0, 0] * 49.0, signed_ring_area(poly.outer)
+    if case == "half_overlap":
+        return kernel_cells(square(), 0.5, 1.0, 1.0, 1, 1)[0, 0], 0.5
+    if case == "disjoint":
+        return kernel_cells(square(), 5.0, 6.0, 1.0, 1, 1)[0, 0], 0.0
+    if case == "clockwise":
+        cw = Polygon(Ring(list(reversed(sq.vertices))))
+        return kernel_cells(cw, 0.25, 1.25, 1.0, 1, 1)[0, 0], -0.75 * 0.75
+    # split_additivity: two cells split along a grid line at a random x add
+    # up to the whole ring
+    got, want = [], []
+    for _ in range(50):
+        poly = star_polygon(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 2),
+                            rng.uniform(0.3, 0.9))
+        xsplit = rng.uniform(-1.0, 1.0)
+        got.append(kernel_cells(poly, xsplit - 4.0, 4.0, 4.0, 2, 2).sum() * 16.0)
+        want.append(signed_ring_area(poly.outer))
+    return np.array(got), np.array(want)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["contained", "contained_star", "half_overlap", "disjoint", "clockwise", "split_additivity"],
+)
+def test_kernel_clip_cases(case, nprng):
+    got, want = _clip_case(case, nprng)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestWindowForBBox:
