@@ -1,7 +1,8 @@
 """`chop` command line interface.
 
 Exit codes: 0 success, 2 usage error, 3 input/load error, 4 partial failure
-(some chunks errored; result rows are still written).
+(some chunks errored; result rows are still written, unless errors are not
+captured: then the first failed chunk stops the run and no CSV is written).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 
 from . import bench as bench_mod
 from . import dataio, partition
-from .errors import GridchopError, LoadError
-from .executor import RunConfig, TaskSpec, run_grid, run_hierarchy, run_multirasters
+from .errors import GridchopError, InvalidParameterError, LoadError
+from .executor import ChunkError, RunConfig, TaskSpec, run_grid, run_hierarchy, run_multirasters
 from .geom import BBox
 from .partition import GridSpec, build_partition, group_by_hierarchy
 
@@ -48,23 +49,25 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--task", choices=["extract_at", "summarize_aw", "sedc", "nearest"])
     p.add_argument("--x", help="context dataset: raster .asc path or vector file")
     p.add_argument("--y", help="anchor dataset: vector file")
-    p.add_argument("--id", default="id", help="id column name")
-    p.add_argument("--radius", type=float, default=0.0)
-    p.add_argument("--stat", default="mean")
+    p.add_argument("--id", help="id column name (default: id)")
+    p.add_argument("--radius", type=float)
+    p.add_argument("--stat")
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--maxdist", type=float)
-    p.add_argument("--value-cols", default="", help="comma-separated source columns")
+    p.add_argument("--value-cols", help="comma-separated source columns")
     p.add_argument("--partition", help="PartitionSet JSON file")
     p.add_argument("--hierarchy", help="hierarchy attribute column")
     p.add_argument("--regions", help="region polygons file (GeoJSON)")
     p.add_argument("--regions-id", help="region id column")
-    p.add_argument("--pad-y", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--capture-errors", dest="capture_errors", action="store_true", default=True)
-    p.add_argument("--no-capture-errors", dest="capture_errors", action="store_false")
-    p.add_argument("--categorical", action="store_true", help="treat raster as categorical")
+    p.add_argument("--pad-y", action="store_true", default=None)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--capture-errors", dest="capture_errors", action="store_true", default=None)
+    p.add_argument("--no-capture-errors", dest="capture_errors", action="store_false",
+                   default=None)
+    p.add_argument("--categorical", action="store_true", default=None,
+                   help="treat raster as categorical")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--config", help="JSON job config mirroring these flags")
+    p.add_argument("--config", help="JSON job config mirroring these flags; flags win")
 
 
 _CONFIG_KEYS = {
@@ -74,20 +77,35 @@ _CONFIG_KEYS = {
 }
 
 
+_RUN_DEFAULTS = {
+    "id": "id", "radius": 0.0, "stat": "mean", "value_cols": "", "pad_y": False,
+    "capture_errors": True, "categorical": False,
+}
+
+
 def _apply_config(args: argparse.Namespace):
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in doc.items():
-        if getattr(args, key, None) in (None, "", 0.0, False, "mean", "id"):
+    """Fill each flag not given on the command line from --config, else its default."""
+    doc = {}
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        unknown = set(doc) - _CONFIG_KEYS
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in [*doc.items(), *_RUN_DEFAULTS.items()]:
+        if getattr(args, key, None) is None:
             setattr(args, key, val)
+    if args.workers is None:
+        args.workers = _default_workers()
 
 
 def _build_task(args) -> tuple[TaskSpec, str]:
-    if not args.task or not args.x or not args.y or not args.out:
+    """The task of `run` (context --x) or `multiraster` (one raster per chunk)."""
+    multi = args.command == "multiraster"
+    if not args.task or not (args.x or multi) or not args.y or not args.out:
         raise UsageError("--task, --x, --y and --out are required")
+    if multi and args.task != "extract_at":
+        raise InvalidParameterError("multiraster supports only --task extract_at")
     raster_kind = "categorical" if args.categorical else "continuous"
     y = _load_vector(args.y, args.id)
     value_cols = [c for c in (args.value_cols or "").split(",") if c]
@@ -141,9 +159,23 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _run_common(args, task: TaskSpec, raster_kind: str):
-    workers = args.workers if args.workers is not None else _default_workers()
-    cfg = RunConfig(workers=workers, capture_errors=args.capture_errors)
+def _raster_paths(args) -> list[str]:
+    paths = []
+    if args.rasters:
+        paths = [p for p in args.rasters.split(",") if p]
+    elif args.raster_list:
+        with open(args.raster_list) as fh:
+            paths = [line.strip() for line in fh if line.strip()]
+    if not paths:
+        raise UsageError("need --rasters or --raster-list")
+    return paths
+
+
+def _run_table(args, task: TaskSpec, cfg: RunConfig, raster_kind: str):
+    if args.command == "multiraster":
+        return run_multirasters(
+            task, _raster_paths(args), cfg, id_column=args.id, raster_kind=raster_kind
+        )
     chosen = [bool(args.partition), bool(args.hierarchy), bool(args.regions)]
     if sum(chosen) != 1:
         raise UsageError("exactly one of --partition, --hierarchy or --regions is required")
@@ -162,30 +194,11 @@ def _run_common(args, task: TaskSpec, raster_kind: str):
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        _apply_config(args)
+    """`chop run` and `chop multiraster`."""
+    _apply_config(args)
     task, raster_kind = _build_task(args)
-    table = _run_common(args, task, raster_kind)
-    dataio.save_table(table, args.out)
-    return EXIT_PARTIAL if table.had_errors else EXIT_OK
-
-
-def cmd_multiraster(args) -> int:
-    if args.config:
-        _apply_config(args)
-    paths = []
-    if args.rasters:
-        paths = [p for p in args.rasters.split(",") if p]
-    elif args.raster_list:
-        with open(args.raster_list) as fh:
-            paths = [line.strip() for line in fh if line.strip()]
-    if not paths:
-        raise UsageError("need --rasters or --raster-list")
-    args.x = paths[0]  # placeholder; each chunk opens its own path
-    task, raster_kind = _build_task(args)
-    workers = args.workers if args.workers is not None else _default_workers()
-    cfg = RunConfig(workers=workers, capture_errors=args.capture_errors)
-    table = run_multirasters(task, paths, cfg, id_column=args.id, raster_kind=raster_kind)
+    cfg = RunConfig(workers=args.workers, capture_errors=args.capture_errors)
+    table = _run_table(args, task, cfg, raster_kind)
     dataio.save_table(table, args.out)
     return EXIT_PARTIAL if table.had_errors else EXIT_OK
 
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--rasters", help="comma-separated raster paths")
     p.add_argument("--raster-list", dest="raster_list", help="file of raster paths")
-    p.set_defaults(func=cmd_multiraster)
+    p.set_defaults(func=cmd_run)
 
     for name, fn in (("synth", cmd_synth), ("bench", cmd_bench)):
         p = sub.add_parser(name)
@@ -326,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except ChunkError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARTIAL
     except LoadError as e:
         print(f"load error: {e}", file=sys.stderr)
         return EXIT_INPUT

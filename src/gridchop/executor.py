@@ -1,24 +1,30 @@
 """Chunked execution of a TaskSpec over a worker pool.
 
-The anchor dataset (one output row per feature) is owned uniquely by chunks;
-the context side is subset by padded extents, so merged results never need
-deduplication. Workers pull chunks from a shared pool; determinism comes
-from merge ordering, not execution order. Rasters referenced by path are
-opened independently (and cached) inside each worker process; in-memory
-datasets are shared read-only via fork.
+Three planners turn a run into a list of `Job`s: `run_grid` makes one per
+PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
+one per raster file. `_run` executes every plan the same way. Grid and
+hierarchy jobs must own each anchor exactly once (the plan is checked before
+any chunk runs), and they share one context dataset that each job clips to
+its bbox, so merged results never need deduplication. A shared raster given
+by path is loaded once in the parent; it and in-memory datasets reach the
+workers read-only via fork. Each multiraster job loads its own raster in its
+worker. Determinism comes from merge ordering (by chunk id), not execution
+order.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geoops
 from .dataio import FeatureSet, ResultTable, load_raster
-from .errors import InvalidParameterError
+from .errors import GridchopError, InvalidParameterError, LoadError
 from .geom import BBox, bbox_of
 from .partition import PartitionSet, group_by_hierarchy  # noqa: F401  (re-export)
 from .raster import Raster
@@ -31,7 +37,7 @@ class TaskSpec:
     """Declarative binding of an operation to x/y roles and parameters."""
 
     op: str
-    x: Raster | FeatureSet | str  # str = raster file path
+    x: Raster | FeatureSet | str | None  # str = raster path; None if each job names one
     y: FeatureSet
     params: dict = field(default_factory=dict)
     pad_y: bool = False
@@ -40,20 +46,17 @@ class TaskSpec:
         if self.op not in OPS:
             raise InvalidParameterError(f"unknown operation {self.op!r}")
 
-    @classmethod
-    def from_args(cls, op: str, arg_map: dict[str, str] | None = None, **kwargs) -> "TaskSpec":
-        """Build a TaskSpec from externally named arguments.
 
-        arg_map renames external parameter names onto the fixed x/y roles,
-        e.g. arg_map={"x": "raster", "y": "sites"} accepts raster=.../sites=...
-        """
-        arg_map = arg_map or {}
-        x_key = arg_map.get("x", "x")
-        y_key = arg_map.get("y", "y")
-        if x_key not in kwargs or y_key not in kwargs:
-            raise InvalidParameterError(f"missing dataset arguments {x_key!r}/{y_key!r}")
-        params = {k: v for k, v in kwargs.items() if k not in (x_key, y_key, "pad_y")}
-        return cls(op, kwargs[x_key], kwargs[y_key], params, bool(kwargs.get("pad_y", False)))
+@dataclass
+class Job:
+    """One chunk of a plan: its anchors, its context and its extra columns."""
+
+    chunk_id: int
+    anchor_ids: list[str]
+    context: BBox | str | None = None  # clip box over the shared context, or a raster path
+    extra: dict = field(default_factory=dict)  # e.g. {"group": key}, on every row
+    pad_warning: bool = False  # flag every row: padding is below the op's radius
+    warn_distance: float | None = None  # flag rows whose distance exceeds this
 
 
 @dataclass
@@ -67,32 +70,28 @@ class ChunkResult:
 @dataclass
 class RunConfig:
     workers: int = 1
-    capture_errors: bool = True
-    fail_fast: bool = False
+    capture_errors: bool = True  # False: the first failed chunk raises ChunkError
 
     def __post_init__(self):
         if self.workers < 1:
             raise InvalidParameterError("workers must be >= 1")
 
 
-class ChunkError(Exception):
-    def __init__(self, chunk_id: int, message: str):
-        super().__init__(f"chunk {chunk_id}: {message}")
+def _last_line(error: str) -> str:
+    return error.strip().splitlines()[-1] if error.strip() else "error"
+
+
+class ChunkError(GridchopError):
+    """A chunk failed in a run that does not capture errors."""
+
+    def __init__(self, chunk_id: int, error: str):
+        super().__init__(f"chunk {chunk_id}: {_last_line(error)}")
         self.chunk_id = chunk_id
+        self.traceback = error
 
 
-# Shared state inherited by forked workers (set before pool creation).
+# Shared state of the current run, set once before the workers fork.
 _CTX: dict = {}
-_RASTER_CACHE: dict[tuple[str, str], Raster] = {}
-
-
-def _context_raster(ref, kind: str) -> Raster:
-    if isinstance(ref, Raster):
-        return ref
-    key = (ref, kind)
-    if key not in _RASTER_CACHE:
-        _RASTER_CACHE[key] = load_raster(ref, kind=kind)
-    return _RASTER_CACHE[key]
 
 
 def _apply_op(task: TaskSpec, x, y, id_column: str) -> ResultTable:
@@ -147,17 +146,16 @@ def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
     return fs.subset(idx)
 
 
-def _run_chunk(payload: dict) -> ChunkResult:
+def _run_chunk(job: Job) -> ChunkResult:
     task: TaskSpec = _CTX["task"]
-    id_column = _CTX["id_column"]
-    cid = payload["chunk_id"]
     try:
-        anchors: FeatureSet = _CTX["anchors"].subset(payload["anchor_idx"])
+        index_of = _CTX["index_of"]
+        anchors: FeatureSet = _CTX["anchors"].subset([index_of[fid] for fid in job.anchor_ids])
         context = _CTX["context"]
-        if isinstance(context, (str, Raster)):
-            context = _context_raster(context, _CTX.get("raster_kind", "continuous"))
-        elif payload.get("context_box") is not None:
-            clipped = _subset_by_bbox(context, payload["context_box"])
+        if isinstance(job.context, str):
+            context = load_raster(job.context, kind=_CTX["raster_kind"])
+        elif isinstance(context, FeatureSet) and job.context is not None:
+            clipped = _subset_by_bbox(context, job.context)
             # nearest_distance has unbounded interaction: an empty padded
             # subset falls back to the full context (rows beyond the padding
             # get flagged below either way)
@@ -166,40 +164,44 @@ def _run_chunk(payload: dict) -> ChunkResult:
             context = clipped
         # pad_y only changes which of task.x/task.y is the anchor side (the
         # caller resolved that); ops always take (context, anchors)
-        table = _apply_op(task, context, anchors, id_column)
+        table = _apply_op(task, context, anchors, _CTX["id_column"])
         rows = table.rows
-        extra = payload.get("extra_columns") or {}
-        for row in rows:
-            row["chunk_id"] = cid
-            row.update(extra)
-        if payload.get("pad_warning"):
+        if job.pad_warning:
             for row in rows:
                 row["pad_warning"] = 1
-        elif payload.get("warn_distance") is not None:
-            thr = payload["warn_distance"]
+        elif job.warn_distance is not None:
             for row in rows:
-                if row.get("distance") is not None and row["distance"] > thr:
+                if row.get("distance") is not None and row["distance"] > job.warn_distance:
                     row["pad_warning"] = 1
-        return ChunkResult(cid, table.columns, rows)
+        return ChunkResult(job.chunk_id, table.columns, rows)
     except Exception:
-        return ChunkResult(cid, [], [], error=traceback.format_exc(limit=4))
+        return ChunkResult(job.chunk_id, error=traceback.format_exc(limit=4))
 
 
-def _execute(payloads: list[dict], cfg: RunConfig) -> list[ChunkResult]:
-    if cfg.workers == 1 or len(payloads) <= 1:
-        results = []
-        for p in payloads:
-            res = _run_chunk(p)
-            if res.error is not None and (cfg.fail_fast or not cfg.capture_errors):
-                raise ChunkError(res.chunk_id, res.error)
-            results.append(res)
-        return results
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=min(cfg.workers, len(payloads))) as pool:
-        results = pool.map(_run_chunk, payloads, chunksize=1)
-    for res in results:
-        if res.error is not None and (cfg.fail_fast or not cfg.capture_errors):
-            raise ChunkError(res.chunk_id, res.error)
+def _checked(res: ChunkResult, cfg: RunConfig) -> ChunkResult:
+    if res.error is not None and not cfg.capture_errors:
+        raise ChunkError(res.chunk_id, res.error)
+    return res
+
+
+def _execute(jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
+    """Each job's result, in job order: a loop at one worker, else one fork
+    pool. A dead worker breaks the pool, and every job still without a
+    result gets an error."""
+    if cfg.workers == 1 or len(jobs) <= 1:
+        return [_checked(_run_chunk(job), cfg) for job in jobs]
+    results = []
+    pool = ProcessPoolExecutor(min(cfg.workers, len(jobs)), mp_context=mp.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_chunk, job) for job in jobs]
+        for job, future in zip(jobs, futures):
+            try:
+                res = future.result()
+            except BrokenProcessPool:
+                res = ChunkResult(job.chunk_id, error=traceback.format_exc(limit=1))
+            results.append(_checked(res, cfg))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -207,15 +209,21 @@ def merge_chunks(
     chunks: list[ChunkResult],
     id_column: str,
     anchor_ids_by_chunk: dict[int, list[str]] | None = None,
-    extra_columns: list[str] | None = None,
+    extra_by_chunk: dict[int, dict] | None = None,
 ) -> ResultTable:
-    """Concatenate chunk outputs sorted by chunk_id; errors become rows."""
+    """Concatenate chunk outputs sorted by chunk_id; errors become rows.
+
+    Every row gets its chunk_id and its chunk's extra columns; a failed
+    chunk gives one error row per anchor id.
+    """
     seen = set()
     for c in chunks:
         if c.chunk_id in seen:
             raise InvalidParameterError(f"duplicate chunk_id {c.chunk_id}")
         seen.add(c.chunk_id)
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
+    extra_by_chunk = extra_by_chunk or {}
+    extra_cols = list(dict.fromkeys(k for extra in extra_by_chunk.values() for k in extra))
 
     value_cols: list[str] = []
     freq_cols: set[str] = set()
@@ -237,21 +245,23 @@ def merge_chunks(
     had_errors = False
     has_warn = False
     for c in ordered:
+        tags = {"chunk_id": c.chunk_id, **extra_by_chunk.get(c.chunk_id, {})}
         if c.error is not None:
             had_errors = True
             ids = (anchor_ids_by_chunk or {}).get(c.chunk_id, [""])
-            msg = c.error.strip().splitlines()[-1] if c.error.strip() else "error"
+            msg = _last_line(c.error)
             for fid in ids:
-                rows.append({id_column: fid, "chunk_id": c.chunk_id, "error": msg})
+                rows.append({id_column: fid, **tags, "error": msg})
             continue
         for row in c.rows:
+            row.update(tags)
             if sorted_freq:
                 for fc in sorted_freq:
                     row.setdefault(fc, 0.0)
             if row.get("pad_warning"):
                 has_warn = True
             rows.append(row)
-    columns = [id_column, "chunk_id"] + (extra_columns or []) + value_cols
+    columns = [id_column, "chunk_id"] + extra_cols + value_cols
     if has_warn or any(r.get("pad_warning") is not None for r in rows):
         columns.append("pad_warning")
         for r in rows:
@@ -261,22 +271,64 @@ def merge_chunks(
     return ResultTable(columns, rows, had_errors=had_errors)
 
 
-def _prepare(task: TaskSpec, id_column: str, context, raster_kind: str):
+def _anchors(task: TaskSpec) -> FeatureSet:
     anchors = task.x if task.pad_y else task.y
     if not isinstance(anchors, FeatureSet):
         raise InvalidParameterError("the anchor dataset must be a FeatureSet")
-    if isinstance(context, FeatureSet) and context.geometry_kind() == "point":
+    return anchors
+
+
+def _check_plan(index_of: dict[str, int], jobs: list[Job]):
+    """Raise LoadError unless the jobs' member ids partition the anchor ids."""
+    owner: dict[str, int] = {}
+    for job in jobs:
+        for fid in job.anchor_ids:
+            if fid not in index_of:
+                raise LoadError(f"chunk {job.chunk_id}: member id {fid!r} is not an anchor id")
+            if fid in owner:
+                raise LoadError(
+                    f"chunk {job.chunk_id}: member id {fid!r} is already in chunk {owner[fid]}"
+                )
+            owner[fid] = job.chunk_id
+    missing = [fid for fid in index_of if fid not in owner]
+    if missing:
+        raise LoadError(f"{len(missing)} anchor ids are in no chunk, first {missing[0]!r}")
+
+
+def _run(
+    task: TaskSpec, jobs: list[Job], cfg: RunConfig | None, id_column: str, raster_kind: str
+) -> ResultTable:
+    """Check the plan, share the context with the workers, run, merge."""
+    global _CTX
+    anchors = _anchors(task)
+    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
+    # jobs that name a raster path each take every anchor and no shared context
+    context = None
+    if not any(isinstance(job.context, str) for job in jobs):
+        _check_plan(index_of, jobs)
+        context = task.y if task.pad_y else task.x
+    if isinstance(context, str):
+        context = load_raster(context, kind=raster_kind)
+    elif isinstance(context, FeatureSet) and context.geometry_kind() == "point":
         context.point_coords()  # build the cache pre-fork, workers share it
-    _CTX.clear()
-    _RASTER_CACHE.clear()
-    _CTX.update(
+    _CTX = dict(
         task=task,
         id_column=id_column,
         anchors=anchors,
+        index_of=index_of,
         context=context,
         raster_kind=raster_kind,
     )
-    return anchors
+    try:
+        results = _execute(jobs, cfg or RunConfig())
+    finally:
+        _CTX = {}  # the run's datasets must not outlive it
+    return merge_chunks(
+        results,
+        id_column,
+        {job.chunk_id: job.anchor_ids for job in jobs},
+        {job.chunk_id: job.extra for job in jobs},
+    )
 
 
 def run_grid(
@@ -287,28 +339,14 @@ def run_grid(
     raster_kind: str = "continuous",
 ) -> ResultTable:
     """Run the task chunk-by-chunk over a PartitionSet with member assignments."""
-    cfg = cfg or RunConfig()
-    context = task.y if task.pad_y else task.x
-    anchors = _prepare(task, id_column, context, raster_kind)
-    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
     radius = interaction_radius(task)
     pad_short = radius is not None and radius > parts.padding and radius > 0
-    payloads = []
-    ids_by_chunk = {}
-    for c in parts.chunks:
-        anchor_idx = [index_of[fid] for fid in c.member_ids]
-        ids_by_chunk[c.chunk_id] = list(c.member_ids)
-        payloads.append(
-            {
-                "chunk_id": c.chunk_id,
-                "anchor_idx": anchor_idx,
-                "context_box": c.padded if isinstance(context, FeatureSet) else None,
-                "pad_warning": pad_short,
-                "warn_distance": parts.padding if task.op == "nearest_distance" else None,
-            }
-        )
-    results = _execute(payloads, cfg)
-    return merge_chunks(results, id_column, ids_by_chunk)
+    warn_distance = parts.padding if task.op == "nearest_distance" else None
+    jobs = [
+        Job(c.chunk_id, c.member_ids, c.padded, pad_warning=pad_short, warn_distance=warn_distance)
+        for c in parts.chunks
+    ]
+    return _run(task, jobs, cfg, id_column, raster_kind)
 
 
 def run_hierarchy(
@@ -319,36 +357,16 @@ def run_hierarchy(
     raster_kind: str = "continuous",
 ) -> ResultTable:
     """One chunk per hierarchy group; merge ordered by group key."""
-    cfg = cfg or RunConfig()
-    context = task.y if task.pad_y else task.x
-    anchors = _prepare(task, id_column, context, raster_kind)
-    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
+    geometry = {f.id: f.geometry for f in _anchors(task).features}
     radius = interaction_radius(task) or 0.0
-    payloads = []
-    ids_by_chunk = {}
-    keys = {}
+    jobs = []
     for cid, (key, member_ids) in enumerate(sorted(groups, key=lambda g: g[0])):
-        anchor_idx = [index_of[fid] for fid in member_ids]
-        box = None
-        if isinstance(context, FeatureSet) and anchor_idx:
-            box = BBox.union(
-                [bbox_of(anchors.features[i].geometry) for i in anchor_idx]
-            ).expand(radius)
-        keys[cid] = key
-        ids_by_chunk[cid] = list(member_ids)
-        payloads.append(
-            {
-                "chunk_id": cid,
-                "anchor_idx": anchor_idx,
-                "context_box": box,
-                "extra_columns": {"group": key},
-            }
-        )
-    results = _execute(payloads, cfg)
-    table = merge_chunks(results, id_column, ids_by_chunk, extra_columns=["group"])
-    for row in table.rows:
-        row.setdefault("group", keys.get(row.get("chunk_id")))
-    return table
+        # the context clip: the members' bbox, expanded by the op's radius
+        # (ids that are not anchors are reported by _run's plan check)
+        boxes = [bbox_of(geometry[fid]) for fid in member_ids if fid in geometry]
+        box = BBox.union(boxes).expand(radius) if boxes else None
+        jobs.append(Job(cid, member_ids, box, {"group": key}))
+    return _run(task, jobs, cfg, id_column, raster_kind)
 
 
 def run_multirasters(
@@ -359,53 +377,10 @@ def run_multirasters(
     raster_kind: str = "continuous",
 ) -> ResultTable:
     """Evaluate the full anchor set against each raster path (one chunk each)."""
-    cfg = cfg or RunConfig()
     if task.op != "extract_at":
         raise InvalidParameterError("run_multirasters supports only extract_at")
-    anchors = _prepare(task, id_column, None, raster_kind)
-    all_idx = list(range(len(anchors)))
-    payloads = []
-    ids_by_chunk = {}
-    paths = {}
-    for cid, path in enumerate(raster_paths):
-        paths[cid] = path
-        ids_by_chunk[cid] = anchors.ids()
-        payloads.append(
-            {
-                "chunk_id": cid,
-                "anchor_idx": all_idx,
-                "context_path": path,
-                "extra_columns": {"raster": path},
-            }
-        )
-
-    # Context differs per chunk: the payload carries the raster path and the
-    # worker opens it (cached per process).
-    if cfg.workers == 1 or len(payloads) <= 1:
-        results = []
-        for payload in payloads:
-            res = _run_chunk_multiraster(payload)
-            if res.error is not None and (cfg.fail_fast or not cfg.capture_errors):
-                raise ChunkError(res.chunk_id, res.error)
-            results.append(res)
-    else:
-        results = _execute_multiraster(payloads, cfg)
-    table = merge_chunks(results, id_column, ids_by_chunk, extra_columns=["raster"])
-    for row in table.rows:
-        row.setdefault("raster", paths.get(row.get("chunk_id")))
-    return table
-
-
-def _run_chunk_multiraster(payload: dict) -> ChunkResult:
-    _CTX["context"] = payload["context_path"]
-    return _run_chunk(payload)
-
-
-def _execute_multiraster(payloads: list[dict], cfg: RunConfig) -> list[ChunkResult]:
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=min(cfg.workers, len(payloads))) as pool:
-        results = pool.map(_run_chunk_multiraster, payloads, chunksize=1)
-    for res in results:
-        if res.error is not None and (cfg.fail_fast or not cfg.capture_errors):
-            raise ChunkError(res.chunk_id, res.error)
-    return results
+    if not raster_paths:
+        raise InvalidParameterError("run_multirasters needs at least one raster path")
+    ids = _anchors(task).ids()
+    jobs = [Job(cid, ids, path, {"raster": path}) for cid, path in enumerate(raster_paths)]
+    return _run(task, jobs, cfg, id_column, raster_kind)

@@ -157,6 +157,110 @@ class TestRunCommand:
         ])
         assert rc == EXIT_OK
 
+    def test_flag_overrides_config(self, workspace):
+        # an explicit flag wins even when it spells the default value
+        cfg_path = workspace / "job.json"
+        cfg_path.write_text(json.dumps({"stat": "max", "radius": 1.0}))
+        out = workspace / "flag.csv"
+        rc = main([
+            "run", "--config", str(cfg_path), "--task", "extract_at",
+            "--x", str(workspace / "raster.asc"), "--y", str(workspace / "points.csv"),
+            "--partition", str(workspace / "parts.json"), "--stat", "mean",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_OK
+        header = out.read_bytes().split(b"\r\n")[0].decode().split(",")
+        assert "mean" in header and "max" not in header
+
+    def test_missing_x_raster_load_error(self, workspace):
+        out = workspace / "nox.csv"
+        rc = main([
+            "run", "--task", "extract_at", "--x", str(workspace / "nope.asc"),
+            "--y", str(workspace / "points.csv"),
+            "--partition", str(workspace / "parts.json"), "--out", str(out),
+        ])
+        assert rc == EXIT_INPUT
+        assert not out.exists()
+
+
+def _failing_sedc(workspace, out):
+    # a value column the sources lack fails every chunk
+    return {
+        "task": "sedc", "x": str(workspace / "points.csv"),
+        "y": str(workspace / "points.csv"), "bandwidth": 1.0, "value_cols": "nope",
+        "partition": str(workspace / "parts.json"), "out": str(out),
+    }
+
+
+class TestCaptureErrors:
+    def test_captured_by_default(self, workspace):
+        out = workspace / "cap.csv"
+        cfg_path = workspace / "job.json"
+        cfg_path.write_text(json.dumps(_failing_sedc(workspace, out)))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        assert b"error" in out.read_bytes().split(b"\r\n")[0]
+
+    def test_config_capture_errors_false(self, workspace):
+        out = workspace / "nocap.csv"
+        cfg_path = workspace / "job.json"
+        cfg_path.write_text(json.dumps({**_failing_sedc(workspace, out), "capture_errors": False}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        assert not out.exists()
+
+    def test_no_capture_errors_flag(self, workspace, capsys):
+        out = workspace / "nocap.csv"
+        cfg_path = workspace / "job.json"
+        cfg_path.write_text(json.dumps(_failing_sedc(workspace, out)))
+        for workers in ("1", "2"):
+            rc = main(["run", "--config", str(cfg_path), "--no-capture-errors",
+                       "--workers", workers])
+            assert rc == EXIT_PARTIAL
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: chunk 0: KeyError")
+            assert "Traceback" not in err
+
+
+class TestPartitionValidation:
+    """A partition file must assign every anchor to exactly one chunk."""
+
+    def _run_with(self, workspace, edit):
+        doc = json.loads((workspace / "parts.json").read_text())
+        edit(doc["chunks"])
+        bad = workspace / "bad_parts.json"
+        bad.write_text(json.dumps(doc))
+        out = workspace / "bad.csv"
+        rc = main([
+            "run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
+            "--y", str(workspace / "points.csv"), "--partition", str(bad),
+            "--out", str(out),
+        ])
+        return rc, out
+
+    def test_dropped_ids(self, workspace, capsys):
+        def drop(chunks):
+            chunks[0]["member_ids"] = chunks[0]["member_ids"][1:]
+
+        rc, out = self._run_with(workspace, drop)
+        assert rc == EXIT_INPUT and not out.exists()
+        assert "in no chunk" in capsys.readouterr().err
+
+    def test_unknown_id(self, workspace, capsys):
+        def add(chunks):
+            chunks[1]["member_ids"].append("ghost")
+
+        rc, out = self._run_with(workspace, add)
+        assert rc == EXIT_INPUT and not out.exists()
+        assert "'ghost'" in capsys.readouterr().err
+
+    def test_duplicated_id(self, workspace, capsys):
+        def dup(chunks):
+            chunks[1]["member_ids"].append(chunks[0]["member_ids"][0])
+
+        rc, out = self._run_with(workspace, dup)
+        assert rc == EXIT_INPUT and not out.exists()
+        assert "already in chunk" in capsys.readouterr().err
+
 
 class TestMultirasterCommand:
     def test_two_rasters_and_fault_isolation(self, workspace):

@@ -1,11 +1,18 @@
 """Chunked execution: byte-identical merges, padding semantics, fault
-isolation, hierarchy and multiraster drivers."""
+isolation, hierarchy and multiraster planners."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import gridchop
 from gridchop.dataio import Feature, FeatureSet, write_raster
-from gridchop.errors import InvalidParameterError
+from gridchop.errors import InvalidParameterError, LoadError
 from gridchop.executor import (
     ChunkError,
     ChunkResult,
@@ -52,20 +59,6 @@ class TestTaskSpec:
     def test_unknown_op(self):
         with pytest.raises(InvalidParameterError):
             TaskSpec("resample", grid_raster(), scatter())
-
-    def test_from_args_renames(self):
-        pts = scatter(5)
-        r = grid_raster()
-        t = TaskSpec.from_args(
-            "extract_at", arg_map={"x": "raster", "y": "sites"},
-            raster=r, sites=pts, radius=2.0, stat="mean",
-        )
-        assert t.x is r and t.y is pts
-        assert t.params == {"radius": 2.0, "stat": "mean"}
-
-    def test_from_args_missing_dataset(self):
-        with pytest.raises(InvalidParameterError):
-            TaskSpec.from_args("extract_at", x=grid_raster())
 
     def test_interaction_radius(self):
         pts = scatter(3)
@@ -200,10 +193,57 @@ class TestFaultIsolation:
         assert [r["id"] for r in ok] == ["p1"]
 
     def test_fail_fast_raises(self):
+        # every chunk sees the poisoned source; both paths stop at the first
         task = self._bad_task()
-        parts = build_partition(GridSpec("grid", nx=1, ny=1), task.y)
-        with pytest.raises(ChunkError):
-            run_grid(task, parts, RunConfig(workers=1, fail_fast=True))
+        parts = build_partition(GridSpec("grid", nx=3, ny=1, padding=20.0), task.y)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ChunkError) as exc:
+                run_grid(task, parts, RunConfig(workers=workers, capture_errors=False))
+            raised.append(exc.value.chunk_id)
+        assert raised == [parts.chunks[0].chunk_id] * 2
+
+    def test_dead_worker_gives_error_rows(self, tmp_path):
+        # a worker that dies must not hang the run: every chunk without a
+        # result gets error rows. Run in a subprocess so a hang times out.
+        script = tmp_path / "dead_worker.py"
+        script.write_text(textwrap.dedent("""
+            import json, os
+            import numpy as np
+            from gridchop import geoops
+            from gridchop.dataio import Feature, FeatureSet
+            from gridchop.executor import RunConfig, TaskSpec, run_grid
+            from gridchop.geom import Point
+            from gridchop.partition import GridSpec, build_partition
+            from gridchop.raster import Raster
+
+            parent = os.getpid()
+            original = geoops.extract_at
+
+            def dying(*args, **kwargs):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return original(*args, **kwargs)
+
+            geoops.extract_at = dying
+            rng = np.random.default_rng(0)
+            pts = FeatureSet([Feature(f"p{i}", Point(*map(float, rng.uniform(1, 19, 2))))
+                              for i in range(40)])
+            raster = Raster(20, 20, 0.0, 0.0, 1.0, -9999.0, rng.uniform(0, 10, (20, 20)))
+            parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
+            table = run_grid(TaskSpec("extract_at", raster, pts, {}), parts, RunConfig(workers=2))
+            print(json.dumps({"ids": [r["id"] for r in table.rows],
+                              "errors": sum(1 for r in table.rows if r.get("error")),
+                              "had_errors": table.had_errors}))
+        """))
+        src = os.path.dirname(os.path.dirname(gridchop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert sorted(out["ids"]) == sorted(f"p{i}" for i in range(40))
+        assert out["errors"] >= 1 and out["had_errors"]
 
     def test_partial_failure_keeps_good_chunks(self):
         # chunk with the poisoned anchor errors; others produce rows
@@ -283,6 +323,15 @@ class TestRunHierarchy:
         want = extract_at(r, pts, radius=1.0, segments=8)
         assert [row["mean"] for row in t.rows] == [row["mean"] for row in want.rows]
 
+    def test_groups_must_partition_anchors(self):
+        pts = scatter(3)
+        task = TaskSpec("nearest_distance", pts, pts, {})
+        for groups in ([("a", ["p0", "p1", "p2", "ghost"])],  # unknown id
+                       [("a", ["p0", "p1"]), ("b", ["p1", "p2"])],  # p1 twice
+                       [("a", ["p0", "p1"])]):  # p2 in no group
+            with pytest.raises(LoadError):
+                run_hierarchy(task, groups)
+
 
 class TestRunMultirasters:
     def _write(self, tmp_path, name, seed):
@@ -331,6 +380,11 @@ class TestRunMultirasters:
         task = TaskSpec("nearest_distance", pts, pts, {})
         with pytest.raises(InvalidParameterError):
             run_multirasters(task, ["x.asc"])
+
+    def test_no_paths_rejected(self):
+        task = TaskSpec("extract_at", None, scatter(4), {})
+        with pytest.raises(InvalidParameterError):
+            run_multirasters(task, [])
 
 
 class TestRunConfig:
