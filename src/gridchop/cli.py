@@ -30,7 +30,10 @@ class UsageError(Exception):
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("CHOP_WORKERS", "1"))
+    raw = os.environ.get("CHOP_WORKERS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise UsageError(f"CHOP_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _infer_format(path: str) -> str:
@@ -88,7 +91,12 @@ def _apply_config(args: argparse.Namespace):
     doc = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as e:
+                raise UsageError(f"--config {args.config}: not valid JSON: {e}")
+        if not isinstance(doc, dict):
+            raise UsageError(f"--config {args.config}: must be a JSON object")
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LoadError
-from .geom import BBox, Geometry, Point, Polygon, Polyline, make_polygon
+from .geom import BBox, Geometry, Point, Polygon, Polyline, bbox_of, make_polygon
 from .raster import Raster
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -77,18 +77,22 @@ class FeatureSet:
     def subset(self, indices: list[int]) -> "FeatureSet":
         return FeatureSet([self.features[i] for i in indices], list(self.columns))
 
-    def point_coords(self) -> "np.ndarray":
-        """(n, 2) coordinate array for point sets, cached on first use.
-
-        Building it in the parent process before forking lets workers keep
-        bbox subsetting fully vectorized without touching every Feature.
-        """
-        cached = self.__dict__.get("_point_coords")
+    def bounds(self) -> "np.ndarray":
+        """(n, 4) xmin, ymin, xmax, ymax of each feature's bbox, cached on first
+        use. Built in the parent before forking, workers clip by bbox with one
+        vectorized mask, without touching every Feature."""
+        cached = self.__dict__.get("_bounds")
         if cached is None or len(cached) != len(self.features):
-            cached = np.array(
-                [(f.geometry.x, f.geometry.y) for f in self.features], dtype=np.float64
-            ).reshape(len(self.features), 2)
-            self.__dict__["_point_coords"] = cached
+            rows = []
+            for f in self.features:
+                g = f.geometry
+                if isinstance(g, Point):
+                    rows.append((g.x, g.y, g.x, g.y))
+                else:
+                    b = bbox_of(g)
+                    rows.append((b.xmin, b.ymin, b.xmax, b.ymax))
+            cached = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
+            self.__dict__["_bounds"] = cached
         return cached
 
 
@@ -143,21 +147,26 @@ def load_features(
     """Load features in file order; numeric attributes parsed when lossless."""
     if format == "csv":
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # a repeated header name reads its last column
+            index = {c: j for j, c in enumerate(header)}
             for col in (id_column, x_column, y_column):
-                if col not in header:
+                if col not in index:
                     raise LoadError(f"{path}: missing column {col!r}")
             attr_cols = [c for c in header if c not in (id_column, x_column, y_column)]
+            ii, xi, yi = index[id_column], index[x_column], index[y_column]
             feats = []
-            for i, row in enumerate(reader):
+            for i, row in enumerate(r for r in reader if r):  # blank lines are skipped
+                if len(row) < len(header):  # missing trailing fields read as None
+                    row += [None] * (len(header) - len(row))
                 try:
-                    x = float(row[x_column])
-                    y = float(row[y_column])
+                    x = float(row[xi])
+                    y = float(row[yi])
                 except (TypeError, ValueError):
                     raise LoadError(f"{path}: bad coordinates at row {i + 2}")
-                attrs = {c: parse_scalar(row[c]) for c in attr_cols}
-                feats.append(Feature(row[id_column], Point(x, y), attrs))
+                attrs = {c: parse_scalar(row[index[c]]) for c in attr_cols}
+                feats.append(Feature(row[ii], Point(x, y), attrs))
         _check_ids([f.id for f in feats], path)
         return FeatureSet(feats, attr_cols)
     if format == "geojson":

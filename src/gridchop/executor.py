@@ -133,17 +133,11 @@ def interaction_radius(task: TaskSpec) -> float | None:
 
 
 def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
-    if fs.geometry_kind() == "point":
-        c = fs.point_coords()
-        keep = (
-            (c[:, 0] >= box.xmin)
-            & (c[:, 0] <= box.xmax)
-            & (c[:, 1] >= box.ymin)
-            & (c[:, 1] <= box.ymax)
-        )
-        return fs.subset(np.nonzero(keep)[0].tolist())
-    idx = [i for i, f in enumerate(fs.features) if box.intersects(bbox_of(f.geometry))]
-    return fs.subset(idx)
+    """The features whose bbox intersects `box` (edges touching count)."""
+    b = fs.bounds()
+    keep = (b[:, 0] <= box.xmax) & (b[:, 2] >= box.xmin)
+    keep &= (b[:, 1] <= box.ymax) & (b[:, 3] >= box.ymin)
+    return fs.subset(np.nonzero(keep)[0].tolist())
 
 
 def _run_chunk(job: Job) -> ChunkResult:
@@ -279,9 +273,13 @@ def _anchors(task: TaskSpec) -> FeatureSet:
 
 
 def _check_plan(index_of: dict[str, int], jobs: list[Job]):
-    """Raise LoadError unless the jobs' member ids partition the anchor ids."""
+    """Raise LoadError on a repeated chunk id, or unless member ids partition the anchors."""
     owner: dict[str, int] = {}
+    chunk_ids: set[int] = set()
     for job in jobs:
+        if job.chunk_id in chunk_ids:
+            raise LoadError(f"chunk id {job.chunk_id} is used by more than one chunk")
+        chunk_ids.add(job.chunk_id)
         for fid in job.anchor_ids:
             if fid not in index_of:
                 raise LoadError(f"chunk {job.chunk_id}: member id {fid!r} is not an anchor id")
@@ -309,8 +307,8 @@ def _run(
         context = task.y if task.pad_y else task.x
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
-    elif isinstance(context, FeatureSet) and context.geometry_kind() == "point":
-        context.point_coords()  # build the cache pre-fork, workers share it
+    elif isinstance(context, FeatureSet):
+        context.bounds()  # build the cache pre-fork, workers share it
     _CTX = dict(
         task=task,
         id_column=id_column,

@@ -20,6 +20,9 @@ from .raster import Raster, StatSpec, cell_areas, coverage_fractions, zonal_stat
 # cap on the coverage kernel's per-batch temporaries, in array elements;
 # larger blocks are no faster and only raise peak memory
 _BATCH_ELEMS = 32_000
+# cap on the target x source distance block of summarize_sedc and
+# nearest_distance, in array elements
+_PAIR_ELEMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -393,24 +396,27 @@ def summarize_sedc(
         raise InvalidInputError("summarize_sedc requires point inputs")
     value_columns = list(params.value_columns)
     cols = [f"{c}_sedc" for c in value_columns]
-    if len(sources) == 0:
-        rows_out = [
-            {id_column: f.id, **{c: 0.0 for c in cols}, "count": 0} for f in targets.features
-        ]
-        return ResultTable([id_column, *cols, "count"], rows_out)
     sx, sy = _point_arrays(sources)
+    tx, ty = _point_arrays(targets)
     svals = {
         c: np.array([float(f.attributes[c]) for f in sources.features]) for c in value_columns
     }
     rows_out = []
-    for tgt in targets.features:
-        d = np.sqrt((sx - tgt.geometry.x) ** 2 + (sy - tgt.geometry.y) ** 2)
-        contributing = np.nonzero(d <= params.maxdist)[0]
-        row = {id_column: tgt.id, "count": int(contributing.size)}
-        w = np.exp(-3.0 * d[contributing] / params.bandwidth)
-        for c, oc in zip(value_columns, cols):
-            row[oc] = float(np.sum(svals[c][contributing] * w)) if contributing.size else 0.0
-        rows_out.append(row)
+    block = max(1, _PAIR_ELEMS // max(1, len(sources)))
+    for lo in range(0, len(targets), block):
+        d = np.sqrt((sx - tx[lo : lo + block, None]) ** 2 + (sy - ty[lo : lo + block, None]) ** 2)
+        # row-major: each target's pairs are contiguous, its sources ascending
+        ti, si = np.nonzero(d <= params.maxdist)
+        w = np.exp(-3.0 * d[ti, si] / params.bandwidth)
+        terms = [svals[c][si] * w for c in value_columns]
+        ends = np.cumsum(np.bincount(ti, minlength=len(d))).tolist()
+        for k, (start, end) in enumerate(zip([0, *ends], ends)):
+            row = {id_column: targets.features[lo + k].id, "count": end - start}
+            for oc, t in zip(cols, terms):
+                # the sum of the target's own slice has the same bits as the
+                # sum of its terms alone (np.add.reduceat rounds differently)
+                row[oc] = float(t[start:end].sum()) if end > start else 0.0
+            rows_out.append(row)
     return ResultTable([id_column, *cols, "count"], rows_out)
 
 
@@ -449,7 +455,7 @@ def nearest_distance(
     dd = dx * dx + dy * dy
     px, py = _point_arrays(y)
     rows_out = []
-    block = max(1, 200_000 // max(1, len(owners)))
+    block = max(1, _PAIR_ELEMS // max(1, len(owners)))
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, len(y), block):
             bx = px[lo : lo + block, None]

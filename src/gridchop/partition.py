@@ -229,16 +229,17 @@ def make_merged_grid(
         members.setdefault(find(cell), []).append(cell)
     base = make_regular_grid(extent, nx, ny, 0.0)
     groups = sorted(members.values(), key=lambda cells: cells[0])
-    chunks = []
+    chunk_of_cell = np.empty(n_cells, dtype=np.int64)
     for cid, cells in enumerate(groups):
+        chunk_of_cell[cells] = cid
+    chunk_of_point = chunk_of_cell[cell_of_point]
+    # a stable sort keeps each chunk's members in file order
+    order = np.argsort(chunk_of_point, kind="stable")
+    splits = np.cumsum(np.bincount(chunk_of_point, minlength=len(groups)))[:-1]
+    chunks = []
+    for cid, (cells, rows) in enumerate(zip(groups, np.split(order, splits))):
         core = BBox.union([base.chunks[c].core for c in cells])
-        cellset = set(cells)
-        ids = [
-            points.features[i].id
-            for i in range(len(points))
-            if int(cell_of_point[i]) in cellset
-        ]
-        chunks.append(Chunk(cid, core, core.expand(padding), ids))
+        chunks.append(Chunk(cid, core, core.expand(padding), [points.features[i].id for i in rows]))
     return PartitionSet("grid_advanced", padding, chunks)
 
 

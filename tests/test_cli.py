@@ -261,6 +261,21 @@ class TestPartitionValidation:
         assert rc == EXIT_INPUT and not out.exists()
         assert "already in chunk" in capsys.readouterr().err
 
+    def test_repeated_chunk_id(self, workspace, capsys, monkeypatch):
+        import gridchop.executor as executor
+
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+
+        def repeat(chunks):
+            chunks[1]["chunk_id"] = chunks[0]["chunk_id"]
+
+        rc, out = self._run_with(workspace, repeat)
+        assert rc == EXIT_INPUT and not out.exists()
+        assert "chunk id 0 " in capsys.readouterr().err
+        assert ran == []
+
 
 class TestMultirasterCommand:
     def test_two_rasters_and_fault_isolation(self, workspace):
@@ -349,9 +364,38 @@ class TestSynthAndBench:
         assert outs[0] == outs[1]
 
 
+def _run_args(workspace):
+    return [
+        "run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
+        "--y", str(workspace / "points.csv"), "--partition", str(workspace / "parts.json"),
+        "--out", str(workspace / "out.csv"),
+    ]
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+    def test_bad_chop_workers(self, workspace, capsys, monkeypatch, value):
+        monkeypatch.setenv("CHOP_WORKERS", value)
+        assert main(_run_args(workspace)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: CHOP_WORKERS") and err.count("\n") == 1
+        assert not (workspace / "out.csv").exists()
+
+    def test_workers_flag_beats_chop_workers(self, workspace, monkeypatch):
+        monkeypatch.setenv("CHOP_WORKERS", "two")
+        assert main(_run_args(workspace) + ["--workers", "2"]) == EXIT_OK
+
+    @pytest.mark.parametrize("text", ["{bad", "5", "null", '["task"]', ""])
+    def test_malformed_config(self, workspace, capsys, text):
+        cfg = workspace / "job.json"
+        cfg.write_text(text)
+        assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config") and err.count("\n") == 1
+        assert not (workspace / "out.csv").exists()
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE

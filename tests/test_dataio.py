@@ -73,6 +73,55 @@ class TestLoadFeaturesCsv:
             load_features(str(p))
 
 
+    def test_short_row_missing_coordinate(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\na,0,0,1\nb,1\n")
+        with pytest.raises(LoadError, match=r"bad coordinates at row 3$"):
+            load_features(str(p))
+
+    def test_short_row_missing_id(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("x,y,id\n0,0,a\n1,1\n")
+        with pytest.raises(LoadError, match="empty id at row 2"):
+            load_features(str(p))
+
+    def test_extra_fields_ignored(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\na,0,0,1,extra,more\n")
+        fs = load_features(str(p))
+        assert fs.features[0].attributes == {"v": 1} and fs.columns == ["v"]
+
+    def test_quoted_fields(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text('id,x,y,v\n"a,1","0.5",0,"7"\n"b ""q""",1,1,"x,y"\n')
+        fs = load_features(str(p))
+        assert fs.ids() == ["a,1", 'b "q"']
+        assert fs.features[0].geometry == Point(0.5, 0.0)
+        assert [f.attributes["v"] for f in fs.features] == [7, "x,y"]
+
+    def test_repeated_header_reads_last_column(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v,v\na,0,0,1,2\n")
+        fs = load_features(str(p))
+        assert fs.features[0].attributes == {"v": 2} and fs.columns == ["v", "v"]
+
+    @pytest.mark.parametrize("text,col", [("", "'id'"), ("x,y\n0,0\n", "'id'"),
+                                          ("id,y\na,0\n", "'x'")])
+    def test_missing_column_named(self, tmp_path, text, col):
+        p = tmp_path / "pts.csv"
+        p.write_text(text)
+        with pytest.raises(LoadError, match=f"missing column {col}"):
+            load_features(str(p))
+
+    @pytest.mark.parametrize("row", ["b,,1", "b,1,", "b,1,inf!", "b,0x1,1"])
+    def test_bad_coordinates(self, tmp_path, row):
+        # a blank line is skipped and not counted in the row number
+        p = tmp_path / "pts.csv"
+        p.write_text(f"id,x,y\na,0,0\n\n{row}\n")
+        with pytest.raises(LoadError, match=r"bad coordinates at row 3$"):
+            load_features(str(p))
+
+
 class TestLoadFeaturesGeoJSON:
     def test_polygon_feature(self, tmp_path):
         doc = {

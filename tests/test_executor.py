@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gridchop
+from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet, write_raster
 from gridchop.errors import InvalidParameterError, LoadError
 from gridchop.executor import (
@@ -18,13 +19,14 @@ from gridchop.executor import (
     ChunkResult,
     RunConfig,
     TaskSpec,
+    _subset_by_bbox,
     interaction_radius,
     merge_chunks,
     run_grid,
     run_hierarchy,
     run_multirasters,
 )
-from gridchop.geom import BBox, Point, Polyline
+from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon
 from gridchop.partition import GridSpec, build_partition, group_by_hierarchy
 from gridchop.raster import Raster
 
@@ -140,6 +142,26 @@ class TestRunGridVectorOps:
             assert by_id[row["id"]]["v_sedc"] == row["v_sedc"]
             assert by_id[row["id"]]["count"] == row["count"]
 
+    def test_sedc_rows_independent_of_partition(self, monkeypatch):
+        # one chunk or 25, default blocks or blocks of 3 targets: the same bits
+        pts = scatter(120, seed=5)
+        src = scatter(200, seed=6)
+        task = TaskSpec(
+            "summarize_sedc", src, pts, {"bandwidth": 1.5, "value_columns": ["v"]}
+        )
+
+        def values(n, block):
+            if block is not None:
+                monkeypatch.setattr(geoops, "_PAIR_ELEMS", block * len(src), raising=False)
+            parts = build_partition(GridSpec("grid", nx=n, ny=n, padding=3.0), pts)
+            rows = run_grid(task, parts).rows
+            return sorted((r["id"], repr(r["v_sedc"]), r["count"]) for r in rows)
+
+        want = values(1, None)
+        assert values(5, None) == want
+        assert values(5, 3) == want
+        assert values(1, 3) == want
+
     def test_nearest_pad_warning_per_row(self):
         # nearest has unbounded interaction: rows whose distance exceeds the
         # padding are flagged individually
@@ -164,6 +186,43 @@ class TestRunGridVectorOps:
         parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=2.0), pts)
         t = run_grid(task, parts)
         assert sorted(row["id"] for row in t.rows) == sorted(pts.ids())
+
+
+class TestSubsetByBbox:
+    """The context clip keeps exactly the features whose bbox meets the box."""
+
+    @staticmethod
+    def _features(kind, rng):
+        feats = []
+        for i in range(60):
+            if kind == "point":
+                g = Point(*(float(v) for v in rng.integers(0, 7, 2)))
+            elif kind == "line":
+                xy = np.cumsum(rng.integers(1, 3, (3, 2)) * rng.choice([-1, 1], (3, 2)), axis=0)
+                g = Polyline([Point(float(x), float(y)) for x, y in xy + 3])
+            else:
+                x0, y0 = (float(v) for v in rng.integers(0, 5, 2))
+                x1, y1 = x0 + float(rng.integers(1, 3)), y0 + float(rng.integers(1, 3))
+                rings = [[Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]]
+                if i % 3 == 0:  # a hole never widens the bbox
+                    rings.append([Point(x0 + 0.25, y0 + 0.25), Point(x0 + 0.25, y0 + 0.75),
+                                  Point(x0 + 0.75, y0 + 0.75)])
+                g = make_polygon(rings)
+            feats.append(Feature(f"f{i}", g))
+        return FeatureSet(feats)
+
+    @pytest.mark.parametrize("kind", ["point", "line", "polygon"])
+    def test_matches_bbox_intersects(self, kind):
+        # integer coordinates: many boxes touch a feature's bbox exactly
+        rng = np.random.default_rng(len(kind))
+        fs = self._features(kind, rng)
+        assert fs.geometry_kind() == kind
+        for _ in range(200):
+            x0, x1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
+            y0, y1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
+            box = BBox(x0, y0, x1, y1)
+            want = [f.id for f in fs.features if box.intersects(bbox_of(f.geometry))]
+            assert _subset_by_bbox(fs, box).ids() == want
 
 
 class TestFaultIsolation:

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidParameterError, UnsupportedGeometryError
 from gridchop.geom import Point, Polyline, buffer_point, make_polygon, polygon_area
@@ -265,6 +266,13 @@ class TestSummarizeSedc:
         assert t.rows[0]["v_sedc"] == 0.0
         assert t.rows[0]["count"] == 0
 
+    def test_no_sources(self):
+        tgt = points_fs([(0, 0), (1, 1)])
+        t = summarize_sedc(tgt, FeatureSet([]), SedcParams(bandwidth=1.0, value_columns=("v",)))
+        assert t.columns == ["id", "v_sedc", "count"]
+        rows = [(r["id"], r["v_sedc"], r["count"]) for r in t.rows]
+        assert rows == [("p0", 0.0, 0), ("p1", 0.0, 0)]
+
     def test_maxdist_defaults_to_twice_bandwidth(self):
         p = SedcParams(bandwidth=3.0)
         assert p.maxdist == 6.0
@@ -284,6 +292,40 @@ class TestSummarizeSedc:
         w = math.exp(-3.0)
         assert t.rows[0]["a_sedc"] == pytest.approx(6.0 * w, rel=1e-12)
         assert t.rows[0]["b_sedc"] == pytest.approx(30.0 * w, rel=1e-12)
+
+
+    @staticmethod
+    def _reference(targets, sources, params):
+        """The per-target loop: one distance row and one sum per target."""
+        sx = np.array([f.geometry.x for f in sources.features])
+        sy = np.array([f.geometry.y for f in sources.features])
+        vals = np.array([f.attributes["v"] for f in sources.features])
+        rows = []
+        for tgt in targets.features:
+            d = np.sqrt((sx - tgt.geometry.x) ** 2 + (sy - tgt.geometry.y) ** 2)
+            hit = np.nonzero(d <= params.maxdist)[0]
+            w = np.exp(-3.0 * d[hit] / params.bandwidth)
+            total = float(np.sum(vals[hit] * w)) if hit.size else 0.0
+            rows.append({"id": tgt.id, "count": int(hit.size), "v_sedc": total})
+        return rows
+
+    @pytest.mark.parametrize("block", [None, 1, 3, 7])
+    def test_rows_independent_of_block(self, monkeypatch, block):
+        # targets are summed in blocks of `block` (None: the default cap);
+        # every row must have the bits of that target summed alone, whether
+        # it opens, closes or sits inside a block
+        rng = np.random.default_rng(12)
+        src_xy = np.vstack([rng.uniform(0, 10, (100, 2)), rng.uniform(4, 5, (60, 2))])
+        src = points_fs(src_xy, values=rng.uniform(-50, 50, len(src_xy)))
+        tgt = points_fs(rng.uniform(-2, 14, (40, 2)))
+        if block is not None:
+            monkeypatch.setattr(geoops, "_PAIR_ELEMS", block * len(src), raising=False)
+        params = SedcParams(bandwidth=1.0, value_columns=("v",))
+        got = summarize_sedc(tgt, src, params).rows
+        assert [repr(r) for r in got] == [repr(r) for r in self._reference(tgt, src, params)]
+        assert {r["count"] for r in got} >= {0} and max(r["count"] for r in got) > 16
+        for k in (0, 2, 3, 6, 7, 20, 39):
+            assert repr(summarize_sedc(tgt.subset([k]), src, params).rows[0]) == repr(got[k])
 
 
 class TestNearestDistance:

@@ -178,6 +178,39 @@ class TestMergedGrid:
         assert sorted(ids) == sorted(pts.ids())
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_members_follow_their_cells_in_file_order(self, seed):
+        # clustered points leave empty cells; each point must be listed by
+        # the chunk that holds its grid cell, each chunk in file order
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(v) for v in rng.integers(4, 9, 2))
+        centers = rng.uniform(0, 10, (3, 2))
+        xy = centers[rng.integers(0, 3, 300)] + rng.normal(0, 0.6, (300, 2))
+        pts = point_set(xy)
+        parts = make_merged_grid(pts, nx, ny, int(rng.integers(1, 60)), 0.0)
+
+        (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
+        w, h = (x1 - x0) / nx, (y1 - y0) / ny
+        ix = np.clip(np.minimum((xy[:, 0] - x0) / w, nx - 1e-9).astype(int), 0, nx - 1)
+        iy = np.clip(np.minimum((xy[:, 1] - y0) / h, ny - 1e-9).astype(int), 0, ny - 1)
+        cell = (iy * nx + ix).tolist()
+        assert np.bincount(cell, minlength=nx * ny).min() == 0
+
+        position = {fid: i for i, fid in enumerate(pts.ids())}
+        chunk_of_cell = {}
+        for c in parts.chunks:
+            for fid in c.member_ids:
+                i = position[fid]
+                assert chunk_of_cell.setdefault(cell[i], c.chunk_id) == c.chunk_id
+                center = (x0 + (ix[i] + 0.5) * w, y0 + (iy[i] + 0.5) * h)
+                assert c.core.xmin < center[0] < c.core.xmax
+                assert c.core.ymin < center[1] < c.core.ymax
+        want = {c.chunk_id: [] for c in parts.chunks}
+        for i, fid in enumerate(pts.ids()):
+            want[chunk_of_cell[cell[i]]].append(fid)
+        assert {c.chunk_id: c.member_ids for c in parts.chunks} == want
+
+
 class TestBalancedGroups:
     def test_collinear_split(self):
         pts = point_set([(0, 0), (1, 0), (10, 0), (11, 0)])
