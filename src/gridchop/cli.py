@@ -105,6 +105,8 @@ def _apply_config(args: argparse.Namespace):
             setattr(args, key, val)
     if args.workers is None:
         args.workers = _default_workers()
+    elif not isinstance(args.workers, int) or args.workers < 1:  # a config value may be any JSON
+        raise UsageError(f"--workers must be an integer >= 1, got {args.workers!r}")
 
 
 def _build_task(args) -> tuple[TaskSpec, str]:

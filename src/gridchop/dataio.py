@@ -31,7 +31,8 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return repr(v)
+        # not repr(v): under NumPy 2 that reads "np.float64(0.5)" for a NumPy float
+        return repr(float(v))
     return str(v)
 
 
@@ -75,7 +76,11 @@ class FeatureSet:
         return "polygon"
 
     def subset(self, indices: list[int]) -> "FeatureSet":
-        return FeatureSet([self.features[i] for i in indices], list(self.columns))
+        sub = FeatureSet([self.features[i] for i in indices], list(self.columns))
+        cached = self.__dict__.get("_bounds")
+        if cached is not None and len(cached) == len(self.features):
+            sub.__dict__["_bounds"] = cached[indices]  # a clipped context keeps its boxes
+        return sub
 
     def bounds(self) -> "np.ndarray":
         """(n, 4) xmin, ymin, xmax, ymax of each feature's bbox, cached on first
@@ -165,7 +170,11 @@ def load_features(
                     y = float(row[yi])
                 except (TypeError, ValueError):
                     raise LoadError(f"{path}: bad coordinates at row {i + 2}")
-                attrs = {c: parse_scalar(row[index[c]]) for c in attr_cols}
+                try:
+                    attrs = {c: parse_scalar(row[index[c]]) for c in attr_cols}
+                except TypeError:  # a short row: None for a value (a missing id: _check_ids)
+                    c = next(c for c in attr_cols if row[index[c]] is None)
+                    raise LoadError(f"{path}: missing value for column {c!r} at row {i + 2}")
                 feats.append(Feature(row[ii], Point(x, y), attrs))
         _check_ids([f.id for f in feats], path)
         return FeatureSet(feats, attr_cols)

@@ -8,20 +8,33 @@ is what makes chunked execution value-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
 from .geom import BBox, Point, Polygon, bbox_of, polygon_area
-from .raster import Raster, StatSpec, cell_areas, coverage_fractions, zonal_stat
+from .raster import (
+    Raster,
+    StatSpec,
+    cell_areas,
+    cell_stat,
+    covered_cells,
+    ragged_arange,
+    ring_arrays,
+    ring_edges,
+    ring_neighbour,
+    window_for_bbox,
+)
+from .raster import coverage_fractions, zonal_stat  # noqa: F401  (still importable from here)
 
-# cap on the coverage kernel's per-batch temporaries, in array elements;
-# larger blocks are no faster and only raise peak memory
+# cap on the per-batch temporaries of the coverage kernel and of the polygon
+# clip, in array elements; larger blocks are no faster and only raise peak
+# memory
 _BATCH_ELEMS = 32_000
-# cap on the target x source distance block of summarize_sedc and
-# nearest_distance, in array elements
+# cap on the target x source block of summarize_sedc, nearest_distance and
+# the bbox mask of summarize_aw, in array elements
 _PAIR_ELEMS = 200_000
 
 
@@ -217,17 +230,30 @@ def extract_at(
     # polygons
     if radius > 0:
         raise InvalidParameterError("buffered polygon extraction is not supported")
+    wins = [window_for_bbox(x, BBox(*b)) for b in y.bounds().tolist()]
     rows_out = []
-    for feat in y.features:
-        cells = coverage_fractions(x, feat.geometry)
-        sr = zonal_stat(x, cells, stat)
-        row = {id_column: feat.id, "count": sr.count}
-        if stat.kind == "frequency":
-            for cat, wsum in (sr.frequency or {}).items():
-                row[freq_column(cat)] = wsum
-        else:
-            row[stat.kind] = sr.value
-        rows_out.append(row)
+    lo = 0
+    while lo < len(wins):
+        # the next polygons in file order whose windows, padded to the
+        # largest, stay under the cap; a polygon over the cap runs alone
+        hi, nr, nc = lo + 1, wins[lo].nrows_w, wins[lo].ncols_w
+        while hi < len(wins):
+            nr2, nc2 = max(nr, wins[hi].nrows_w), max(nc, wins[hi].ncols_w)
+            if (hi - lo + 1) * nr2 * nc2 > _BATCH_ELEMS:
+                break
+            hi, nr, nc = hi + 1, nr2, nc2
+        feats = y.features[lo:hi]
+        cells = covered_cells(x, [f.geometry for f in feats], wins[lo:hi])
+        for feat, (rows, cols, w) in zip(feats, cells):
+            sr = cell_stat(x, rows, cols, w, stat)
+            row = {id_column: feat.id, "count": sr.count}
+            if stat.kind == "frequency":
+                for cat, wsum in (sr.frequency or {}).items():
+                    row[freq_column(cat)] = wsum
+            else:
+                row[stat.kind] = sr.value
+            rows_out.append(row)
+        lo = hi
     if stat.kind == "frequency":
         return _finish_freq_table(id_column, rows_out)
     return ResultTable([id_column, stat.kind, "count"], rows_out)
@@ -236,74 +262,126 @@ def extract_at(
 # --- polygon/polygon intersection via trapezoid decomposition -----------
 
 
-def _trapezoids(poly: Polygon) -> list[list[tuple[float, float]]]:
-    """Decompose a polygon (holes included, even-odd) into convex trapezoids."""
-    edges = []
-    for ring in [poly.outer, *poly.holes]:
-        verts = ring.vertices
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            if a.y != b.y:
-                edges.append((a.x, a.y, b.x, b.y))
-    ys = sorted({e[1] for e in edges} | {e[3] for e in edges})
-    traps = []
-    for y0, y1 in zip(ys, ys[1:]):
-        ymid = 0.5 * (y0 + y1)
-        xs = []
-        for ax, ay, bx, by in edges:
-            if min(ay, by) <= y0 and max(ay, by) >= y1:
-                slope = (bx - ax) / (by - ay)
-                xs.append((ax + (ymid - ay) * slope, ax + (y0 - ay) * slope, ax + (y1 - ay) * slope))
-        xs.sort()
-        for i in range(0, len(xs) - 1, 2):
-            (_, l0, l1), (_, r0, r1) = xs[i], xs[i + 1]
-            # at a shared vertex rounding can put r one ulp left of l; a
-            # reversed edge would make the convex clip drop the trapezoid
-            traps.append([(l0, y0), (max(r0, l0), y0), (max(r1, l1), y1), (l1, y1)])
-    return traps
+def _trapezoid_corners(polys: list[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut every polygon (holes included, even-odd) into convex trapezoids.
+
+    The slabs lie between consecutive distinct edge-end ys of a polygon; in
+    each slab the edges that span it are sorted by their x at the middle,
+    bottom and top of the slab, and ranks 0-1, 2-3, ... bound a trapezoid.
+    Returns the polygon of each trapezoid and its corners x, y as (n, 4)
+    arrays, counterclockwise from the bottom left, by polygon, then slab,
+    then left to right.
+    """
+    ax, ay, bx, by, owner = ring_edges(polys)
+    keep = ay != by
+    ax, ay, bx, by, owner = ax[keep], ay[keep], bx[keep], by[keep], owner[keep]
+    n = ay.size
+    # the slab lines of each polygon, ascending; a stable sort keeps the
+    # first of equal ys (0.0 and -0.0) as the one that stands for them all
+    ends, end_poly = np.concatenate([ay, by]), np.concatenate([owner, owner])
+    order = np.lexsort((ends, end_poly))
+    ends, end_poly = ends[order], end_poly[order]
+    new = np.ones(ends.size, dtype=bool)
+    new[1:] = (ends[1:] != ends[:-1]) | (end_poly[1:] != end_poly[:-1])
+    line = np.empty(ends.size, dtype=np.intp)
+    line[order] = np.cumsum(new) - 1
+    ys = ends[new]
+    # one entry per (slab, edge spanning it), edges in ring order
+    cnt = np.abs(line[n:] - line[:n])
+    edge = np.repeat(np.arange(n), cnt)
+    slab = np.minimum(line[:n], line[n:])[edge] + ragged_arange(cnt)
+    y0, y1 = ys[slab], ys[slab + 1]
+    ymid = 0.5 * (y0 + y1)
+    ex, ey = ax[edge], ay[edge]
+    slope = ((bx - ax) / (by - ay))[edge]
+    xmid = ex + (ymid - ey) * slope
+    x0 = ex + (y0 - ey) * slope
+    x1 = ex + (y1 - ey) * slope
+    order = np.lexsort((x1, x0, xmid, slab))
+    slab, x0, x1, edge = slab[order], x0[order], x1[order], edge[order]
+    rank = np.arange(slab.size) - np.searchsorted(slab, slab)
+    left = np.nonzero((rank % 2 == 0) & np.append(slab[1:] == slab[:-1], False))[0]
+    l0, l1, r0, r1 = x0[left], x1[left], x0[left + 1], x1[left + 1]
+    # at a shared vertex rounding can put r one ulp left of l; a reversed
+    # edge would make the convex clip drop the trapezoid
+    r0 = np.where(l0 > r0, l0, r0)
+    r1 = np.where(l1 > r1, l1, r1)
+    y0, y1 = ys[slab[left]], ys[slab[left] + 1]
+    return owner[edge[left]], np.stack([l0, r0, r1, l1], 1), np.stack([y0, y0, y1, y1], 1)
 
 
-def _clip_ring_convex(
-    pts: list[tuple[float, float]], clip_pts: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman against a convex CCW clip polygon."""
-    out = pts
-    m = len(clip_pts)
-    for e in range(m):
-        ax, ay = clip_pts[e]
-        bx, by = clip_pts[(e + 1) % m]
-        ex, ey = bx - ax, by - ay
-        if ex == 0.0 and ey == 0.0:
-            continue
-        pts_in = out
-        out = []
-        n = len(pts_in)
-        if n == 0:
-            break
-        for i in range(n):
-            cx, cy = pts_in[i]
-            qx, qy = pts_in[i - 1]
-            cur_in = ex * (cy - ay) - ey * (cx - ax) >= 0.0
-            prev_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
-            if cur_in != prev_in:
-                dc = ex * (cy - ay) - ey * (cx - ax)
-                dq = ex * (qy - ay) - ey * (qx - ax)
-                t = dq / (dq - dc)
-                out.append((qx + t * (cx - qx), qy + t * (cy - qy)))
-            if cur_in:
-                out.append((cx, cy))
-    return out
+def _clip_convex(x, y, inst, cx, cy):
+    """Sutherland-Hodgman clip of many rings against convex CCW quadrilaterals.
+
+    Ring instance k is the vertices x, y where inst == k (contiguous, in ring
+    order); its clip corners are cx[k], cy[k]. Per side, every vertex emits
+    its crossing with the side when it and its predecessor lie on different
+    sides, then itself when it is inside. A zero-length side puts every
+    vertex inside and leaves the ring as it is.
+    """
+    for e in range(4):
+        f = (e + 1) % 4
+        ax, ay = cx[:, e][inst], cy[:, e][inst]
+        ex, ey = (cx[:, f] - cx[:, e])[inst], (cy[:, f] - cy[:, e])[inst]
+        d = ex * (y - ay) - ey * (x - ax)
+        inside = d >= 0.0
+        q = ring_neighbour(inst, len(cx), -1)
+        cross = inside != inside[q]
+        qc = q[cross]
+        dc, dq = d[cross], d[qc]
+        t = dq / (dq - dc)
+        emit = cross + inside.astype(np.intp)
+        at = np.cumsum(emit) - emit
+        nx, ny = np.empty(int(emit.sum())), np.empty(int(emit.sum()))
+        nx[at[cross]] = x[qc] + t * (x[cross] - x[qc])
+        ny[at[cross]] = y[qc] + t * (y[cross] - y[qc])
+        at = (at + cross)[inside]
+        nx[at], ny[at] = x[inside], y[inside]
+        x, y, inst = nx, ny, np.repeat(inst, emit)
+    return x, y, inst
 
 
-def _shoelace(pts: list[tuple[float, float]]) -> float:
-    total = 0.0
-    n = len(pts)
-    for i in range(n):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return 0.5 * total
+def _intersection_areas(tpolys, spolys, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
+    """Intersection area of tpolys[ti[k]] and spolys[si[k]] for each pair k.
+
+    Every ring of the source is clipped against every trapezoid of the
+    target, and the signed shoelace areas are summed in (trapezoid, ring)
+    order, so holes work. Work runs over blocks of pairs whose ring copies
+    stay under _BATCH_ELEMS vertices; a pair over the cap runs alone.
+    """
+    if ti.size == 0:
+        return np.zeros(0)
+    tu, ti = np.unique(ti, return_inverse=True)
+    su, si = np.unique(si, return_inverse=True)
+    towner, cx, cy = _trapezoid_corners([tpolys[k] for k in tu])
+    ntrap = np.bincount(towner, minlength=tu.size)
+    trap0 = np.cumsum(ntrap) - ntrap
+    x, y, ring_len, nrings = ring_arrays([spolys[k] for k in su])
+    vert0 = np.cumsum(ring_len) - ring_len
+    ring0 = np.cumsum(nrings) - nrings
+    nverts = np.add.reduceat(ring_len, ring0)
+    cum = np.cumsum(ntrap[ti] * nverts[si])
+    total = np.zeros(ti.size)
+    lo = 0
+    while lo < ti.size:
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + _BATCH_ELEMS, side="right")))
+        # instances: pair, then trapezoid, then ring
+        ninst = ntrap[ti[lo:hi]] * nrings[si[lo:hi]]
+        pair = np.repeat(np.arange(lo, hi), ninst)
+        k = ragged_arange(ninst)
+        trap = trap0[ti[pair]] + k // nrings[si[pair]]
+        ring = ring0[si[pair]] + k % nrings[si[pair]]
+        inst = np.repeat(np.arange(pair.size), ring_len[ring])
+        vert = vert0[ring][inst] + ragged_arange(ring_len[ring])
+        px, py, inst = _clip_convex(x[vert], y[vert], inst, cx[trap], cy[trap])
+        nxt = ring_neighbour(inst, pair.size, 1)
+        # np.bincount adds each bin's weights in input order, as a loop would
+        twice = np.bincount(inst, weights=px * py[nxt] - px[nxt] * py, minlength=pair.size)
+        ok = np.bincount(inst, minlength=pair.size) >= 3
+        total[lo:hi] = np.bincount(pair[ok] - lo, weights=0.5 * twice[ok], minlength=hi - lo)
+        lo = hi
+    return np.where(0.0 > total, 0.0, total)
 
 
 def _same_polygon(a: Polygon, b: Polygon) -> bool:
@@ -312,7 +390,7 @@ def _same_polygon(a: Polygon, b: Polygon) -> bool:
     return ra == rb
 
 
-def polygon_intersection_area(a: Polygon, b: Polygon, traps=None) -> float:
+def polygon_intersection_area(a: Polygon, b: Polygon) -> float:
     """Exact intersection area; a is decomposed into convex trapezoids and b's
     rings are clipped against each (signed areas summed, so holes work).
     """
@@ -320,16 +398,8 @@ def polygon_intersection_area(a: Polygon, b: Polygon, traps=None) -> float:
         return polygon_area(a)
     if not bbox_of(a).intersects(bbox_of(b)):
         return 0.0
-    if traps is None:
-        traps = _trapezoids(a)
-    rings = [[(v.x, v.y) for v in ring.vertices] for ring in [b.outer, *b.holes]]
-    total = 0.0
-    for trap in traps:
-        for ring in rings:
-            clipped = _clip_ring_convex(ring, trap)
-            if len(clipped) >= 3:
-                total += _shoelace(clipped)
-    return max(total, 0.0)
+    pair = np.zeros(1, dtype=np.intp)
+    return float(_intersection_areas([a], [b], pair, pair)[0])
 
 
 def summarize_aw(
@@ -349,36 +419,42 @@ def summarize_aw(
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
     if targets.geometry_kind() != "polygon" or sources.geometry_kind() != "polygon":
         raise InvalidInputError("summarize_aw requires polygon inputs")
-    src_boxes = [bbox_of(f.geometry) for f in sources.features]
-    src_areas = [polygon_area(f.geometry) for f in sources.features]
+    tpolys = [f.geometry for f in targets.features]
+    spolys = [f.geometry for f in sources.features]
+    tb, sb = targets.bounds(), sources.bounds()
     cols = [f"{c}_{stat}" for c in value_columns]
     rows_out = []
-    for tgt in targets.features:
-        tbox = bbox_of(tgt.geometry)
-        traps = _trapezoids(tgt.geometry)
-        tarea = polygon_area(tgt.geometry)
-        inter_total = 0.0
-        num = {c: 0.0 for c in value_columns}
-        for i, src in enumerate(sources.features):
-            if not tbox.intersects(src_boxes[i]):
-                continue
-            aij = polygon_intersection_area(tgt.geometry, src.geometry, traps)
-            if aij <= 0.0:
-                continue
-            inter_total += aij
-            for c in value_columns:
-                v = float(src.attributes[c])
-                if stat == "mean":
-                    num[c] += aij * v
-                else:
-                    num[c] += v * (aij / src_areas[i])
-        row = {id_column: tgt.id, "coverage": inter_total / tarea if tarea > 0 else 0.0}
-        for c, oc in zip(value_columns, cols):
-            if inter_total > 0.0:
-                row[oc] = num[c] / inter_total if stat == "mean" else num[c]
-            else:
-                row[oc] = None
-        rows_out.append(row)
+    block = max(1, _PAIR_ELEMS // len(spolys))
+    for lo in range(0, len(tpolys), block):
+        t = tb[lo : lo + block, None, :]
+        hit = ((sb[:, 2] >= t[..., 0]) & (sb[:, 0] <= t[..., 2])
+               & (sb[:, 3] >= t[..., 1]) & (sb[:, 1] <= t[..., 3]))
+        # row-major: target-major, each target's sources ascending
+        ti, si = np.nonzero(hit)
+        ti += lo
+        same = np.all(tb[ti] == sb[si], axis=1)
+        same[same] = [_same_polygon(tpolys[i], spolys[j]) for i, j in zip(ti[same], si[same])]
+        aij = np.empty(ti.size)
+        aij[same] = [polygon_area(tpolys[i]) for i in ti[same]]
+        aij[~same] = _intersection_areas(tpolys, spolys, ti[~same], si[~same])
+        keep = ~(aij <= 0.0)
+        ti, si, aij = ti[keep] - lo, si[keep], aij[keep]
+        # np.bincount adds each target's terms in pair order, as a loop would
+        inter = np.bincount(ti, weights=aij, minlength=len(t)).tolist()
+        if stat == "sum":
+            aij = aij / np.array([polygon_area(spolys[j]) for j in si.tolist()])
+        nums = [
+            np.bincount(ti, minlength=len(t), weights=aij * np.array(
+                [float(sources.features[j].attributes[c]) for j in si.tolist()])).tolist()
+            for c in value_columns
+        ]
+        for k, total in enumerate(inter):
+            tarea = polygon_area(tpolys[lo + k])
+            row = {id_column: targets.features[lo + k].id,
+                   "coverage": total / tarea if tarea > 0 else 0.0}
+            for oc, num in zip(cols, nums):
+                row[oc] = (num[k] / total if stat == "mean" else num[k]) if total > 0.0 else None
+            rows_out.append(row)
     return ResultTable([id_column, *cols, "coverage"], rows_out)
 
 

@@ -7,7 +7,7 @@ under the half-open point-lookup rule (left/top closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,19 +105,40 @@ def window_for_bbox(r: Raster, b: BBox) -> CellWindow:
     return CellWindow(row0, col0, row1 - row0 + 1, col1 - col0 + 1)
 
 
-def ring_edges(poly: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Directed edges (ax, ay) -> (bx, by) of every ring of poly, holes included."""
-    xs, ys = [], []
-    for ring in [poly.outer, *poly.holes]:
-        xs.append(np.array([v.x for v in ring.vertices], dtype=np.float64))
-        ys.append(np.array([v.y for v in ring.vertices], dtype=np.float64))
-    ax, ay = np.concatenate(xs), np.concatenate(ys)
-    bx = np.concatenate([np.roll(x, -1) for x in xs])
-    by = np.concatenate([np.roll(y, -1) for y in ys])
-    return ax, ay, bx, by
+def ring_arrays(polys: list[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ring of polys (outer ring first, then holes), flattened: vertex
+    x and y, the vertex count of each ring and the ring count of each polygon."""
+    rings = [ring.vertices for poly in polys for ring in (poly.outer, *poly.holes)]
+    x = np.array([v.x for ring in rings for v in ring], dtype=np.float64)
+    y = np.array([v.y for ring in rings for v in ring], dtype=np.float64)
+    ring_len = np.array([len(ring) for ring in rings], dtype=np.intp)
+    nrings = np.array([1 + len(poly.holes) for poly in polys], dtype=np.intp)
+    return x, y, ring_len, nrings
 
 
-def _line_crossings(a: np.ndarray, b: np.ndarray, first: float, last: float):
+def ring_neighbour(ring: np.ndarray, nrings: int, step: int) -> np.ndarray:
+    """Index of each vertex's predecessor (step -1) or successor (step 1) in
+    its ring, for vertices in contiguous runs of ring index `ring`."""
+    cnt = np.bincount(ring, minlength=nrings)
+    first = (np.cumsum(cnt) - cnt)[ring]
+    return first + (np.arange(ring.size) - first + step) % cnt[ring]
+
+
+def ring_edges(polys: list[Polygon]):
+    """Directed edges (ax, ay) -> (bx, by) of every ring of polys, holes
+    included, and the index in polys of each edge's polygon."""
+    x, y, ring_len, nrings = ring_arrays(polys)
+    nxt = ring_neighbour(np.repeat(np.arange(ring_len.size), ring_len), ring_len.size, 1)
+    owner = np.repeat(np.repeat(np.arange(len(polys)), nrings), ring_len)
+    return x, y, x[nxt], y[nxt], owner
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0..counts[0]-1, 0..counts[1]-1, ... concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _line_crossings(a: np.ndarray, b: np.ndarray, first, last):
     """Integer lines first..last strictly between a and b, as (edge, line, t)."""
     lo = np.maximum(np.floor(np.minimum(a, b)) + 1.0, first)
     hi = np.minimum(np.ceil(np.maximum(a, b)) - 1.0, last)
@@ -138,14 +159,16 @@ def cell_areas(
     ytop: np.ndarray,
     cellsize: float,
     nrows: int,
-    ncols: int,
+    ncols,
 ) -> np.ndarray:
-    """Exact covered area of every cell of a batch of equal-sized windows.
+    """Exact covered area of every cell of a batch of windows.
 
     Edges (ax, ay) -> (bx, by) form closed rings, outer rings counterclockwise
     and holes clockwise; edge i belongs to window win[i], whose top-left
-    corner is (x0[k], ytop[k]). Returns (len(x0), nrows, ncols) signed areas
-    in units of one cell, so a fully covered cell reads 1.0.
+    corner is (x0[k], ytop[k]) and which has ncols[k] columns (an int gives
+    every window the same count). Returns (len(x0), nrows, max(ncols)) signed
+    areas in units of one cell, so a fully covered cell reads 1.0; columns
+    and rows past a window's own are padding.
 
     Green's theorem per cell column: a CCW ring bounds area -sum(y dx). Each
     edge is split at every cell line it crosses, so every piece lies in one
@@ -154,18 +177,23 @@ def cell_areas(
     vertices plus line crossings plus window cells, not with their product.
     Parts of a ring left or right of the
     window are dropped, parts above it count as full height, parts below it
-    add nothing, so windows clamped to a raster stay exact.
+    add nothing, so windows clamped to a raster stay exact. Padding gives a
+    window no piece it did not have alone: the extra lines lie right of it or
+    below it, so its cells have the same bits as in a call of its own.
     """
+    nc = int(np.max(ncols))
     # window-local cell coordinates: u rightwards, h downwards from the top.
-    # u is shifted by a power of two above ncols, so every u inside the
-    # window shares one binade: piece widths are exact differences whose
-    # column sums cancel exactly, and cells outside every ring read 0.
-    off = float(1 << ncols.bit_length())
+    # u is shifted by 1 << ncols[k].bit_length(), so every u inside window k
+    # shares one binade: piece widths are exact differences whose column
+    # sums cancel exactly, and cells outside every ring read 0. Equal
+    # windows share one offset and skip the per-edge gathers.
+    off = np.ldexp(1.0, np.frexp(ncols)[1])
+    off = off[win] if np.ndim(off) else off
     u0 = (ax - x0[win]) / cellsize + off
     u1 = (bx - x0[win]) / cellsize + off
     h0 = (ytop[win] - ay) / cellsize
     h1 = (ytop[win] - by) / cellsize
-    ev, kv, tv = _line_crossings(u0, u1, off, off + ncols)
+    ev, kv, tv = _line_crossings(u0, u1, off, off + nc)
     eh, kh, th = _line_crossings(h0, h1, 0.0, float(nrows))
     ends = np.arange(u0.size)
     edge = np.concatenate([ends, ev, eh, ends])
@@ -176,20 +204,49 @@ def cell_areas(
     order = np.lexsort((t, edge))
     edge, u, h = edge[order], u[order], np.clip(h[order], 0.0, float(nrows))
     piece = edge[1:] == edge[:-1]
+    edge = edge[:-1][piece]
     ua, ub = u[:-1][piece], u[1:][piece]
     hmid = 0.5 * (h[:-1][piece] + h[1:][piece])
     du = ub - ua
-    col = np.floor(0.5 * (ua + ub) - off).astype(np.intp)
+    col = np.floor(0.5 * (ua + ub) - (off[edge] if np.ndim(off) else off)).astype(np.intp)
     row = np.floor(hmid).astype(np.intp)
-    keep = (du != 0.0) & (col >= 0) & (col < ncols) & (row < nrows)
+    keep = (du != 0.0) & (col >= 0) & (col < nc) & (row < nrows)
     du, col, row, hmid = du[keep], col[keep], row[keep], hmid[keep]
-    flat = (win[edge[:-1][piece][keep]] * nrows + row) * ncols + col
-    size = x0.size * nrows * ncols
-    shape = (x0.size, nrows, ncols)
+    flat = (win[edge[keep]] * nrows + row) * nc + col
+    size = x0.size * nrows * nc
+    shape = (x0.size, nrows, nc)
     own = np.bincount(flat, weights=du * (row + 1.0 - hmid), minlength=size).reshape(shape)
     below = np.bincount(flat, weights=du, minlength=size).reshape(shape)
     own[:, 1:] += np.cumsum(below, axis=1)[:, :-1]
     return -own
+
+
+def covered_cells(
+    r: Raster, polys: list[Polygon], wins: list[CellWindow]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, cols, fractions) of the raster cells each polygon covers.
+
+    wins[k] is window_for_bbox of polys[k]. Cells come in row-major order,
+    fractions are capped at 1 and cells with zero coverage are omitted. One
+    kernel call serves every polygon, each window padded to the largest.
+    """
+    none = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+    out = [none] * len(polys)
+    live = [k for k, w in enumerate(wins) if not w.empty]
+    if not live:
+        return out
+    cs = r.cellsize
+    row0, col0, nrows, ncols = np.array(
+        [(wins[k].row0, wins[k].col0, wins[k].nrows_w, wins[k].ncols_w) for k in live]
+    ).T
+    ax, ay, bx, by, owner = ring_edges([polys[k] for k in live])
+    frac = cell_areas(ax, ay, bx, by, owner, r.xll + col0 * cs, r.ytop - row0 * cs, cs,
+                      int(nrows.max()), ncols)
+    for i, k in enumerate(live):
+        f = frac[i, : nrows[i], : ncols[i]]
+        rows, cols = np.nonzero(f > 0.0)
+        out[k] = (rows + row0[i], cols + col0[i], np.minimum(f[rows, cols], 1.0))
+    return out
 
 
 def coverage_fractions(r: Raster, poly: Polygon) -> list[CoverageCell]:
@@ -198,39 +255,34 @@ def coverage_fractions(r: Raster, poly: Polygon) -> list[CoverageCell]:
     Holes are handled by summing signed ring areas. Cells with zero
     coverage are omitted.
     """
-    win = window_for_bbox(r, bbox_of(poly))
-    if win.empty:
-        return []
-    cs = r.cellsize
-    ax, ay, bx, by = ring_edges(poly)
-    frac = cell_areas(
-        ax, ay, bx, by, np.zeros(ax.size, dtype=np.intp),
-        np.array([r.xll + win.col0 * cs]), np.array([r.ytop - win.row0 * cs]),
-        cs, win.nrows_w, win.ncols_w,
-    )[0]
-    rows, cols = np.nonzero(frac > 0.0)
-    fracs = np.minimum(frac[rows, cols], 1.0)
+    rows, cols, fracs = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])[0]
     return [
-        CoverageCell(i, j, f)
-        for i, j, f in zip((rows + win.row0).tolist(), (cols + win.col0).tolist(), fracs.tolist())
+        CoverageCell(i, j, f) for i, j, f in zip(rows.tolist(), cols.tolist(), fracs.tolist())
     ]
 
 
 def zonal_stat(r: Raster, cells: list[CoverageCell], spec: StatSpec) -> StatResult:
-    """Weighted statistic over covered cells; nodata cells are excluded.
+    """Weighted statistic over covered cells; see cell_stat."""
+    if spec.kind == "frequency" and r.kind != "categorical":
+        raise InvalidParameterError("frequency statistic requires a categorical raster")
+    rows = np.array([c.row for c in cells], dtype=np.intp)
+    cols = np.array([c.col for c in cells], dtype=np.intp)
+    w = np.array([c.fraction for c in cells], dtype=np.float64)
+    if cells and (rows.min() < 0 or cols.min() < 0 or rows.max() >= r.nrows
+                  or cols.max() >= r.ncols):
+        raise InvalidParameterError("coverage cell outside raster bounds")
+    return cell_stat(r, rows, cols, w, spec)
+
+
+def cell_stat(
+    r: Raster, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, spec: StatSpec
+) -> StatResult:
+    """Weighted statistic over cells (rows[i], cols[i]) covered by fraction
+    w[i]; nodata cells are excluded.
 
     min/max consider any cell with positive fraction; stdev is the weighted
     population standard deviation sqrt(sum w (v-mu)^2 / sum w).
     """
-    if spec.kind == "frequency" and r.kind != "categorical":
-        raise InvalidParameterError("frequency statistic requires a categorical raster")
-    if not cells:
-        return StatResult(None, 0.0, {} if spec.kind == "frequency" else None)
-    rows = np.array([c.row for c in cells], dtype=np.intp)
-    cols = np.array([c.col for c in cells], dtype=np.intp)
-    w = np.array([c.fraction for c in cells], dtype=np.float64)
-    if rows.min() < 0 or cols.min() < 0 or rows.max() >= r.nrows or cols.max() >= r.ncols:
-        raise InvalidParameterError("coverage cell outside raster bounds")
     v = r.values[rows, cols]
     valid = v != r.nodata
     v = v[valid]

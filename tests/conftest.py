@@ -45,6 +45,14 @@ def star_polygon(cx, cy, r_outer, r_inner, points=5, phase=0.0) -> Polygon:
     return Polygon(Ring(verts))
 
 
+def random_star(rng: np.random.Generator, cx, cy, radius, nv) -> list[Point]:
+    """Simple ring: one vertex per equal angular sector around (cx, cy)."""
+    theta = 2.0 * np.pi * (np.arange(nv) + rng.uniform(0.0, 1.0, nv)) / nv
+    rad = radius * rng.uniform(0.4, 1.0, nv)
+    return [Point(cx + q * math.cos(a), cy + q * math.sin(a))
+            for a, q in zip(theta.tolist(), rad.tolist())]
+
+
 def random_convex_polygon(rng: random.Random, cx, cy, radius) -> Polygon:
     n = rng.randint(5, 12)
     angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(n))

@@ -1,0 +1,131 @@
+"""Scalar reference implementations that the batched kernels must match.
+
+One polygon, one trapezoid, one ring at a time, in plain Python floats: the
+convex Sutherland-Hodgman clipper, the shoelace sum, the trapezoid
+decomposition and the per-pair `summarize_aw` loop the batched code replaced.
+The batched code performs the same float operations in the same order, so
+its results must be equal to these bit for bit.
+"""
+
+from gridchop.dataio import ResultTable
+from gridchop.geom import bbox_of, polygon_area
+
+
+def trapezoids(poly):
+    """Decompose a polygon (holes included, even-odd) into convex trapezoids."""
+    edges = []
+    for ring in [poly.outer, *poly.holes]:
+        verts = ring.vertices
+        n = len(verts)
+        for i in range(n):
+            a, b = verts[i], verts[(i + 1) % n]
+            if a.y != b.y:
+                edges.append((a.x, a.y, b.x, b.y))
+    ys = sorted({e[1] for e in edges} | {e[3] for e in edges})
+    traps = []
+    for y0, y1 in zip(ys, ys[1:]):
+        ymid = 0.5 * (y0 + y1)
+        xs = []
+        for ax, ay, bx, by in edges:
+            if min(ay, by) <= y0 and max(ay, by) >= y1:
+                slope = (bx - ax) / (by - ay)
+                xs.append((ax + (ymid - ay) * slope, ax + (y0 - ay) * slope, ax + (y1 - ay) * slope))
+        xs.sort()
+        for i in range(0, len(xs) - 1, 2):
+            (_, l0, l1), (_, r0, r1) = xs[i], xs[i + 1]
+            traps.append([(l0, y0), (max(r0, l0), y0), (max(r1, l1), y1), (l1, y1)])
+    return traps
+
+
+def clip_ring_convex(pts, clip_pts):
+    """Sutherland-Hodgman against a convex CCW clip polygon."""
+    out = pts
+    m = len(clip_pts)
+    for e in range(m):
+        ax, ay = clip_pts[e]
+        bx, by = clip_pts[(e + 1) % m]
+        ex, ey = bx - ax, by - ay
+        if ex == 0.0 and ey == 0.0:
+            continue
+        pts_in = out
+        out = []
+        n = len(pts_in)
+        if n == 0:
+            break
+        for i in range(n):
+            cx, cy = pts_in[i]
+            qx, qy = pts_in[i - 1]
+            cur_in = ex * (cy - ay) - ey * (cx - ax) >= 0.0
+            prev_in = ex * (qy - ay) - ey * (qx - ax) >= 0.0
+            if cur_in != prev_in:
+                dc = ex * (cy - ay) - ey * (cx - ax)
+                dq = ex * (qy - ay) - ey * (qx - ax)
+                t = dq / (dq - dc)
+                out.append((qx + t * (cx - qx), qy + t * (cy - qy)))
+            if cur_in:
+                out.append((cx, cy))
+    return out
+
+
+def shoelace(pts):
+    total = 0.0
+    n = len(pts)
+    for i in range(n):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % n]
+        total += x0 * y1 - x1 * y0
+    return 0.5 * total
+
+
+def _same_polygon(a, b):
+    ra = [[(v.x, v.y) for v in ring.vertices] for ring in [a.outer, *a.holes]]
+    rb = [[(v.x, v.y) for v in ring.vertices] for ring in [b.outer, *b.holes]]
+    return ra == rb
+
+
+def intersection_area(a, b, traps):
+    if _same_polygon(a, b):
+        return polygon_area(a)
+    rings = [[(v.x, v.y) for v in ring.vertices] for ring in [b.outer, *b.holes]]
+    total = 0.0
+    for trap in traps:
+        for ring in rings:
+            clipped = clip_ring_convex(ring, trap)
+            if len(clipped) >= 3:
+                total += shoelace(clipped)
+    return max(total, 0.0)
+
+
+def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
+    """The per-target, per-source loop over bbox-overlapping pairs."""
+    src_boxes = [bbox_of(f.geometry) for f in sources.features]
+    src_areas = [polygon_area(f.geometry) for f in sources.features]
+    cols = [f"{c}_{stat}" for c in value_columns]
+    rows_out = []
+    for tgt in targets.features:
+        tbox = bbox_of(tgt.geometry)
+        traps = trapezoids(tgt.geometry)
+        tarea = polygon_area(tgt.geometry)
+        inter_total = 0.0
+        num = {c: 0.0 for c in value_columns}
+        for i, src in enumerate(sources.features):
+            if not tbox.intersects(src_boxes[i]):
+                continue
+            aij = intersection_area(tgt.geometry, src.geometry, traps)
+            if aij <= 0.0:
+                continue
+            inter_total += aij
+            for c in value_columns:
+                v = float(src.attributes[c])
+                if stat == "mean":
+                    num[c] += aij * v
+                else:
+                    num[c] += v * (aij / src_areas[i])
+        row = {id_column: tgt.id, "coverage": inter_total / tarea if tarea > 0 else 0.0}
+        for c, oc in zip(value_columns, cols):
+            if inter_total > 0.0:
+                row[oc] = num[c] / inter_total if stat == "mean" else num[c]
+            else:
+                row[oc] = None
+        rows_out.append(row)
+    return ResultTable([id_column, *cols, "coverage"], rows_out)

@@ -172,6 +172,18 @@ class TestRunCommand:
         header = out.read_bytes().split(b"\r\n")[0].decode().split(",")
         assert "mean" in header and "max" not in header
 
+    def test_short_csv_row_load_error(self, workspace, capsys):
+        # a row that lacks only an attribute value is a load error, not a traceback
+        short = workspace / "short.csv"
+        short.write_text("id,x,y,v,w\na,1,1,2,3\nb,2,2,4\n")
+        out = workspace / "res.csv"
+        rc = main([
+            "run", "--task", "sedc", "--x", str(short), "--y", str(short),
+            "--bandwidth", "1.0", "--value-cols", "v", "--hierarchy", "v", "--out", str(out),
+        ])
+        assert rc == EXIT_INPUT and not out.exists()
+        assert "'w' at row 3" in capsys.readouterr().err
+
     def test_missing_x_raster_load_error(self, workspace):
         out = workspace / "nox.csv"
         rc = main([
@@ -382,6 +394,23 @@ class TestUsage:
         assert main(_run_args(workspace)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: CHOP_WORKERS") and err.count("\n") == 1
+        assert not (workspace / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_workers_flag_below_one(self, workspace, capsys, value):
+        # the same usage error as CHOP_WORKERS=0
+        assert main(_run_args(workspace) + ["--workers", value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers") and err.count("\n") == 1
+        assert not (workspace / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ['"2"', "0", "1.5"])
+    def test_bad_config_workers(self, workspace, capsys, value):
+        cfg = workspace / "job.json"
+        cfg.write_text(f'{{"workers": {value}}}')
+        assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers") and err.count("\n") == 1
         assert not (workspace / "out.csv").exists()
 
     def test_workers_flag_beats_chop_workers(self, workspace, monkeypatch):

@@ -37,6 +37,12 @@ class TestFormatValue:
         assert format_value(False) == "0"
         assert format_value(7) == "7"
 
+    def test_numpy_float(self):
+        # shortest round-trip text under NumPy 1 and 2 alike, not np.float64(...)
+        assert format_value(np.float64(0.1)) == "0.1"
+        t = ResultTable(["id", "v", "w"], [{"id": "t", "v": np.float64(2.0), "w": np.float64(0.5)}])
+        assert t.to_csv_bytes() == b"id,v,w\r\nt,2.0,0.5\r\n"
+
     def test_parse_scalar(self):
         assert parse_scalar("7") == 7
         assert parse_scalar("-2.5") == -2.5
@@ -83,6 +89,12 @@ class TestLoadFeaturesCsv:
         p = tmp_path / "pts.csv"
         p.write_text("x,y,id\n0,0,a\n1,1\n")
         with pytest.raises(LoadError, match="empty id at row 2"):
+            load_features(str(p))
+
+    def test_short_row_missing_attribute(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v,w\na,0,0,1,2\nb,1,1,3\n")
+        with pytest.raises(LoadError, match=r"missing value for column 'w' at row 3$"):
             load_features(str(p))
 
     def test_extra_fields_ignored(self, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 import gridchop
 from gridchop import geoops
-from gridchop.dataio import Feature, FeatureSet, write_raster
+from gridchop.dataio import Feature, FeatureSet, ResultTable, write_raster
 from gridchop.errors import InvalidParameterError, LoadError
 from gridchop.executor import (
     ChunkError,
@@ -381,6 +381,35 @@ class TestRunHierarchy:
 
         want = extract_at(r, pts, radius=1.0, segments=8)
         assert [row["mean"] for row in t.rows] == [row["mean"] for row in want.rows]
+
+    def test_aw_rows_independent_of_groups(self):
+        # one group or one per zone: the value columns have the same bytes
+        rng = np.random.default_rng(9)
+        tiles = [(i, j) for i in range(6) for j in range(6)]
+        sources = FeatureSet(
+            [Feature(f"s{i}_{j}", make_polygon([[Point(i, j), Point(i + 1, j),
+                                                 Point(i + 1, j + 1), Point(i, j + 1)]]),
+                     {"v": float(rng.uniform(0, 100))}) for i, j in tiles],
+            ["v"],
+        )
+        targets = []
+        for k in range(30):
+            cx, cy = rng.uniform(0.5, 5.5, 2).tolist()
+            ring = [Point(cx + 0.8 * np.cos(a), cy + 0.6 * np.sin(a))
+                    for a in (2 * np.pi * np.arange(9) / 9 + k).tolist()]
+            targets.append(Feature(f"t{k}", make_polygon([ring]), {"zone": f"z{k % 7}"}))
+        targets = FeatureSet(targets, ["zone"])
+
+        def table(groups, stat):
+            task = TaskSpec("summarize_aw", sources, targets,
+                            {"value_columns": ["v"], "stat": stat})
+            rows = sorted(run_hierarchy(task, groups).rows, key=lambda r: r["id"])
+            return ResultTable(["id", f"v_{stat}", "coverage"], rows).to_csv_bytes()
+
+        zones = group_by_hierarchy(targets, key="zone")
+        assert len(zones) == 7
+        for stat in ("mean", "sum"):
+            assert table(zones, stat) == table([("all", targets.ids())], stat)
 
     def test_groups_must_partition_anchors(self):
         pts = scatter(3)

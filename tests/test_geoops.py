@@ -23,6 +23,9 @@ from gridchop.geoops import (
 )
 from gridchop.raster import Raster
 
+import scalar_reference
+from conftest import random_star
+
 
 def rect(x0, y0, x1, y1):
     return make_polygon([[Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]])
@@ -243,6 +246,126 @@ class TestSummarizeAw:
         tgt = FeatureSet([Feature("t", rect(0, 0, 1, 1))])
         with pytest.raises(InvalidParameterError):
             summarize_aw(tgt, tgt, [], stat="median")
+
+
+def _polys_fs(polys, prefix, rng=None):
+    """Polygons as a FeatureSet; with rng, two random value columns."""
+    feats = []
+    for i, p in enumerate(polys):
+        attrs = {} if rng is None else {"v": float(rng.uniform(-50, 50)),
+                                        "w": float(rng.uniform(0, 9))}
+        feats.append(Feature(f"{prefix}{i}", p, attrs))
+    return FeatureSet(feats, [] if rng is None else ["v", "w"])
+
+
+def _star(rng, lo, hi, rmax, hole=False):
+    cx, cy = rng.uniform(lo, hi, 2).tolist()
+    r = float(rng.uniform(0.3, rmax))
+    rings = [random_star(rng, cx, cy, r, int(rng.integers(8, 24)))]
+    if hole:
+        # 8+ sectors of radius >= 0.4 r keep every outer edge 0.28 r from
+        # the center, clear of the hole
+        rings.append(buffer_point(Point(cx, cy), 0.2 * r, 9).outer.vertices)
+    return make_polygon(rings)
+
+
+def _stars_with_holes(rng):
+    targets = [_star(rng, 0, 10, 2.5, hole=k % 2 == 0) for k in range(14)]
+    sources = [_star(rng, 0, 10, 2.0, hole=k % 3 == 0) for k in range(25)]
+    return targets, sources
+
+
+def _identical(rng):
+    targets, sources = _stars_with_holes(rng)
+    # the same polygon object, and an equal copy of another
+    copy = make_polygon([targets[3].outer.vertices, *[h.vertices for h in targets[3].holes]])
+    return targets, [targets[0], *sources[:10], copy, *sources[10:]]
+
+
+def _shared_edges(rng):
+    # unit cells against rectangles that share their edges or touch them at
+    # a corner only
+    targets = [rect(i, j, i + 1, j + 1) for j in range(3) for i in range(3)]
+    sources = [rect(0, 0, 2, 1), rect(1, 1, 3, 3), rect(3, 3, 4, 4), rect(-1, 1, 0, 2),
+               rect(0.5, 2, 1.5, 3), rect(2, -1, 3, 0), rect(0, 0, 3, 3)]
+    return targets, sources
+
+
+def _triangles(rng):
+    # a triangle's trapezoids have a zero-length side at its apex
+    def tri():
+        pts = rng.uniform(0, 6, (3, 2)).tolist()
+        return make_polygon([[Point(x, y) for x, y in pts]])
+
+    return [tri() for _ in range(10)], [tri() for _ in range(15)] + [rect(1, 1, 5, 5)]
+
+
+def _no_hit(rng):
+    targets, sources = _stars_with_holes(rng)
+    return [*targets[:5], rect(50, 50, 51, 51), *targets[5:], rect(-40, 3, -39, 4)], sources
+
+
+AW_CASES = {
+    "stars_with_holes": _stars_with_holes,
+    "identical": _identical,
+    "shared_edges": _shared_edges,
+    "triangles": _triangles,
+    "no_hit": _no_hit,
+}
+
+
+@pytest.mark.parametrize("stat", ["mean", "sum"])
+@pytest.mark.parametrize("case", sorted(AW_CASES))
+def test_aw_matches_scalar_reference(case, stat, nprng):
+    # the batched pass performs the scalar loop's float operations in the
+    # same order: every row has the same bits
+    targets, sources = AW_CASES[case](nprng)
+    tfs, sfs = _polys_fs(targets, "t"), _polys_fs(sources, "s", nprng)
+    got = summarize_aw(tfs, sfs, ["v", "w"], stat=stat)
+    want = scalar_reference.summarize_aw(tfs, sfs, ["v", "w"], stat=stat)
+    assert got.columns == want.columns
+    assert [repr(r) for r in got.rows] == [repr(r) for r in want.rows]
+    assert any(r["coverage"] > 0.0 for r in got.rows)
+
+
+@pytest.mark.parametrize("caps", [None, (1, 1), (1, 10**9), (10**9, 1), (60, 200)])
+def test_aw_rows_independent_of_batch(monkeypatch, caps, nprng):
+    # (_PAIR_ELEMS, _BATCH_ELEMS): one target or one pair per block, up to
+    # everything at once; a row has the bits of its target run alone
+    targets, sources = _identical(nprng)
+    tfs, sfs = _polys_fs(targets, "t"), _polys_fs(sources, "s", nprng)
+    if caps is not None:
+        monkeypatch.setattr(geoops, "_PAIR_ELEMS", caps[0], raising=False)
+        monkeypatch.setattr(geoops, "_BATCH_ELEMS", caps[1], raising=False)
+    for stat in ("mean", "sum"):
+        got = summarize_aw(tfs, sfs, ["v"], stat=stat).rows
+        want = scalar_reference.summarize_aw(tfs, sfs, ["v"], stat=stat).rows
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        for k in (0, 3, 7, 13):
+            alone = summarize_aw(tfs.subset([k]), sfs, ["v"], stat=stat).rows[0]
+            assert repr(alone) == repr(got[k])
+
+
+@pytest.mark.parametrize("cap", [None, 1, 60, 600])
+def test_polygon_extract_rows_independent_of_batch(monkeypatch, cap, nprng):
+    # a 30 x 20 raster of 0.5 cells over [1, 16] x [2, 12]; the polygons
+    # reach past every edge of it, and some miss it
+    vals = np.floor(nprng.uniform(0, 6, (20, 30)))
+    vals[3, 4:9] = -9999.0
+    r = Raster(30, 20, 1.0, 2.0, 0.5, -9999.0, vals, "categorical")
+    polys = [_star(nprng, -2, 19, 3.0, hole=k % 4 == 0) for k in range(40)]
+    polys[5:5] = [rect(20, 20, 21, 21), rect(16, 5, 17, 6)]  # outside, touching
+    fs = _polys_fs(polys, "g")
+    if cap is not None:
+        monkeypatch.setattr(geoops, "_BATCH_ELEMS", cap, raising=False)
+    for stat in ("mean", "stdev", "min", "count", "frequency"):
+        got = extract_at(r, fs, stat=stat).rows
+        assert any(not row["count"] for row in got)
+        for k in range(len(polys)):
+            alone = extract_at(r, fs.subset([k]), stat=stat).rows[0]
+            assert repr(alone) == repr({c: got[k][c] for c in alone})
+            # frequency: categories only other polygons cover read 0
+            assert all(got[k][c] == 0.0 for c in set(got[k]) - set(alone))
 
 
 class TestSummarizeSedc:

@@ -21,10 +21,10 @@ from gridchop import (
     zonal_stat,
 )
 from gridchop.geom import make_polygon, signed_ring_area
-from gridchop.geoops import _clip_ring_convex, _shoelace
-from gridchop.raster import cell_areas, ring_edges
+from gridchop.raster import cell_areas, covered_cells, ring_edges
 
-from conftest import square, star_polygon
+from conftest import random_star, square, star_polygon
+from scalar_reference import clip_ring_convex, shoelace
 
 
 def grid(n=4, values=None, kind="continuous", nodata=-9999.0):
@@ -58,8 +58,7 @@ def mc_fraction_oracle(r, poly, row, col, sub=256):
 
 def kernel_cells(poly, x0, ytop, cs, nrows, ncols):
     """cell_areas of one polygon over one window, in cell units."""
-    ax, ay, bx, by = ring_edges(poly)
-    win = np.zeros(ax.size, dtype=np.intp)
+    ax, ay, bx, by, win = ring_edges([poly])
     return cell_areas(ax, ay, bx, by, win, np.array([x0]), np.array([ytop]), cs, nrows, ncols)[0]
 
 
@@ -72,17 +71,10 @@ def scalar_clip_cells(poly, x0, ytop, cs, nrows, ncols):
         for j in range(ncols):
             cx, cy = x0 + j * cs, ytop - (i + 1) * cs
             for ring in [poly.outer, *poly.holes]:
-                clipped = _clip_ring_convex([(v.x - cx, v.y - cy) for v in ring.vertices], cell)
+                clipped = clip_ring_convex([(v.x - cx, v.y - cy) for v in ring.vertices], cell)
                 if len(clipped) >= 3:
-                    out[i, j] += _shoelace(clipped) / (cs * cs)
+                    out[i, j] += shoelace(clipped) / (cs * cs)
     return out
-
-
-def random_star(rng, cx, cy, radius, nv):
-    """Simple ring: one vertex per equal angular sector around (cx, cy)."""
-    theta = 2.0 * np.pi * (np.arange(nv) + rng.uniform(0.0, 1.0, nv)) / nv
-    rad = radius * rng.uniform(0.4, 1.0, nv)
-    return [Point(cx + q * math.cos(a), cy + q * math.sin(a)) for a, q in zip(theta, rad)]
 
 
 def _stars(rng):
@@ -169,6 +161,26 @@ def test_kernel_clamped_window(nprng):
             got = kernel_cells(poly, x0, ytop, 0.25, nrows, ncols)
             want = scalar_clip_cells(poly, x0, ytop, 0.25, nrows, ncols)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_padded_windows_match_single_windows(nprng):
+    # one kernel call over windows of different sizes, padded to the
+    # largest, gives each window the bits of a call of its own, also where
+    # the raster clamps a window on any side
+    ras = Raster(23, 17, 1.0, 2.0, 0.5, -9999.0, np.zeros((17, 23)))
+    polys = []
+    for _ in range(30):
+        cx, cy = nprng.uniform(-1.0, 14.0), nprng.uniform(0.0, 13.0)
+        polys.append(make_polygon([random_star(nprng, cx, cy, nprng.uniform(0.2, 4.0),
+                                               nprng.integers(5, 40))]))
+    polys.append(square(30.0, 30.0, 1.0))  # outside the raster
+    wins = [window_for_bbox(ras, bbox_of(p)) for p in polys]
+    assert len({(w.nrows_w, w.ncols_w) for w in wins}) > 10
+    batch = covered_cells(ras, polys, wins)
+    for poly, win, cells in zip(polys, wins, batch):
+        (alone,) = covered_cells(ras, [poly], [win])
+        for got, want in zip(cells, alone):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _clip_case(case, rng):
