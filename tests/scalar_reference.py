@@ -2,13 +2,15 @@
 
 One polygon, one trapezoid, one ring at a time, in plain Python floats: the
 convex Sutherland-Hodgman clipper, the shoelace sum, the trapezoid
-decomposition and the per-pair `summarize_aw` loop the batched code replaced.
+decomposition and the per-pair `summarize_aw` loop the batched code replaced,
+and the per-point, per-chunk loop of `assign_to_partition`.
 The batched code performs the same float operations in the same order, so
 its results must be equal to these bit for bit.
 """
 
 from gridchop.dataio import ResultTable
 from gridchop.geom import bbox_of, polygon_area
+from gridchop.partition import Chunk, PartitionSet, representative_point
 
 
 def trapezoids(poly):
@@ -129,3 +131,36 @@ def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
                 row[oc] = None
         rows_out.append(row)
     return ResultTable([id_column, *cols, "coverage"], rows_out)
+
+
+def assign_to_partition(anchors, parts):
+    """Each anchor to the first chunk (by chunk id) whose core owns its
+    representative point, else to the nearest core centre, ties to the
+    lowest chunk id."""
+    gx = max(c.core.xmax for c in parts.chunks)
+    gy = max(c.core.ymax for c in parts.chunks)
+    chunks = [Chunk(c.chunk_id, c.core, c.padded, []) for c in parts.chunks]
+    chunks.sort(key=lambda c: c.chunk_id)
+
+    def owns(core, p):
+        okx = core.xmin <= p.x < core.xmax or (p.x == core.xmax == gx)
+        oky = core.ymin <= p.y < core.ymax or (p.y == core.ymax == gy)
+        if core.xmax == core.xmin:
+            okx = p.x == core.xmin
+        if core.ymax == core.ymin:
+            oky = p.y == core.ymin
+        return okx and oky
+
+    for feat in anchors.features:
+        rep = representative_point(feat.geometry)
+        target = next((c for c in chunks if owns(c.core, rep)), None)
+        if target is None:
+            best = None
+            for c in chunks:
+                ctr = c.core.center()
+                d = (rep.x - ctr.x) ** 2 + (rep.y - ctr.y) ** 2
+                if best is None or d < best[0]:
+                    best = (d, c)
+            target = best[1]
+        target.member_ids.append(feat.id)
+    return PartitionSet(parts.mode, parts.padding, chunks)

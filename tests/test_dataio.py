@@ -16,7 +16,7 @@ from gridchop.dataio import (
     save_table,
     write_raster,
 )
-from gridchop.errors import LoadError
+from gridchop.errors import GridchopError, LoadError
 from gridchop.geom import BBox, Point, Polygon
 from gridchop.partition import Chunk, PartitionSet
 from gridchop.raster import Raster
@@ -134,7 +134,91 @@ class TestLoadFeaturesCsv:
             load_features(str(p))
 
 
+    @pytest.mark.parametrize("rows,message", [
+        # the first row with any error wins; ids are checked after every row
+        ("a,0,0,1\nb,1,1\nc,x,1,2\n", r"missing value for column 'v' at row 3$"),
+        ("a,0,0,1\nb,q,1,2\nc,1,1\n", r"bad coordinates at row 3$"),
+        ("a,0,0,1\na,1,1,2\nc,q,1,2\n", r"bad coordinates at row 4$"),
+        ("a,0,0,1\n,1,1,2\nc,1,1\n", r"missing value for column 'v' at row 4$"),
+        ("a,0,0,1\nb,nan,1,2\nc,q,1,2\n", "non-finite"),
+        ("a,0,0,1\na,inf,1,2\n", "non-finite"),
+        # inside a row: a bad coordinate, then a missing value, then non-finite
+        ("a,0,0,1\nb,q\n", r"bad coordinates at row 3$"),
+        ("a,0,0,1\nb,nan,1\n", r"missing value for column 'v' at row 3$"),
+    ])
+    def test_error_precedence(self, tmp_path, rows, message):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\n" + rows)
+        with pytest.raises(GridchopError, match=message):
+            load_features(str(p))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\n\na,0,0,1\n\n\nb,1,2,x\n\n")
+        fs = load_features(str(p))
+        assert fs.ids() == ["a", "b"]
+        assert [f.attributes for f in fs.features] == [{"v": 1}, {"v": "x"}]
+        assert fs.bounds().tolist() == [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 2.0]]
+
+    def test_repeated_coordinate_header_reads_last_column(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,x\na,1,2,3\n")
+        fs = load_features(str(p))
+        assert fs.features[0].geometry == Point(3.0, 2.0) and fs.columns == []
+
+    def test_tokens_parse_as_float_and_parse_scalar(self, tmp_path):
+        # coordinates go through float(); attributes through parse_scalar
+        p = tmp_path / "pts.csv"
+        tokens = ["7", "+3", "-0", "1_0", " 5", "nan", "", "0x1", "-inf", "1e2", "12.0", ".5"]
+        coords = [" 1.5", "1_0", "-0.0", "1e3", "+2", "4.9e-324", ".5", "1.", "-7 ", "0",
+                  "1E-2", "123456789012345678901234567890"]
+        lines = [f"p{i},{c},{c},{t}" for i, (c, t) in enumerate(zip(coords, tokens))]
+        p.write_text("id,x,y,v\n" + "\n".join(lines) + "\n")
+        fs = load_features(str(p))
+        assert [repr(f.geometry.x) for f in fs.features] == [repr(float(c)) for c in coords]
+        assert [repr(f.geometry.y) for f in fs.features] == [repr(float(c)) for c in coords]
+        assert [repr(f.attributes["v"]) for f in fs.features] == [
+            repr(parse_scalar(t)) for t in tokens]
+        assert [type(f.attributes["v"]) for f in fs.features][:4] == [int, int, int, float]
+
+    def test_no_rows(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\n")
+        fs = load_features(str(p))
+        assert len(fs) == 0 and fs.columns == ["v"] and fs.geometry_kind() == "empty"
+        assert fs.bounds().shape == (0, 4)
+
+
 class TestLoadFeaturesGeoJSON:
+    def test_points_with_different_property_keys(self, tmp_path):
+        from gridchop.geoops import SedcParams, summarize_sedc
+
+        feats = [({"id": "a", "k": 1}, [0, 0]), ({"id": 5, "m": "x"}, [1.5, 2]),
+                 ({"id": "c", "k": None, "m": 2.5}, [3, -1, 9])]
+        doc = {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": props,
+             "geometry": {"type": "Point", "coordinates": xy}} for props, xy in feats]}
+        p = tmp_path / "f.geojson"
+        p.write_text(json.dumps(doc))
+        fs = load_features(str(p), format="geojson")
+        assert fs.geometry_kind() == "point" and fs.ids() == ["a", "5", "c"]
+        assert fs.columns == ["k", "m"]
+        assert [f.attributes for f in fs.features] == [{"k": 1}, {"m": "x"},
+                                                       {"k": None, "m": 2.5}]
+        assert [f.geometry for f in fs.features] == [Point(0.0, 0.0), Point(1.5, 2.0),
+                                                     Point(3.0, -1.0)]
+        assert fs.bounds().tolist() == [[0, 0, 0, 0], [1.5, 2, 1.5, 2], [3, -1, 3, -1]]
+        # a value column some features lack fails as the per-feature lookup did
+        with pytest.raises(KeyError, match="'k'"):
+            summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("k",)))
+        with pytest.raises(KeyError, match="'m'"):
+            summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("m",)))
+        with pytest.raises(TypeError):
+            summarize_sedc(fs, fs.subset([2]), SedcParams(bandwidth=1.0, value_columns=("k",)))
+        with pytest.raises(ValueError):
+            summarize_sedc(fs, fs.subset([1, 2]),
+                           SedcParams(bandwidth=1.0, value_columns=("m",)))
+
     def test_polygon_feature(self, tmp_path):
         doc = {
             "type": "FeatureCollection",
@@ -256,6 +340,51 @@ class TestRasterIO:
         with pytest.raises(LoadError, match="cellsize"):
             load_raster(str(p))
 
+    _HEADER = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+
+    @pytest.mark.parametrize("body,message", [
+        ("1 2\n\n3 4\n", r"line 8: expected 2 values, got 0$"),
+        ("\n1 2\n3 4\n", r"line 7: expected 2 values, got 0$"),
+        ("1 2\n3\n", r"line 8: expected 2 values, got 1$"),
+        ("1 2\n3 4 5\n", r"line 8: expected 2 values, got 3$"),
+        ("1 2\n3 x\n", r"line 8: non-numeric value$"),
+        ("1 2\n# 4\n", r"line 8: non-numeric value$"),
+        ("1 2 # note\n3 4\n", r"line 7: expected 2 values, got 4$"),
+        ("1 2\n3 4,\n", r"line 8: non-numeric value$"),
+        ("1 2\n", r"missing data line 8$"),
+        ("", r"missing data line 7$"),
+    ])
+    def test_body_errors(self, tmp_path, body, message):
+        p = tmp_path / "r.asc"
+        p.write_text(self._HEADER + body)
+        with pytest.raises(LoadError, match=message):
+            load_raster(str(p))
+
+    @pytest.mark.parametrize("body,want", [
+        ("1_0 2\n3 4\n", [[10.0, 2.0], [3.0, 4.0]]),
+        ("1\t2\n3\t \t4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("   1 2  \n 3 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1 2\n3 4\n5 6\nnot data\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1 2\r\n3 4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ])
+    def test_body_values(self, tmp_path, body, want):
+        p = tmp_path / "r.asc"
+        p.write_text(self._HEADER + body)
+        assert load_raster(str(p)).values.tolist() == want
+
+    def test_values_bit_equal_to_float(self, tmp_path):
+        tokens = ["nan", "-0.0", "4.9e-324", ".5", "1.", "1e308", "-inf", "0.1",
+                  "2.2250738585072014e-308", "9007199254740993", "1E5", "+3"]
+        rng = np.random.default_rng(3)
+        rows = [tokens] + [[repr(v) for v in (rng.standard_normal(12) * 10.0 ** k).tolist()]
+                           for k in range(-5, 6)]
+        p = tmp_path / "r.asc"
+        p.write_text(f"ncols 12\nnrows {len(rows)}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                     "nodata_value -9999\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+        got = load_raster(str(p)).values
+        want = np.array([[float(t) for t in r] for r in rows])
+        assert got.shape == (len(rows), 12) and got.tobytes() == want.tobytes()
+
 
 class TestPartitionIO:
     def _one(self):
@@ -316,3 +445,31 @@ class TestFeatureSet:
         fs = FeatureSet([Feature("a", Point(0, 0)), Feature("b", Point(1, 1))], ["v"])
         sub = fs.subset([1])
         assert sub.ids() == ["b"] and sub.columns == ["v"]
+
+    def _points(self):
+        from gridchop.dataio import Feature
+
+        return FeatureSet([Feature("a", Point(0.5, -1.0), {"v": 1}),
+                           Feature("b", Point(2.0, 3.0), {"v": "x", "w": 2.5}),
+                           Feature("c", Point(-0.0, 1e-300), {"v": 3.0})], ["v", "w"])
+
+    def test_point_bounds(self):
+        b = self._points().bounds()
+        assert b.dtype == np.float64 and b.shape == (3, 4)
+        assert b.tolist() == [[0.5, -1.0, 0.5, -1.0], [2.0, 3.0, 2.0, 3.0],
+                              [-0.0, 1e-300, -0.0, 1e-300]]
+        assert FeatureSet([]).bounds().shape == (0, 4)
+
+    @pytest.mark.parametrize("index", [[2, 0], np.array([2, 0]), [1], [], np.array([], int)])
+    @pytest.mark.parametrize("bounds_first", [False, True])
+    def test_point_subset(self, index, bounds_first):
+        fs = self._points()
+        if bounds_first:
+            fs.bounds()
+        sub = fs.subset(index)
+        want = [fs.features[i] for i in list(index)]
+        assert sub.ids() == [f.id for f in want] and sub.columns == ["v", "w"]
+        assert [f.geometry for f in sub.features] == [f.geometry for f in want]
+        assert [f.attributes for f in sub.features] == [f.attributes for f in want]
+        assert sub.bounds().tolist() == fs.bounds()[list(index)].tolist()
+        assert sub.geometry_kind() == ("point" if len(want) else "empty")

@@ -7,11 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from gridchop.dataio import Feature, FeatureSet, save_partitions
+from gridchop.dataio import Feature, FeatureSet, load_features, save_partitions
 from gridchop.errors import InvalidInputError, InvalidParameterError
-from gridchop.geom import BBox, Point, make_polygon
+from gridchop.geom import BBox, Point, Polyline, make_polygon
 from gridchop.partition import (
+    Chunk,
     GridSpec,
+    PartitionSet,
     assign_to_partition,
     build_partition,
     group_by_hierarchy,
@@ -21,6 +23,7 @@ from gridchop.partition import (
     make_regular_grid,
     representative_point,
 )
+from scalar_reference import assign_to_partition as assign_loop
 
 
 def point_set(coords, attrs=None):
@@ -273,6 +276,50 @@ class TestAssignToPartition:
         out = assign_to_partition(point_set([(10.0, 10.0)]), parts)
         assert out.chunks[3].member_ids == ["p0"]
 
+    @staticmethod
+    def _cores(*boxes):
+        # chunk ids descend, so the owner and tie rules must sort by id
+        n = len(boxes)
+        return PartitionSet("grid", 0.5, [
+            Chunk(n - 1 - k, BBox(*b), BBox(*b).expand(0.5)) for k, b in enumerate(boxes)])
+
+    @pytest.mark.parametrize("case", ["lattice", "degenerate", "equidistant", "overlap"])
+    def test_matches_reference_loop(self, case):
+        rng = np.random.default_rng(7)
+        if case == "lattice":
+            # points on every core edge, on the global max edges, outside every core
+            parts = make_regular_grid(BBox(0, 0, 4, 3), 4, 3, 0.25)
+            coords = [(x / 2, y / 2) for x in range(-2, 11) for y in range(-2, 9)]
+            coords += [tuple(v) for v in rng.uniform(-1, 5, (200, 2)).tolist()]
+        elif case == "degenerate":
+            # zero-width, zero-height and single-point cores own exact matches only
+            parts = self._cores((0, 0, 0, 2), (0, 2, 3, 2), (1, 1, 1, 1), (1, 0, 3, 2))
+            coords = [(0, 0), (0, 1), (0, 2), (1, 2), (3, 2), (1, 1), (2, 1), (3, 0),
+                      (0.5, 1), (4, 4), (-1, 1), (1, 1.5), (3, 1)]
+        elif case == "equidistant":
+            # outside points equidistant from two or four core centres
+            parts = self._cores((0, 0, 1, 1), (2, 0, 3, 1), (0, 2, 1, 3), (2, 2, 3, 3))
+            coords = [(1.5, 0.5), (1.5, 2.5), (0.5, 1.5), (1.5, 1.5), (1.5, -5), (9, 9)]
+        else:
+            # overlapping cores: the lowest chunk id that owns the point wins
+            parts = self._cores((0, 0, 2, 2), (1, 1, 3, 3), (0, 0, 3, 3))
+            coords = [(1.5, 1.5), (0.5, 0.5), (2.5, 2.5), (3, 3), (2, 2), (3, 0)]
+        pts = point_set(coords)
+        got, want = assign_to_partition(pts, parts), assign_loop(pts, parts)
+        assert [(c.chunk_id, c.core, c.padded, c.member_ids) for c in got.chunks] == [
+            (c.chunk_id, c.core, c.padded, c.member_ids) for c in want.chunks]
+        assert sum(len(c.member_ids) for c in got.chunks) == len(coords)
+
+    def test_lines_and_polygons_use_first_vertex(self):
+        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2, 0.0)
+        feats = FeatureSet([
+            Feature("l", Polyline([Point(1.5, 0.5), Point(0.1, 0.1)])),
+            Feature("q", make_polygon([[Point(0.5, 1.5), Point(0.9, 1.5), Point(0.9, 1.9)]])),
+        ])
+        got, want = assign_to_partition(feats, parts), assign_loop(feats, parts)
+        assert [c.member_ids for c in got.chunks] == [c.member_ids for c in want.chunks]
+        assert [c.member_ids for c in got.chunks] == [[], ["l"], ["q"], []]
+
 
 class TestHierarchy:
     def test_attribute_groups(self):
@@ -294,6 +341,15 @@ class TestHierarchy:
         pts = point_set([(0, 0), (1, 1)])
         groups = group_by_hierarchy(pts, regions=regions, regions_id="ST")
         assert groups == [("37", ["p0", "p1"])]
+
+    def test_keys_are_str_of_parsed_values(self, tmp_path):
+        # CSV values parse to int, float or str; a group key is str() of that
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,k\na,0,0,12\nb,1,0,12.0\nc,2,0,1e2\nd,3,0,12\ne,4,0,x1\n"
+                     "f,5,0,+12\n")
+        groups = group_by_hierarchy(load_features(str(p)), key="k")
+        assert groups == [("100.0", ["c"]), ("12", ["a", "d", "f"]), ("12.0", ["b"]),
+                          ("x1", ["e"])]
 
     def test_unassigned_bucket(self):
         small = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]])
