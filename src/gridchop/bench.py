@@ -71,12 +71,11 @@ def synth_dataset(s: SynthSpec) -> tuple[FeatureSet, FeatureSet, Raster]:
     px = rng.uniform(ext.xmin, ext.xmax, s.n_points)
     py = rng.uniform(ext.ymin, ext.ymax, s.n_points)
     pv = rng.uniform(0.0, 100.0, s.n_points)
-    points = FeatureSet(
-        [
-            Feature(f"p{i}", Point(float(px[i]), float(py[i])), {"v": float(pv[i])})
-            for i in range(s.n_points)
-        ],
-        ["v"],
+    points = FeatureSet.from_columns(
+        [f"p{i}" for i in range(s.n_points)],
+        np.column_stack([px, py]),
+        attributes={"v": pv.tolist()},
+        columns=["v"],
     )
     if s.raster_kind == "categorical":
         cells = rng.integers(0, s.n_categories, (s.raster_nrows, s.raster_ncols)).astype(float)

@@ -225,8 +225,8 @@ def cmd_synth(args) -> int:
     points, lines, raster = bench_mod.synth_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
     rows = [
-        {"id": f.id, "x": f.geometry.x, "y": f.geometry.y, "v": f.attributes["v"]}
-        for f in points.features
+        {"id": fid, "x": x, "y": y, "v": v}
+        for fid, (x, y), v in zip(points.ids(), points.xy.tolist(), points.attributes["v"])
     ]
     dataio.save_table(dataio.ResultTable(["id", "x", "y", "v"], rows),
                       os.path.join(args.out, "points.csv"))
@@ -236,13 +236,13 @@ def cmd_synth(args) -> int:
         "features": [
             {
                 "type": "Feature",
-                "properties": {"id": f.id},
+                "properties": {"id": fid},
                 "geometry": {
                     "type": "LineString",
-                    "coordinates": [[v.x, v.y] for v in f.geometry.vertices],
+                    "coordinates": [[v.x, v.y] for v in line.vertices],
                 },
             }
-            for f in lines.features
+            for fid, line in zip(lines.ids(), lines.geometries)
         ],
     }
     with open(os.path.join(args.out, "lines.geojson"), "w") as fh:

@@ -12,13 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LoadError
-from .geom import BBox, Geometry, Point, Polygon, Polyline, bbox_of, make_polygon
+from .errors import InvalidParameterError, LoadError
+from .geom import BBox, Geometry, Point, Polyline, bbox_of, make_polygon
 from .raster import Raster
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -54,51 +56,141 @@ class Feature:
     attributes: dict = field(default_factory=dict)
 
 
-@dataclass
+MISSING = object()  # the attribute value of a feature that lacks the key
+
+
+def _float(value, column: str) -> float:
+    if value is MISSING:
+        raise KeyError(column)
+    return float(value)
+
+
 class FeatureSet:
-    features: list[Feature]
-    columns: list[str] = field(default_factory=list)
+    """Features stored by column, in file order.
+
+    Ids are one list of str. A point set keeps its coordinates as one
+    (n, 2) float64 array `xy` (and `geometries` is None); lines and polygons
+    keep one geometry object per feature in `geometries` (and `xy` is None).
+    Attributes are one list of values per column in `attributes`, with
+    MISSING where a feature lacks the key. `columns` lists the attribute
+    columns as read (a repeated CSV header name appears twice).
+
+    A list of Features is converted once; `features` builds them back on
+    each access, as a read-only view.
+    """
+
+    def __init__(self, features: list[Feature] = (), columns: list[str] | None = None):
+        features = list(features)
+        geoms = [f.geometry for f in features]
+        keys = dict.fromkeys(k for f in features for k in f.attributes)
+        xy = None
+        if all(isinstance(g, Point) for g in geoms):
+            xy, geoms = np.array([(g.x, g.y) for g in geoms], dtype=np.float64), None
+        self._fill(
+            [f.id for f in features],
+            xy,
+            geoms,
+            {k: [f.attributes.get(k, MISSING) for f in features] for k in keys},
+            columns,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: list[str],
+        xy: np.ndarray | None = None,
+        geometries: list[Geometry] | None = None,
+        attributes: dict[str, list] | None = None,
+        columns: list[str] | None = None,
+    ) -> "FeatureSet":
+        """A set over columns as they are: points by `xy`, else `geometries`."""
+        fs = cls.__new__(cls)
+        fs._fill(ids, xy, geometries, attributes or {}, columns)
+        return fs
+
+    def _fill(self, ids, xy, geometries, attributes, columns):
+        if not ids:  # every empty set is an empty point set
+            xy, geometries = np.zeros((0, 2)), None
+        self._ids = ids
+        self.xy = xy
+        self.geometries = geometries
+        self.attributes = attributes
+        self.columns = list(columns or [])
+        self._bounds = None
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self._ids)
 
     def ids(self) -> list[str]:
-        return [f.id for f in self.features]
+        return self._ids
+
+    @property
+    def features(self) -> list[Feature]:
+        geoms = self.geometries
+        if geoms is None:
+            geoms = [Point(x, y) for x, y in self.xy.tolist()]
+        cols = list(self.attributes.items())
+        return [
+            Feature(fid, g, {k: col[i] for k, col in cols if col[i] is not MISSING})
+            for i, (fid, g) in enumerate(zip(self._ids, geoms))
+        ]
 
     def geometry_kind(self) -> str:
-        if not self.features:
+        if not self._ids:
             return "empty"
-        g = self.features[0].geometry
+        if self.geometries is None:
+            return "point"
+        g = self.geometries[0]
         if isinstance(g, Point):
             return "point"
         if isinstance(g, Polyline):
             return "line"
         return "polygon"
 
-    def subset(self, indices: list[int]) -> "FeatureSet":
-        sub = FeatureSet([self.features[i] for i in indices], list(self.columns))
-        cached = self.__dict__.get("_bounds")
-        if cached is not None and len(cached) == len(self.features):
-            sub.__dict__["_bounds"] = cached[indices]  # a clipped context keeps its boxes
+    def floats(self, column: str, rows: list[int] | None = None) -> np.ndarray:
+        """float() of each value of an attribute column (of `rows` only, if
+        given). The first bad value raises what a per-feature lookup would:
+        KeyError(column) where the feature lacks the key, else float()'s error."""
+        values = self.attributes.get(column)
+        if values is None:
+            if len(self) if rows is None else len(rows):
+                raise KeyError(column)
+            return np.zeros(0)
+        if rows is not None:
+            values = [values[i] for i in rows]
+        try:
+            return np.fromiter(map(float, values), np.float64, len(values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return np.array([_float(v, column) for v in values], dtype=np.float64)
+
+    def subset(self, indices) -> "FeatureSet":
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        sub = FeatureSet.from_columns(
+            [self._ids[i] for i in rows],
+            None if self.xy is None else self.xy[idx],
+            None if self.geometries is None else [self.geometries[i] for i in rows],
+            {k: [col[i] for i in rows] for k, col in self.attributes.items()},
+            self.columns,
+        )
+        if self._bounds is not None:
+            sub._bounds = self._bounds[idx]  # a clipped context keeps its boxes
         return sub
 
-    def bounds(self) -> "np.ndarray":
+    def bounds(self) -> np.ndarray:
         """(n, 4) xmin, ymin, xmax, ymax of each feature's bbox, cached on first
         use. Built in the parent before forking, workers clip by bbox with one
-        vectorized mask, without touching every Feature."""
-        cached = self.__dict__.get("_bounds")
-        if cached is None or len(cached) != len(self.features):
-            rows = []
-            for f in self.features:
-                g = f.geometry
-                if isinstance(g, Point):
-                    rows.append((g.x, g.y, g.x, g.y))
-                else:
-                    b = bbox_of(g)
-                    rows.append((b.xmin, b.ymin, b.xmax, b.ymax))
-            cached = np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-            self.__dict__["_bounds"] = cached
-        return cached
+        vectorized mask."""
+        if self._bounds is None:
+            if self.xy is not None:
+                self._bounds = np.concatenate([self.xy, self.xy], axis=1)
+            else:
+                boxes = [bbox_of(g) for g in self.geometries]
+                self._bounds = np.array(
+                    [(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], dtype=np.float64
+                ).reshape(-1, 4)
+        return self._bounds
 
 
 @dataclass
@@ -117,6 +209,8 @@ class ResultTable:
 
 
 def _check_ids(ids: list[str], where: str):
+    if all(ids) and len(set(ids)) == len(ids):
+        return
     seen = set()
     for i, fid in enumerate(ids):
         if not fid:
@@ -127,8 +221,6 @@ def _check_ids(ids: list[str], where: str):
 
 
 def _geojson_geometry(gtype: str, coords) -> Geometry:
-    if gtype == "Point":
-        return Point(float(coords[0]), float(coords[1]))
     if gtype == "LineString":
         return Polyline([Point(float(x), float(y)) for x, y in coords])
     if gtype == "Polygon":
@@ -142,6 +234,90 @@ def _geojson_geometry(gtype: str, coords) -> Geometry:
     raise LoadError(f"unsupported GeoJSON geometry type {gtype!r}")
 
 
+def _raise_row_error(path: str, rows: list[list], xi: int, yi: int, attr_index):
+    """Raise the LoadError of the first bad row. Inside a row a bad coordinate
+    comes first, then a missing attribute value, then a non-finite coordinate."""
+    for i, row in enumerate(rows):
+        try:
+            x, y = float(row[xi]), float(row[yi])
+        except (TypeError, ValueError):
+            raise LoadError(f"{path}: bad coordinates at row {i + 2}")
+        for c, j in attr_index:
+            if row[j] is None:
+                raise LoadError(f"{path}: missing value for column {c!r} at row {i + 2}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise LoadError(f"{path}: non-finite coordinates ({x}, {y}) at row {i + 2}")
+    raise AssertionError("no bad row")
+
+
+def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> FeatureSet:
+    """A point set from CSV, column by column: no object per row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # a repeated header name reads its last column
+        index = {c: j for j, c in enumerate(header)}
+        for col in (id_column, x_column, y_column):
+            if col not in index:
+                raise LoadError(f"{path}: missing column {col!r}")
+        rows = [r for r in reader if r]  # blank lines are skipped
+    attr_cols = [c for c in header if c not in (id_column, x_column, y_column)]
+    width, n = len(header), len(rows)
+    if rows and min(map(len, rows)) < width:  # missing trailing fields read as None
+        rows = [r + [None] * (width - len(r)) for r in rows]
+    cols = list(zip(*rows)) if rows else [()] * width
+    xi, yi = index[x_column], index[y_column]
+    xy = np.empty((n, 2))
+    try:
+        xy[:, 0] = np.fromiter(map(float, cols[xi]), np.float64, n)
+        xy[:, 1] = np.fromiter(map(float, cols[yi]), np.float64, n)
+        attributes = {c: list(map(parse_scalar, cols[index[c]])) for c in dict.fromkeys(attr_cols)}
+        ok = bool(np.isfinite(xy).all())
+    except (TypeError, ValueError):  # float() of a bad token or None, parse_scalar(None)
+        ok = False
+    if not ok:
+        _raise_row_error(path, rows, xi, yi, [(c, index[c]) for c in attr_cols])
+    ids = list(cols[index[id_column]])
+    _check_ids(ids, path)
+    return FeatureSet.from_columns(ids, xy, None, attributes, attr_cols)
+
+
+def _load_geojson(path: str, id_column: str) -> FeatureSet:
+    """Points go to one coordinate array; lines and polygons stay objects."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("type") != "FeatureCollection":
+        raise LoadError(f"{path}: not a FeatureCollection")
+    ids, geoms, props = [], [], []
+    attr_cols: dict[str, None] = {}
+    for i, f in enumerate(doc.get("features", [])):
+        geom = f.get("geometry") or {}
+        gtype, coords = geom.get("type"), geom.get("coordinates")
+        if gtype == "Point":
+            g = (float(coords[0]), float(coords[1]))
+            if not (math.isfinite(g[0]) and math.isfinite(g[1])):
+                raise InvalidParameterError(f"non-finite point coordinates ({g[0]}, {g[1]})")
+        else:
+            try:
+                g = _geojson_geometry(gtype, coords)
+            except LoadError as e:
+                raise LoadError(f"{path}: feature {i}: {e}")
+        p = dict(f.get("properties") or {})
+        if id_column not in p:
+            raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
+        ids.append(str(p.pop(id_column)))
+        attr_cols.update(dict.fromkeys(p))
+        geoms.append(g)
+        props.append(p)
+    _check_ids(ids, path)
+    attributes = {c: [p.get(c, MISSING) for p in props] for c in attr_cols}
+    if all(isinstance(g, tuple) for g in geoms):
+        xy = np.array(geoms, dtype=np.float64).reshape(-1, 2)
+        return FeatureSet.from_columns(ids, xy, None, attributes, list(attr_cols))
+    geoms = [Point(*g) if isinstance(g, tuple) else g for g in geoms]
+    return FeatureSet.from_columns(ids, None, geoms, attributes, list(attr_cols))
+
+
 def load_features(
     path: str,
     format: str = "csv",
@@ -151,57 +327,9 @@ def load_features(
 ) -> FeatureSet:
     """Load features in file order; numeric attributes parsed when lossless."""
     if format == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            # a repeated header name reads its last column
-            index = {c: j for j, c in enumerate(header)}
-            for col in (id_column, x_column, y_column):
-                if col not in index:
-                    raise LoadError(f"{path}: missing column {col!r}")
-            attr_cols = [c for c in header if c not in (id_column, x_column, y_column)]
-            ii, xi, yi = index[id_column], index[x_column], index[y_column]
-            feats = []
-            for i, row in enumerate(r for r in reader if r):  # blank lines are skipped
-                if len(row) < len(header):  # missing trailing fields read as None
-                    row += [None] * (len(header) - len(row))
-                try:
-                    x = float(row[xi])
-                    y = float(row[yi])
-                except (TypeError, ValueError):
-                    raise LoadError(f"{path}: bad coordinates at row {i + 2}")
-                try:
-                    attrs = {c: parse_scalar(row[index[c]]) for c in attr_cols}
-                except TypeError:  # a short row: None for a value (a missing id: _check_ids)
-                    c = next(c for c in attr_cols if row[index[c]] is None)
-                    raise LoadError(f"{path}: missing value for column {c!r} at row {i + 2}")
-                feats.append(Feature(row[ii], Point(x, y), attrs))
-        _check_ids([f.id for f in feats], path)
-        return FeatureSet(feats, attr_cols)
+        return _load_csv(path, id_column, x_column, y_column)
     if format == "geojson":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("type") != "FeatureCollection":
-            raise LoadError(f"{path}: not a FeatureCollection")
-        feats = []
-        attr_cols: list[str] = []
-        for i, f in enumerate(doc.get("features", [])):
-            geom = f.get("geometry") or {}
-            gtype = geom.get("type")
-            try:
-                g = _geojson_geometry(gtype, geom.get("coordinates"))
-            except LoadError as e:
-                raise LoadError(f"{path}: feature {i}: {e}")
-            props = dict(f.get("properties") or {})
-            if id_column not in props:
-                raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
-            fid = str(props.pop(id_column))
-            for k in props:
-                if k not in attr_cols:
-                    attr_cols.append(k)
-            feats.append(Feature(fid, g, props))
-        _check_ids([f.id for f in feats], path)
-        return FeatureSet(feats, attr_cols)
+        return _load_geojson(path, id_column)
     raise LoadError(f"unknown feature format {format!r}")
 
 
@@ -230,18 +358,32 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
         raise LoadError(f"{path}: missing header keys {missing} (line {idx + 1})")
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
-    values = np.empty((nrows, ncols), dtype=np.float64)
-    for r in range(nrows):
-        lineno = idx + r + 1
-        if idx + r >= len(lines):
-            raise LoadError(f"{path}: missing data line {lineno}")
-        parts = lines[idx + r].split()
-        if len(parts) != ncols:
-            raise LoadError(f"{path}: line {lineno}: expected {ncols} values, got {len(parts)}")
+    values = None
+    if nrows > 0 and ncols > 0 and idx + nrows <= len(lines):
         try:
-            values[r, :] = [float(p) for p in parts]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns about an empty body
+                values = np.loadtxt(
+                    lines[idx : idx + nrows], dtype=np.float64, comments=None, ndmin=2
+                )
         except ValueError:
-            raise LoadError(f"{path}: line {lineno}: non-numeric value")
+            pass
+    if values is None or values.shape != (nrows, ncols):
+        # one line at a time, for the error message (loadtxt also skips blank lines)
+        values = np.empty((nrows, ncols), dtype=np.float64)
+        for r in range(nrows):
+            lineno = idx + r + 1
+            if idx + r >= len(lines):
+                raise LoadError(f"{path}: missing data line {lineno}")
+            parts = lines[idx + r].split()
+            if len(parts) != ncols:
+                raise LoadError(
+                    f"{path}: line {lineno}: expected {ncols} values, got {len(parts)}"
+                )
+            try:
+                values[r, :] = [float(p) for p in parts]
+            except ValueError:
+                raise LoadError(f"{path}: line {lineno}: non-numeric value")
     return Raster(
         ncols=ncols,
         nrows=nrows,

@@ -25,7 +25,7 @@ import numpy as np
 from . import geoops
 from .dataio import FeatureSet, ResultTable, load_raster
 from .errors import GridchopError, InvalidParameterError, LoadError
-from .geom import BBox, bbox_of
+from .geom import BBox
 from .partition import PartitionSet, group_by_hierarchy  # noqa: F401  (re-export)
 from .raster import Raster
 
@@ -137,7 +137,7 @@ def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
     b = fs.bounds()
     keep = (b[:, 0] <= box.xmax) & (b[:, 2] >= box.xmin)
     keep &= (b[:, 1] <= box.ymax) & (b[:, 3] >= box.ymin)
-    return fs.subset(np.nonzero(keep)[0].tolist())
+    return fs.subset(np.nonzero(keep)[0])
 
 
 def _run_chunk(job: Job) -> ChunkResult:
@@ -355,14 +355,19 @@ def run_hierarchy(
     raster_kind: str = "continuous",
 ) -> ResultTable:
     """One chunk per hierarchy group; merge ordered by group key."""
-    geometry = {f.id: f.geometry for f in _anchors(task).features}
+    anchors = _anchors(task)
+    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
+    bounds = anchors.bounds()
     radius = interaction_radius(task) or 0.0
     jobs = []
     for cid, (key, member_ids) in enumerate(sorted(groups, key=lambda g: g[0])):
         # the context clip: the members' bbox, expanded by the op's radius
         # (ids that are not anchors are reported by _run's plan check)
-        boxes = [bbox_of(geometry[fid]) for fid in member_ids if fid in geometry]
-        box = BBox.union(boxes).expand(radius) if boxes else None
+        rows = [index_of[fid] for fid in member_ids if fid in index_of]
+        box = None
+        if rows:
+            lo, hi = bounds[rows, :2].min(axis=0).tolist(), bounds[rows, 2:].max(axis=0).tolist()
+            box = BBox(*lo, *hi).expand(radius)
         jobs.append(Job(cid, member_ids, box, {"group": key}))
     return _run(task, jobs, cfg, id_column, raster_kind)
 

@@ -80,8 +80,7 @@ def _finish_freq_table(id_column: str, rows: list[dict]) -> ResultTable:
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    px = np.array([f.geometry.x for f in fs.features], dtype=np.float64)
-    py = np.array([f.geometry.y for f in fs.features], dtype=np.float64)
+    px, py = np.ascontiguousarray(fs.xy.T)
     return px, py
 
 
@@ -192,9 +191,10 @@ def extract_at(
     if kind == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     ids = y.ids()
+    # a count is one column: the covered weight, 0.0 where no valid cell is covered
+    value_cols = [] if stat.kind == "count" else [stat.kind]
     if kind == "empty":
-        cols = [id_column, "value" if radius == 0 else stat.kind, "count"]
-        return ResultTable(cols, [])
+        return ResultTable([id_column, *(["value"] if radius == 0 else value_cols), "count"], [])
 
     if kind == "point" and radius == 0:
         px, py = _point_arrays(y)
@@ -225,7 +225,7 @@ def extract_at(
         for i, fid in enumerate(ids):
             v = None if math.isnan(res[i]) else float(res[i])
             rows_out.append({id_column: fid, stat.kind: v, "count": float(counts[i])})
-        return ResultTable([id_column, stat.kind, "count"], rows_out)
+        return ResultTable([id_column, *value_cols, "count"], rows_out)
 
     # polygons
     if radius > 0:
@@ -242,21 +242,20 @@ def extract_at(
             if (hi - lo + 1) * nr2 * nc2 > _BATCH_ELEMS:
                 break
             hi, nr, nc = hi + 1, nr2, nc2
-        feats = y.features[lo:hi]
-        cells = covered_cells(x, [f.geometry for f in feats], wins[lo:hi])
-        for feat, (rows, cols, w) in zip(feats, cells):
+        cells = covered_cells(x, y.geometries[lo:hi], wins[lo:hi])
+        for fid, (rows, cols, w) in zip(ids[lo:hi], cells):
             sr = cell_stat(x, rows, cols, w, stat)
-            row = {id_column: feat.id, "count": sr.count}
+            row = {id_column: fid, "count": sr.count}
             if stat.kind == "frequency":
                 for cat, wsum in (sr.frequency or {}).items():
                     row[freq_column(cat)] = wsum
-            else:
+            elif value_cols:
                 row[stat.kind] = sr.value
             rows_out.append(row)
         lo = hi
     if stat.kind == "frequency":
         return _finish_freq_table(id_column, rows_out)
-    return ResultTable([id_column, stat.kind, "count"], rows_out)
+    return ResultTable([id_column, *value_cols, "count"], rows_out)
 
 
 # --- polygon/polygon intersection via trapezoid decomposition -----------
@@ -419,8 +418,8 @@ def summarize_aw(
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
     if targets.geometry_kind() != "polygon" or sources.geometry_kind() != "polygon":
         raise InvalidInputError("summarize_aw requires polygon inputs")
-    tpolys = [f.geometry for f in targets.features]
-    spolys = [f.geometry for f in sources.features]
+    tpolys, spolys = targets.geometries, sources.geometries
+    tids = targets.ids()
     tb, sb = targets.bounds(), sources.bounds()
     cols = [f"{c}_{stat}" for c in value_columns]
     rows_out = []
@@ -444,13 +443,12 @@ def summarize_aw(
         if stat == "sum":
             aij = aij / np.array([polygon_area(spolys[j]) for j in si.tolist()])
         nums = [
-            np.bincount(ti, minlength=len(t), weights=aij * np.array(
-                [float(sources.features[j].attributes[c]) for j in si.tolist()])).tolist()
+            np.bincount(ti, minlength=len(t), weights=aij * sources.floats(c, si.tolist())).tolist()
             for c in value_columns
         ]
         for k, total in enumerate(inter):
             tarea = polygon_area(tpolys[lo + k])
-            row = {id_column: targets.features[lo + k].id,
+            row = {id_column: tids[lo + k],
                    "coverage": total / tarea if tarea > 0 else 0.0}
             for oc, num in zip(cols, nums):
                 row[oc] = (num[k] / total if stat == "mean" else num[k]) if total > 0.0 else None
@@ -474,9 +472,8 @@ def summarize_sedc(
     cols = [f"{c}_sedc" for c in value_columns]
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
-    svals = {
-        c: np.array([float(f.attributes[c]) for f in sources.features]) for c in value_columns
-    }
+    svals = {c: sources.floats(c) for c in value_columns}
+    tids = targets.ids()
     rows_out = []
     block = max(1, _PAIR_ELEMS // max(1, len(sources)))
     for lo in range(0, len(targets), block):
@@ -487,7 +484,7 @@ def summarize_sedc(
         terms = [svals[c][si] * w for c in value_columns]
         ends = np.cumsum(np.bincount(ti, minlength=len(d))).tolist()
         for k, (start, end) in enumerate(zip([0, *ends], ends)):
-            row = {id_column: targets.features[lo + k].id, "count": end - start}
+            row = {id_column: tids[lo + k], "count": end - start}
             for oc, t in zip(cols, terms):
                 # the sum of the target's own slice has the same bits as the
                 # sum of its terms alone (np.add.reduceat rounds differently)
@@ -496,22 +493,23 @@ def summarize_sedc(
     return ResultTable([id_column, *cols, "count"], rows_out)
 
 
-def _segments_of(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """All segments of a line/point FeatureSet as (S,4) coords + owner ids."""
+def _segments_of(fs: FeatureSet) -> tuple[np.ndarray, list[str]]:
+    """All segments of a line/point FeatureSet as (S, 4) coords + owner ids;
+    a point is one zero-length segment."""
+    if fs.xy is not None:
+        return fs.bounds(), fs.ids()
     segs = []
     owners = []
-    for feat in fs.features:
-        g = feat.geometry
+    for fid, g in zip(fs.ids(), fs.geometries):
         if isinstance(g, Point):
             segs.append((g.x, g.y, g.x, g.y))
-            owners.append(feat.id)
+            owners.append(fid)
         else:
             verts = g.vertices if not isinstance(g, Polygon) else g.outer.vertices
             for a, b in zip(verts, verts[1:]):
                 segs.append((a.x, a.y, b.x, b.y))
-                owners.append(feat.id)
-    arr = np.array(segs, dtype=np.float64).reshape(-1, 4)
-    return arr, np.arange(arr.shape[0]), owners
+                owners.append(fid)
+    return np.array(segs, dtype=np.float64).reshape(-1, 4), owners
 
 
 def nearest_distance(
@@ -524,12 +522,13 @@ def nearest_distance(
         raise InvalidInputError("nearest_distance requires point anchors")
     if len(x) == 0:
         raise InvalidInputError("nearest_distance requires a non-empty context dataset")
-    segs, _, owners = _segments_of(x)
+    segs, owners = _segments_of(x)
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax
     dy = by - ay
     dd = dx * dx + dy * dy
     px, py = _point_arrays(y)
+    ids = y.ids()
     rows_out = []
     block = max(1, _PAIR_ELEMS // max(1, len(owners)))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -545,7 +544,7 @@ def nearest_distance(
             for i, j in enumerate(nearest):
                 rows_out.append(
                     {
-                        id_column: y.features[lo + i].id,
+                        id_column: ids[lo + i],
                         "distance": float(d[i, j]),
                         "nearest_feature_id": owners[j],
                     }

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import FeatureSet
+from .dataio import MISSING, FeatureSet
 from .errors import InvalidInputError, InvalidParameterError
 from .geom import BBox, Point, Polygon, Polyline, point_in_polygon
 
@@ -67,9 +67,24 @@ def representative_point(geometry) -> Point:
 
 
 def _point_coords(points: FeatureSet) -> np.ndarray:
-    if points.geometry_kind() != "point":
+    if points.geometry_kind() != "point" or points.xy is None:
         raise InvalidInputError("operation requires point geometry")
-    return np.array([[f.geometry.x, f.geometry.y] for f in points.features], dtype=np.float64)
+    return points.xy
+
+
+def _representative_xy(fs: FeatureSet) -> np.ndarray:
+    """(n, 2) representative point of each feature."""
+    if fs.xy is not None:
+        return fs.xy
+    reps = [representative_point(g) for g in fs.geometries]
+    return np.array([(p.x, p.y) for p in reps], dtype=np.float64).reshape(-1, 2)
+
+
+def _members(ids: list[str], label: np.ndarray, n: int) -> list[list[str]]:
+    """The ids labelled 0 .. n-1, each list in file order."""
+    order = np.argsort(label, kind="stable")
+    splits = np.cumsum(np.bincount(label, minlength=n))[:-1]
+    return [[ids[i] for i in rows.tolist()] for rows in np.split(order, splits)]
 
 
 def make_regular_grid(extent: BBox, nx: int, ny: int, padding: float) -> PartitionSet:
@@ -232,14 +247,11 @@ def make_merged_grid(
     chunk_of_cell = np.empty(n_cells, dtype=np.int64)
     for cid, cells in enumerate(groups):
         chunk_of_cell[cells] = cid
-    chunk_of_point = chunk_of_cell[cell_of_point]
-    # a stable sort keeps each chunk's members in file order
-    order = np.argsort(chunk_of_point, kind="stable")
-    splits = np.cumsum(np.bincount(chunk_of_point, minlength=len(groups)))[:-1]
+    members = _members(points.ids(), chunk_of_cell[cell_of_point], len(groups))
     chunks = []
-    for cid, (cells, rows) in enumerate(zip(groups, np.split(order, splits))):
+    for cid, (cells, ids) in enumerate(zip(groups, members)):
         core = BBox.union([base.chunks[c].core for c in cells])
-        chunks.append(Chunk(cid, core, core.expand(padding), [points.features[i].id for i in rows]))
+        chunks.append(Chunk(cid, core, core.expand(padding), ids))
     return PartitionSet("grid_advanced", padding, chunks)
 
 
@@ -333,16 +345,14 @@ def make_balanced_groups(points: FeatureSet, n_groups: int, padding: float) -> P
     _LAST_SSQ_TRACE = trace
 
     chunks = []
-    for g in range(k):
-        idx = np.nonzero(assign == g)[0]
-        sub = coords[idx]
+    for g, ids in enumerate(_members(points.ids(), assign, k)):
+        sub = coords[assign == g]
         core = BBox(
             float(sub[:, 0].min()),
             float(sub[:, 1].min()),
             float(sub[:, 0].max()),
             float(sub[:, 1].max()),
         )
-        ids = [points.features[int(i)].id for i in idx]
         chunks.append(Chunk(g, core, core.expand(padding), ids))
     return PartitionSet("balanced", padding, chunks)
 
@@ -358,33 +368,28 @@ def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSe
     gy = max(c.core.ymax for c in parts.chunks)
     chunks = [Chunk(c.chunk_id, c.core, c.padded, []) for c in parts.chunks]
     chunks.sort(key=lambda c: c.chunk_id)
-
-    def owns(core: BBox, p: Point) -> bool:
-        okx = core.xmin <= p.x < core.xmax or (p.x == core.xmax == gx)
-        oky = core.ymin <= p.y < core.ymax or (p.y == core.ymax == gy)
-        # Degenerate (zero-width) cores own only exact matches.
-        if core.xmax == core.xmin:
-            okx = p.x == core.xmin
-        if core.ymax == core.ymin:
-            oky = p.y == core.ymin
-        return okx and oky
-
-    for feat in anchors.features:
-        rep = representative_point(feat.geometry)
-        target = None
-        for c in chunks:
-            if owns(c.core, rep):
-                target = c
-                break
-        if target is None:
-            best = None
-            for c in chunks:
-                ctr = c.core.center()
-                d = (rep.x - ctr.x) ** 2 + (rep.y - ctr.y) ** 2
-                if best is None or d < best[0]:
-                    best = (d, c)
-            target = best[1]
-        target.member_ids.append(feat.id)
+    rep = _representative_xy(anchors)
+    x, y = rep[:, 0], rep[:, 1]
+    owner = np.full(len(rep), -1, dtype=np.intp)
+    for k, c in enumerate(chunks):
+        b = c.core
+        # degenerate (zero-width) cores own only exact matches
+        if b.xmax == b.xmin:
+            okx = x == b.xmin
+        else:
+            okx = ((b.xmin <= x) & (x < b.xmax)) | ((x == b.xmax) & (b.xmax == gx))
+        if b.ymax == b.ymin:
+            oky = y == b.ymin
+        else:
+            oky = ((b.ymin <= y) & (y < b.ymax)) | ((y == b.ymax) & (b.ymax == gy))
+        owner[(owner < 0) & okx & oky] = k  # the lowest chunk id that owns it
+    centres = [c.core.center() for c in chunks]
+    for i in np.nonzero(owner < 0)[0].tolist():
+        px, py = float(x[i]), float(y[i])
+        d = [(px - ctr.x) ** 2 + (py - ctr.y) ** 2 for ctr in centres]
+        owner[i] = d.index(min(d))  # ties to the lowest chunk id
+    for c, ids in zip(chunks, _members(anchors.ids(), owner, len(chunks))):
+        c.member_ids = ids
     return PartitionSet(parts.mode, parts.padding, chunks)
 
 
@@ -396,35 +401,28 @@ def group_by_hierarchy(
 ) -> list[tuple[str, list[str]]]:
     """Group anchors by an attribute column or by containing region polygon."""
     if key is not None:
+        values = anchors.attributes.get(key, [MISSING] * len(anchors))
         groups: dict[str, list[str]] = {}
-        for feat in anchors.features:
-            if key not in feat.attributes or feat.attributes[key] is None:
-                raise InvalidInputError(f"feature {feat.id!r} missing hierarchy column {key!r}")
-            groups.setdefault(str(feat.attributes[key]), []).append(feat.id)
+        for fid, v in zip(anchors.ids(), values):
+            if v is MISSING or v is None:
+                raise InvalidInputError(f"feature {fid!r} missing hierarchy column {key!r}")
+            groups.setdefault(str(v), []).append(fid)
         return sorted(groups.items())
     if regions is None or regions_id is None:
         raise InvalidParameterError("need either key or regions + regions_id")
     if regions.geometry_kind() != "polygon":
         raise InvalidInputError("regions must be polygons")
-    keys = []
-    groups = {}
-    for reg in regions.features:
-        rkey = str(reg.attributes.get(regions_id, reg.id))
-        if rkey not in groups:
-            keys.append(rkey)
-            groups[rkey] = []
+    values = regions.attributes.get(regions_id, [MISSING] * len(regions))
+    region_keys = [str(rid if v is MISSING else v) for rid, v in zip(regions.ids(), values)]
+    groups = {k: [] for k in region_keys}
     unassigned: list[str] = []
-    for feat in anchors.features:
-        rep = representative_point(feat.geometry)
-        placed = False
-        for reg in regions.features:
-            if point_in_polygon(rep, reg.geometry):
-                groups[str(reg.attributes.get(regions_id, reg.id))].append(feat.id)
-                placed = True
-                break
-        if not placed:
-            unassigned.append(feat.id)
-    out = [(k, groups[k]) for k in keys]
+    for fid, (x, y) in zip(anchors.ids(), _representative_xy(anchors).tolist()):
+        rep = Point(x, y)
+        key = next(
+            (k for k, g in zip(region_keys, regions.geometries) if point_in_polygon(rep, g)), None
+        )
+        (unassigned if key is None else groups[key]).append(fid)
+    out = list(groups.items())
     if unassigned:
         out.append(("UNASSIGNED", unassigned))
     return out

@@ -184,6 +184,14 @@ class TestRunCommand:
         assert rc == EXIT_INPUT and not out.exists()
         assert "'w' at row 3" in capsys.readouterr().err
 
+    def test_non_finite_csv_coordinate_load_error(self, workspace, capsys):
+        bad = workspace / "nan.csv"
+        bad.write_text("id,x,y,v\na,1,1,2\nb,nan,2,4\n")
+        rc = main(["partition", "--input", str(bad), "--out", str(workspace / "p.json")])
+        assert rc == EXIT_INPUT and not (workspace / "p.json").exists()
+        err = capsys.readouterr().err
+        assert err == f"load error: {bad}: non-finite coordinates (nan, 2.0) at row 3\n"
+
     def test_missing_x_raster_load_error(self, workspace):
         out = workspace / "nox.csv"
         rc = main([

@@ -1,6 +1,7 @@
 """Readers/writers: CSV, GeoJSON subset, ESRI ASCII grid, PartitionSet JSON."""
 
 import json
+import re
 
 import pytest
 
@@ -150,6 +151,16 @@ class TestLoadFeaturesCsv:
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,v\n" + rows)
         with pytest.raises(GridchopError, match=message):
+            load_features(str(p))
+
+    @pytest.mark.parametrize("row,xy", [("b,nan,2", "(nan, 2.0)"), ("b,1,inf", "(1.0, inf)"),
+                                        ("b,-Infinity,NaN", "(-inf, nan)")])
+    def test_non_finite_coordinates(self, tmp_path, row, xy):
+        # a load error that names the file and the row, after a skipped blank line
+        p = tmp_path / "pts.csv"
+        p.write_text(f"id,x,y\na,0,0\n\n{row}\nc,q,1\n")
+        want = f"{p}: non-finite coordinates {xy} at row 3"
+        with pytest.raises(LoadError, match=f"^{re.escape(want)}$"):
             load_features(str(p))
 
     def test_blank_lines_skipped(self, tmp_path):

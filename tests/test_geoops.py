@@ -129,6 +129,34 @@ class TestExtractAtPoints:
             extract_at(const_raster(2, 1.0), fs, radius=1.0)
 
 
+class TestCountStat:
+    def test_one_count_column(self):
+        r = const_raster(10, 1.0)
+        polys = FeatureSet([Feature("a", rect(1, 1, 3, 3))])
+        for y, radius in ((points_fs([(5.0, 5.0)]), 2.0), (polys, 0.0), (FeatureSet([]), 2.0)):
+            assert extract_at(r, y, radius=radius, stat="count").columns == ["id", "count"]
+
+    def test_no_valid_cell_counts_zero(self):
+        # a polygon and a buffered point over nodata or off the raster both count 0.0
+        r = const_raster(4, -9999.0)
+        polys = FeatureSet([Feature("a", rect(1, 1, 3, 3)), Feature("b", rect(9, 9, 10, 10))])
+        rows = extract_at(r, polys, stat="count").rows
+        rows += extract_at(r, points_fs([(2.0, 2.0), (20.0, 20.0)]), radius=1.0,
+                           stat="count").rows
+        assert [repr(row["count"]) for row in rows] == ["0.0"] * 4
+
+    def test_csv_bytes(self):
+        from gridchop.executor import TaskSpec, run_hierarchy
+
+        vals = np.full((4, 4), 2.0)
+        vals[:, 2:] = -9999.0
+        r = Raster(4, 4, 0.0, 0.0, 1.0, -9999.0, vals)
+        polys = FeatureSet([Feature("a", rect(0, 0, 1, 1)), Feature("b", rect(2.5, 0, 3.5, 1))])
+        t = run_hierarchy(TaskSpec("extract_at", r, polys, {"stat": "count"}),
+                          [("g", ["a", "b"])])
+        assert t.to_csv_bytes() == b"id,chunk_id,group,count\r\na,0,g,1.0\r\nb,0,g,0.0\r\n"
+
+
 class TestExtractAtPolygons:
     def test_full_extent_mean(self):
         vals = np.array([[1.0, 2.0], [3.0, 4.0]])
