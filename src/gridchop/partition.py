@@ -418,10 +418,10 @@ def group_by_hierarchy(
     unassigned: list[str] = []
     for fid, (x, y) in zip(anchors.ids(), _representative_xy(anchors).tolist()):
         rep = Point(x, y)
-        key = next(
+        rkey = next(
             (k for k, g in zip(region_keys, regions.geometries) if point_in_polygon(rep, g)), None
         )
-        (unassigned if key is None else groups[key]).append(fid)
+        (unassigned if rkey is None else groups[rkey]).append(fid)
     out = list(groups.items())
     if unassigned:
         out.append(("UNASSIGNED", unassigned))
