@@ -363,8 +363,10 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns about an empty body
+                # max_rows: the result is allocated once, not grown
                 values = np.loadtxt(
-                    lines[idx : idx + nrows], dtype=np.float64, comments=None, ndmin=2
+                    lines[idx : idx + nrows], dtype=np.float64, comments=None, ndmin=2,
+                    max_rows=nrows,
                 )
         except ValueError:
             pass

@@ -80,6 +80,8 @@ def _finish_freq_table(id_column: str, rows: list[dict]) -> ResultTable:
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    if fs.xy is None:  # a set that mixes points with lines or polygons
+        raise InvalidInputError("operation requires point geometry")
     px, py = np.ascontiguousarray(fs.xy.T)
     return px, py
 

@@ -163,6 +163,12 @@ class TestLoadFeaturesCsv:
         with pytest.raises(LoadError, match=f"^{re.escape(want)}$"):
             load_features(str(p))
 
+    def test_short_row_names_first_missing_column(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v,w\na,0,0,1,2\nb,1,1\n")
+        with pytest.raises(LoadError, match=r"missing value for column 'v' at row 3$"):
+            load_features(str(p))
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,v\n\na,0,0,1\n\n\nb,1,2,x\n\n")

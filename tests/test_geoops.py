@@ -9,7 +9,7 @@ import pytest
 
 from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
-from gridchop.errors import InvalidParameterError, UnsupportedGeometryError
+from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
 from gridchop.geom import Point, Polyline, buffer_point, make_polygon, polygon_area
 from gridchop.geoops import (
     SedcParams,
@@ -127,6 +127,18 @@ class TestExtractAtPoints:
         fs = FeatureSet([Feature("a", rect(0, 0, 1, 1))])
         with pytest.raises(InvalidParameterError):
             extract_at(const_raster(2, 1.0), fs, radius=1.0)
+
+
+def test_points_mixed_with_lines_rejected():
+    # a set whose first geometry is a point but that also holds a line
+    mixed = FeatureSet([Feature("a", Point(0.0, 0.0)),
+                        Feature("b", Polyline([Point(0, 0), Point(1, 1)]))])
+    pts = points_fs([(1.0, 1.0)], [1.0])
+    with pytest.raises(InvalidInputError, match="requires point geometry"):
+        nearest_distance(mixed, pts)
+    with pytest.raises(InvalidInputError, match="requires point geometry"):
+        extract_at(const_raster(2, 1.0), mixed)
+    assert nearest_distance(pts, mixed).rows[0]["nearest_feature_id"] == "b"
 
 
 class TestCountStat:

@@ -293,9 +293,12 @@ class TestAssignToPartition:
             coords += [tuple(v) for v in rng.uniform(-1, 5, (200, 2)).tolist()]
         elif case == "degenerate":
             # zero-width, zero-height and single-point cores own exact matches only
-            parts = self._cores((0, 0, 0, 2), (0, 2, 3, 2), (1, 1, 1, 1), (1, 0, 3, 2))
-            coords = [(0, 0), (0, 1), (0, 2), (1, 2), (3, 2), (1, 1), (2, 1), (3, 0),
-                      (0.5, 1), (4, 4), (-1, 1), (1, 1.5), (3, 1)]
+            # (0, 0.5) and (29, 12) lie nearer to another core's centre than to their own
+            parts = self._cores((0, 0, 0, 10), (0, 12, 30, 12), (1, 1, 1, 1), (1, 0, 3, 2),
+                                (25, 0, 30, 5))
+            coords = [(0, 0), (0, 0.5), (0, 9.5), (0, 10), (1, 2), (3, 2), (1, 1), (2, 1),
+                      (3, 0), (0.5, 1), (4, 4), (-1, 1), (1, 1.5), (3, 1), (29, 12), (0, 12),
+                      (30, 12), (30, 5), (30, 0)]
         elif case == "equidistant":
             # outside points equidistant from two or four core centres
             parts = self._cores((0, 0, 1, 1), (2, 0, 3, 1), (0, 2, 1, 3), (2, 2, 3, 3))
