@@ -261,18 +261,13 @@ def cmd_bench(args) -> int:
         n_lines=args.n_lines,
     )
     points, lines, raster = bench_mod.synth_dataset(spec)
-    if args.case == "extract":
-        radius = 3.0 * raster.cellsize
-        task = TaskSpec("extract_at", raster, points, {"radius": radius, "stat": "mean"})
-        padding = radius
-    elif args.case == "frequency":
-        radius = 3.0 * raster.cellsize
-        task = TaskSpec("extract_at", raster, points, {"radius": radius, "stat": "frequency"})
-        padding = radius
-    else:
+    if args.case == "nearest":
         task = TaskSpec("nearest_distance", lines, points, {})
-        padding = max(spec.extent.width, spec.extent.height)
-    grid = GridSpec(mode="grid", nx=args.nx, ny=args.ny, padding=padding)
+    else:
+        stat = "mean" if args.case == "extract" else "frequency"
+        params = {"radius": 3.0 * raster.cellsize, "stat": stat}
+        task = TaskSpec("extract_at", raster, points, params)
+    grid = GridSpec(mode="grid", nx=args.nx, ny=args.ny)
     workers = [int(w) for w in args.workers.split(",") if w]
     records, metrics = bench_mod.run_benchmark(
         task, grid, workers, args.repeats, case=args.case

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, LoadError
-from .geom import BBox, Geometry, Point, Polyline, bbox_of, make_polygon
+from .errors import LoadError
+from .geom import BBox, Geometry, Point, Polygon, Polyline, bbox_of, make_polygon
 from .raster import Raster
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -57,6 +57,7 @@ class Feature:
 
 
 MISSING = object()  # the attribute value of a feature that lacks the key
+_KINDS = ((Point, "point"), (Polyline, "line"), (Polygon, "polygon"))
 
 
 def _float(value, column: str) -> float:
@@ -117,6 +118,7 @@ class FeatureSet:
         self.attributes = attributes
         self.columns = list(columns or [])
         self._bounds = None
+        self._segments = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -136,16 +138,14 @@ class FeatureSet:
         ]
 
     def geometry_kind(self) -> str:
+        """"empty", "point", "line" or "polygon", from every geometry; a set
+        that mixes kinds joins them with "+" in that order, e.g. "point+polygon"."""
         if not self._ids:
             return "empty"
         if self.geometries is None:
             return "point"
-        g = self.geometries[0]
-        if isinstance(g, Point):
-            return "point"
-        if isinstance(g, Polyline):
-            return "line"
-        return "polygon"
+        types = set(map(type, self.geometries))
+        return "+".join(kind for t, kind in _KINDS if t in types)
 
     def floats(self, column: str, rows: list[int] | None = None) -> np.ndarray:
         """float() of each value of an attribute column (of `rows` only, if
@@ -191,6 +191,27 @@ class FeatureSet:
                     [(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], dtype=np.float64
                 ).reshape(-1, 4)
         return self._bounds
+
+    def segments(self) -> tuple[np.ndarray, list[str]]:
+        """(S, 4) x0, y0, x1, y1 of every segment and the id of each one's
+        feature, cached on first use: a chunk that falls back to the whole
+        context reuses them. A point is one zero-length segment."""
+        if self._segments is None:
+            if self.xy is not None:
+                self._segments = self.bounds(), self._ids
+            else:
+                segs, owners = [], []
+                for fid, g in zip(self._ids, self.geometries):
+                    if isinstance(g, Point):
+                        segs.append((g.x, g.y, g.x, g.y))
+                        owners.append(fid)
+                    else:
+                        verts = g.vertices if not isinstance(g, Polygon) else g.outer.vertices
+                        for a, b in zip(verts, verts[1:]):
+                            segs.append((a.x, a.y, b.x, b.y))
+                            owners.append(fid)
+                self._segments = np.array(segs, dtype=np.float64).reshape(-1, 4), owners
+        return self._segments
 
 
 @dataclass
@@ -296,7 +317,7 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
         if gtype == "Point":
             g = (float(coords[0]), float(coords[1]))
             if not (math.isfinite(g[0]) and math.isfinite(g[1])):
-                raise InvalidParameterError(f"non-finite point coordinates ({g[0]}, {g[1]})")
+                raise LoadError(f"{path}: feature {i}: non-finite coordinates ({g[0]}, {g[1]})")
         else:
             try:
                 g = _geojson_geometry(gtype, coords)

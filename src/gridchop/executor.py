@@ -4,8 +4,9 @@ Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. Grid and
 hierarchy jobs must own each anchor exactly once (the plan is checked before
-any chunk runs), and they share one context dataset that each job clips to
-its bbox, so merged results never need deduplication. A shared raster given
+any chunk runs), and they share one context dataset that each job clips
+around its own anchors, so merged results never need deduplication and each
+row is the row of an unpartitioned run. A shared raster given
 by path is loaded once in the parent; it and in-memory datasets reach the
 workers read-only via fork. Each multiraster job loads its own raster in its
 worker. Determinism comes from merge ordering (by chunk id), not execution
@@ -53,10 +54,8 @@ class Job:
 
     chunk_id: int
     anchor_ids: list[str]
-    context: BBox | str | None = None  # clip box over the shared context, or a raster path
+    context: str | None = None  # the job's own raster path; None: the shared context
     extra: dict = field(default_factory=dict)  # e.g. {"group": key}, on every row
-    pad_warning: bool = False  # flag every row: padding is below the op's radius
-    warn_distance: float | None = None  # flag rows whose distance exceeds this
 
 
 @dataclass
@@ -129,7 +128,7 @@ def interaction_radius(task: TaskSpec) -> float | None:
         return float(md) if md is not None else 2.0 * float(p["bandwidth"])
     if task.op == "summarize_aw":
         return 0.0
-    return None  # nearest_distance: unbounded, flagged per row instead
+    return None  # nearest_distance
 
 
 def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
@@ -140,34 +139,51 @@ def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
     return fs.subset(np.nonzero(keep)[0])
 
 
+def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_column: str):
+    """The op over the context clipped to the anchors' bbox expanded by the
+    op's radius, so each row is the row of an unclipped run. nearest_distance
+    has none: it clips to the bbox expanded by half its larger side, then
+    recomputes against the whole context every row (all of them if the clip
+    is empty) not strictly nearer than the box's edge, beyond which any
+    feature is at least that far."""
+    radius = interaction_radius(task)
+    box, clipped = None, context.subset([])
+    if len(anchors):
+        b = anchors.bounds()
+        box = BBox(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist())
+        box = box.expand(0.5 * max(box.width, box.height) if radius is None else radius)
+        clipped = _subset_by_bbox(context, box)
+    if radius is not None:
+        return _apply_op(task, clipped, anchors, id_column)
+    if len(clipped) == 0:
+        return _apply_op(task, context, anchors, id_column)
+    table = _apply_op(task, clipped, anchors, id_column)
+    x, y = anchors.xy.T
+    edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y])
+    dist = np.array([row["distance"] for row in table.rows])
+    redo = np.nonzero(~(dist < edge))[0]
+    if redo.size:
+        again = _apply_op(task, context, anchors.subset(redo), id_column)
+        for i, row in zip(redo.tolist(), again.rows):
+            table.rows[i] = row
+    return table
+
+
 def _run_chunk(job: Job) -> ChunkResult:
     task: TaskSpec = _CTX["task"]
     try:
         index_of = _CTX["index_of"]
         anchors: FeatureSet = _CTX["anchors"].subset([index_of[fid] for fid in job.anchor_ids])
         context = _CTX["context"]
-        if isinstance(job.context, str):
+        if job.context is not None:
             context = load_raster(job.context, kind=_CTX["raster_kind"])
-        elif isinstance(context, FeatureSet) and job.context is not None:
-            clipped = _subset_by_bbox(context, job.context)
-            # nearest_distance has unbounded interaction: an empty padded
-            # subset falls back to the full context (rows beyond the padding
-            # get flagged below either way)
-            if len(clipped) == 0 and task.op == "nearest_distance":
-                clipped = context
-            context = clipped
         # pad_y only changes which of task.x/task.y is the anchor side (the
         # caller resolved that); ops always take (context, anchors)
-        table = _apply_op(task, context, anchors, _CTX["id_column"])
-        rows = table.rows
-        if job.pad_warning:
-            for row in rows:
-                row["pad_warning"] = 1
-        elif job.warn_distance is not None:
-            for row in rows:
-                if row.get("distance") is not None and row["distance"] > job.warn_distance:
-                    row["pad_warning"] = 1
-        return ChunkResult(job.chunk_id, table.columns, rows)
+        if isinstance(context, FeatureSet):
+            table = _apply_clipped(task, context, anchors, _CTX["id_column"])
+        else:
+            table = _apply_op(task, context, anchors, _CTX["id_column"])
+        return ChunkResult(job.chunk_id, table.columns, table.rows)
     except Exception:
         return ChunkResult(job.chunk_id, error=traceback.format_exc(limit=4))
 
@@ -237,7 +253,6 @@ def merge_chunks(
 
     rows: list[dict] = []
     had_errors = False
-    has_warn = False
     for c in ordered:
         tags = {"chunk_id": c.chunk_id, **extra_by_chunk.get(c.chunk_id, {})}
         if c.error is not None:
@@ -252,14 +267,8 @@ def merge_chunks(
             if sorted_freq:
                 for fc in sorted_freq:
                     row.setdefault(fc, 0.0)
-            if row.get("pad_warning"):
-                has_warn = True
             rows.append(row)
     columns = [id_column, "chunk_id"] + extra_cols + value_cols
-    if has_warn or any(r.get("pad_warning") is not None for r in rows):
-        columns.append("pad_warning")
-        for r in rows:
-            r.setdefault("pad_warning", 0)
     if had_errors:
         columns.append("error")
     return ResultTable(columns, rows, had_errors=had_errors)
@@ -302,13 +311,15 @@ def _run(
     index_of = {fid: i for i, fid in enumerate(anchors.ids())}
     # jobs that name a raster path each take every anchor and no shared context
     context = None
-    if not any(isinstance(job.context, str) for job in jobs):
+    if not any(job.context is not None for job in jobs):
         _check_plan(index_of, jobs)
         context = task.y if task.pad_y else task.x
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
     elif isinstance(context, FeatureSet):
-        context.bounds()  # build the cache pre-fork, workers share it
+        # build the bbox caches pre-fork, workers share them
+        anchors.bounds()
+        context.bounds()
     _CTX = dict(
         task=task,
         id_column=id_column,
@@ -336,14 +347,8 @@ def run_grid(
     id_column: str = "id",
     raster_kind: str = "continuous",
 ) -> ResultTable:
-    """Run the task chunk-by-chunk over a PartitionSet with member assignments."""
-    radius = interaction_radius(task)
-    pad_short = radius is not None and radius > parts.padding and radius > 0
-    warn_distance = parts.padding if task.op == "nearest_distance" else None
-    jobs = [
-        Job(c.chunk_id, c.member_ids, c.padded, pad_warning=pad_short, warn_distance=warn_distance)
-        for c in parts.chunks
-    ]
+    """Run the task chunk-by-chunk over a PartitionSet; only its member ids are read."""
+    jobs = [Job(c.chunk_id, c.member_ids) for c in parts.chunks]
     return _run(task, jobs, cfg, id_column, raster_kind)
 
 
@@ -355,20 +360,10 @@ def run_hierarchy(
     raster_kind: str = "continuous",
 ) -> ResultTable:
     """One chunk per hierarchy group; merge ordered by group key."""
-    anchors = _anchors(task)
-    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
-    bounds = anchors.bounds()
-    radius = interaction_radius(task) or 0.0
-    jobs = []
-    for cid, (key, member_ids) in enumerate(sorted(groups, key=lambda g: g[0])):
-        # the context clip: the members' bbox, expanded by the op's radius
-        # (ids that are not anchors are reported by _run's plan check)
-        rows = [index_of[fid] for fid in member_ids if fid in index_of]
-        box = None
-        if rows:
-            lo, hi = bounds[rows, :2].min(axis=0).tolist(), bounds[rows, 2:].max(axis=0).tolist()
-            box = BBox(*lo, *hi).expand(radius)
-        jobs.append(Job(cid, member_ids, box, {"group": key}))
+    jobs = [
+        Job(cid, member_ids, extra={"group": key})
+        for cid, (key, member_ids) in enumerate(sorted(groups, key=lambda g: g[0]))
+    ]
     return _run(task, jobs, cfg, id_column, raster_kind)
 
 

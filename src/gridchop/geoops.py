@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from .geom import BBox, Point, Polygon, bbox_of, polygon_area
+from .geom import BBox, Polygon, bbox_of, polygon_area
 from .raster import (
     Raster,
     StatSpec,
@@ -27,7 +27,6 @@ from .raster import (
     ring_neighbour,
     window_for_bbox,
 )
-from .raster import coverage_fractions, zonal_stat  # noqa: F401  (still importable from here)
 
 # cap on the per-batch temporaries of the coverage kernel and of the polygon
 # clip, in array elements; larger blocks are no faster and only raise peak
@@ -77,6 +76,15 @@ def _finish_freq_table(id_column: str, rows: list[dict]) -> ResultTable:
         for c in cols:
             row.setdefault(c, 0.0)
     return ResultTable([id_column, *cols, "count"], rows)
+
+
+def _check_kind(fs: FeatureSet, op: str, *kinds: str) -> str:
+    """The geometry kind of fs, which must be empty or one of `kinds`."""
+    kind = fs.geometry_kind()
+    if kind != "empty" and kind not in kinds:
+        want = " or ".join(f"{k} geometry" for k in kinds)
+        raise InvalidInputError(f"{op} requires {want}, got {kind.replace('+', ' and ')}")
+    return kind
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +197,9 @@ def extract_at(
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     if stat.kind == "frequency" and x.kind != "categorical":
         raise InvalidParameterError("frequency statistic requires a categorical raster")
-    kind = y.geometry_kind()
-    if kind == "line":
+    if y.geometry_kind() == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
+    kind = _check_kind(y, "extract_at", "point", "polygon")
     ids = y.ids()
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat.kind == "count" else [stat.kind]
@@ -418,14 +426,15 @@ def summarize_aw(
     """
     if stat not in ("mean", "sum"):
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
-    if targets.geometry_kind() != "polygon" or sources.geometry_kind() != "polygon":
-        raise InvalidInputError("summarize_aw requires polygon inputs")
-    tpolys, spolys = targets.geometries, sources.geometries
+    _check_kind(targets, "summarize_aw", "polygon")
+    _check_kind(sources, "summarize_aw", "polygon")
+    # an empty set keeps no geometry list; a target over no source gets a null row
+    tpolys, spolys = targets.geometries or [], sources.geometries or []
     tids = targets.ids()
     tb, sb = targets.bounds(), sources.bounds()
     cols = [f"{c}_{stat}" for c in value_columns]
     rows_out = []
-    block = max(1, _PAIR_ELEMS // len(spolys))
+    block = max(1, _PAIR_ELEMS // max(1, len(spolys)))
     for lo in range(0, len(tpolys), block):
         t = tb[lo : lo + block, None, :]
         hit = ((sb[:, 2] >= t[..., 0]) & (sb[:, 0] <= t[..., 2])
@@ -465,11 +474,8 @@ def summarize_sedc(
     id_column: str = "id",
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    if targets.geometry_kind() not in ("point", "empty") or sources.geometry_kind() not in (
-        "point",
-        "empty",
-    ):
-        raise InvalidInputError("summarize_sedc requires point inputs")
+    _check_kind(targets, "summarize_sedc", "point")
+    _check_kind(sources, "summarize_sedc", "point")
     value_columns = list(params.value_columns)
     cols = [f"{c}_sedc" for c in value_columns]
     sx, sy = _point_arrays(sources)
@@ -495,36 +501,16 @@ def summarize_sedc(
     return ResultTable([id_column, *cols, "count"], rows_out)
 
 
-def _segments_of(fs: FeatureSet) -> tuple[np.ndarray, list[str]]:
-    """All segments of a line/point FeatureSet as (S, 4) coords + owner ids;
-    a point is one zero-length segment."""
-    if fs.xy is not None:
-        return fs.bounds(), fs.ids()
-    segs = []
-    owners = []
-    for fid, g in zip(fs.ids(), fs.geometries):
-        if isinstance(g, Point):
-            segs.append((g.x, g.y, g.x, g.y))
-            owners.append(fid)
-        else:
-            verts = g.vertices if not isinstance(g, Polygon) else g.outer.vertices
-            for a, b in zip(verts, verts[1:]):
-                segs.append((a.x, a.y, b.x, b.y))
-                owners.append(fid)
-    return np.array(segs, dtype=np.float64).reshape(-1, 4), owners
-
-
 def nearest_distance(
     y: FeatureSet,
     x: FeatureSet,
     id_column: str = "id",
 ) -> ResultTable:
     """Distance from each y point to the closest x feature (points or lines)."""
-    if y.geometry_kind() not in ("point", "empty"):
-        raise InvalidInputError("nearest_distance requires point anchors")
+    _check_kind(y, "nearest_distance", "point")
     if len(x) == 0:
         raise InvalidInputError("nearest_distance requires a non-empty context dataset")
-    segs, owners = _segments_of(x)
+    segs, owners = x.segments()
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax
     dy = by - ay

@@ -192,6 +192,36 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"load error: {bad}: non-finite coordinates (nan, 2.0) at row 3\n"
 
+    def test_non_finite_geojson_point_load_error(self, workspace, capsys):
+        bad = workspace / "nan.geojson"
+        bad.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+                       '"properties": {"id": "a"}, '
+                       '"geometry": {"type": "Point", "coordinates": [NaN, 2]}}]}')
+        rc = main(["partition", "--input", str(bad), "--out", str(workspace / "p.json")])
+        assert rc == EXIT_INPUT and not (workspace / "p.json").exists()
+        err = capsys.readouterr().err
+        assert err == f"load error: {bad}: feature 0: non-finite coordinates (nan, 2.0)\n"
+
+    def test_polygon_then_point_error_rows(self, workspace):
+        # the kind comes from every feature: the point makes every row an
+        # error that names both kinds
+        mixed = workspace / "mixed.geojson"
+        square = [[[1, 1], [3, 1], [3, 3], [1, 3], [1, 1]]]
+        mixed.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "a", "grp": "g"},
+             "geometry": {"type": "Polygon", "coordinates": square}},
+            {"type": "Feature", "properties": {"id": "b", "grp": "g"},
+             "geometry": {"type": "Point", "coordinates": [5.5, 5.5]}}]}))
+        out = workspace / "mixed.csv"
+        rc = main(["run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
+                   "--y", str(mixed), "--hierarchy", "grp", "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        lines = out.read_bytes().decode().splitlines()
+        assert lines[0] == "id,chunk_id,group,error"
+        msg = "extract_at requires point geometry or polygon geometry, got point and polygon"
+        err = f'"gridchop.errors.InvalidInputError: {msg}"'
+        assert lines[1:] == [f"a,0,g,{err}", f"b,0,g,{err}"]
+
     def test_missing_x_raster_load_error(self, workspace):
         out = workspace / "nox.csv"
         rc = main([

@@ -18,7 +18,7 @@ from gridchop.dataio import (
     write_raster,
 )
 from gridchop.errors import GridchopError, LoadError
-from gridchop.geom import BBox, Point, Polygon
+from gridchop.geom import BBox, Point, Polygon, Polyline, make_polygon
 from gridchop.partition import Chunk, PartitionSet
 from gridchop.raster import Raster
 
@@ -235,6 +235,20 @@ class TestLoadFeaturesGeoJSON:
         with pytest.raises(ValueError):
             summarize_sedc(fs, fs.subset([1, 2]),
                            SedcParams(bandwidth=1.0, value_columns=("m",)))
+
+    @pytest.mark.parametrize("xy,shown", [("[NaN, 2]", "(nan, 2.0)"),
+                                          ("[1, Infinity]", "(1.0, inf)"),
+                                          ("[-Infinity, NaN]", "(-inf, nan)")])
+    def test_non_finite_point(self, tmp_path, xy, shown):
+        # json.load accepts these literals; the load error names the file and the feature
+        p = tmp_path / "f.geojson"
+        feats = [f'{{"type": "Feature", "properties": {{"id": "{fid}"}}, '
+                 f'"geometry": {{"type": "Point", "coordinates": {c}}}}}'
+                 for fid, c in (("a", "[0, 0]"), ("b", xy))]
+        p.write_text('{"type": "FeatureCollection", "features": [' + ", ".join(feats) + "]}")
+        want = f"{p}: feature 1: non-finite coordinates {shown}"
+        with pytest.raises(LoadError, match=f"^{re.escape(want)}$"):
+            load_features(str(p), format="geojson")
 
     def test_polygon_feature(self, tmp_path):
         doc = {
@@ -455,6 +469,15 @@ class TestFeatureSet:
 
         assert FeatureSet([]).geometry_kind() == "empty"
         assert FeatureSet([Feature("a", Point(0, 0))]).geometry_kind() == "point"
+        # decided from every geometry, not the first one
+        square = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1)]])
+        line = Polyline([Point(0, 0), Point(1, 1)])
+        for geoms, kind in (([square, square], "polygon"), ([line], "line"),
+                            ([square, Point(0, 0)], "point+polygon"),
+                            ([line, Point(0, 0), line], "point+line"),
+                            ([square, line, Point(2, 2)], "point+line+polygon")):
+            fs = FeatureSet([Feature(f"f{i}", g) for i, g in enumerate(geoms)])
+            assert fs.geometry_kind() == kind
 
     def test_subset_keeps_columns(self):
         from gridchop.dataio import Feature

@@ -1,7 +1,8 @@
-"""Chunked execution: byte-identical merges, padding semantics, fault
-isolation, hierarchy and multiraster planners."""
+"""Chunked execution: byte-identical merges, rows exact for any partition,
+fault isolation, hierarchy and multiraster planners."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from gridchop.executor import (
     ChunkResult,
     RunConfig,
     TaskSpec,
+    _apply_op,
     _subset_by_bbox,
     interaction_radius,
     merge_chunks,
@@ -26,9 +28,17 @@ from gridchop.executor import (
     run_hierarchy,
     run_multirasters,
 )
-from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon
-from gridchop.partition import GridSpec, build_partition, group_by_hierarchy
+from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon, point_segment_distance
+from gridchop.partition import (
+    GridSpec,
+    assign_to_partition,
+    build_partition,
+    group_by_hierarchy,
+    make_regular_grid,
+)
 from gridchop.raster import Raster
+
+from conftest import random_star
 
 
 def points_fs(coords, values=None, extra=None):
@@ -55,6 +65,21 @@ def scatter(n=40, seed=1, lo=1.0, hi=19.0):
     xs = rng.uniform(lo, hi, n)
     ys = rng.uniform(lo, hi, n)
     return points_fs(list(zip(xs, ys)), values=rng.uniform(0, 5, n))
+
+
+def direct(task):
+    """The op on the whole datasets, with no partition and no clip."""
+    x, y = (task.y, task.x) if task.pad_y else (task.x, task.y)
+    return _apply_op(task, x, y, "id")
+
+
+def value_rows(table):
+    """(the op's own columns, {id: repr of the row's values in them}): no
+    chunk_id or group, and checked to be one row per id with no error."""
+    cols = [c for c in table.columns if c not in ("chunk_id", "group")]
+    rows = {r["id"]: repr([r.get(c) for c in cols]) for r in table.rows}
+    assert len(rows) == len(table.rows) and not table.had_errors
+    return cols, rows
 
 
 class TestTaskSpec:
@@ -108,20 +133,19 @@ class TestRunGridExtract:
         assert t.columns[:2] == ["id", "chunk_id"]
         assert {row["chunk_id"] for row in t.rows} <= {0, 1}
 
-    def test_pad_warning_when_radius_exceeds_padding(self):
+    def test_rows_exact_when_radius_exceeds_padding(self):
         pts = scatter(10)
         task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 3.0})
         parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=1.0), pts)
-        t = run_grid(task, parts)
-        assert "pad_warning" in t.columns
-        assert all(row["pad_warning"] == 1 for row in t.rows)
+        assert value_rows(run_grid(task, parts)) == value_rows(direct(task))
 
-    def test_no_pad_warning_when_padding_suffices(self):
+    def test_rows_independent_of_padding(self):
         pts = scatter(10)
         task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 1.0})
-        parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=1.0), pts)
-        t = run_grid(task, parts)
-        assert "pad_warning" not in t.columns
+        tables = [run_grid(task, build_partition(GridSpec("grid", nx=2, ny=1, padding=pad), pts))
+                  for pad in (0.0, 1.0, 100.0)]
+        assert tables[0].columns == ["id", "chunk_id", "mean", "count"]
+        assert {t.to_csv_bytes() for t in tables} == {tables[0].to_csv_bytes()}
 
 
 class TestRunGridVectorOps:
@@ -162,17 +186,18 @@ class TestRunGridVectorOps:
         assert values(5, 3) == want
         assert values(1, 3) == want
 
-    def test_nearest_pad_warning_per_row(self):
-        # nearest has unbounded interaction: rows whose distance exceeds the
-        # padding are flagged individually
+    def test_nearest_beyond_padding_exact(self):
+        # nearest has unbounded interaction: a row whose nearest feature lies
+        # beyond the padding and the clip still gets its exact distance
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])
-        lines = FeatureSet([Feature("l", Polyline([Point(0.0, 0.0), Point(0.0, 2.0)]))])
+        lines = FeatureSet([Feature("l", Polyline([Point(0.0, 0.0), Point(0.0, 2.0)])),
+                            Feature("m", Polyline([Point(9.5, 0.0), Point(9.5, 1.0)]))])
         task = TaskSpec("nearest_distance", lines, pts, {})
         parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=2.0), pts)
         t = run_grid(task, parts)
-        by_id = {row["id"]: row for row in t.rows}
-        assert by_id["p0"]["pad_warning"] == 0
-        assert by_id["p1"]["pad_warning"] == 1
+        assert t.columns == ["id", "chunk_id", "distance", "nearest_feature_id"]
+        assert [(r["id"], r["distance"], r["nearest_feature_id"]) for r in t.rows] == [
+            ("p0", 1.0, "l"), ("p1", math.sqrt(0.5 ** 2 + 8.0 ** 2), "m")]
 
     def test_pad_y_swaps_roles(self):
         # anchors on x: one output row per x feature
@@ -186,6 +211,139 @@ class TestRunGridVectorOps:
         parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=2.0), pts)
         t = run_grid(task, parts)
         assert sorted(row["id"] for row in t.rows) == sorted(pts.ids())
+
+
+def lines_fs(n, seed):
+    rng = np.random.default_rng(seed)
+    feats = []
+    for k in range(n):
+        xy = rng.uniform(2.0, 18.0, 2) + rng.uniform(-1.5, 1.5, (2 + k % 3, 2))
+        feats.append(Feature(f"l{k}", Polyline([Point(x, y) for x, y in xy.tolist()])))
+    return FeatureSet(feats)
+
+
+def tiles_fs(n=20, seed=7):
+    """n x n unit squares over [0, n]^2 with a value each."""
+    rng = np.random.default_rng(seed)
+    return FeatureSet(
+        [Feature(f"s{i}_{j}", make_polygon([[Point(i, j), Point(i + 1, j),
+                                             Point(i + 1, j + 1), Point(i, j + 1)]]),
+                 {"v": float(rng.uniform(0, 100))}) for i in range(n) for j in range(n)],
+        ["v"],
+    )
+
+
+def stars_fs(n, seed, radius):
+    rng = np.random.default_rng(seed)
+    return FeatureSet(
+        [Feature(f"t{k}", make_polygon([random_star(rng, *rng.uniform(1, 19, 2).tolist(),
+                                                    radius, 7)]))
+         for k in range(n)]
+    )
+
+
+def grid_parts(anchors, n, padding):
+    """A hand-written n x n grid over [0, 20]^2; members by representative point."""
+    return assign_to_partition(anchors, make_regular_grid(BBox(0.0, 0.0, 20.0, 20.0), n, n,
+                                                          padding))
+
+
+def brute_nearest(pt, context):
+    """(distance, ids at that distance) from point pt to the closest feature."""
+    dist = {}
+    for f in context.features:
+        g = f.geometry
+        verts = [g, g] if isinstance(g, Point) else g.vertices
+        dist[f.id] = min(point_segment_distance(pt, a, b) for a, b in zip(verts, verts[1:]))
+    best = min(dist.values())
+    return best, {fid for fid, d in dist.items() if d <= best * (1 + 1e-12)}
+
+
+def assert_nearest_exact(table, anchors, context):
+    assert not table.had_errors
+    xy = dict(zip(anchors.ids(), anchors.xy.tolist()))
+    for row in table.rows:
+        best, owners = brute_nearest(Point(*xy[row["id"]]), context)
+        assert row["distance"] == pytest.approx(best, rel=1e-12, abs=1e-12), row
+        assert row["nearest_feature_id"] in owners, row
+
+
+EXACT_CASES = {
+    "extract_buffered": lambda: TaskSpec(
+        "extract_at", grid_raster(), scatter(80, seed=11), {"radius": 2.5, "segments": 12}),
+    "sedc_maxdist": lambda: TaskSpec(
+        "summarize_sedc", scatter(200, seed=12), scatter(80, seed=13),
+        {"bandwidth": 1.0, "maxdist": 3.0, "value_columns": ["v"]}),
+    "sedc_default_maxdist": lambda: TaskSpec(
+        "summarize_sedc", scatter(200, seed=14), scatter(80, seed=15),
+        {"bandwidth": 1.5, "value_columns": ["v"]}),
+    "aw": lambda: TaskSpec(
+        "summarize_aw", tiles_fs(), stars_fs(40, 16, 1.8), {"value_columns": ["v"]}),
+    "nearest_points": lambda: TaskSpec(
+        "nearest_distance", scatter(6, seed=17), scatter(80, seed=18), {}),
+    "nearest_lines": lambda: TaskSpec(
+        "nearest_distance", lines_fs(8, 19), scatter(80, seed=20), {}),
+}
+
+
+class TestExactRows:
+    """Every row is the row of an unpartitioned run: the partition, the
+    padding and the planner change nothing."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_rows_match_unpartitioned(self, case):
+        task = EXACT_CASES[case]()
+        want = value_rows(direct(task))
+        ids = task.y.ids()
+        for n in (1, 3, 7):
+            for padding in (0.0, 100.0):
+                t = run_grid(task, grid_parts(task.y, n, padding))
+                assert value_rows(t) == want, (n, padding)
+        # interleaved groups span the whole area; grid cells as groups leave some empty
+        cells = grid_parts(task.y, 4, 0.0).chunks
+        for groups in ([("all", ids)], [(f"g{k}", ids[k::5]) for k in range(5)],
+                       [(str(c.chunk_id), c.member_ids) for c in cells]):
+            assert value_rows(run_hierarchy(task, groups)) == want, len(groups)
+        t = run_grid(task, grid_parts(task.y, 7, 0.0), RunConfig(workers=2))
+        assert value_rows(t) == want
+
+    @pytest.mark.parametrize("case", ["nearest_points", "nearest_lines"])
+    def test_nearest_matches_brute_force(self, case):
+        task = EXACT_CASES[case]()
+        assert_nearest_exact(run_grid(task, grid_parts(task.y, 7, 0.0)), task.y, task.x)
+
+    def test_aw_on_padding_zero_grid(self):
+        # targets reach past their chunk's core: a padding-0 box around the
+        # core misses sources under them
+        task = EXACT_CASES["aw"]()
+        t = run_grid(task, grid_parts(task.y, 7, 0.0))
+        assert value_rows(t) == value_rows(direct(task))
+
+    def test_aw_group_far_from_sources(self):
+        # a group whose clip holds no source gets the null rows of a target
+        # that meets no source, not an error
+        task = TaskSpec("summarize_aw", tiles_fs(5), stars_fs(20, 21, 1.0),
+                        {"value_columns": ["v"]})
+        ids = task.y.ids()
+        far = [fid for fid, b in zip(ids, task.y.bounds().tolist()) if min(b[:2]) > 6.0]
+        groups = [("far", far), ("near", [fid for fid in ids if fid not in far])]
+        t = run_hierarchy(task, groups)
+        assert value_rows(t) == value_rows(direct(task))
+        assert [(r["v_mean"], r["coverage"]) for r in t.rows if r["group"] == "far"] == [
+            (None, 0.0)] * len(far) and far
+
+    def test_nearest_by_zone(self):
+        # zones of 2 x 2 units: a line that meets a zone's bbox is often not
+        # the nearest one for every anchor in the zone
+        pts = scatter(300, seed=22, lo=0.0, hi=20.0)
+        lines = lines_fs(30, 23)
+        task = TaskSpec("nearest_distance", lines, pts, {})
+        zones = {}
+        for fid, (x, y) in zip(pts.ids(), pts.xy.tolist()):
+            zones.setdefault(f"{int(x // 2)}_{int(y // 2)}", []).append(fid)
+        t = run_hierarchy(task, sorted(zones.items()))
+        assert value_rows(t) == value_rows(direct(task))
+        assert_nearest_exact(t, pts, lines)
 
 
 class TestSubsetByBbox:
@@ -230,8 +388,9 @@ class TestFaultIsolation:
         # sedc with a value column missing from sources raises inside chunks
         pts = points_fs([(1, 1), (5, 5), (9, 9)])
         src = points_fs([(1, 1)])  # no "v" attribute
+        # maxdist 10: every anchor is in range of the source
         return TaskSpec("summarize_sedc", src, pts,
-                        {"bandwidth": 1.0, "value_columns": ["v"]})
+                        {"bandwidth": 5.0, "value_columns": ["v"]})
 
     def test_capture_errors_collects_rows(self):
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])

@@ -141,6 +141,20 @@ def test_points_mixed_with_lines_rejected():
     assert nearest_distance(pts, mixed).rows[0]["nearest_feature_id"] == "b"
 
 
+def test_points_mixed_with_polygons_rejected():
+    # a polygon first, then a point: a polygon op names both kinds
+    mixed = FeatureSet([Feature("a", rect(0, 0, 1, 1), {"v": 1.0}),
+                        Feature("b", Point(0.5, 0.5), {"v": 2.0})], ["v"])
+    polys = FeatureSet([Feature("s", rect(0, 0, 2, 2), {"v": 1.0})], ["v"])
+    both = "got point and polygon"
+    with pytest.raises(InvalidInputError, match=f"extract_at requires .*{both}"):
+        extract_at(const_raster(2, 1.0), mixed)
+    with pytest.raises(InvalidInputError, match=f"summarize_aw requires polygon geometry, {both}"):
+        summarize_aw(mixed, polys, ["v"])
+    with pytest.raises(InvalidInputError, match=f"summarize_aw requires polygon geometry, {both}"):
+        summarize_aw(polys, mixed, ["v"])
+
+
 class TestCountStat:
     def test_one_count_column(self):
         r = const_raster(10, 1.0)
