@@ -41,9 +41,7 @@ from .geom import (
     Polyline,
     Ring,
     bbox_of,
-    buffer_point,
     point_in_polygon,
-    point_segment_distance,
     polygon_area,
 )
 from .geoops import (
@@ -65,15 +63,23 @@ from .partition import (
     make_quantile_grid,
     make_regular_grid,
 )
-from .raster import (
-    CellWindow,
-    CoverageCell,
-    Raster,
-    StatSpec,
-    coverage_fractions,
-    value_at_point,
-    window_for_bbox,
-    zonal_stat,
-)
+from .raster import CellWindow, Raster, StatSpec, window_for_bbox
+
+__all__ = [
+    "BenchMetrics", "SynthSpec", "efficiency", "run_benchmark", "synth_dataset",
+    "Feature", "FeatureSet", "ResultTable", "load_features", "load_partitions", "load_raster",
+    "save_partitions", "save_table", "write_raster",
+    "GridchopError", "InvalidInputError", "InvalidParameterError", "LoadError",
+    "UnsupportedGeometryError",
+    "ChunkResult", "RunConfig", "TaskSpec", "merge_chunks", "run_grid", "run_hierarchy",
+    "run_multirasters",
+    "BBox", "Point", "Polygon", "Polyline", "Ring", "bbox_of", "point_in_polygon",
+    "polygon_area",
+    "SedcParams", "extract_at", "nearest_distance", "summarize_aw", "summarize_sedc",
+    "Chunk", "GridSpec", "PartitionSet", "assign_to_partition", "build_partition",
+    "group_by_hierarchy", "make_balanced_groups", "make_merged_grid", "make_quantile_grid",
+    "make_regular_grid",
+    "CellWindow", "Raster", "StatSpec", "window_for_bbox",
+]
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ class BenchMetrics:
     t1: float
     tn: float
     repeats: int
-    aggregation: str = "median"
 
     @property
     def speedup(self) -> float:
@@ -140,9 +139,9 @@ def run_benchmark(
     workers_list: list[int],
     repeats: int,
     case: str = "bench",
-    aggregation: str = "median",
 ) -> tuple[list[BenchRecord], list[BenchMetrics]]:
-    """Timed repeated executor runs per worker count.
+    """Timed repeated executor runs per worker count, each count's time the
+    median of its repeats.
 
     t1 comes from the workers=1 row of the same sweep (prepended when
     absent). Every parallel output is checked byte-for-byte against the
@@ -156,7 +155,6 @@ def run_benchmark(
     if 1 not in workers:
         workers.insert(0, 1)
 
-    agg = statistics.median if aggregation == "median" else statistics.fmean
     reference: bytes | None = None
     records: list[BenchRecord] = []
     per_worker: dict[int, list[float]] = {}
@@ -175,9 +173,9 @@ def run_benchmark(
             times.append(elapsed)
             records.append(BenchRecord(case, n, rep, elapsed))
         per_worker[n] = times
-    t1 = float(agg(per_worker[1]))
+    t1 = float(statistics.median(per_worker[1]))
     metrics = [
-        BenchMetrics(case, n, t1, float(agg(per_worker[n])), repeats, aggregation)
+        BenchMetrics(case, n, t1, float(statistics.median(per_worker[n])), repeats)
         for n in workers
     ]
     return records, metrics
@@ -201,7 +199,7 @@ def metrics_csv(metrics: list[BenchMetrics]) -> ResultTable:
             "speedup": m.speedup,
             "efficiency": m.efficiency,
             "repeats": m.repeats,
-            "aggregation": m.aggregation,
+            "aggregation": "median",
         }
         for m in metrics
     ]

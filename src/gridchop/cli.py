@@ -156,7 +156,6 @@ def cmd_partition(args) -> int:
         nq=args.nq,
         n_groups=args.groups,
         min_features=args.min_features,
-        padding=args.padding,
     )
     parts = build_partition(spec, feats)
     dataio.save_partitions(parts, args.out)
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nq", type=int, default=1)
     p.add_argument("--groups", type=int, default=1)
     p.add_argument("--min-features", dest="min_features", type=int, default=1)
-    p.add_argument("--padding", type=float, default=0.0)
+    # accepted for scripts written for earlier versions; it has no effect
+    p.add_argument("--padding", help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
 

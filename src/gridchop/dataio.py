@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LoadError
+from .errors import GridchopError, LoadError
 from .geom import BBox, Geometry, Point, Polygon, Polyline, bbox_of, make_polygon
 from .raster import Raster
 
@@ -241,13 +241,20 @@ def _check_ids(ids: list[str], where: str):
         seen.add(fid)
 
 
-def _geojson_geometry(gtype: str, coords) -> Geometry:
+def _geojson_geometry(gtype: str, coords) -> tuple[float, float] | Geometry:
+    """A Point as an (x, y) tuple, a LineString or Polygon as its object. A
+    position's altitude, if any, is dropped."""
+    if gtype == "Point":
+        x, y = float(coords[0]), float(coords[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise LoadError(f"non-finite coordinates ({x}, {y})")
+        return x, y
     if gtype == "LineString":
-        return Polyline([Point(float(x), float(y)) for x, y in coords])
+        return Polyline([Point(float(p[0]), float(p[1])) for p in coords])
     if gtype == "Polygon":
         rings = []
         for raw in coords:
-            pts = [Point(float(x), float(y)) for x, y in raw]
+            pts = [Point(float(p[0]), float(p[1])) for p in raw]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts = pts[:-1]
             rings.append(pts)
@@ -314,15 +321,12 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
     for i, f in enumerate(doc.get("features", [])):
         geom = f.get("geometry") or {}
         gtype, coords = geom.get("type"), geom.get("coordinates")
-        if gtype == "Point":
-            g = (float(coords[0]), float(coords[1]))
-            if not (math.isfinite(g[0]) and math.isfinite(g[1])):
-                raise LoadError(f"{path}: feature {i}: non-finite coordinates ({g[0]}, {g[1]})")
-        else:
-            try:
-                g = _geojson_geometry(gtype, coords)
-            except LoadError as e:
-                raise LoadError(f"{path}: feature {i}: {e}")
+        try:
+            g = _geojson_geometry(gtype, coords)
+        except (TypeError, ValueError, IndexError) as e:  # a position that is not numbers
+            raise LoadError(f"{path}: feature {i}: bad {gtype} coordinates: {e}")
+        except GridchopError as e:  # non-finite, duplicate or too few vertices
+            raise LoadError(f"{path}: feature {i}: {e}")
         p = dict(f.get("properties") or {})
         if id_column not in p:
             raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
@@ -441,12 +445,10 @@ def save_partitions(p, path: str) -> None:
     assert isinstance(p, PartitionSet)
     doc = {
         "mode": p.mode,
-        "padding": p.padding,
         "chunks": [
             {
                 "chunk_id": c.chunk_id,
                 "core": _bbox_to_list(c.core),
-                "padded": _bbox_to_list(c.padded),
                 "member_ids": list(c.member_ids),
             }
             for c in sorted(p.chunks, key=lambda c: c.chunk_id)
@@ -458,28 +460,24 @@ def save_partitions(p, path: str) -> None:
 
 
 def load_partitions(path: str):
+    """Read a file of save_partitions; keys it does not know are ignored."""
     from .partition import Chunk, PartitionSet
 
     with open(path) as fh:
         doc = json.load(fh)
-    for key in ("mode", "padding", "chunks"):
+    for key in ("mode", "chunks"):
         if key not in doc:
             raise LoadError(f"{path}: $.{key} missing")
     chunks = []
     for i, c in enumerate(doc["chunks"]):
         where = f"{path}: $.chunks[{i}]"
-        for key in ("chunk_id", "core", "padded", "member_ids"):
+        for key in ("chunk_id", "core", "member_ids"):
             if key not in c:
                 raise LoadError(f"{where}.{key} missing")
         try:
             core = BBox(*[float(v) for v in c["core"]])
-            padded = BBox(*[float(v) for v in c["padded"]])
         except (TypeError, ValueError) as e:
             raise LoadError(f"{where}: bad bbox: {e}")
-        if not padded.contains(core):
-            raise LoadError(f"{where}.padded does not contain core")
-        chunks.append(
-            Chunk(int(c["chunk_id"]), core, padded, [str(m) for m in c["member_ids"]])
-        )
+        chunks.append(Chunk(int(c["chunk_id"]), core, [str(m) for m in c["member_ids"]]))
     chunks.sort(key=lambda c: c.chunk_id)
-    return PartitionSet(str(doc["mode"]), float(doc["padding"]), chunks)
+    return PartitionSet(str(doc["mode"]), chunks)

@@ -27,7 +27,7 @@ from . import geoops
 from .dataio import FeatureSet, ResultTable, load_raster
 from .errors import GridchopError, InvalidParameterError, LoadError
 from .geom import BBox
-from .partition import PartitionSet, group_by_hierarchy  # noqa: F401  (re-export)
+from .partition import PartitionSet
 from .raster import Raster
 
 OPS = ("extract_at", "summarize_aw", "summarize_sedc", "nearest_distance")

@@ -55,14 +55,6 @@ class BBox:
             or other.ymin > self.ymax
         )
 
-    def contains(self, other: "BBox") -> bool:
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and self.xmax >= other.xmax
-            and self.ymax >= other.ymax
-        )
-
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
@@ -198,39 +190,3 @@ def polygon_area(poly: Polygon) -> float:
     for hole in poly.holes:
         area -= abs(signed_ring_area(hole))
     return area
-
-
-def buffer_point(p: Point, radius: float, segments: int = 64) -> Polygon:
-    """Regular polygon inscribed in the circle of `radius` around `p`.
-
-    Relative area shortfall vs the true disc is 1 - (n/2pi)sin(2pi/n),
-    about 0.16% at the default 64 segments.
-    """
-    if radius <= 0:
-        raise InvalidParameterError(f"buffer radius must be > 0, got {radius}")
-    if segments < 8:
-        raise InvalidParameterError(f"buffer segments must be >= 8, got {segments}")
-    verts = []
-    for i in range(segments):
-        theta = 2.0 * math.pi * i / segments
-        verts.append(Point(p.x + radius * math.cos(theta), p.y + radius * math.sin(theta)))
-    return Polygon(Ring(verts))
-
-
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Euclidean distance from p to the closed segment ab (a == b allowed)."""
-    dx = b.x - a.x
-    dy = b.y - a.y
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        t = 0.0
-    else:
-        t = ((p.x - a.x) * dx + (p.y - a.y) * dy) / dd
-        t = min(1.0, max(0.0, t))
-    cx = a.x + t * dx
-    cy = a.y + t * dy
-    ex = p.x - cx
-    ey = p.y - cy
-    # explicit multiplies, not **2: scalar pow can differ from numpy's
-    # vectorized square by one ulp, and the executor contract is bitwise
-    return math.sqrt(ex * ex + ey * ey)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from .geom import BBox, Polygon, bbox_of, polygon_area
+from .geom import BBox, Polygon, polygon_area
 from .raster import (
     Raster,
     StatSpec,
@@ -397,18 +397,6 @@ def _same_polygon(a: Polygon, b: Polygon) -> bool:
     ra = [[(v.x, v.y) for v in ring.vertices] for ring in [a.outer, *a.holes]]
     rb = [[(v.x, v.y) for v in ring.vertices] for ring in [b.outer, *b.holes]]
     return ra == rb
-
-
-def polygon_intersection_area(a: Polygon, b: Polygon) -> float:
-    """Exact intersection area; a is decomposed into convex trapezoids and b's
-    rings are clipped against each (signed areas summed, so holes work).
-    """
-    if _same_polygon(a, b):
-        return polygon_area(a)
-    if not bbox_of(a).intersects(bbox_of(b)):
-        return 0.0
-    pair = np.zeros(1, dtype=np.intp)
-    return float(_intersection_areas([a], [b], pair, pair)[0])
 
 
 def summarize_aw(

@@ -1,8 +1,8 @@
 """PartitionSet generation and anchor-feature assignment.
 
-Chunks carry a core extent (unique ownership) and a padded extent (context
-visibility). All generators are deterministic: identical inputs yield
-byte-identical PartitionSet JSON.
+Each chunk is a core extent plus the ids of the anchors it owns; every
+anchor is owned by exactly one chunk. All generators are deterministic:
+identical inputs yield byte-identical PartitionSet JSON.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from .dataio import MISSING, FeatureSet
 from .errors import InvalidInputError, InvalidParameterError
 from .geom import BBox, Point, Polygon, Polyline, point_in_polygon
 
-# within-group SSQ per balancing round of the last make_balanced_groups
-# call; diagnostic only (the tests assert it is non-increasing)
-_LAST_SSQ_TRACE: list[float] = []
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -28,31 +24,23 @@ class GridSpec:
     nq: int = 1
     n_groups: int = 1
     min_features: int = 1
-    padding: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("grid", "grid_quantile", "grid_advanced", "balanced"):
             raise InvalidParameterError(f"unknown partition mode {self.mode!r}")
-        if not np.isfinite(self.padding) or self.padding < 0:
-            raise InvalidParameterError("padding must be finite and >= 0")
 
 
 @dataclass
 class Chunk:
     chunk_id: int
     core: BBox
-    padded: BBox
     member_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
 class PartitionSet:
     mode: str
-    padding: float
     chunks: list[Chunk]
-
-    def global_extent(self) -> BBox:
-        return BBox.union([c.core for c in self.chunks])
 
 
 def representative_point(geometry) -> Point:
@@ -87,7 +75,23 @@ def _members(ids: list[str], label: np.ndarray, n: int) -> list[list[str]]:
     return [[ids[i] for i in rows.tolist()] for rows in np.split(order, splits)]
 
 
-def make_regular_grid(extent: BBox, nx: int, ny: int, padding: float) -> PartitionSet:
+def _coords_bbox(coords: np.ndarray) -> BBox:
+    """The bbox of an (n, 2) coordinate array."""
+    return BBox(
+        float(coords[:, 0].min()),
+        float(coords[:, 1].min()),
+        float(coords[:, 0].max()),
+        float(coords[:, 1].max()),
+    )
+
+
+def _cells_from_edges(xe: list[float], ye: list[float], mode: str) -> PartitionSet:
+    """One cell per pair of adjacent edges, row-major from the minimum corner."""
+    cores = [BBox(x0, y0, x1, y1) for y0, y1 in zip(ye, ye[1:]) for x0, x1 in zip(xe, xe[1:])]
+    return PartitionSet(mode, [Chunk(cid, core) for cid, core in enumerate(cores)])
+
+
+def make_regular_grid(extent: BBox, nx: int, ny: int) -> PartitionSet:
     """nx*ny equal cells tiling extent, row-major from the minimum corner."""
     if nx < 1 or ny < 1:
         raise InvalidParameterError("nx and ny must be >= 1")
@@ -97,28 +101,10 @@ def make_regular_grid(extent: BBox, nx: int, ny: int, padding: float) -> Partiti
     ye = [extent.ymin + extent.height * j / ny for j in range(ny + 1)]
     xe[-1] = extent.xmax
     ye[-1] = extent.ymax
-    chunks = []
-    cid = 0
-    for j in range(ny):
-        for i in range(nx):
-            core = BBox(xe[i], ye[j], xe[i + 1], ye[j + 1])
-            chunks.append(Chunk(cid, core, core.expand(padding)))
-            cid += 1
-    return PartitionSet("grid", padding, chunks)
+    return _cells_from_edges(xe, ye, "grid")
 
 
-def _cells_from_edges(xe: list[float], ye: list[float], padding: float, mode: str) -> PartitionSet:
-    chunks = []
-    cid = 0
-    for j in range(len(ye) - 1):
-        for i in range(len(xe) - 1):
-            core = BBox(xe[i], ye[j], xe[i + 1], ye[j + 1])
-            chunks.append(Chunk(cid, core, core.expand(padding)))
-            cid += 1
-    return PartitionSet(mode, padding, chunks)
-
-
-def make_quantile_grid(points: FeatureSet, nq: int, padding: float) -> PartitionSet:
+def make_quantile_grid(points: FeatureSet, nq: int) -> PartitionSet:
     """Irregular lattice with breaks at i/nq coordinate quantiles per axis.
 
     Quantiles use linear interpolation between order statistics. Degenerate
@@ -149,7 +135,7 @@ def make_quantile_grid(points: FeatureSet, nq: int, padding: float) -> Partition
         xe = [xe[0], xe[0]]
     if len(ye) < 2:
         ye = [ye[0], ye[0]]
-    parts = _cells_from_edges(xe, ye, padding, "grid_quantile")
+    parts = _cells_from_edges(xe, ye, "grid_quantile")
     return assign_to_partition(points, parts)
 
 
@@ -172,9 +158,7 @@ def _kruskal_mst(n_nodes: int, edges: list[tuple[float, int, int]]) -> list[tupl
     return mst
 
 
-def make_merged_grid(
-    points: FeatureSet, nx: int, ny: int, min_features: int, padding: float
-) -> PartitionSet:
+def make_merged_grid(points: FeatureSet, nx: int, ny: int, min_features: int) -> PartitionSet:
     """Regular grid with sparse adjacent cells merged along MST edges.
 
     Rook-adjacency edges are weighted by the combined point count of their
@@ -188,12 +172,7 @@ def make_merged_grid(
     if len(points) == 0:
         raise InvalidInputError("merged grid needs at least one point")
     coords = _point_coords(points)
-    extent = BBox(
-        float(coords[:, 0].min()),
-        float(coords[:, 1].min()),
-        float(coords[:, 0].max()),
-        float(coords[:, 1].max()),
-    )
+    extent = _coords_bbox(coords)
     if extent.width <= 0 or extent.height <= 0:
         raise InvalidInputError("merged grid needs a non-degenerate point extent")
 
@@ -242,20 +221,20 @@ def make_merged_grid(
     members: dict[int, list[int]] = {}
     for cell in range(n_cells):
         members.setdefault(find(cell), []).append(cell)
-    base = make_regular_grid(extent, nx, ny, 0.0)
+    base = make_regular_grid(extent, nx, ny)
     groups = sorted(members.values(), key=lambda cells: cells[0])
     chunk_of_cell = np.empty(n_cells, dtype=np.int64)
     for cid, cells in enumerate(groups):
         chunk_of_cell[cells] = cid
     members = _members(points.ids(), chunk_of_cell[cell_of_point], len(groups))
-    chunks = []
-    for cid, (cells, ids) in enumerate(zip(groups, members)):
-        core = BBox.union([base.chunks[c].core for c in cells])
-        chunks.append(Chunk(cid, core, core.expand(padding), ids))
-    return PartitionSet("grid_advanced", padding, chunks)
+    chunks = [
+        Chunk(cid, BBox.union([base.chunks[c].core for c in cells]), ids)
+        for cid, (cells, ids) in enumerate(zip(groups, members))
+    ]
+    return PartitionSet("grid_advanced", chunks)
 
 
-def make_balanced_groups(points: FeatureSet, n_groups: int, padding: float) -> PartitionSet:
+def make_balanced_groups(points: FeatureSet, n_groups: int) -> PartitionSet:
     """Equal-size spatially compact point groups (sizes differ by <= 1).
 
     Deterministic heuristic: farthest-point seeding from the point nearest
@@ -268,8 +247,17 @@ def make_balanced_groups(points: FeatureSet, n_groups: int, padding: float) -> P
     n = len(points)
     if n_groups < 1 or n_groups > n:
         raise InvalidParameterError(f"n_groups must be in [1, {n}], got {n_groups}")
-    k = n_groups
+    assign, _ = _swap_rounds(coords, _greedy_assignment(coords, n_groups), n_groups)
+    return PartitionSet("balanced", [
+        Chunk(g, _coords_bbox(coords[assign == g]), ids)
+        for g, ids in enumerate(_members(points.ids(), assign, n_groups))
+    ])
 
+
+def _greedy_assignment(coords: np.ndarray, k: int) -> np.ndarray:
+    """Group of each point: farthest-point seeds, then each point in order of
+    its distance to the nearest seed takes the nearest seed with room left."""
+    n = len(coords)
     centroid = coords.mean(axis=0)
     d0 = np.sum((coords - centroid) ** 2, axis=1)
     seeds = [int(np.argmin(d0))]
@@ -293,9 +281,17 @@ def make_balanced_groups(points: FeatureSet, n_groups: int, padding: float) -> P
         g = int(np.argmin(d))
         assign[i] = g
         remaining[g] -= 1
+    return assign
 
-    # Swap phase. With fixed group sizes, minimizing within-group SSQ is
-    # maximizing sum_g |S_g|^2 / n_g where S_g is the coordinate sum.
+
+def _swap_rounds(coords: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, list[float]]:
+    """Improve assign (in place) by swaps; returns it and the within-group SSQ
+    at the start of each round.
+
+    With fixed group sizes, minimizing within-group SSQ is maximizing
+    sum_g |S_g|^2 / n_g where S_g is the coordinate sum.
+    """
+    n = len(coords)
     sizes = np.bincount(assign, minlength=k).astype(float)
     sums = np.zeros((k, 2))
     np.add.at(sums, assign, coords)
@@ -341,20 +337,7 @@ def make_balanced_groups(points: FeatureSet, n_groups: int, padding: float) -> P
         sums[a] += coords[j] - coords[i]
         sums[b] += coords[i] - coords[j]
         assign[i], assign[j] = b, a
-    global _LAST_SSQ_TRACE
-    _LAST_SSQ_TRACE = trace
-
-    chunks = []
-    for g, ids in enumerate(_members(points.ids(), assign, k)):
-        sub = coords[assign == g]
-        core = BBox(
-            float(sub[:, 0].min()),
-            float(sub[:, 1].min()),
-            float(sub[:, 0].max()),
-            float(sub[:, 1].max()),
-        )
-        chunks.append(Chunk(g, core, core.expand(padding), ids))
-    return PartitionSet("balanced", padding, chunks)
+    return assign, trace
 
 
 def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSet:
@@ -366,7 +349,7 @@ def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSe
     """
     gx = max(c.core.xmax for c in parts.chunks)
     gy = max(c.core.ymax for c in parts.chunks)
-    chunks = [Chunk(c.chunk_id, c.core, c.padded, []) for c in parts.chunks]
+    chunks = [Chunk(c.chunk_id, c.core) for c in parts.chunks]
     chunks.sort(key=lambda c: c.chunk_id)
     rep = _representative_xy(anchors)
     x, y = rep[:, 0], rep[:, 1]
@@ -390,7 +373,7 @@ def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSe
         owner[i] = d.index(min(d))  # ties to the lowest chunk id
     for c, ids in zip(chunks, _members(anchors.ids(), owner, len(chunks))):
         c.member_ids = ids
-    return PartitionSet(parts.mode, parts.padding, chunks)
+    return PartitionSet(parts.mode, chunks)
 
 
 def group_by_hierarchy(
@@ -431,17 +414,10 @@ def group_by_hierarchy(
 def build_partition(spec: GridSpec, points: FeatureSet) -> PartitionSet:
     """Dispatch a GridSpec to the matching generator; members always filled."""
     if spec.mode == "grid":
-        coords = _point_coords(points)
-        extent = BBox(
-            float(coords[:, 0].min()),
-            float(coords[:, 1].min()),
-            float(coords[:, 0].max()),
-            float(coords[:, 1].max()),
-        )
-        parts = make_regular_grid(extent, spec.nx, spec.ny, spec.padding)
+        parts = make_regular_grid(_coords_bbox(_point_coords(points)), spec.nx, spec.ny)
         return assign_to_partition(points, parts)
     if spec.mode == "grid_quantile":
-        return make_quantile_grid(points, spec.nq, spec.padding)
+        return make_quantile_grid(points, spec.nq)
     if spec.mode == "grid_advanced":
-        return make_merged_grid(points, spec.nx, spec.ny, spec.min_features, spec.padding)
-    return make_balanced_groups(points, spec.n_groups, spec.padding)
+        return make_merged_grid(points, spec.nx, spec.ny, spec.min_features)
+    return make_balanced_groups(points, spec.n_groups)

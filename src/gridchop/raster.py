@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geom import BBox, Point, Polygon, bbox_of
+from .geom import BBox, Polygon
 
 STAT_KINDS = ("mean", "sum", "count", "min", "max", "stdev", "frequency")
 
@@ -61,13 +61,6 @@ class CellWindow:
     @property
     def empty(self) -> bool:
         return self.nrows_w == 0 or self.ncols_w == 0
-
-
-@dataclass(frozen=True)
-class CoverageCell:
-    row: int
-    col: int
-    fraction: float
 
 
 @dataclass(frozen=True)
@@ -249,31 +242,6 @@ def covered_cells(
     return out
 
 
-def coverage_fractions(r: Raster, poly: Polygon) -> list[CoverageCell]:
-    """Exact area fraction of every raster cell intersected by poly.
-
-    Holes are handled by summing signed ring areas. Cells with zero
-    coverage are omitted.
-    """
-    rows, cols, fracs = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])[0]
-    return [
-        CoverageCell(i, j, f) for i, j, f in zip(rows.tolist(), cols.tolist(), fracs.tolist())
-    ]
-
-
-def zonal_stat(r: Raster, cells: list[CoverageCell], spec: StatSpec) -> StatResult:
-    """Weighted statistic over covered cells; see cell_stat."""
-    if spec.kind == "frequency" and r.kind != "categorical":
-        raise InvalidParameterError("frequency statistic requires a categorical raster")
-    rows = np.array([c.row for c in cells], dtype=np.intp)
-    cols = np.array([c.col for c in cells], dtype=np.intp)
-    w = np.array([c.fraction for c in cells], dtype=np.float64)
-    if cells and (rows.min() < 0 or cols.min() < 0 or rows.max() >= r.nrows
-                  or cols.max() >= r.ncols):
-        raise InvalidParameterError("coverage cell outside raster bounds")
-    return cell_stat(r, rows, cols, w, spec)
-
-
 def cell_stat(
     r: Raster, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, spec: StatSpec
 ) -> StatResult:
@@ -309,18 +277,3 @@ def cell_stat(
     for vi, wi in zip(v.tolist(), w.tolist()):
         freq[vi] = freq.get(vi, 0.0) + wi
     return StatResult(None, count, dict(sorted(freq.items())))
-
-
-def value_at_point(r: Raster, p: Point) -> float | None:
-    """Cell value under the half-open rule [x, x+cs) x (y-cs, y]; None outside."""
-    cs = r.cellsize
-    fc = (p.x - r.xll) / cs
-    fr = (r.ytop - p.y) / cs
-    col = int(np.floor(fc))
-    row = int(np.floor(fr))
-    if col < 0 or col >= r.ncols or row < 0 or row >= r.nrows:
-        return None
-    v = float(r.values[row, col])
-    if v == r.nodata:
-        return None
-    return v

@@ -18,7 +18,7 @@ from gridchop.bench import SynthSpec, efficiency, synth_dataset
 from gridchop.cli import EXIT_PARTIAL, main
 from gridchop.dataio import Feature, FeatureSet, write_raster
 from gridchop.executor import RunConfig, TaskSpec, run_grid
-from gridchop.geom import BBox, Point, Polygon, Polyline, make_polygon, polygon_area
+from gridchop.geom import BBox, Point, Polygon, Polyline, bbox_of, make_polygon, polygon_area
 from gridchop.geoops import SedcParams, extract_at, nearest_distance, summarize_aw, summarize_sedc
 from gridchop.partition import (
     GridSpec,
@@ -28,7 +28,7 @@ from gridchop.partition import (
     make_quantile_grid,
     make_regular_grid,
 )
-from gridchop.raster import Raster, coverage_fractions
+from gridchop.raster import Raster, covered_cells, window_for_bbox
 
 
 # collected here and echoed by the pytest_terminal_summary hook in
@@ -127,10 +127,10 @@ def test_criterion_03_determinism():
         # runs are dominated by process spawn, so small chunk counts keep
         # the 320-run matrix inside the 2-minute budget
         modes = [
-            GridSpec("grid", nx=2, ny=1, padding=0.5),
-            GridSpec("grid_quantile", nq=2, padding=0.5),
-            GridSpec("grid_advanced", nx=2, ny=2, min_features=1500, padding=0.5),
-            GridSpec("balanced", n_groups=3, padding=0.5),
+            GridSpec("grid", nx=2, ny=1),
+            GridSpec("grid_quantile", nq=2),
+            GridSpec("grid_advanced", nx=2, ny=2, min_features=1500),
+            GridSpec("balanced", n_groups=3),
         ]
         for mode in modes:
             parts = build_partition(mode, points)
@@ -167,14 +167,12 @@ def test_criterion_04_sequential_equivalence():
             ras = Raster(60, 60, 0.0, 0.0, 0.5, -9999.0, values)
             radius = rng.choice([0.0, 0.4, 1.0])
             stat = rng.choice(["mean", "sum", "max"])
-            padding = max(radius, 0.1)
             task = TaskSpec("extract_at", ras, pts,
                             {"radius": radius, "stat": stat, "segments": 12})
             direct = extract_at(ras, pts, radius=radius, stat=stat, segments=12)
         elif op == "summarize_sedc":
             bw = rng.uniform(0.5, 2.0)
             params = SedcParams(bw, 2.0 * bw, ("v",))
-            padding = params.maxdist
             task = TaskSpec("summarize_sedc", pts, pts,
                             {"bandwidth": bw, "maxdist": params.maxdist,
                              "value_columns": ["v"]})
@@ -187,10 +185,8 @@ def test_criterion_04_sequential_equivalence():
                      Point(rng.uniform(0, 30), rng.uniform(0, 30))]), {})
                  for i in range(m)], [])
             direct = nearest_distance(pts, lines_fs)
-            # brute force is valid only when padding covers the worst case
-            padding = max(r["distance"] for r in direct.rows) * 1.01 + 1e-9
             task = TaskSpec("nearest_distance", lines_fs, pts, {})
-        spec_kwargs = {"padding": padding}
+        spec_kwargs = {}
         if mode == "grid":
             spec_kwargs.update(nx=rng.randint(2, 4), ny=rng.randint(2, 4))
         elif mode == "grid_quantile":
@@ -255,7 +251,8 @@ def test_criterion_05_coverage_oracle():
     for poly_i in range(50):
         poly = _random_polygon(rng, convex=(poly_i % 2 == 0))
         ring_pts = [(p.x, p.y) for p in poly.outer.vertices]
-        frac = {(c.row, c.col): c.fraction for c in coverage_fractions(ras, poly)}
+        ((rows, cols, fracs),) = covered_cells(ras, [poly], [window_for_bbox(ras, bbox_of(poly))])
+        frac = dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
 
         # conservation against the exact polygon area
         total = sum(frac.values()) * ras.cellsize**2
@@ -309,7 +306,7 @@ def test_criterion_06_partition_properties():
 
     # regular grid: shared cell edges are exact, extent covered exactly
     ext = BBox(-3.0, 1.0, 18.0, 9.5)
-    grid = make_regular_grid(ext, 7, 3, 0.0)
+    grid = make_regular_grid(ext, 7, 3)
     for j in range(3):
         row = [c for c in grid.chunks if c.chunk_id // 7 == j]
         assert row[0].core.xmin == ext.xmin and row[-1].core.xmax == ext.xmax
@@ -323,7 +320,7 @@ def test_criterion_06_partition_properties():
     # quantile stripes: distinct coordinates -> n/nq +- 1 per stripe
     n, nq = 219, 4
     pts = points_fs([(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(n)])
-    q = make_quantile_grid(pts, nq, 0.0)
+    q = make_quantile_grid(pts, nq)
     xs = {f.id: f.geometry.x for f in pts.features}
     xedges = sorted({c.core.xmin for c in q.chunks} | {c.core.xmax for c in q.chunks})
     assert len(xedges) == nq + 1
@@ -340,7 +337,7 @@ def test_criterion_06_partition_properties():
     n, nx, ny, mf = 160, 4, 4, 18
     coords = [(rng.uniform(0, 40) ** 1.3 / 40**0.3, rng.uniform(0, 40)) for _ in range(n)]
     pts = points_fs(coords)
-    merged = make_merged_grid(pts, nx, ny, mf, 0.0)
+    merged = make_merged_grid(pts, nx, ny, mf)
     assert sum(len(c.member_ids) for c in merged.chunks) == n
     # independently rebuild the cell assignment (half-open, last row/col
     # closed) and lift rook adjacency to chunks through the member ids
@@ -387,14 +384,17 @@ def test_criterion_06_partition_properties():
             ), f"MST edge joins sub-threshold chunks {cell_chunk[u]}/{cell_chunk[v]}"
 
     # balanced groups: sizes within 1 and per-round SSQ never increases
-    import gridchop.partition as partition_mod
+    from gridchop.partition import _greedy_assignment, _swap_rounds
 
     n, k = 137, 6
     pts = points_fs([(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(n)])
-    bal = make_balanced_groups(pts, k, 0.0)
+    bal = make_balanced_groups(pts, k)
     sizes = sorted(len(c.member_ids) for c in bal.chunks)
     assert sizes[-1] - sizes[0] <= 1
-    trace = partition_mod._LAST_SSQ_TRACE
+    assign, trace = _swap_rounds(pts.xy, _greedy_assignment(pts.xy, k), k)
+    assert [c.member_ids for c in bal.chunks] == [
+        [fid for fid, g in zip(pts.ids(), assign.tolist()) if g == c.chunk_id]
+        for c in bal.chunks], "groups are not the swap phase's assignment"
     assert trace, "balancing left no SSQ trace"
     tol = 1e-9 * 20.0**2
     assert all(a >= b - tol for a, b in zip(trace, trace[1:])), "SSQ increased in a round"
@@ -444,7 +444,7 @@ def test_criterion_07_speedup_smoke():
     )
     task = TaskSpec("extract_at", ras, points,
                     {"radius": 0.5 * ras.cellsize, "stat": "mean", "segments": 16})
-    parts = build_partition(GridSpec("grid", nx=4, ny=2, padding=1.0), points)
+    parts = build_partition(GridSpec("grid", nx=4, ny=2), points)
     t0 = time.perf_counter()
     ref = run_grid(task, parts, RunConfig(workers=1)).to_csv_bytes()
     t_1 = time.perf_counter() - t0
@@ -477,7 +477,7 @@ def test_criterion_08_fault_isolation(tmp_path):
         ],
         ["v"],
     )
-    parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=1.0), pts)
+    parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
     params = {"bandwidth": 1.0, "value_columns": ["v"]}
     clean = run_grid(TaskSpec("summarize_sedc", good_sources, pts, params), parts,
                      RunConfig(workers=2))

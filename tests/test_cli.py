@@ -28,7 +28,7 @@ def workspace(tmp_path):
     parts = tmp_path / "parts.json"
     rc = main([
         "partition", "--input", str(pts), "--mode", "grid",
-        "--nx", "2", "--ny", "2", "--padding", "2.0", "--out", str(parts),
+        "--nx", "2", "--ny", "2", "--out", str(parts),
     ])
     assert rc == EXIT_OK
     return tmp_path
@@ -39,13 +39,22 @@ class TestPartitionCommand:
         out = workspace / "p8.json"
         rc = main([
             "partition", "--input", str(workspace / "points.csv"),
-            "--mode", "grid", "--nx", "4", "--ny", "2",
-            "--padding", "10000", "--out", str(out),
+            "--mode", "grid", "--nx", "4", "--ny", "2", "--out", str(out),
         ])
         assert rc == EXIT_OK
         parts = load_partitions(str(out))
         assert len(parts.chunks) == 8
-        assert parts.padding == 10000.0
+
+    def test_padding_accepted_and_ignored(self, workspace, capsys):
+        # scripts for earlier versions pass --padding; it changes no byte
+        args = ["partition", "--input", str(workspace / "points.csv"), "--mode", "grid",
+                "--nx", "2", "--ny", "2"]
+        assert main([*args, "--padding", "3", "--out", str(workspace / "pad.json")]) == EXIT_OK
+        assert main([*args, "--out", str(workspace / "plain.json")]) == EXIT_OK
+        assert (workspace / "pad.json").read_bytes() == (workspace / "plain.json").read_bytes()
+        capsys.readouterr()
+        assert main(["partition", "--help"]) == EXIT_OK
+        assert "--padding" not in capsys.readouterr().out
 
     def test_balanced_sizes(self, workspace):
         out = workspace / "bal.json"
@@ -397,9 +406,10 @@ class TestSynthAndBench:
                    "--raster-size", "20", "--workers", "1", "--out", str(out)])
         assert rc == EXIT_OK
         metrics = (tmp_path / "bench_metrics.csv").read_bytes().split(b"\r\n")
-        assert b"speedup" in metrics[0]
-        # single worker: speedup column is exactly 1.0
+        assert metrics[0] == b"case,workers,t1,tn,speedup,efficiency,repeats,aggregation"
+        # single worker: speedup column is exactly 1.0; times are medians
         assert metrics[1].split(b",")[4] == b"1.0"
+        assert metrics[1].split(b",")[7] == b"median"
 
     def test_bench_seed_reproducible(self, tmp_path):
         outs = []

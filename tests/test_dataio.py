@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from gridchop.cli import main
 from gridchop.dataio import (
     FeatureSet,
     ResultTable,
@@ -250,6 +251,41 @@ class TestLoadFeaturesGeoJSON:
         with pytest.raises(LoadError, match=f"^{re.escape(want)}$"):
             load_features(str(p), format="geojson")
 
+    @pytest.mark.parametrize("geometry,want", [
+        ('{"type": "Point", "coordinates": ["x", 2]}',
+         "bad Point coordinates: could not convert string to float: 'x'"),
+        ('{"type": "Point", "coordinates": null}',
+         "bad Point coordinates: 'NoneType' object is not subscriptable"),
+        ('{"type": "LineString", "coordinates": [[0, 0], [1, "2"], ["x", 2]]}',
+         "bad LineString coordinates: could not convert string to float: 'x'"),
+        ('{"type": "Polygon", "coordinates": null}',
+         "bad Polygon coordinates: 'NoneType' object is not iterable"),
+        ('{"type": "LineString", "coordinates": [[0, 0], [NaN, 2]]}',
+         "non-finite point coordinates (nan, 2.0)"),
+        ('{"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 0], [1, 1], [0, 0]]]}',
+         "consecutive duplicate ring vertices"),
+        # RFC 7946 allows an altitude; x and y are read
+        ('{"type": "LineString", "coordinates": [[0, 0, 5], [1, 2, 6]]}',
+         Polyline([Point(0, 0), Point(1, 2)])),
+        ('{"type": "Polygon", "coordinates": [[[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]]}',
+         make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1)]])),
+    ], ids=["text_point", "null_point", "text_line", "null_polygon", "nan_line",
+            "duplicate_ring_vertex", "altitude_line", "altitude_polygon"])
+    def test_bad_geometry_names_file_and_feature(self, tmp_path, geometry, want):
+        p = tmp_path / "f.geojson"
+        p.write_text('{"type": "FeatureCollection", "features": ['
+                     '{"type": "Feature", "properties": {"id": "a"}, '
+                     '"geometry": {"type": "Point", "coordinates": [0, 0]}}, '
+                     '{"type": "Feature", "properties": {"id": "b"}, "geometry": '
+                     + geometry + "}]}")
+        if not isinstance(want, str):
+            assert load_features(str(p), format="geojson").geometries[1] == want
+            return
+        with pytest.raises(LoadError, match=f"^{re.escape(f'{p}: feature 1: {want}')}$"):
+            load_features(str(p), format="geojson")
+        # chop exits 3 with that message, not with a traceback
+        assert main(["partition", "--input", str(p), "--out", str(tmp_path / "o.json")]) == 3
+
     def test_polygon_feature(self, tmp_path):
         doc = {
             "type": "FeatureCollection",
@@ -419,42 +455,31 @@ class TestRasterIO:
 
 class TestPartitionIO:
     def _one(self):
-        core = BBox(0.0, 0.0, 10.0, 5.0)
-        return PartitionSet("grid", 1.0, [Chunk(0, core, core.expand(1.0), ["a", "b"])])
+        return PartitionSet("grid", [Chunk(0, BBox(0.0, 0.0, 10.0, 5.0), ["a", "b"])])
 
     def test_round_trip(self, tmp_path):
         p = tmp_path / "parts.json"
         save_partitions(self._one(), str(p))
-        back = load_partitions(str(p))
-        orig = self._one()
-        assert back.mode == orig.mode and back.padding == orig.padding
-        assert back.chunks[0].core == orig.chunks[0].core
-        assert back.chunks[0].padded == orig.chunks[0].padded
-        assert back.chunks[0].member_ids == ["a", "b"]
+        assert load_partitions(str(p)) == self._one()
+        doc = json.loads(p.read_text())
+        assert set(doc) == {"mode", "chunks"}
+        assert set(doc["chunks"][0]) == {"chunk_id", "core", "member_ids"}
 
     def test_serialized_in_chunk_id_order(self, tmp_path):
         core = BBox(0.0, 0.0, 1.0, 1.0)
-        parts = PartitionSet(
-            "grid", 0.0, [Chunk(1, core, core), Chunk(0, core, core)]
-        )
+        parts = PartitionSet("grid", [Chunk(1, core), Chunk(0, core)])
         p = tmp_path / "parts.json"
         save_partitions(parts, str(p))
         doc = json.loads(p.read_text())
         assert [c["chunk_id"] for c in doc["chunks"]] == [0, 1]
 
-    def test_padded_must_contain_core(self, tmp_path):
+    def test_earlier_format_loads(self, tmp_path):
+        # earlier versions also wrote `padding` and a `padded` box per chunk;
+        # they are ignored like any unknown key, whatever their values
         p = tmp_path / "parts.json"
-        doc = {
-            "mode": "grid",
-            "padding": 0.0,
-            "chunks": [
-                {"chunk_id": 0, "core": [0, 0, 2, 2], "padded": [0, 0, 1, 1],
-                 "member_ids": []}
-            ],
-        }
-        p.write_text(json.dumps(doc))
-        with pytest.raises(LoadError, match=r"chunks\[0\]"):
-            load_partitions(str(p))
+        p.write_text('{"mode": "grid", "padding": 1.0, "chunks": [{"chunk_id": 0, '
+                     '"core": [0, 0, 10, 5], "padded": [0, 0, 1, 1], "member_ids": ["a", "b"]}]}')
+        assert load_partitions(str(p)) == self._one()
 
     def test_missing_key_path_in_error(self, tmp_path):
         p = tmp_path / "parts.json"

@@ -13,7 +13,14 @@ import pytest
 
 import gridchop
 from gridchop import geoops
-from gridchop.dataio import Feature, FeatureSet, ResultTable, write_raster
+from gridchop.dataio import (
+    Feature,
+    FeatureSet,
+    ResultTable,
+    load_partitions,
+    save_partitions,
+    write_raster,
+)
 from gridchop.errors import InvalidParameterError, LoadError
 from gridchop.executor import (
     ChunkError,
@@ -28,7 +35,7 @@ from gridchop.executor import (
     run_hierarchy,
     run_multirasters,
 )
-from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon, point_segment_distance
+from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon
 from gridchop.partition import (
     GridSpec,
     assign_to_partition,
@@ -39,6 +46,7 @@ from gridchop.partition import (
 from gridchop.raster import Raster
 
 from conftest import random_star
+from scalar_reference import point_segment_distance
 
 
 def points_fs(coords, values=None, extra=None):
@@ -104,7 +112,7 @@ class TestRunGridExtract:
         r = grid_raster()
         task = TaskSpec("extract_at", r, pts, {"radius": 1.5, "stat": "mean",
                                                "segments": 12})
-        parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=1.5), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
         got = run_grid(task, parts, RunConfig(workers=1))
         from gridchop.geoops import extract_at
 
@@ -118,7 +126,7 @@ class TestRunGridExtract:
         r = grid_raster()
         task = TaskSpec("extract_at", r, pts, {"radius": 1.5, "stat": "mean",
                                                "segments": 12})
-        parts = build_partition(GridSpec("grid", nx=3, ny=2, padding=1.5), pts)
+        parts = build_partition(GridSpec("grid", nx=3, ny=2), pts)
         csvs = {
             w: run_grid(task, parts, RunConfig(workers=w)).to_csv_bytes()
             for w in (1, 2, 8)
@@ -136,14 +144,26 @@ class TestRunGridExtract:
     def test_rows_exact_when_radius_exceeds_padding(self):
         pts = scatter(10)
         task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 3.0})
-        parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=1.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
         assert value_rows(run_grid(task, parts)) == value_rows(direct(task))
 
-    def test_rows_independent_of_padding(self):
+    def test_rows_independent_of_padding(self, tmp_path):
+        # files of earlier versions, written here by hand, carry a `padding`
+        # and a `padded` box per chunk: they load and change no row
         pts = scatter(10)
         task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 1.0})
-        tables = [run_grid(task, build_partition(GridSpec("grid", nx=2, ny=1, padding=pad), pts))
-                  for pad in (0.0, 1.0, 100.0)]
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
+        save_partitions(parts, str(tmp_path / "new.json"))
+        tables = [run_grid(task, load_partitions(str(tmp_path / "new.json")))]
+        for pad in (0.0, 1.0, 100.0):
+            chunks = [{"chunk_id": c.chunk_id,
+                       "core": [c.core.xmin, c.core.ymin, c.core.xmax, c.core.ymax],
+                       "padded": [c.core.xmin - pad, c.core.ymin - pad,
+                                  c.core.xmax + pad, c.core.ymax + pad],
+                       "member_ids": c.member_ids} for c in parts.chunks]
+            old = tmp_path / f"old{pad}.json"
+            old.write_text(json.dumps({"mode": "grid", "padding": pad, "chunks": chunks}))
+            tables.append(run_grid(task, load_partitions(str(old))))
         assert tables[0].columns == ["id", "chunk_id", "mean", "count"]
         assert {t.to_csv_bytes() for t in tables} == {tables[0].to_csv_bytes()}
 
@@ -156,7 +176,7 @@ class TestRunGridVectorOps:
             "summarize_sedc", src, pts,
             {"bandwidth": 1.0, "maxdist": 2.0, "value_columns": ["v"]},
         )
-        parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=2.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
         got = run_grid(task, parts, RunConfig(workers=2))
         from gridchop.geoops import SedcParams, summarize_sedc
 
@@ -177,7 +197,7 @@ class TestRunGridVectorOps:
         def values(n, block):
             if block is not None:
                 monkeypatch.setattr(geoops, "_PAIR_ELEMS", block * len(src), raising=False)
-            parts = build_partition(GridSpec("grid", nx=n, ny=n, padding=3.0), pts)
+            parts = build_partition(GridSpec("grid", nx=n, ny=n), pts)
             rows = run_grid(task, parts).rows
             return sorted((r["id"], repr(r["v_sedc"]), r["count"]) for r in rows)
 
@@ -188,12 +208,12 @@ class TestRunGridVectorOps:
 
     def test_nearest_beyond_padding_exact(self):
         # nearest has unbounded interaction: a row whose nearest feature lies
-        # beyond the padding and the clip still gets its exact distance
+        # beyond its chunk's core and the clip still gets its exact distance
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])
         lines = FeatureSet([Feature("l", Polyline([Point(0.0, 0.0), Point(0.0, 2.0)])),
                             Feature("m", Polyline([Point(9.5, 0.0), Point(9.5, 1.0)]))])
         task = TaskSpec("nearest_distance", lines, pts, {})
-        parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=2.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
         t = run_grid(task, parts)
         assert t.columns == ["id", "chunk_id", "distance", "nearest_feature_id"]
         assert [(r["id"], r["distance"], r["nearest_feature_id"]) for r in t.rows] == [
@@ -208,7 +228,7 @@ class TestRunGridVectorOps:
             {"bandwidth": 1.0, "value_columns": ["v"]},
             pad_y=True,
         )
-        parts = build_partition(GridSpec("grid", nx=2, ny=2, padding=2.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
         t = run_grid(task, parts)
         assert sorted(row["id"] for row in t.rows) == sorted(pts.ids())
 
@@ -242,10 +262,9 @@ def stars_fs(n, seed, radius):
     )
 
 
-def grid_parts(anchors, n, padding):
+def grid_parts(anchors, n):
     """A hand-written n x n grid over [0, 20]^2; members by representative point."""
-    return assign_to_partition(anchors, make_regular_grid(BBox(0.0, 0.0, 20.0, 20.0), n, n,
-                                                          padding))
+    return assign_to_partition(anchors, make_regular_grid(BBox(0.0, 0.0, 20.0, 20.0), n, n))
 
 
 def brute_nearest(pt, context):
@@ -287,8 +306,8 @@ EXACT_CASES = {
 
 
 class TestExactRows:
-    """Every row is the row of an unpartitioned run: the partition, the
-    padding and the planner change nothing."""
+    """Every row is the row of an unpartitioned run: the partition and the
+    planner change nothing."""
 
     @pytest.mark.parametrize("case", sorted(EXACT_CASES))
     def test_rows_match_unpartitioned(self, case):
@@ -296,27 +315,25 @@ class TestExactRows:
         want = value_rows(direct(task))
         ids = task.y.ids()
         for n in (1, 3, 7):
-            for padding in (0.0, 100.0):
-                t = run_grid(task, grid_parts(task.y, n, padding))
-                assert value_rows(t) == want, (n, padding)
+            assert value_rows(run_grid(task, grid_parts(task.y, n))) == want, n
         # interleaved groups span the whole area; grid cells as groups leave some empty
-        cells = grid_parts(task.y, 4, 0.0).chunks
+        cells = grid_parts(task.y, 4).chunks
         for groups in ([("all", ids)], [(f"g{k}", ids[k::5]) for k in range(5)],
                        [(str(c.chunk_id), c.member_ids) for c in cells]):
             assert value_rows(run_hierarchy(task, groups)) == want, len(groups)
-        t = run_grid(task, grid_parts(task.y, 7, 0.0), RunConfig(workers=2))
+        t = run_grid(task, grid_parts(task.y, 7), RunConfig(workers=2))
         assert value_rows(t) == want
 
     @pytest.mark.parametrize("case", ["nearest_points", "nearest_lines"])
     def test_nearest_matches_brute_force(self, case):
         task = EXACT_CASES[case]()
-        assert_nearest_exact(run_grid(task, grid_parts(task.y, 7, 0.0)), task.y, task.x)
+        assert_nearest_exact(run_grid(task, grid_parts(task.y, 7)), task.y, task.x)
 
     def test_aw_on_padding_zero_grid(self):
-        # targets reach past their chunk's core: a padding-0 box around the
-        # core misses sources under them
+        # targets reach past their chunk's core: a box of the core alone
+        # misses sources under them
         task = EXACT_CASES["aw"]()
-        t = run_grid(task, grid_parts(task.y, 7, 0.0))
+        t = run_grid(task, grid_parts(task.y, 7))
         assert value_rows(t) == value_rows(direct(task))
 
     def test_aw_group_far_from_sources(self):
@@ -399,7 +416,7 @@ class TestFaultIsolation:
         )
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v", "missing"]})
-        parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=2.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
         t = run_grid(task, parts, RunConfig(workers=1, capture_errors=True))
         assert t.had_errors
         assert "error" in t.columns
@@ -413,7 +430,7 @@ class TestFaultIsolation:
     def test_fail_fast_raises(self):
         # every chunk sees the poisoned source; both paths stop at the first
         task = self._bad_task()
-        parts = build_partition(GridSpec("grid", nx=3, ny=1, padding=20.0), task.y)
+        parts = build_partition(GridSpec("grid", nx=3, ny=1), task.y)
         raised = []
         for workers in (1, 2):
             with pytest.raises(ChunkError) as exc:
@@ -471,7 +488,7 @@ class TestFaultIsolation:
         src = FeatureSet(feats, ["v"])
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v"]})
-        parts = build_partition(GridSpec("grid", nx=2, ny=1, padding=2.0), pts)
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
         t = run_grid(task, parts, RunConfig(workers=2, capture_errors=True))
         good = [r for r in t.rows if not r.get("error")]
         bad = [r for r in t.rows if r.get("error")]

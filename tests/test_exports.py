@@ -1,0 +1,51 @@
+"""The package's public names: `__all__` lists every one, each resolves,
+and the one-at-a-time helpers that the batch kernels replaced stay gone."""
+
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+import gridchop
+from gridchop import executor, partition
+from gridchop.geom import BBox
+from gridchop.partition import Chunk, GridSpec, PartitionSet
+
+REMOVED = [
+    ("gridchop.raster", "value_at_point"),
+    ("gridchop.raster", "coverage_fractions"),
+    ("gridchop.raster", "CoverageCell"),
+    ("gridchop.raster", "zonal_stat"),
+    ("gridchop.geoops", "polygon_intersection_area"),
+    ("gridchop.geom", "buffer_point"),
+    ("gridchop.geom", "point_segment_distance"),
+]
+
+
+def test_all_lists_every_public_name():
+    assert len(set(gridchop.__all__)) == len(gridchop.__all__)
+    public = {
+        name for name, value in vars(gridchop).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(gridchop.__all__)
+    namespace = {}
+    exec("from gridchop import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gridchop.__all__)
+
+
+@pytest.mark.parametrize("module,name", REMOVED)
+def test_removed_names_are_gone(module, name):
+    assert name not in gridchop.__all__
+    assert not hasattr(gridchop, name)
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_no_leftovers():
+    assert not hasattr(executor, "group_by_hierarchy")  # the partition module exports it
+    assert not hasattr(partition, "_LAST_SSQ_TRACE")
+    assert not hasattr(BBox, "contains")
+    assert not hasattr(PartitionSet, "global_extent")
+    for cls in (GridSpec, Chunk, PartitionSet):
+        assert not {"padding", "padded"} & {f.name for f in dataclasses.fields(cls)}, cls

@@ -10,21 +10,22 @@ import pytest
 from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from gridchop.geom import Point, Polyline, buffer_point, make_polygon, polygon_area
+from gridchop.geom import Point, Polyline, bbox_of, make_polygon, polygon_area
 from gridchop.geoops import (
     SedcParams,
+    _intersection_areas,
     extract_at,
     freq_column,
     freq_sort_key,
     nearest_distance,
-    polygon_intersection_area,
     summarize_aw,
     summarize_sedc,
 )
-from gridchop.raster import Raster
+from gridchop.raster import Raster, StatSpec, cell_stat, covered_cells, window_for_bbox
 
 import scalar_reference
 from conftest import random_star
+from scalar_reference import buffer_point, point_segment_distance
 
 
 def rect(x0, y0, x1, y1):
@@ -76,9 +77,7 @@ class TestExtractAtPoints:
         assert t.rows[0]["count"] == pytest.approx(area, rel=1e-9)
 
     def test_buffer_stats_vs_direct_zonal(self):
-        # batched windowed path equals the one-polygon coverage path
-        from gridchop.raster import StatSpec, coverage_fractions, zonal_stat
-
+        # batched buffers equal the polygon path over each buffer polygon
         rng = np.random.default_rng(42)
         vals = rng.uniform(0, 10, (30, 30))
         r = Raster(30, 30, 0.0, 0.0, 1.0, -9999.0, vals)
@@ -87,7 +86,8 @@ class TestExtractAtPoints:
             t = extract_at(r, points_fs(pts), radius=2.5, stat=stat, segments=16)
             for i, (x, y) in enumerate(pts):
                 poly = buffer_point(Point(x, y), 2.5, 16)
-                want = zonal_stat(r, coverage_fractions(r, poly), StatSpec(stat)).value
+                ((rows, cols, w),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+                want = cell_stat(r, rows, cols, w, StatSpec(stat)).value
                 assert t.rows[i][stat] == pytest.approx(want, rel=1e-9), stat
 
     def test_buffered_row_independent_of_batch(self):
@@ -200,10 +200,21 @@ class TestFreqColumns:
         assert cols == ["freq_-1", "freq_2", "freq_10"]
 
 
+def polygon_intersection_area(a, b):
+    """The area of one pair, as summarize_aw computes it for two polygons that
+    are not the same."""
+    pair = np.zeros(1, dtype=np.intp)
+    return float(_intersection_areas([a], [b], pair, pair)[0])
+
+
 class TestPolygonIntersectionArea:
     def test_identity_is_exact(self):
+        # summarize_aw takes an identical pair's area as it is, not clipped
         p = rect(0.3, 0.7, 2.9, 3.1)
-        assert polygon_intersection_area(p, p) == polygon_area(p)
+        t = summarize_aw(FeatureSet([Feature("t", p)]),
+                         FeatureSet([Feature("s", p, {"v": 0.1})], ["v"]), ["v"], stat="sum")
+        assert t.rows[0]["coverage"] == 1.0 and t.rows[0]["v_sum"] == 0.1
+        assert polygon_intersection_area(p, p) == pytest.approx(polygon_area(p), rel=1e-12)
 
     def test_disjoint(self):
         assert polygon_intersection_area(rect(0, 0, 1, 1), rect(5, 5, 6, 6)) == 0.0
@@ -519,8 +530,6 @@ class TestNearestDistance:
 
     def test_brute_force_oracle_exact(self):
         # same arithmetic as the scalar helper: equality must be exact
-        from gridchop.geom import point_segment_distance
-
         rng = random.Random(88)
         lines = FeatureSet(
             [

@@ -37,7 +37,7 @@ def point_set(coords, attrs=None):
 
 class TestRegularGrid:
     def test_4x2_unit_cells(self):
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2)
         assert len(parts.chunks) == 8
         # row-major from the minimum corner
         assert parts.chunks[0].core == BBox(0, 0, 1, 1)
@@ -48,7 +48,7 @@ class TestRegularGrid:
 
     def test_tiling_exactness(self):
         ext = BBox(-3.7, 1.1, 12.9, 8.3)
-        parts = make_regular_grid(ext, 7, 5, 0.0)
+        parts = make_regular_grid(ext, 7, 5)
         xs = sorted({c.core.xmin for c in parts.chunks} | {c.core.xmax for c in parts.chunks})
         ys = sorted({c.core.ymin for c in parts.chunks} | {c.core.ymax for c in parts.chunks})
         assert xs[0] == ext.xmin and xs[-1] == ext.xmax
@@ -59,27 +59,21 @@ class TestRegularGrid:
 
     def test_single_chunk_identity(self):
         ext = BBox(0, 0, 5, 5)
-        parts = make_regular_grid(ext, 1, 1, 0.0)
+        parts = make_regular_grid(ext, 1, 1)
         assert len(parts.chunks) == 1
         assert parts.chunks[0].core == ext
 
-    def test_padding_grows_each_side(self):
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 2, 1, 10.0)
-        c = parts.chunks[0]
-        assert c.padded == BBox(c.core.xmin - 10, c.core.ymin - 10,
-                                c.core.xmax + 10, c.core.ymax + 10)
-
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
-            make_regular_grid(BBox(0, 0, 1, 1), 0, 1, 0.0)
+            make_regular_grid(BBox(0, 0, 1, 1), 0, 1)
         with pytest.raises(InvalidParameterError):
-            make_regular_grid(BBox(0, 0, 0, 1), 1, 1, 0.0)
+            make_regular_grid(BBox(0, 0, 0, 1), 1, 1)
 
 
 class TestQuantileGrid:
     def test_median_break(self):
         pts = point_set([(0, 0), (1, 0), (2, 0), (3, 0)])
-        parts = make_quantile_grid(pts, 2, 0.0)
+        parts = make_quantile_grid(pts, 2)
         # same y for all points: y-axis collapses, two x-columns remain
         assert len(parts.chunks) == 2
         xmaxes = sorted(c.core.xmax for c in parts.chunks)
@@ -89,14 +83,14 @@ class TestQuantileGrid:
 
     def test_nq1_single_chunk(self):
         pts = point_set([(0, 0), (2, 3), (5, 1)])
-        parts = make_quantile_grid(pts, 1, 0.0)
+        parts = make_quantile_grid(pts, 1)
         assert len(parts.chunks) == 1
         assert parts.chunks[0].core == BBox(0, 0, 5, 3)
         assert len(parts.chunks[0].member_ids) == 3
 
     def test_identical_points_collapse(self):
         pts = point_set([(2, 2)] * 5)
-        parts = make_quantile_grid(pts, 3, 0.0)
+        parts = make_quantile_grid(pts, 3)
         assert len(parts.chunks) == 1
         assert len(parts.chunks[0].member_ids) == 5
 
@@ -105,7 +99,7 @@ class TestQuantileGrid:
         rng = random.Random(99)
         n, nq = 200, 4
         pts = point_set([(rng.random(), rng.random()) for _ in range(n)])
-        parts = make_quantile_grid(pts, nq, 0.0)
+        parts = make_quantile_grid(pts, nq)
         coords = {f.id: f.geometry for f in pts.features}
         xe = sorted({c.core.xmin for c in parts.chunks} | {c.core.xmax for c in parts.chunks})
         for lo, hi in zip(xe, xe[1:]):
@@ -117,7 +111,7 @@ class TestQuantileGrid:
 
     def test_empty_input(self):
         with pytest.raises(InvalidInputError):
-            make_quantile_grid(FeatureSet([]), 2, 0.0)
+            make_quantile_grid(FeatureSet([]), 2)
 
 
 class TestMergedGrid:
@@ -129,7 +123,7 @@ class TestMergedGrid:
         # pin the extent corners into the sparse cells
         coords[0] = (0.0, 0.0)
         pts = point_set(coords + [(2.0, 2.0)])
-        parts = make_merged_grid(pts, 2, 2, 5, 0.0)
+        parts = make_merged_grid(pts, 2, 2, 5)
         assert len(parts.chunks) == 3
         sizes = sorted(len(c.member_ids) for c in parts.chunks)
         assert sizes[0] == 2  # the two sparse cells became one chunk
@@ -146,13 +140,13 @@ class TestMergedGrid:
                 ]
         coords += [(0.0, 0.0), (2.0, 2.0)]
         pts = point_set(coords)
-        parts = make_merged_grid(pts, 2, 2, 5, 0.0)
+        parts = make_merged_grid(pts, 2, 2, 5)
         assert len(parts.chunks) == 4
 
     def test_empty_cells_absorbed(self):
         # one populated cell in a 3x3 grid: empty cells merge away
         pts = point_set([(0.0, 0.0), (3.0, 3.0), (0.1, 0.1), (0.2, 0.05)])
-        parts = make_merged_grid(pts, 3, 3, 2, 0.0)
+        parts = make_merged_grid(pts, 3, 3, 2)
         assert len(parts.chunks) <= 2
         assert sum(len(c.member_ids) for c in parts.chunks) == 4
 
@@ -160,7 +154,7 @@ class TestMergedGrid:
         # after merging, no rook-adjacent pair of chunks is both sub-threshold
         rng = random.Random(17)
         pts = point_set([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(60)])
-        parts = make_merged_grid(pts, 4, 4, 6, 0.0)
+        parts = make_merged_grid(pts, 4, 4, 6)
         small = [c for c in parts.chunks if len(c.member_ids) < 6]
         for a in small:
             for b in small:
@@ -176,7 +170,7 @@ class TestMergedGrid:
     def test_count_conservation(self):
         rng = random.Random(5)
         pts = point_set([(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(73)])
-        parts = make_merged_grid(pts, 3, 4, 10, 0.0)
+        parts = make_merged_grid(pts, 3, 4, 10)
         ids = [m for c in parts.chunks for m in c.member_ids]
         assert sorted(ids) == sorted(pts.ids())
 
@@ -190,7 +184,7 @@ class TestMergedGrid:
         centers = rng.uniform(0, 10, (3, 2))
         xy = centers[rng.integers(0, 3, 300)] + rng.normal(0, 0.6, (300, 2))
         pts = point_set(xy)
-        parts = make_merged_grid(pts, nx, ny, int(rng.integers(1, 60)), 0.0)
+        parts = make_merged_grid(pts, nx, ny, int(rng.integers(1, 60)))
 
         (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
         w, h = (x1 - x0) / nx, (y1 - y0) / ny
@@ -217,62 +211,62 @@ class TestMergedGrid:
 class TestBalancedGroups:
     def test_collinear_split(self):
         pts = point_set([(0, 0), (1, 0), (10, 0), (11, 0)])
-        parts = make_balanced_groups(pts, 2, 0.0)
+        parts = make_balanced_groups(pts, 2)
         groups = [set(c.member_ids) for c in parts.chunks]
         assert {"p0", "p1"} in groups and {"p2", "p3"} in groups
 
     def test_k1_and_kn(self):
         pts = point_set([(0, 0), (1, 2), (3, 1)])
-        assert len(make_balanced_groups(pts, 1, 0.0).chunks) == 1
-        parts = make_balanced_groups(pts, 3, 0.0)
+        assert len(make_balanced_groups(pts, 1).chunks) == 1
+        parts = make_balanced_groups(pts, 3)
         assert sorted(len(c.member_ids) for c in parts.chunks) == [1, 1, 1]
 
     def test_sizes_differ_by_at_most_one(self):
         rng = random.Random(11)
         pts = point_set([(rng.random(), rng.random()) for _ in range(23)])
-        parts = make_balanced_groups(pts, 5, 0.0)
+        parts = make_balanced_groups(pts, 5)
         sizes = sorted(len(c.member_ids) for c in parts.chunks)
         assert sizes == [4, 4, 5, 5, 5]
 
     def test_invalid_k(self):
         pts = point_set([(0, 0), (1, 1)])
         with pytest.raises(InvalidParameterError):
-            make_balanced_groups(pts, 3, 0.0)
+            make_balanced_groups(pts, 3)
         with pytest.raises(InvalidParameterError):
-            make_balanced_groups(pts, 0, 0.0)
+            make_balanced_groups(pts, 0)
 
 
 class TestAssignToPartition:
     def test_interior_point(self):
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2)
         pts = point_set([(2.5, 1.5)])
         out = assign_to_partition(pts, parts)
         owner = [c for c in out.chunks if c.member_ids]
         assert len(owner) == 1 and owner[0].chunk_id == 6
 
     def test_shared_edge_half_open(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1)
         out = assign_to_partition(point_set([(1.0, 0.5)]), parts)
         # x=1 opens the right cell's interval
         assert out.chunks[1].member_ids == ["p0"]
         assert out.chunks[0].member_ids == []
 
     def test_global_max_edge_closed(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1)
         out = assign_to_partition(point_set([(2.0, 1.0)]), parts)
         assert out.chunks[1].member_ids == ["p0"]
 
     def test_disjoint_and_exhaustive(self):
         rng = random.Random(1234)
         pts = point_set([(rng.uniform(0, 4), rng.uniform(0, 2)) for _ in range(1000)])
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2, 0.5)
+        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2)
         out = assign_to_partition(pts, parts)
         ids = [m for c in out.chunks for m in c.member_ids]
         assert len(ids) == 1000
         assert len(set(ids)) == 1000
 
     def test_outside_point_goes_to_nearest_center(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2)
         out = assign_to_partition(point_set([(10.0, 10.0)]), parts)
         assert out.chunks[3].member_ids == ["p0"]
 
@@ -280,15 +274,14 @@ class TestAssignToPartition:
     def _cores(*boxes):
         # chunk ids descend, so the owner and tie rules must sort by id
         n = len(boxes)
-        return PartitionSet("grid", 0.5, [
-            Chunk(n - 1 - k, BBox(*b), BBox(*b).expand(0.5)) for k, b in enumerate(boxes)])
+        return PartitionSet("grid", [Chunk(n - 1 - k, BBox(*b)) for k, b in enumerate(boxes)])
 
     @pytest.mark.parametrize("case", ["lattice", "degenerate", "equidistant", "overlap"])
     def test_matches_reference_loop(self, case):
         rng = np.random.default_rng(7)
         if case == "lattice":
             # points on every core edge, on the global max edges, outside every core
-            parts = make_regular_grid(BBox(0, 0, 4, 3), 4, 3, 0.25)
+            parts = make_regular_grid(BBox(0, 0, 4, 3), 4, 3)
             coords = [(x / 2, y / 2) for x in range(-2, 11) for y in range(-2, 9)]
             coords += [tuple(v) for v in rng.uniform(-1, 5, (200, 2)).tolist()]
         elif case == "degenerate":
@@ -309,12 +302,11 @@ class TestAssignToPartition:
             coords = [(1.5, 1.5), (0.5, 0.5), (2.5, 2.5), (3, 3), (2, 2), (3, 0)]
         pts = point_set(coords)
         got, want = assign_to_partition(pts, parts), assign_loop(pts, parts)
-        assert [(c.chunk_id, c.core, c.padded, c.member_ids) for c in got.chunks] == [
-            (c.chunk_id, c.core, c.padded, c.member_ids) for c in want.chunks]
+        assert got == want
         assert sum(len(c.member_ids) for c in got.chunks) == len(coords)
 
     def test_lines_and_polygons_use_first_vertex(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2, 0.0)
+        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2)
         feats = FeatureSet([
             Feature("l", Polyline([Point(1.5, 0.5), Point(0.1, 0.1)])),
             Feature("q", make_polygon([[Point(0.5, 1.5), Point(0.9, 1.5), Point(0.9, 1.9)]])),
@@ -367,10 +359,10 @@ class TestBuildPartitionDeterminism:
         rng = random.Random(4242)
         pts = point_set([(rng.uniform(0, 9), rng.uniform(0, 7)) for _ in range(120)])
         for spec in (
-            GridSpec("grid", nx=3, ny=2, padding=1.0),
-            GridSpec("grid_quantile", nq=3, padding=0.5),
-            GridSpec("grid_advanced", nx=3, ny=3, min_features=20, padding=0.5),
-            GridSpec("balanced", n_groups=4, padding=0.25),
+            GridSpec("grid", nx=3, ny=2),
+            GridSpec("grid_quantile", nq=3),
+            GridSpec("grid_advanced", nx=3, ny=3, min_features=20),
+            GridSpec("balanced", n_groups=4),
         ):
             a, b = tmp_path / "a.json", tmp_path / "b.json"
             save_partitions(build_partition(spec, pts), str(a))

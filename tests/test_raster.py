@@ -6,6 +6,8 @@ import pytest
 from gridchop import (
     BBox,
     CellWindow,
+    Feature,
+    FeatureSet,
     InvalidParameterError,
     Point,
     Polygon,
@@ -13,24 +15,38 @@ from gridchop import (
     Ring,
     StatSpec,
     bbox_of,
-    buffer_point,
-    coverage_fractions,
+    extract_at,
     polygon_area,
-    value_at_point,
     window_for_bbox,
-    zonal_stat,
 )
 from gridchop.geom import make_polygon, signed_ring_area
-from gridchop.raster import cell_areas, covered_cells, ring_edges
+from gridchop.raster import cell_areas, cell_stat, covered_cells, ring_edges
 
 from conftest import random_star, square, star_polygon
-from scalar_reference import clip_ring_convex, shoelace
+from scalar_reference import buffer_point, clip_ring_convex, shoelace
 
 
 def grid(n=4, values=None, kind="continuous", nodata=-9999.0):
     if values is None:
         values = np.arange(n * n, dtype=float).reshape(n, n)
     return Raster(n, n, 0.0, 0.0, 1.0, nodata, values, kind)
+
+
+def coverage(r, poly):
+    """{(row, col): fraction} of the cells poly covers, as extract_at reads them."""
+    ((rows, cols, fracs),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+    return dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
+
+
+def zonal(r, poly, kind):
+    """The statistic of kind over the cells poly covers."""
+    ((rows, cols, w),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+    return cell_stat(r, rows, cols, w, StatSpec(kind))
+
+
+def value_at(r, x, y):
+    """extract_at's value of the point (x, y) at radius 0."""
+    return extract_at(r, FeatureSet.from_columns(["p"], np.array([[x, y]]))).rows[0]["value"]
 
 
 def mc_fraction_oracle(r, poly, row, col, sub=256):
@@ -140,7 +156,7 @@ KERNEL_CASES = {
 def test_kernel_matches_scalar_clipper(case, nprng):
     ras = Raster(10, 12, 3.0, 0.5, 0.25, -9999.0, np.zeros((12, 10)))
     for poly in KERNEL_CASES[case](nprng):
-        # the whole raster, and the polygon's own window as coverage_fractions uses
+        # the whole raster, and the polygon's own window as covered_cells uses
         win = window_for_bbox(ras, bbox_of(poly))
         for window in ((3.0, 3.5, 12, 10),
                        (3.0 + win.col0 * 0.25, 3.5 - win.row0 * 0.25, win.nrows_w, win.ncols_w)):
@@ -235,32 +251,25 @@ class TestWindowForBBox:
 
 class TestCoverageFractions:
     def test_exact_cell_rectangle(self):
-        r = grid()
-        cells = coverage_fractions(r, square(1.0, 1.0, 1.0))
-        assert len(cells) == 1
-        c = cells[0]
-        assert (c.row, c.col, c.fraction) == (2, 1, 1.0)
+        assert coverage(grid(), square(1.0, 1.0, 1.0)) == {(2, 1): 1.0}
 
     def test_half_cell(self):
-        from gridchop import Polygon, Ring
-
         # Left half of cell (row 2, col 1): [1, 1.5] x [1, 2].
         half = Polygon(
             Ring([Point(1, 1), Point(1.5, 1), Point(1.5, 2), Point(1, 2)])
         )
-        cells = coverage_fractions(grid(), half)
-        assert len(cells) == 1
-        assert (cells[0].row, cells[0].col) == (2, 1)
-        assert cells[0].fraction == pytest.approx(0.5)
+        cells = coverage(grid(), half)
+        assert list(cells) == [(2, 1)]
+        assert cells[(2, 1)] == pytest.approx(0.5)
 
     def test_circle_on_cell_corner_vs_mc_oracle(self):
         r = grid(8)
         poly = buffer_point(Point(4.0, 4.0), 1.5, 64)
-        cells = coverage_fractions(r, poly)
+        cells = coverage(r, poly)
         assert cells, "circle must cover cells"
-        for c in cells:
-            oracle = mc_fraction_oracle(r, poly, c.row, c.col)
-            assert c.fraction == pytest.approx(oracle, abs=2e-3)
+        for (row, col), fraction in cells.items():
+            oracle = mc_fraction_oracle(r, poly, row, col)
+            assert fraction == pytest.approx(oracle, abs=2e-3)
 
     def test_conservation(self, rng):
         r = grid(10)
@@ -268,14 +277,12 @@ class TestCoverageFractions:
             poly = star_polygon(
                 rng.uniform(3, 7), rng.uniform(3, 7), rng.uniform(1, 2.5), rng.uniform(0.4, 0.9)
             )
-            cells = coverage_fractions(r, poly)
-            total = sum(c.fraction for c in cells) * r.cellsize**2
+            total = sum(coverage(r, poly).values()) * r.cellsize**2
             assert total == pytest.approx(polygon_area(poly), rel=1e-9)
 
     def test_axis_aligned_exactness(self):
-        r = grid()
-        cells = coverage_fractions(r, square(1.0, 0.0, 3.0))
-        assert all(c.fraction == 1.0 for c in cells)
+        cells = coverage(grid(), square(1.0, 0.0, 3.0))
+        assert all(f == 1.0 for f in cells.values())
         assert len(cells) == 9
 
     def test_window_cropping_transparency(self):
@@ -284,10 +291,8 @@ class TestCoverageFractions:
         poly = star_polygon(2.0, 2.0, 1.4, 0.5)
         small = grid(4)
         big = Raster(8, 8, -2.0, -2.0, 1.0, -9999.0, np.zeros((8, 8)))
-        got_small = {(c.row, c.col): c.fraction for c in coverage_fractions(small, poly)}
-        got_big = {
-            (c.row - 2, c.col - 2): c.fraction for c in coverage_fractions(big, poly)
-        }
+        got_small = coverage(small, poly)
+        got_big = {(row - 2, col - 2): f for (row, col), f in coverage(big, poly).items()}
         shared = {k: v for k, v in got_big.items() if 0 <= k[0] < 4 and 0 <= k[1] < 4}
         assert got_small == shared
 
@@ -295,73 +300,64 @@ class TestCoverageFractions:
 class TestZonalStat:
     def test_constant_mean(self):
         r = grid(4, np.full((4, 4), 5.0))
-        cells = coverage_fractions(r, square(0, 0, 4.0))
-        assert zonal_stat(r, cells, StatSpec("mean")).value == 5.0
+        assert zonal(r, square(0, 0, 4.0), "mean").value == 5.0
 
     def test_plain_average(self):
         r = grid(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        cells = coverage_fractions(r, square(0, 0, 2.0))
-        res = zonal_stat(r, cells, StatSpec("mean"))
+        res = zonal(r, square(0, 0, 2.0), "mean")
         assert res.value == 2.5
         assert res.count == 4.0
 
     def test_frequency(self):
         r = grid(2, np.array([[7.0, 7.0], [7.0, 9.0]]), kind="categorical")
-        cells = coverage_fractions(r, square(0, 0, 2.0))
-        res = zonal_stat(r, cells, StatSpec("frequency"))
+        res = zonal(r, square(0, 0, 2.0), "frequency")
         assert res.frequency == {7.0: 3.0, 9.0: 1.0}
         assert sum(res.frequency.values()) == res.count
 
     def test_nodata_excluded(self):
         vals = np.array([[1.0, -9999.0], [3.0, 5.0]])
-        r = grid(2, vals)
-        cells = coverage_fractions(r, square(0, 0, 2.0))
-        res = zonal_stat(r, cells, StatSpec("mean"))
+        res = zonal(grid(2, vals), square(0, 0, 2.0), "mean")
         assert res.value == pytest.approx(3.0)
         assert res.count == 3.0
 
     def test_all_nodata_null(self):
         r = grid(2, np.full((2, 2), -9999.0))
-        cells = coverage_fractions(r, square(0, 0, 2.0))
-        res = zonal_stat(r, cells, StatSpec("mean"))
+        res = zonal(r, square(0, 0, 2.0), "mean")
         assert res.value is None
         assert res.count == 0.0
 
     def test_stdev_population(self):
         r = grid(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        cells = coverage_fractions(r, square(0, 0, 2.0))
-        res = zonal_stat(r, cells, StatSpec("stdev"))
+        res = zonal(r, square(0, 0, 2.0), "stdev")
         assert res.value == pytest.approx(math.sqrt(1.25))
 
     def test_min_max_and_mean_bounds(self, rng):
         r = grid(6, np.array([[rng.uniform(0, 10) for _ in range(6)] for _ in range(6)]))
         poly = star_polygon(3.0, 3.0, 2.5, 1.0)
-        cells = coverage_fractions(r, poly)
-        lo = zonal_stat(r, cells, StatSpec("min")).value
-        hi = zonal_stat(r, cells, StatSpec("max")).value
-        mu = zonal_stat(r, cells, StatSpec("mean")).value
+        lo = zonal(r, poly, "min").value
+        hi = zonal(r, poly, "max").value
+        mu = zonal(r, poly, "mean").value
         assert lo <= mu <= hi
 
     def test_frequency_requires_categorical(self):
-        r = grid(2)
+        polys = FeatureSet([Feature("a", square(0, 0, 2.0))])
         with pytest.raises(InvalidParameterError):
-            zonal_stat(r, coverage_fractions(r, square(0, 0, 2.0)), StatSpec("frequency"))
+            extract_at(grid(2), polys, stat="frequency")
 
 
 class TestValueAtPoint:
+    """extract_at at radius 0 reads the cell under the point."""
+
     def test_cell_center(self):
-        r = grid()
-        assert value_at_point(r, Point(1.5, 3.5)) == 1.0  # row 0, col 1
+        assert value_at(grid(), 1.5, 3.5) == 1.0  # row 0, col 1
 
     def test_outside(self):
-        r = grid()
-        assert value_at_point(r, Point(-1, -1)) is None
+        assert value_at(grid(), -1, -1) is None
 
     def test_half_open_vertical_edge(self):
         # On an interior vertical edge the cell to the right wins.
-        r = grid()
-        assert value_at_point(r, Point(2.0, 3.5)) == 2.0  # col 2, not col 1
+        assert value_at(grid(), 2.0, 3.5) == 2.0  # col 2, not col 1
 
     def test_nodata_is_none(self):
         vals = np.full((2, 2), -9999.0)
-        assert value_at_point(grid(2, vals), Point(0.5, 0.5)) is None
+        assert value_at(grid(2, vals), 0.5, 0.5) is None
