@@ -26,6 +26,11 @@ from gridchop.raster import Raster
 import numpy as np
 
 
+def table(columns, rows):
+    """A ResultTable of these columns from row dicts; a missing key writes empty."""
+    return ResultTable(columns, rows)
+
+
 class TestFormatValue:
     def test_float_round_trip(self):
         assert format_value(0.1 + 0.2) == "0.30000000000000004"
@@ -347,6 +352,31 @@ class TestSaveTable:
         lines = p.read_bytes().split(b"\r\n")
         assert lines[1] == b"a,1.5,"
         assert lines[2] == b"b,,boom"
+
+    def test_quoting_of_special_fields(self):
+        # RFC 4180: a field holding the delimiter, a quote or a line break is quoted
+        ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", ""]
+        t = table(["id", "v,w"], [{"id": fid, "v,w": 1} for fid in ids])
+        assert t.to_csv_bytes() == (
+            b'id,"v,w"\r\nplain,1\r\n"a,b",1\r\n"say ""hi""",1\r\n'
+            b'"two\nlines",1\r\n"cr\rhere",1\r\n,1\r\n'
+        )
+
+    @pytest.mark.parametrize("value,text", [
+        (None, b""), (True, b"1"), (False, b"0"), (7, b"7"), (-3, b"-3"),
+        (np.int64(12), b"12"), (np.float64(0.1), b"0.1"), (np.float64(2.0), b"2.0"),
+        (1e22, b"1e+22"), (float("nan"), b"nan"), (float("-inf"), b"-inf"), ("s p", b"s p"),
+    ])
+    def test_field_formats(self, value, text):
+        t = table(["id", "v"], [{"id": "a", "v": value}])
+        assert t.to_csv_bytes() == b"id,v\r\na," + text + b"\r\n"
+
+    @pytest.mark.parametrize("columns,want", [
+        (["id"], b"id\r\n"), (["id", "mean", "count"], b"id,mean,count\r\n"),
+        (["id", 'a"b'], b'id,"a""b"\r\n'),
+    ])
+    def test_header_only(self, columns, want):
+        assert table(columns, []).to_csv_bytes() == want
 
     def test_float_serialization(self, tmp_path):
         t = ResultTable(["v"], [{"v": 0.1 + 0.2}])

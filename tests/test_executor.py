@@ -496,7 +496,57 @@ class TestFaultIsolation:
         assert [r["id"] for r in bad] == ["p1"]
 
 
+def chunk(chunk_id, columns=(), rows=(), error=None):
+    """A ChunkResult from the op's columns and row dicts, or from an error."""
+    return ChunkResult(chunk_id, list(columns), list(rows), error)
+
+
 class TestMergeChunks:
+    def test_layout_csv_bytes(self):
+        # value columns in first-seen order; chunk tags and extra columns on
+        # every row, error rows included; a chunk missing from extra_by_chunk
+        # leaves its extra fields empty; a chunk without a column leaves it empty
+        chunks = [
+            chunk(2, ["id", "b"], [{"id": "c", "b": 3}]),
+            chunk(0, ["id", "a"], [{"id": "a", "a": 1.0}]),
+            chunk(1, error="Traceback ...\nValueError: boom"),
+            chunk(3, ["id", "b", "a"], [{"id": "d", "b": None, "a": 0.5}]),
+        ]
+        t = merge_chunks(chunks, "id", {1: ["b1", "b2"]},
+                         {0: {"raster": "r0"}, 1: {"raster": "r,1"}, 3: {"raster": "r3"}})
+        assert t.had_errors
+        assert t.to_csv_bytes() == (
+            b"id,chunk_id,raster,a,b,error\r\n"
+            b"a,0,r0,1.0,,\r\n"
+            b'b1,1,"r,1",,,ValueError: boom\r\n'
+            b'b2,1,"r,1",,,ValueError: boom\r\n'
+            b"c,2,,,3,\r\n"
+            b"d,3,r3,0.5,,\r\n"
+        )
+
+    def test_frequency_layout_csv_bytes(self):
+        # sorted freq_* columns, then other value columns, then count; a
+        # successful chunk zero-fills the freq columns it lacks, an error row
+        # leaves them empty
+        chunks = [
+            chunk(0, ["id", "freq_10", "count"], [{"id": "a", "freq_10": 2.0, "count": 2.0}]),
+            chunk(1, error="boom"),
+            chunk(2, ["id", "freq_-1", "freq_2", "count"],
+                  [{"id": "c", "freq_-1": 0.5, "freq_2": 1.0, "count": 1.5}]),
+        ]
+        t = merge_chunks(chunks, "id", {1: ["b"]}, {})
+        assert t.to_csv_bytes() == (
+            b"id,chunk_id,freq_-1,freq_2,freq_10,count,error\r\n"
+            b"a,0,0.0,0.0,2.0,2.0,\r\n"
+            b"b,1,,,,,boom\r\n"
+            b"c,2,0.5,1.0,0.0,1.5,\r\n"
+        )
+
+    def test_failed_chunk_without_anchor_list(self):
+        # a failed chunk whose anchors are not known gives one row with an empty id
+        t = merge_chunks([chunk(0, error="x\nKeyError: 'v'")], "id")
+        assert t.to_csv_bytes() == b"id,chunk_id,error\r\n,0,KeyError: 'v'\r\n"
+
     def test_out_of_order_sorted(self):
         chunks = [
             ChunkResult(1, ["id", "x"], [{"id": "b", "x": 2.0}]),

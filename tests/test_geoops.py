@@ -63,6 +63,17 @@ class TestExtractAtPoints:
         t = extract_at(r, points_fs([(0.5, 0.5)]))
         assert t.rows[0]["value"] is None
 
+    def test_radius0_csv_bytes(self):
+        # off the raster and on a nodata cell: empty value and count 0.0; a
+        # NaN cell is a value, written as nan
+        vals = np.array([[1.5, -9999.0], [np.nan, 4.0]])
+        r = Raster(2, 2, 0.0, 0.0, 1.0, -9999.0, vals)
+        pts = points_fs([(0.5, 1.5), (5.0, 0.5), (1.5, 1.5), (0.5, 0.5), (-0.5, 0.5)])
+        assert extract_at(r, pts).to_csv_bytes() == (
+            b"id,value,count\r\np0,1.5,1.0\r\np1,,0.0\r\np2,,0.0\r\n"
+            b"p3,nan,1.0\r\np4,,0.0\r\n"
+        )
+
     def test_buffer_mean_constant_raster(self):
         t = extract_at(const_raster(10, 5.0), points_fs([(5.0, 5.0)]), radius=2.0)
         assert t.rows[0]["mean"] == pytest.approx(5.0, abs=1e-12)
