@@ -182,27 +182,22 @@ def run_benchmark(
 
 
 def records_csv(records: list[BenchRecord]) -> ResultTable:
-    rows = [
-        {"case": r.case, "workers": r.workers, "repeat": r.repeat, "elapsed_s": r.elapsed_s}
-        for r in records
-    ]
-    return ResultTable(["case", "workers", "repeat", "elapsed_s"], rows)
+    return ResultTable({
+        "case": [r.case for r in records],
+        "workers": [r.workers for r in records],
+        "repeat": [r.repeat for r in records],
+        "elapsed_s": [r.elapsed_s for r in records],
+    })
 
 
 def metrics_csv(metrics: list[BenchMetrics]) -> ResultTable:
-    rows = [
-        {
-            "case": m.case,
-            "workers": m.n,
-            "t1": m.t1,
-            "tn": m.tn,
-            "speedup": m.speedup,
-            "efficiency": m.efficiency,
-            "repeats": m.repeats,
-            "aggregation": "median",
-        }
-        for m in metrics
-    ]
-    return ResultTable(
-        ["case", "workers", "t1", "tn", "speedup", "efficiency", "repeats", "aggregation"], rows
-    )
+    return ResultTable({
+        "case": [m.case for m in metrics],
+        "workers": [m.n for m in metrics],
+        "t1": [m.t1 for m in metrics],
+        "tn": [m.tn for m in metrics],
+        "speedup": [m.speedup for m in metrics],
+        "efficiency": [m.efficiency for m in metrics],
+        "repeats": [m.repeats for m in metrics],
+        "aggregation": ["median"] * len(metrics),
+    })

@@ -223,12 +223,9 @@ def cmd_synth(args) -> int:
     )
     points, lines, raster = bench_mod.synth_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
-    rows = [
-        {"id": fid, "x": x, "y": y, "v": v}
-        for fid, (x, y), v in zip(points.ids(), points.xy.tolist(), points.attributes["v"])
-    ]
-    dataio.save_table(dataio.ResultTable(["id", "x", "y", "v"], rows),
-                      os.path.join(args.out, "points.csv"))
+    x, y = points.xy.T.tolist()
+    table = dataio.ResultTable({"id": points.ids(), "x": x, "y": y, "v": points.attributes["v"]})
+    dataio.save_table(table, os.path.join(args.out, "points.csv"))
     dataio.write_raster(raster, os.path.join(args.out, "raster.asc"))
     doc = {
         "type": "FeatureCollection",

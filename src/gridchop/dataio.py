@@ -216,16 +216,32 @@ class FeatureSet:
 
 @dataclass
 class ResultTable:
-    columns: list[str]
-    rows: list[dict]
-    had_errors: bool = False
+    """A result table stored by column: `data` maps each column name, in
+    output order, to one list of Python values. None writes an empty field.
+
+    `rows` builds one dict per row on each access, as a read-only view.
+    """
+
+    data: dict[str, list]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.data)
+
+    @property
+    def had_errors(self) -> bool:
+        return "error" in self.data
+
+    @property
+    def rows(self) -> list[dict]:
+        names = list(self.data)
+        return [dict(zip(names, values)) for values in zip(*self.data.values())]
 
     def to_csv_bytes(self) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([format_value(row.get(c)) for c in self.columns])
+        writer.writerow(self.data)
+        writer.writerows(zip(*[map(format_value, col) for col in self.data.values()]))
         return buf.getvalue().encode("utf-8")
 
 

@@ -60,9 +60,10 @@ class Job:
 
 @dataclass
 class ChunkResult:
+    """A chunk's table, or the traceback of its failure."""
+
     chunk_id: int
-    columns: list[str] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
+    table: ResultTable | None = None
     error: str | None = None
 
 
@@ -160,12 +161,12 @@ def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_
     table = _apply_op(task, clipped, anchors, id_column)
     x, y = anchors.xy.T
     edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y])
-    dist = np.array([row["distance"] for row in table.rows])
-    redo = np.nonzero(~(dist < edge))[0]
+    redo = np.nonzero(~(np.array(table.data["distance"]) < edge))[0]
     if redo.size:
         again = _apply_op(task, context, anchors.subset(redo), id_column)
-        for i, row in zip(redo.tolist(), again.rows):
-            table.rows[i] = row
+        for name, column in table.data.items():
+            for i, value in zip(redo.tolist(), again.data[name]):
+                column[i] = value
     return table
 
 
@@ -183,7 +184,7 @@ def _run_chunk(job: Job) -> ChunkResult:
             table = _apply_clipped(task, context, anchors, _CTX["id_column"])
         else:
             table = _apply_op(task, context, anchors, _CTX["id_column"])
-        return ChunkResult(job.chunk_id, table.columns, table.rows)
+        return ChunkResult(job.chunk_id, table)
     except Exception:
         return ChunkResult(job.chunk_id, error=traceback.format_exc(limit=4))
 
@@ -221,9 +222,13 @@ def merge_chunks(
     anchor_ids_by_chunk: dict[int, list[str]] | None = None,
     extra_by_chunk: dict[int, dict] | None = None,
 ) -> ResultTable:
-    """Concatenate chunk outputs sorted by chunk_id; errors become rows.
+    """Concatenate chunk tables column by column, sorted by chunk_id.
 
-    Every row gets its chunk_id and its chunk's extra columns; a failed
+    Every row gets its chunk_id and its chunk's extra columns, which win over
+    op columns of the same name. Value columns come in first-seen order; with
+    frequency columns, the sorted freq_* columns come first, then the other
+    value columns, then count. A successful chunk's rows read 0.0 in the
+    frequency columns they lack; any other missing field is None. A failed
     chunk gives one error row per anchor id.
     """
     seen = set()
@@ -232,46 +237,38 @@ def merge_chunks(
             raise InvalidParameterError(f"duplicate chunk_id {c.chunk_id}")
         seen.add(c.chunk_id)
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
+    anchor_ids_by_chunk = anchor_ids_by_chunk or {}
     extra_by_chunk = extra_by_chunk or {}
-    extra_cols = list(dict.fromkeys(k for extra in extra_by_chunk.values() for k in extra))
-
-    value_cols: list[str] = []
-    freq_cols: set[str] = set()
+    tags = ["chunk_id", *dict.fromkeys(k for extra in extra_by_chunk.values() for k in extra)]
+    values = list(dict.fromkeys(
+        col for c in ordered if c.table is not None for col in c.table.data
+        if col != id_column and col not in tags
+    ))
+    freq = sorted((col for col in values if col.startswith("freq_")), key=geoops.freq_sort_key)
+    if freq:
+        rest = [col for col in values if not col.startswith("freq_") and col != "count"]
+        values = freq + rest + (["count"] if "count" in values else [])
+    errors = any(c.error is not None for c in ordered)
+    data: dict[str, list] = {col: [] for col in [id_column, *tags, *values]}
+    if errors:
+        data["error"] = []
+    zero = dict.fromkeys(freq, 0.0)
     for c in ordered:
-        for col in c.columns:
-            if col == id_column:
-                continue
-            if col.startswith("freq_"):
-                freq_cols.add(col)
-            elif col not in value_cols:
-                value_cols.append(col)
-    sorted_freq = sorted(freq_cols, key=geoops.freq_sort_key)
-    if sorted_freq:
-        value_cols = sorted_freq + [c for c in value_cols if c != "count"] + (
-            ["count"] if any(c.columns and "count" in c.columns for c in ordered) else []
-        )
-
-    rows: list[dict] = []
-    had_errors = False
-    for c in ordered:
-        tags = {"chunk_id": c.chunk_id, **extra_by_chunk.get(c.chunk_id, {})}
         if c.error is not None:
-            had_errors = True
-            ids = (anchor_ids_by_chunk or {}).get(c.chunk_id, [""])
-            msg = _last_line(c.error)
-            for fid in ids:
-                rows.append({id_column: fid, **tags, "error": msg})
-            continue
-        for row in c.rows:
-            row.update(tags)
-            if sorted_freq:
-                for fc in sorted_freq:
-                    row.setdefault(fc, 0.0)
-            rows.append(row)
-    columns = [id_column, "chunk_id"] + extra_cols + value_cols
-    if had_errors:
-        columns.append("error")
-    return ResultTable(columns, rows, had_errors=had_errors)
+            ids = anchor_ids_by_chunk.get(c.chunk_id, [""])
+            got, fill = {id_column: ids, "error": [_last_line(c.error)] * len(ids)}, {}
+        else:
+            got, fill = (c.table.data if c.table is not None else {}), zero
+        n = len(next(iter(got.values()), ()))
+        own = {"chunk_id": c.chunk_id, **extra_by_chunk.get(c.chunk_id, {})}
+        for col, out in data.items():
+            if col in own:
+                out += [own[col]] * n
+            elif col in got:
+                out += got[col]
+            else:
+                out += [fill.get(col)] * n
+    return ResultTable(data)
 
 
 def _anchors(task: TaskSpec) -> FeatureSet:

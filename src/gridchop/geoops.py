@@ -1,8 +1,9 @@
 """User-facing geospatial summarizers parallelized by the executor.
 
 All four operations are pure functions from immutable inputs to a
-ResultTable and compute each output row independently of the others, which
-is what makes chunked execution value-exact.
+ResultTable, built column by column, and compute each output row
+independently of the others, which is what makes chunked execution
+value-exact.
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ def freq_sort_key(column: str) -> float:
     return float(column.removeprefix("freq_"))
 
 
-def _finish_freq_table(id_column: str, rows: list[dict]) -> ResultTable:
-    cats: set[str] = set()
-    for row in rows:
-        cats.update(k for k in row if k.startswith("freq_"))
-    cols = sorted(cats, key=freq_sort_key)
-    for row in rows:
-        for c in cols:
-            row.setdefault(c, 0.0)
-    return ResultTable([id_column, *cols, "count"], rows)
+def _freq_columns(freqs: list[dict[float, float]]) -> dict[str, list]:
+    """The freq_* columns, sorted, of each row's {category: weight}; a row
+    without a category reads 0.0 in its column."""
+    cols: dict[str, list] = {}
+    for i, freq in enumerate(freqs):
+        for cat, wsum in freq.items():
+            cols.setdefault(freq_column(cat), [0.0] * len(freqs))[i] = wsum
+    return {c: cols[c] for c in sorted(cols, key=freq_sort_key)}
 
 
 def _check_kind(fs: FeatureSet, op: str, *kinds: str) -> str:
@@ -200,11 +200,12 @@ def extract_at(
     if y.geometry_kind() == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     kind = _check_kind(y, "extract_at", "point", "polygon")
-    ids = y.ids()
+    ids = list(y.ids())
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat.kind == "count" else [stat.kind]
     if kind == "empty":
-        return ResultTable([id_column, *(["value"] if radius == 0 else value_cols), "count"], [])
+        cols = ["value"] if radius == 0 else value_cols
+        return ResultTable({id_column: [], **{c: [] for c in cols}, "count": []})
 
     if kind == "point" and radius == 0:
         px, py = _point_arrays(y)
@@ -213,35 +214,24 @@ def extract_at(
         row = np.floor((x.ytop - py) / cs).astype(int)
         inb = (col >= 0) & (col < x.ncols) & (row >= 0) & (row < x.nrows)
         vals = x.values[np.clip(row, 0, x.nrows - 1), np.clip(col, 0, x.ncols - 1)]
-        rows_out = []
-        for i, fid in enumerate(ids):
-            v = float(vals[i]) if inb[i] else None
-            if v is not None and v == x.nodata:
-                v = None
-            rows_out.append({id_column: fid, "value": v, "count": 0.0 if v is None else 1.0})
-        return ResultTable([id_column, "value", "count"], rows_out)
+        ok = inb & (vals != x.nodata)  # a NaN cell is a value
+        value = [v if k else None for v, k in zip(vals.tolist(), ok.tolist())]
+        return ResultTable({id_column: ids, "value": value, "count": ok.astype(float).tolist()})
 
     if kind == "point":
         px, py = _point_arrays(y)
         res, counts = _buffered_point_stats(x, px, py, radius, stat, segments)
-        rows_out = []
         if stat.kind == "frequency":
-            for i, fid in enumerate(ids):
-                row = {id_column: fid, "count": float(counts[i])}
-                for cat, wsum in res[i].items():
-                    row[freq_column(cat)] = wsum
-                rows_out.append(row)
-            return _finish_freq_table(id_column, rows_out)
-        for i, fid in enumerate(ids):
-            v = None if math.isnan(res[i]) else float(res[i])
-            rows_out.append({id_column: fid, stat.kind: v, "count": float(counts[i])})
-        return ResultTable([id_column, *value_cols, "count"], rows_out)
+            values = _freq_columns(res)
+        else:
+            values = {c: [None if math.isnan(v) else v for v in res.tolist()] for c in value_cols}
+        return ResultTable({id_column: ids, **values, "count": counts.tolist()})
 
     # polygons
     if radius > 0:
         raise InvalidParameterError("buffered polygon extraction is not supported")
     wins = [window_for_bbox(x, BBox(*b)) for b in y.bounds().tolist()]
-    rows_out = []
+    results = []
     lo = 0
     while lo < len(wins):
         # the next polygons in file order whose windows, padded to the
@@ -253,19 +243,13 @@ def extract_at(
                 break
             hi, nr, nc = hi + 1, nr2, nc2
         cells = covered_cells(x, y.geometries[lo:hi], wins[lo:hi])
-        for fid, (rows, cols, w) in zip(ids[lo:hi], cells):
-            sr = cell_stat(x, rows, cols, w, stat)
-            row = {id_column: fid, "count": sr.count}
-            if stat.kind == "frequency":
-                for cat, wsum in (sr.frequency or {}).items():
-                    row[freq_column(cat)] = wsum
-            elif value_cols:
-                row[stat.kind] = sr.value
-            rows_out.append(row)
+        results += [cell_stat(x, rows, cols, w, stat) for rows, cols, w in cells]
         lo = hi
     if stat.kind == "frequency":
-        return _finish_freq_table(id_column, rows_out)
-    return ResultTable([id_column, *value_cols, "count"], rows_out)
+        values = _freq_columns([sr.frequency or {} for sr in results])
+    else:
+        values = {c: [sr.value for sr in results] for c in value_cols}
+    return ResultTable({id_column: ids, **values, "count": [sr.count for sr in results]})
 
 
 # --- polygon/polygon intersection via trapezoid decomposition -----------
@@ -418,10 +402,9 @@ def summarize_aw(
     _check_kind(sources, "summarize_aw", "polygon")
     # an empty set keeps no geometry list; a target over no source gets a null row
     tpolys, spolys = targets.geometries or [], sources.geometries or []
-    tids = targets.ids()
     tb, sb = targets.bounds(), sources.bounds()
-    cols = [f"{c}_{stat}" for c in value_columns]
-    rows_out = []
+    value_columns = list(dict.fromkeys(value_columns))  # one column each
+    out = {c: [] for c in [id_column, *(f"{c}_{stat}" for c in value_columns), "coverage"]}
     block = max(1, _PAIR_ELEMS // max(1, len(spolys)))
     for lo in range(0, len(tpolys), block):
         t = tb[lo : lo + block, None, :]
@@ -445,14 +428,16 @@ def summarize_aw(
             np.bincount(ti, minlength=len(t), weights=aij * sources.floats(c, si.tolist())).tolist()
             for c in value_columns
         ]
+        for c, num in zip(value_columns, nums):
+            out[f"{c}_{stat}"] += [
+                (n / total if stat == "mean" else n) if total > 0.0 else None
+                for n, total in zip(num, inter)
+            ]
         for k, total in enumerate(inter):
             tarea = polygon_area(tpolys[lo + k])
-            row = {id_column: tids[lo + k],
-                   "coverage": total / tarea if tarea > 0 else 0.0}
-            for oc, num in zip(cols, nums):
-                row[oc] = (num[k] / total if stat == "mean" else num[k]) if total > 0.0 else None
-            rows_out.append(row)
-    return ResultTable([id_column, *cols, "coverage"], rows_out)
+            out["coverage"].append(total / tarea if tarea > 0 else 0.0)
+    out[id_column] = list(targets.ids())
+    return ResultTable(out)
 
 
 def summarize_sedc(
@@ -464,29 +449,28 @@ def summarize_sedc(
     """Sum of exponentially decaying contributions from sources at targets."""
     _check_kind(targets, "summarize_sedc", "point")
     _check_kind(sources, "summarize_sedc", "point")
-    value_columns = list(params.value_columns)
-    cols = [f"{c}_sedc" for c in value_columns]
+    value_columns = list(dict.fromkeys(params.value_columns))  # one column each
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
     svals = {c: sources.floats(c) for c in value_columns}
-    tids = targets.ids()
-    rows_out = []
+    out = {c: [] for c in [id_column, *(f"{c}_sedc" for c in value_columns), "count"]}
     block = max(1, _PAIR_ELEMS // max(1, len(sources)))
     for lo in range(0, len(targets), block):
         d = np.sqrt((sx - tx[lo : lo + block, None]) ** 2 + (sy - ty[lo : lo + block, None]) ** 2)
         # row-major: each target's pairs are contiguous, its sources ascending
         ti, si = np.nonzero(d <= params.maxdist)
         w = np.exp(-3.0 * d[ti, si] / params.bandwidth)
-        terms = [svals[c][si] * w for c in value_columns]
-        ends = np.cumsum(np.bincount(ti, minlength=len(d))).tolist()
-        for k, (start, end) in enumerate(zip([0, *ends], ends)):
-            row = {id_column: tids[lo + k], "count": end - start}
-            for oc, t in zip(cols, terms):
-                # the sum of the target's own slice has the same bits as the
-                # sum of its terms alone (np.add.reduceat rounds differently)
-                row[oc] = float(t[start:end].sum()) if end > start else 0.0
-            rows_out.append(row)
-    return ResultTable([id_column, *cols, "count"], rows_out)
+        counts = np.bincount(ti, minlength=len(d))
+        ends = np.cumsum(counts).tolist()
+        slices = list(zip([0, *ends], ends))
+        for c in value_columns:
+            t = svals[c][si] * w
+            # the sum of the target's own slice has the same bits as the sum
+            # of its terms alone (np.add.reduceat rounds differently)
+            out[f"{c}_sedc"] += [float(t[a:b].sum()) if b > a else 0.0 for a, b in slices]
+        out["count"] += counts.tolist()
+    out[id_column] = list(targets.ids())
+    return ResultTable(out)
 
 
 def nearest_distance(
@@ -504,8 +488,7 @@ def nearest_distance(
     dy = by - ay
     dd = dx * dx + dy * dy
     px, py = _point_arrays(y)
-    ids = y.ids()
-    rows_out = []
+    distance, nearest_id = [], []
     block = max(1, _PAIR_ELEMS // max(1, len(owners)))
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, len(y), block):
@@ -517,12 +500,8 @@ def nearest_distance(
             cy = ay + t * dy
             d = np.sqrt((bx - cx) ** 2 + (by - cy) ** 2)
             nearest = np.argmin(d, axis=1)
-            for i, j in enumerate(nearest):
-                rows_out.append(
-                    {
-                        id_column: ids[lo + i],
-                        "distance": float(d[i, j]),
-                        "nearest_feature_id": owners[j],
-                    }
-                )
-    return ResultTable([id_column, "distance", "nearest_feature_id"], rows_out)
+            distance += d[np.arange(len(d)), nearest].tolist()
+            nearest_id += [owners[j] for j in nearest.tolist()]
+    return ResultTable(
+        {id_column: list(y.ids()), "distance": distance, "nearest_feature_id": nearest_id}
+    )

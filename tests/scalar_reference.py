@@ -170,7 +170,7 @@ def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
             else:
                 row[oc] = None
         rows_out.append(row)
-    return ResultTable([id_column, *cols, "coverage"], rows_out)
+    return ResultTable({c: [r[c] for r in rows_out] for c in [id_column, *cols, "coverage"]})
 
 
 def assign_to_partition(anchors, parts):

@@ -28,7 +28,7 @@ import numpy as np
 
 def table(columns, rows):
     """A ResultTable of these columns from row dicts; a missing key writes empty."""
-    return ResultTable(columns, rows)
+    return ResultTable({c: [r.get(c) for r in rows] for c in columns})
 
 
 class TestFormatValue:
@@ -47,7 +47,7 @@ class TestFormatValue:
     def test_numpy_float(self):
         # shortest round-trip text under NumPy 1 and 2 alike, not np.float64(...)
         assert format_value(np.float64(0.1)) == "0.1"
-        t = ResultTable(["id", "v", "w"], [{"id": "t", "v": np.float64(2.0), "w": np.float64(0.5)}])
+        t = ResultTable({"id": ["t"], "v": [np.float64(2.0)], "w": [np.float64(0.5)]})
         assert t.to_csv_bytes() == b"id,v,w\r\nt,2.0,0.5\r\n"
 
     def test_parse_scalar(self):
@@ -338,15 +338,12 @@ class TestLoadFeaturesGeoJSON:
 class TestSaveTable:
     def test_empty_table_header_only(self, tmp_path):
         p = tmp_path / "t.csv"
-        save_table(ResultTable(["id", "value"], []), str(p))
+        save_table(table(["id", "value"], []), str(p))
         assert p.read_bytes() == b"id,value\r\n"
 
     def test_error_row_leaves_values_empty(self, tmp_path):
-        t = ResultTable(
-            ["id", "mean", "error"],
-            [{"id": "a", "mean": 1.5}, {"id": "b", "error": "boom"}],
-            had_errors=True,
-        )
+        t = table(["id", "mean", "error"], [{"id": "a", "mean": 1.5}, {"id": "b", "error": "boom"}])
+        assert t.had_errors
         p = tmp_path / "t.csv"
         save_table(t, str(p))
         lines = p.read_bytes().split(b"\r\n")
@@ -379,7 +376,7 @@ class TestSaveTable:
         assert table(columns, []).to_csv_bytes() == want
 
     def test_float_serialization(self, tmp_path):
-        t = ResultTable(["v"], [{"v": 0.1 + 0.2}])
+        t = table(["v"], [{"v": 0.1 + 0.2}])
         p = tmp_path / "t.csv"
         save_table(t, str(p))
         assert b"0.30000000000000004" in p.read_bytes()

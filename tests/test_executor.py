@@ -498,7 +498,9 @@ class TestFaultIsolation:
 
 def chunk(chunk_id, columns=(), rows=(), error=None):
     """A ChunkResult from the op's columns and row dicts, or from an error."""
-    return ChunkResult(chunk_id, list(columns), list(rows), error)
+    if error is not None:
+        return ChunkResult(chunk_id, error=error)
+    return ChunkResult(chunk_id, ResultTable({c: [r.get(c) for r in rows] for c in columns}))
 
 
 class TestMergeChunks:
@@ -549,8 +551,8 @@ class TestMergeChunks:
 
     def test_out_of_order_sorted(self):
         chunks = [
-            ChunkResult(1, ["id", "x"], [{"id": "b", "x": 2.0}]),
-            ChunkResult(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
+            chunk(1, ["id", "x"], [{"id": "b", "x": 2.0}]),
+            chunk(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
         ]
         t = merge_chunks(chunks, "id")
         assert [r["id"] for r in t.rows] == ["a", "b"]
@@ -565,10 +567,8 @@ class TestMergeChunks:
 
     def test_frequency_union_with_zero_fill(self):
         chunks = [
-            ChunkResult(0, ["id", "freq_2", "count"],
-                        [{"id": "a", "freq_2": 1.0, "count": 1.0}]),
-            ChunkResult(1, ["id", "freq_10", "count"],
-                        [{"id": "b", "freq_10": 2.0, "count": 2.0}]),
+            chunk(0, ["id", "freq_2", "count"], [{"id": "a", "freq_2": 1.0, "count": 1.0}]),
+            chunk(1, ["id", "freq_10", "count"], [{"id": "b", "freq_10": 2.0, "count": 2.0}]),
         ]
         t = merge_chunks(chunks, "id")
         assert t.columns == ["id", "chunk_id", "freq_2", "freq_10", "count"]
@@ -577,8 +577,8 @@ class TestMergeChunks:
 
     def test_error_rows_one_per_anchor(self):
         chunks = [
-            ChunkResult(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
-            ChunkResult(1, error="Traceback ...\nValueError: boom"),
+            chunk(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
+            chunk(1, error="Traceback ...\nValueError: boom"),
         ]
         t = merge_chunks(chunks, "id", anchor_ids_by_chunk={1: ["b", "c"]})
         assert t.had_errors
@@ -629,8 +629,10 @@ class TestRunHierarchy:
         def table(groups, stat):
             task = TaskSpec("summarize_aw", sources, targets,
                             {"value_columns": ["v"], "stat": stat})
-            rows = sorted(run_hierarchy(task, groups).rows, key=lambda r: r["id"])
-            return ResultTable(["id", f"v_{stat}", "coverage"], rows).to_csv_bytes()
+            t = run_hierarchy(task, groups)
+            order = np.argsort(t.data["id"], kind="stable").tolist()
+            cols = ["id", f"v_{stat}", "coverage"]
+            return ResultTable({c: [t.data[c][i] for i in order] for c in cols}).to_csv_bytes()
 
         zones = group_by_hierarchy(targets, key="zone")
         assert len(zones) == 7

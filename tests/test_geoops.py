@@ -505,7 +505,7 @@ class TestSummarizeSedc:
             hit = np.nonzero(d <= params.maxdist)[0]
             w = np.exp(-3.0 * d[hit] / params.bandwidth)
             total = float(np.sum(vals[hit] * w)) if hit.size else 0.0
-            rows.append({"id": tgt.id, "count": int(hit.size), "v_sedc": total})
+            rows.append({"id": tgt.id, "v_sedc": total, "count": int(hit.size)})
         return rows
 
     @pytest.mark.parametrize("block", [None, 1, 3, 7])
