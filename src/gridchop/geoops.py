@@ -64,8 +64,10 @@ def freq_column(category: float) -> str:
     return f"freq_{int(c)}" if c.is_integer() else f"freq_{c!r}"
 
 
-def freq_sort_key(column: str) -> float:
-    return float(column.removeprefix("freq_"))
+def freq_sort_key(column: str) -> tuple[bool, float]:
+    """A frequency column's category, with NaN after every number."""
+    c = float(column.removeprefix("freq_"))
+    return math.isnan(c), c
 
 
 def _freq_columns(freqs: list[dict[float, float]]) -> dict[str, list]:

@@ -1,13 +1,19 @@
 """`chop` CLI: subcommands, exit codes, config files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridchop
 from gridchop.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from gridchop.dataio import load_partitions, write_raster
 from gridchop.raster import Raster
+
+SRC = os.path.dirname(os.path.dirname(gridchop.__file__))
 
 
 @pytest.fixture
@@ -120,6 +126,30 @@ class TestRunCommand:
         ])
         assert rc == EXIT_OK
         assert b"group" in out.read_bytes().split(b"\r\n")[0]
+
+    def test_nan_category_frequency_order(self, tmp_path):
+        # a NaN category sorts after every number, whatever the hash seed
+        vals = np.arange(36, dtype=float).reshape(6, 6) % 5
+        vals[2, 3] = np.nan
+        write_raster(Raster(6, 6, 0.0, 0.0, 1.0, -9999.0, vals, "categorical"),
+                     str(tmp_path / "cat.asc"))
+        (tmp_path / "pts.csv").write_text("id,x,y,g\na,3.5,3.5,u\nb,1.5,4.5,v\nc,4.5,1.5,u\n")
+        blobs = set()
+        for seed in ("1", "2", "3", "4"):
+            out = tmp_path / f"out{seed}.csv"
+            run = ("import sys; from gridchop.cli import main; sys.exit(main(sys.argv[1:]))")
+            proc = subprocess.run(
+                [sys.executable, "-c", run, "run", "--task", "extract_at",
+                 "--x", str(tmp_path / "cat.asc"), "--categorical", "--y", str(tmp_path / "pts.csv"),
+                 "--hierarchy", "g", "--radius", "1.5", "--stat", "frequency", "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            blobs.add(out.read_bytes())
+        assert len(blobs) == 1
+        header = blobs.pop().split(b"\r\n")[0]
+        assert header == b"id,chunk_id,group,freq_0,freq_1,freq_2,freq_3,freq_4,freq_nan,count"
 
     def test_missing_partition_choice(self, workspace):
         rc = main([

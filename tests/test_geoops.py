@@ -209,6 +209,10 @@ class TestFreqColumns:
         assert freq_column(2.5) == "freq_2.5"
         cols = sorted(["freq_10", "freq_2", "freq_-1"], key=freq_sort_key)
         assert cols == ["freq_-1", "freq_2", "freq_10"]
+        # NaN sorts after every number, wherever it starts
+        assert freq_column(float("nan")) == "freq_nan"
+        for cols in (["freq_nan", "freq_3", "freq_-1"], ["freq_3", "freq_nan", "freq_inf"]):
+            assert sorted(cols, key=freq_sort_key)[-1] == "freq_nan"
 
 
 def polygon_intersection_area(a, b):
