@@ -257,20 +257,26 @@ def _check_ids(ids: list[str], where: str):
         seen.add(fid)
 
 
+def _xy(position) -> tuple[float, float]:
+    """x and y of a GeoJSON position; its altitude, if any, is dropped."""
+    if isinstance(position, (str, dict)):  # indexing would read characters or keys
+        raise TypeError(f"position {position!r} is not an array")
+    return float(position[0]), float(position[1])
+
+
 def _geojson_geometry(gtype: str, coords) -> tuple[float, float] | Geometry:
-    """A Point as an (x, y) tuple, a LineString or Polygon as its object. A
-    position's altitude, if any, is dropped."""
+    """A Point as an (x, y) tuple, a LineString or Polygon as its object."""
     if gtype == "Point":
-        x, y = float(coords[0]), float(coords[1])
+        x, y = _xy(coords)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise LoadError(f"non-finite coordinates ({x}, {y})")
         return x, y
     if gtype == "LineString":
-        return Polyline([Point(float(p[0]), float(p[1])) for p in coords])
+        return Polyline([Point(*_xy(p)) for p in coords])
     if gtype == "Polygon":
         rings = []
         for raw in coords:
-            pts = [Point(float(p[0]), float(p[1])) for p in raw]
+            pts = [Point(*_xy(p)) for p in raw]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts = pts[:-1]
             rings.append(pts)
@@ -330,12 +336,21 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
     """Points go to one coordinate array; lines and polygons stay objects."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise LoadError(f"{path}: not a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise LoadError(f"{path}: features is not an array")
     ids, geoms, props = [], [], []
     attr_cols: dict[str, None] = {}
-    for i, f in enumerate(doc.get("features", [])):
+    for i, f in enumerate(features):
+        if not isinstance(f, dict):
+            raise LoadError(f"{path}: feature {i}: not an object")
         geom = f.get("geometry") or {}
+        p = f.get("properties") or {}
+        for key, value in (("geometry", geom), ("properties", p)):
+            if not isinstance(value, dict):
+                raise LoadError(f"{path}: feature {i}: {key} is not an object")
         gtype, coords = geom.get("type"), geom.get("coordinates")
         try:
             g = _geojson_geometry(gtype, coords)
@@ -343,7 +358,7 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
             raise LoadError(f"{path}: feature {i}: bad {gtype} coordinates: {e}")
         except GridchopError as e:  # non-finite, duplicate or too few vertices
             raise LoadError(f"{path}: feature {i}: {e}")
-        p = dict(f.get("properties") or {})
+        p = dict(p)
         if id_column not in p:
             raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
         ids.append(str(p.pop(id_column)))

@@ -265,6 +265,13 @@ class TestLoadFeaturesGeoJSON:
          "bad LineString coordinates: could not convert string to float: 'x'"),
         ('{"type": "Polygon", "coordinates": null}',
          "bad Polygon coordinates: 'NoneType' object is not iterable"),
+        # a string position is not read character by character
+        ('{"type": "Point", "coordinates": "12"}',
+         "bad Point coordinates: position '12' is not an array"),
+        ('{"type": "LineString", "coordinates": ["12", "34"]}',
+         "bad LineString coordinates: position '12' is not an array"),
+        ('{"type": "Polygon", "coordinates": [["00", "10", "11"]]}',
+         "bad Polygon coordinates: position '00' is not an array"),
         ('{"type": "LineString", "coordinates": [[0, 0], [NaN, 2]]}',
          "non-finite point coordinates (nan, 2.0)"),
         ('{"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 0], [1, 1], [0, 0]]]}',
@@ -274,7 +281,8 @@ class TestLoadFeaturesGeoJSON:
          Polyline([Point(0, 0), Point(1, 2)])),
         ('{"type": "Polygon", "coordinates": [[[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]]}',
          make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1)]])),
-    ], ids=["text_point", "null_point", "text_line", "null_polygon", "nan_line",
+    ], ids=["text_point", "null_point", "text_line", "null_polygon", "string_point",
+            "string_line", "string_polygon", "nan_line",
             "duplicate_ring_vertex", "altitude_line", "altitude_polygon"])
     def test_bad_geometry_names_file_and_feature(self, tmp_path, geometry, want):
         p = tmp_path / "f.geojson"
@@ -311,6 +319,26 @@ class TestLoadFeaturesGeoJSON:
         assert len(fs) == 1
         assert isinstance(fs.features[0].geometry, Polygon)
         assert fs.features[0].attributes == {"v": 2}
+
+    @pytest.mark.parametrize("text,want", [
+        ("[1, 2]", "not a FeatureCollection"),
+        ('{"type": "FeatureCollection", "features": 5}', "features is not an array"),
+        ('{"type": "FeatureCollection", "features": [1]}', "feature 0: not an object"),
+        ('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+         '"properties": "x", "geometry": {"type": "Point", "coordinates": [0, 0]}}]}',
+         "feature 0: properties is not an object"),
+        ('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+         '"properties": {"id": "a"}, "geometry": [0, 0]}]}',
+         "feature 0: geometry is not an object"),
+    ], ids=["array_document", "features_number", "feature_number", "properties_string",
+            "geometry_array"])
+    def test_bad_structure_names_file_and_feature(self, tmp_path, text, want):
+        p = tmp_path / "f.geojson"
+        p.write_text(text)
+        with pytest.raises(LoadError, match=f"^{re.escape(f'{p}: {want}')}$"):
+            load_features(str(p), format="geojson")
+        # chop exits 3 with that message, not with a traceback
+        assert main(["partition", "--input", str(p), "--out", str(tmp_path / "o.json")]) == 3
 
     def test_not_a_collection(self, tmp_path):
         p = tmp_path / "f.geojson"
