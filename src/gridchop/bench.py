@@ -149,8 +149,7 @@ def run_benchmark(
     """
     if repeats < 1:
         raise InvalidParameterError("repeats must be >= 1")
-    anchors = task.x if task.pad_y else task.y
-    parts = build_partition(grid, anchors)
+    parts = build_partition(grid, task.y)
     workers = list(workers_list)
     if 1 not in workers:
         workers.insert(0, 1)

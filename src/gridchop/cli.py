@@ -62,7 +62,6 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--hierarchy", help="hierarchy attribute column")
     p.add_argument("--regions", help="region polygons file (GeoJSON)")
     p.add_argument("--regions-id", help="region id column")
-    p.add_argument("--pad-y", action="store_true", default=None)
     p.add_argument("--workers", type=int)
     p.add_argument("--capture-errors", dest="capture_errors", action="store_true", default=None)
     p.add_argument("--no-capture-errors", dest="capture_errors", action="store_false",
@@ -75,13 +74,13 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 _CONFIG_KEYS = {
     "task", "x", "y", "id", "radius", "stat", "bandwidth", "maxdist", "value_cols",
-    "partition", "hierarchy", "regions", "regions_id", "pad_y", "workers",
+    "partition", "hierarchy", "regions", "regions_id", "workers",
     "capture_errors", "categorical", "out", "rasters", "raster_list",
 }
 
 
 _RUN_DEFAULTS = {
-    "id": "id", "radius": 0.0, "stat": "mean", "value_cols": "", "pad_y": False,
+    "id": "id", "radius": 0.0, "stat": "mean", "value_cols": "",
     "capture_errors": True, "categorical": False,
 }
 
@@ -139,7 +138,6 @@ def _build_task(args) -> tuple[TaskSpec, str]:
     else:
         x = _load_vector(args.x, args.id)
         task = TaskSpec("nearest_distance", x, y, {})
-    task.pad_y = bool(args.pad_y)
     return task, raster_kind
 
 
@@ -191,14 +189,13 @@ def _run_table(args, task: TaskSpec, cfg: RunConfig, raster_kind: str):
     if args.partition:
         parts = dataio.load_partitions(args.partition)
         return run_grid(task, parts, cfg, id_column=args.id, raster_kind=raster_kind)
-    anchors = task.x if task.pad_y else task.y
     if args.hierarchy:
-        groups = group_by_hierarchy(anchors, key=args.hierarchy)
+        groups = group_by_hierarchy(task.y, key=args.hierarchy)
     else:
         if not args.regions_id:
             raise UsageError("--regions requires --regions-id")
         regions = _load_vector(args.regions, args.regions_id, "geojson")
-        groups = group_by_hierarchy(anchors, regions=regions, regions_id=args.regions_id)
+        groups = group_by_hierarchy(task.y, regions=regions, regions_id=args.regions_id)
     return run_hierarchy(task, groups, cfg, id_column=args.id, raster_kind=raster_kind)
 
 

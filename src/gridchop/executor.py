@@ -35,13 +35,13 @@ OPS = ("extract_at", "summarize_aw", "summarize_sedc", "nearest_distance")
 
 @dataclass
 class TaskSpec:
-    """Declarative binding of an operation to x/y roles and parameters."""
+    """Declarative binding of an operation to its context x, its anchors y
+    (one output row each) and its parameters."""
 
     op: str
     x: Raster | FeatureSet | str | None  # str = raster path; None if each job names one
     y: FeatureSet
     params: dict = field(default_factory=dict)
-    pad_y: bool = False
 
     def __post_init__(self):
         if self.op not in OPS:
@@ -178,8 +178,6 @@ def _run_chunk(job: Job) -> ChunkResult:
         context = _CTX["context"]
         if job.context is not None:
             context = load_raster(job.context, kind=_CTX["raster_kind"])
-        # pad_y only changes which of task.x/task.y is the anchor side (the
-        # caller resolved that); ops always take (context, anchors)
         if isinstance(context, FeatureSet):
             table = _apply_clipped(task, context, anchors, _CTX["id_column"])
         else:
@@ -272,10 +270,9 @@ def merge_chunks(
 
 
 def _anchors(task: TaskSpec) -> FeatureSet:
-    anchors = task.x if task.pad_y else task.y
-    if not isinstance(anchors, FeatureSet):
+    if not isinstance(task.y, FeatureSet):
         raise InvalidParameterError("the anchor dataset must be a FeatureSet")
-    return anchors
+    return task.y
 
 
 def _check_plan(index_of: dict[str, int], jobs: list[Job]):
@@ -310,7 +307,7 @@ def _run(
     context = None
     if not any(job.context is not None for job in jobs):
         _check_plan(index_of, jobs)
-        context = task.y if task.pad_y else task.x
+        context = task.x
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
     elif isinstance(context, FeatureSet):

@@ -506,3 +506,13 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_pad_y_removed(self, workspace, capsys):
+        # the removed anchor-role swap is a usage error, not silently ignored
+        assert main(_run_args(workspace) + ["--pad-y"]) == EXIT_USAGE
+        assert "unrecognized arguments: --pad-y" in capsys.readouterr().err
+        cfg = workspace / "job.json"
+        cfg.write_text('{"pad_y": true}')
+        assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
+        assert "unknown config keys: ['pad_y']" in capsys.readouterr().err
+        assert not (workspace / "out.csv").exists()

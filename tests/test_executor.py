@@ -77,8 +77,7 @@ def scatter(n=40, seed=1, lo=1.0, hi=19.0):
 
 def direct(task):
     """The op on the whole datasets, with no partition and no clip."""
-    x, y = (task.y, task.x) if task.pad_y else (task.x, task.y)
-    return _apply_op(task, x, y, "id")
+    return _apply_op(task, task.x, task.y, "id")
 
 
 def value_rows(table):
@@ -218,19 +217,6 @@ class TestRunGridVectorOps:
         assert t.columns == ["id", "chunk_id", "distance", "nearest_feature_id"]
         assert [(r["id"], r["distance"], r["nearest_feature_id"]) for r in t.rows] == [
             ("p0", 1.0, "l"), ("p1", math.sqrt(0.5 ** 2 + 8.0 ** 2), "m")]
-
-    def test_pad_y_swaps_roles(self):
-        # anchors on x: one output row per x feature
-        pts = scatter(12, seed=9)
-        src = scatter(30, seed=10)
-        task = TaskSpec(
-            "summarize_sedc", pts, src,
-            {"bandwidth": 1.0, "value_columns": ["v"]},
-            pad_y=True,
-        )
-        parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
-        t = run_grid(task, parts)
-        assert sorted(row["id"] for row in t.rows) == sorted(pts.ids())
 
 
 def lines_fs(n, seed):
