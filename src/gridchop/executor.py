@@ -246,9 +246,8 @@ def merge_chunks(
     if freq:
         rest = [col for col in values if not col.startswith("freq_") and col != "count"]
         values = freq + rest + (["count"] if "count" in values else [])
-    errors = any(c.error is not None for c in ordered)
     data: dict[str, list] = {col: [] for col in [id_column, *tags, *values]}
-    if errors:
+    if any(c.error is not None for c in ordered):
         data["error"] = []
     zero = dict.fromkeys(freq, 0.0)
     for c in ordered:

@@ -406,7 +406,8 @@ def summarize_aw(
     tpolys, spolys = targets.geometries or [], sources.geometries or []
     tb, sb = targets.bounds(), sources.bounds()
     value_columns = list(dict.fromkeys(value_columns))  # one column each
-    out = {c: [] for c in [id_column, *(f"{c}_{stat}" for c in value_columns), "coverage"]}
+    out = {id_column: list(targets.ids()), **{f"{c}_{stat}": [] for c in value_columns},
+           "coverage": []}
     block = max(1, _PAIR_ELEMS // max(1, len(spolys)))
     for lo in range(0, len(tpolys), block):
         t = tb[lo : lo + block, None, :]
@@ -426,11 +427,9 @@ def summarize_aw(
         inter = np.bincount(ti, weights=aij, minlength=len(t)).tolist()
         if stat == "sum":
             aij = aij / np.array([polygon_area(spolys[j]) for j in si.tolist()])
-        nums = [
-            np.bincount(ti, minlength=len(t), weights=aij * sources.floats(c, si.tolist())).tolist()
-            for c in value_columns
-        ]
-        for c, num in zip(value_columns, nums):
+        for c in value_columns:
+            weights = aij * sources.floats(c, si.tolist())
+            num = np.bincount(ti, minlength=len(t), weights=weights).tolist()
             out[f"{c}_{stat}"] += [
                 (n / total if stat == "mean" else n) if total > 0.0 else None
                 for n, total in zip(num, inter)
@@ -438,7 +437,6 @@ def summarize_aw(
         for k, total in enumerate(inter):
             tarea = polygon_area(tpolys[lo + k])
             out["coverage"].append(total / tarea if tarea > 0 else 0.0)
-    out[id_column] = list(targets.ids())
     return ResultTable(out)
 
 
@@ -455,7 +453,8 @@ def summarize_sedc(
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
     svals = {c: sources.floats(c) for c in value_columns}
-    out = {c: [] for c in [id_column, *(f"{c}_sedc" for c in value_columns), "count"]}
+    out = {id_column: list(targets.ids()), **{f"{c}_sedc": [] for c in value_columns},
+           "count": []}
     block = max(1, _PAIR_ELEMS // max(1, len(sources)))
     for lo in range(0, len(targets), block):
         d = np.sqrt((sx - tx[lo : lo + block, None]) ** 2 + (sy - ty[lo : lo + block, None]) ** 2)
@@ -471,7 +470,6 @@ def summarize_sedc(
             # of its terms alone (np.add.reduceat rounds differently)
             out[f"{c}_sedc"] += [float(t[a:b].sum()) if b > a else 0.0 for a, b in slices]
         out["count"] += counts.tolist()
-    out[id_column] = list(targets.ids())
     return ResultTable(out)
 
 
