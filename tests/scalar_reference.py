@@ -13,7 +13,7 @@ import math
 
 from gridchop.dataio import ResultTable
 from gridchop.errors import InvalidParameterError
-from gridchop.geom import Point, Polygon, Ring, bbox_of, polygon_area
+from gridchop.geom import Point, Polygon, Ring, bbox_of, point_in_polygon, polygon_area
 from gridchop.partition import Chunk, PartitionSet, representative_point
 
 
@@ -204,3 +204,21 @@ def assign_to_partition(anchors, parts):
             target = best[1]
         target.member_ids.append(feat.id)
     return PartitionSet(parts.mode, chunks)
+
+
+def group_by_regions(anchors, regions, regions_id):
+    """Each anchor, by its representative point, to the first region in file
+    order whose polygon holds it (a point on a ring counts as inside), one
+    even-odd test per anchor and region; the rest go to UNASSIGNED."""
+    keys = [str(f.attributes.get(regions_id, f.id)) for f in regions.features]
+    groups = {k: [] for k in keys}
+    unassigned = []
+    for feat in anchors.features:
+        rep = representative_point(feat.geometry)
+        key = next((k for k, r in zip(keys, regions.features)
+                    if point_in_polygon(rep, r.geometry)), None)
+        (unassigned if key is None else groups[key]).append(feat.id)
+    out = list(groups.items())
+    if unassigned:
+        out.append(("UNASSIGNED", unassigned))
+    return out

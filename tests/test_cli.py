@@ -1,5 +1,6 @@
 """`chop` CLI: subcommands, exit codes, config files, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -419,6 +420,24 @@ class TestSynthAndBench:
         assert (out / "points.csv").exists()
         assert (out / "raster.asc").exists()
         assert (out / "lines.geojson").exists()
+
+    @pytest.mark.parametrize("argv,digests", [
+        (["--seed", "42", "--n-points", "30", "--raster-size", "10"],
+         {"points.csv": "5f02740f626834277eec5a00c01b753adfe6bc9409e0d5d5e63dbaa0676e1dd2",
+          "raster.asc": "d636678131100c6daa3253c394d40e831b0da87fad0c85d6d2b83a28f8a1ed89",
+          "lines.geojson": "64513e219a7e7d9d2901fba8f8b59fe301dd2e5b370d9b11d14797ab930eaa39"}),
+        (["--seed", "7", "--case", "nearest", "--n-points", "50", "--n-lines", "9",
+          "--raster-size", "6"],
+         {"points.csv": "bbfea60e4869c680fa961182835c5c29e801b037eee22824654ad438edcb1d71",
+          "raster.asc": "70c4b0644f9e60145e79e5ba5854de442934b579ad9fad41f98a926405b0e4e6",
+          "lines.geojson": "21b26907a454cd26c7138b0c741bcf434f8d96f929463ce3bc86782407931f45"}),
+    ])
+    def test_synth_files_pinned(self, tmp_path, argv, digests):
+        # every output file, byte for byte
+        assert main(["synth", *argv, "--out", str(tmp_path)]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in digests}
+        assert got == digests
 
     def test_synth_deterministic(self, tmp_path):
         blobs = []

@@ -7,6 +7,7 @@ import pytest
 
 from gridchop.cli import main
 from gridchop.dataio import (
+    Feature,
     FeatureSet,
     ResultTable,
     format_value,
@@ -19,7 +20,7 @@ from gridchop.dataio import (
     write_raster,
 )
 from gridchop.errors import GridchopError, LoadError
-from gridchop.geom import BBox, Point, Polygon, Polyline, make_polygon
+from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, bbox_of, make_polygon
 from gridchop.partition import Chunk, PartitionSet
 from gridchop.raster import Raster
 
@@ -280,10 +281,29 @@ class TestLoadFeaturesGeoJSON:
         ('{"type": "LineString", "coordinates": [[0, 0, 5], [1, 2, 6]]}',
          Polyline([Point(0, 0), Point(1, 2)])),
         ('{"type": "Polygon", "coordinates": [[[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]]}',
-         make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1)]])),
+         Polygon(Ring([Point(0, 0), Point(1, 0), Point(1, 1)]))),
+        # the closing vertex is dropped; the outer ring is turned counterclockwise
+        # and each hole clockwise by reversing its vertices
+        ('{"type": "Polygon", "coordinates": [[[0, 0], [0, 1], [1, 1], [1, 0], [0, 0]]]}',
+         Polygon(Ring([Point(1, 0), Point(1, 1), Point(0, 1), Point(0, 0)]))),
+        ('{"type": "Polygon", "coordinates": [[[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], '
+         '[[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]]}',
+         Polygon(Ring([Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]),
+                 [Ring([Point(1, 2), Point(2, 2), Point(2, 1), Point(1, 1)])])),
+        ('{"type": "Polygon", "coordinates": [[[0, 0], [0, 4], [4, 4], [4, 0]], '
+         '[[1, 1], [1, 2], [2, 2], [2, 1]], [[3, 3], [3.5, 3], [3.5, 3.5]]]}',
+         Polygon(Ring([Point(4, 0), Point(4, 4), Point(0, 4), Point(0, 0)]),
+                 [Ring([Point(1, 1), Point(1, 2), Point(2, 2), Point(2, 1)]),
+                  Ring([Point(3.5, 3.5), Point(3.5, 3), Point(3, 3)])])),
+        ('{"type": "Polygon", "coordinates": [[[0, 0, 9], [0, 4, 9], [4, 4, 9], [4, 0, 9], '
+         '[0, 0, 9]], [[1, 1, 8], [2, 1, 8], [2, 2, 8], [1, 1, 8]]]}',
+         Polygon(Ring([Point(4, 0), Point(4, 4), Point(0, 4), Point(0, 0)]),
+                 [Ring([Point(2, 2), Point(2, 1), Point(1, 1)])])),
     ], ids=["text_point", "null_point", "text_line", "null_polygon", "string_point",
             "string_line", "string_polygon", "nan_line",
-            "duplicate_ring_vertex", "altitude_line", "altitude_polygon"])
+            "duplicate_ring_vertex", "altitude_line", "altitude_polygon",
+            "clockwise_outer", "counterclockwise_hole", "open_rings",
+            "altitude_clockwise_with_hole"])
     def test_bad_geometry_names_file_and_feature(self, tmp_path, geometry, want):
         p = tmp_path / "f.geojson"
         p.write_text('{"type": "FeatureCollection", "features": ['
@@ -292,7 +312,9 @@ class TestLoadFeaturesGeoJSON:
                      '{"type": "Feature", "properties": {"id": "b"}, "geometry": '
                      + geometry + "}]}")
         if not isinstance(want, str):
-            assert load_features(str(p), format="geojson").geometries[1] == want
+            fs = load_features(str(p), format="geojson")
+            assert fs.features[1].geometry == want
+            assert fs.bounds()[1].tolist() == list(vars(bbox_of(want)).values())
             return
         with pytest.raises(LoadError, match=f"^{re.escape(f'{p}: feature 1: {want}')}$"):
             load_features(str(p), format="geojson")
@@ -593,3 +615,87 @@ class TestFeatureSet:
         assert [f.attributes for f in sub.features] == [f.attributes for f in want]
         assert sub.bounds().tolist() == fs.bounds()[list(index)].tolist()
         assert sub.geometry_kind() == ("point" if len(want) else "empty")
+
+
+def _view_sets(tmp_path):
+    """{name: (set, its features as built)} for every geometry kind."""
+    pts = [Feature("a", Point(0.5, -1.0), {"v": 1}), Feature("b", Point(2.0, 3.0), {"v": "x"}),
+           Feature("c", Point(-0.0, 1e-300), {"v": 3.0, "w": 2.5})]
+    lines = [Feature("l0", Polyline([Point(0, 0), Point(1, 2)]), {"v": 1}),
+             Feature("l1", Polyline([Point(5, 5), Point(4, 7), Point(-1, 6), Point(0, 0)])),
+             Feature("l2", Polyline([Point(0.25, 0.5), Point(0.75, 0.5), Point(1, 1)]),
+                     {"w": None})]
+    polys = [Feature("g0", Polygon(Ring([Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]),
+                                   [Ring([Point(1, 1), Point(1, 2), Point(2, 2), Point(2, 1)]),
+                                    Ring([Point(3, 3), Point(3, 3.5), Point(3.5, 3.5)])]),
+                     {"v": 2}),
+             Feature("g1", Polygon(Ring([Point(5, 1), Point(6, 0), Point(7, 2)]))),
+             Feature("g2", Polygon(Ring([Point(-2, -2), Point(-1, -2), Point(-1, -1),
+                                         Point(-2, -1)]),
+                                   [Ring([Point(-1.5, -1.5), Point(-1.5, -1.25),
+                                          Point(-1.25, -1.25)])]), {"w": "s"})]
+    mixed = [Feature("m0", Point(1.0, 2.0), {"k": 1}),
+             Feature("m1", Polyline([Point(0, 0), Point(3, 1), Point(2, 5)])),
+             Feature("m2", Point(-4.0, 0.5), {"k": "z"}),
+             Feature("m3", Polyline([Point(1, 1), Point(2, 2)]), {"k": 2.5})]
+    doc = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": f.id, **f.attributes},
+         "geometry": {"type": "Point", "coordinates": [f.geometry.x, f.geometry.y]}
+         if isinstance(f.geometry, Point) else
+         {"type": "LineString", "coordinates": [[v.x, v.y] for v in f.geometry.vertices]}}
+        for f in mixed]}
+    path = tmp_path / "mixed.geojson"
+    path.write_text(json.dumps(doc))
+    return {
+        "points": (FeatureSet(pts, ["v", "w"]), pts),
+        "lines": (FeatureSet(lines, ["v", "w"]), lines),
+        "polygons": (FeatureSet(polys, ["v", "w"]), polys),
+        "mixed_geojson": (load_features(str(path), format="geojson"), mixed),
+    }
+
+
+def _kind_of(features):
+    names = {Point: "point", Polyline: "line", Polygon: "polygon"}
+    kinds = {names[type(f.geometry)] for f in features}
+    return "+".join(k for k in ("point", "line", "polygon") if k in kinds) or "empty"
+
+
+def _segments_of(features):
+    """(x0, y0, x1, y1) of every segment, and its feature's id: a point is
+    one zero-length segment, a line one segment per pair of vertices."""
+    segs, owners = [], []
+    for f in features:
+        g = f.geometry
+        verts = [g, g] if isinstance(g, Point) else g.vertices
+        for a, b in zip(verts, verts[1:]):
+            segs.append([a.x, a.y, b.x, b.y])
+            owners.append(f.id)
+    return segs, owners
+
+
+class TestFeatureSetViews:
+    """The features view, subset, bounds and segments of every geometry kind."""
+
+    @pytest.mark.parametrize("index", [[2, 0], np.array([1, 2]), [1], [0, 1, 2], []])
+    @pytest.mark.parametrize("bounds_first", [False, True])
+    @pytest.mark.parametrize("name", ["points", "lines", "polygons", "mixed_geojson"])
+    def test_views(self, tmp_path, name, bounds_first, index):
+        fs, feats = _view_sets(tmp_path)[name]
+        assert fs.features == feats
+        boxes = [list(vars(bbox_of(f.geometry)).values()) for f in feats]
+        if bounds_first:
+            assert fs.bounds().tolist() == boxes
+        sub = fs.subset(index)
+        want = [feats[i] for i in list(index)]
+        assert sub.ids() == [f.id for f in want] and sub.columns == fs.columns
+        assert sub.features == want
+        assert sub.bounds().tolist() == [boxes[i] for i in list(index)]
+        assert sub.bounds().dtype == np.float64 and sub.bounds().shape == (len(want), 4)
+        assert fs.bounds().tolist() == boxes
+        assert fs.geometry_kind() == _kind_of(feats)
+        assert sub.geometry_kind() == _kind_of(want)
+        if name != "polygons":
+            for s, w in ((fs, feats), (sub, want)):
+                segs, owners = s.segments()
+                want_segs, want_owners = _segments_of(w)
+                assert segs.tolist() == want_segs and list(owners) == want_owners

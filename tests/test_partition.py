@@ -7,9 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from gridchop import partition
 from gridchop.dataio import Feature, FeatureSet, load_features, save_partitions
 from gridchop.errors import InvalidInputError, InvalidParameterError
-from gridchop.geom import BBox, Point, Polyline, make_polygon
+from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, make_polygon
 from gridchop.partition import (
     Chunk,
     GridSpec,
@@ -23,7 +24,9 @@ from gridchop.partition import (
     make_regular_grid,
     representative_point,
 )
+from conftest import random_star
 from scalar_reference import assign_to_partition as assign_loop
+from scalar_reference import group_by_regions
 
 
 def point_set(coords, attrs=None):
@@ -345,6 +348,62 @@ class TestHierarchy:
         groups = group_by_hierarchy(load_features(str(p)), key="k")
         assert groups == [("100.0", ["c"]), ("12", ["a", "d", "f"]), ("12.0", ["b"]),
                           ("x1", ["e"])]
+
+    @staticmethod
+    def _regions(rng):
+        """Overlapping random stars, most with a hole, and a grid of unit
+        squares whose shared edges and corners belong to two to four of them;
+        a repeated key and keys read from the feature id when a region lacks
+        the column."""
+        feats = []
+        for k in range(8):
+            cx, cy = rng.uniform(2.0, 6.0, 2).tolist()
+            rings = [random_star(rng, cx, cy, 2.5, int(rng.integers(8, 20)))]
+            if k % 4:  # 8+ sectors of radius >= 1.0 keep the outer ring clear of the hole
+                rings.append(random_star(rng, cx, cy, 0.6, int(rng.integers(3, 9))))
+            feats.append(Feature(f"s{k}", make_polygon(rings), {"name": f"n{k % 7}"}))
+        for i in range(4):
+            for j in range(4):
+                sq = [Point(i, j), Point(i + 1, j), Point(i + 1, j + 1), Point(i, j + 1)]
+                feats.append(Feature(f"q{i}{j}", make_polygon([sq])))
+        return FeatureSet(feats, ["name"])
+
+    @staticmethod
+    def _anchor_points(regions, rng):
+        """Every region vertex, the middle of every edge (on the edge exactly
+        for the squares), and random points inside and far outside."""
+        pts = []
+        for f in regions.features:
+            for ring in [f.geometry.outer, *f.geometry.holes]:
+                verts = ring.vertices
+                pts += [(v.x, v.y) for v in verts]
+                pts += [(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
+                        for a, b in zip(verts, verts[1:] + verts[:1])]
+        pts += rng.uniform(-1.0, 9.0, (300, 2)).tolist()
+        return pts
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("kind", ["point", "line", "polygon"])
+    def test_regions_match_scalar_point_in_polygon(self, kind, block, monkeypatch):
+        # a line or polygon anchor is placed by its first vertex
+        if block is not None:
+            monkeypatch.setattr(partition, "_PAIR_ELEMS", block, raising=False)
+        rng = np.random.default_rng(20261018)
+        regions = self._regions(rng)
+        feats = []
+        for i, (x, y) in enumerate(self._anchor_points(regions, rng)):
+            if kind == "point":
+                g = Point(x, y)
+            elif kind == "line":
+                g = Polyline([Point(x, y), Point(x + 0.3, y - 0.2)])
+            else:
+                g = Polygon(Ring([Point(x, y), Point(x + 0.1, y), Point(x, y + 0.1)]))
+            feats.append(Feature(f"a{i}", g))
+        anchors = FeatureSet(feats)
+        got = group_by_hierarchy(anchors, regions=regions, regions_id="name")
+        assert got == group_by_regions(anchors, regions, "name")
+        sizes = dict((k, len(ids)) for k, ids in got)
+        assert sizes["UNASSIGNED"] > 0 and sizes["q00"] > 0 and sizes["n0"] > 0
 
     def test_unassigned_bucket(self):
         small = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]])
