@@ -41,8 +41,6 @@ from .geom import (
     Polyline,
     Ring,
     bbox_of,
-    point_in_polygon,
-    polygon_area,
 )
 from .geoops import (
     SedcParams,
@@ -73,8 +71,7 @@ __all__ = [
     "UnsupportedGeometryError",
     "ChunkResult", "RunConfig", "TaskSpec", "merge_chunks", "run_grid", "run_hierarchy",
     "run_multirasters",
-    "BBox", "Point", "Polygon", "Polyline", "Ring", "bbox_of", "point_in_polygon",
-    "polygon_area",
+    "BBox", "Point", "Polygon", "Polyline", "Ring", "bbox_of",
     "SedcParams", "extract_at", "nearest_distance", "summarize_aw", "summarize_sedc",
     "Chunk", "GridSpec", "PartitionSet", "assign_to_partition", "build_partition",
     "group_by_hierarchy", "make_balanced_groups", "make_merged_grid", "make_quantile_grid",

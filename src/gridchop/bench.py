@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Feature, FeatureSet, ResultTable
+from .dataio import LINE, FeatureSet, ResultTable
 from .errors import GridchopError, InvalidParameterError
 from .executor import RunConfig, TaskSpec, run_grid
-from .geom import BBox, Point, Polyline
+from .geom import BBox
 from .partition import GridSpec, build_partition
 from .raster import Raster
 
@@ -97,17 +97,12 @@ def synth_dataset(s: SynthSpec) -> tuple[FeatureSet, FeatureSet, Raster]:
         [ext.xmax, ext.ymax, ext.xmax, ext.ymax],
         (s.n_lines, 4),
     )
-    lines = FeatureSet(
-        [
-            Feature(
-                f"l{i}",
-                Polyline(
-                    [Point(float(e[0]), float(e[1])), Point(float(e[2]), float(e[3]))]
-                ),
-            )
-            for i, e in enumerate(ends)
-        ],
-        [],
+    lines = FeatureSet.from_columns(
+        [f"l{i}" for i in range(s.n_lines)],
+        ends.reshape(-1, 2),  # each line is one part of two vertices
+        part_offsets=np.arange(0, 2 * s.n_lines + 1, 2),
+        feature_offsets=np.arange(s.n_lines + 1),
+        kinds=np.full(s.n_lines, LINE),
     )
     return points, lines, raster
 

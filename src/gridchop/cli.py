@@ -220,22 +220,20 @@ def cmd_synth(args) -> int:
     )
     points, lines, raster = bench_mod.synth_dataset(spec)
     os.makedirs(args.out, exist_ok=True)
-    x, y = points.xy.T.tolist()
+    x, y = points.coords.T.tolist()
     table = dataio.ResultTable({"id": points.ids(), "x": x, "y": y, "v": points.attributes["v"]})
     dataio.save_table(table, os.path.join(args.out, "points.csv"))
     dataio.write_raster(raster, os.path.join(args.out, "raster.asc"))
+    coords, ends = lines.coords.tolist(), lines.part_offsets.tolist()  # a line is one part
     doc = {
         "type": "FeatureCollection",
         "features": [
             {
                 "type": "Feature",
                 "properties": {"id": fid},
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[v.x, v.y] for v in line.vertices],
-                },
+                "geometry": {"type": "LineString", "coordinates": coords[a:b]},
             }
-            for fid, line in zip(lines.ids(), lines.geometries)
+            for fid, a, b in zip(lines.ids(), ends, ends[1:])
         ],
     }
     with open(os.path.join(args.out, "lines.geojson"), "w") as fh:

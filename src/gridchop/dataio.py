@@ -16,12 +16,13 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import GridchopError, LoadError
-from .geom import BBox, Geometry, Point, Polygon, Polyline, bbox_of, make_polygon
-from .raster import Raster
+from .geom import BBox, Geometry, Point, Polygon, Polyline, Ring
+from .raster import Raster, ragged_arange, ring_neighbour, signed_ring_areas
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -57,7 +58,9 @@ class Feature:
 
 
 MISSING = object()  # the attribute value of a feature that lacks the key
-_KINDS = ((Point, "point"), (Polyline, "line"), (Polygon, "polygon"))
+KINDS = ("point", "line", "polygon")  # the geometry kind of each kind code
+POINT, LINE, POLYGON = range(3)
+_CLASSES = (Point, Polyline, Polygon)  # the geometry class of each kind code
 
 
 def _float(value, column: str) -> float:
@@ -66,12 +69,23 @@ def _float(value, column: str) -> float:
     return float(value)
 
 
+def _offsets(counts) -> np.ndarray:
+    """0 and the running sum of counts: the offsets of consecutive runs."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]).astype(np.intp)
+
+
 class FeatureSet:
     """Features stored by column, in file order.
 
-    Ids are one list of str. A point set keeps its coordinates as one
-    (n, 2) float64 array `xy` (and `geometries` is None); lines and polygons
-    keep one geometry object per feature in `geometries` (and `xy` is None).
+    Ids are one list of str. Every geometry kind shares one flat layout, the
+    one of GeoArrow: `coords` holds every vertex as one (V, 2) float64 array;
+    part p is vertices part_offsets[p] up to part_offsets[p + 1]; feature i
+    is parts feature_offsets[i] up to feature_offsets[i + 1], of kind code
+    kinds[i] (an index into KINDS). A point is one part of one vertex, so a
+    point set's `coords` is its (n, 2) coordinates; a line is one part; a
+    polygon is its outer ring (counterclockwise), then its holes (clockwise),
+    each ring stored open.
+
     Attributes are one list of values per column in `attributes`, with
     MISSING where a feature lacks the key. `columns` lists the attribute
     columns as read (a repeated CSV header name appears twice).
@@ -83,14 +97,14 @@ class FeatureSet:
     def __init__(self, features: list[Feature] = (), columns: list[str] | None = None):
         features = list(features)
         geoms = [f.geometry for f in features]
+        parts = [part for g in geoms for part in g.parts]
         keys = dict.fromkeys(k for f in features for k in f.attributes)
-        xy = None
-        if all(isinstance(g, Point) for g in geoms):
-            xy, geoms = np.array([(g.x, g.y) for g in geoms], dtype=np.float64), None
         self._fill(
             [f.id for f in features],
-            xy,
-            geoms,
+            np.array([(v.x, v.y) for part in parts for v in part], dtype=np.float64),
+            _offsets([len(part) for part in parts]),
+            _offsets([len(g.parts) for g in geoms]),
+            np.array([_CLASSES.index(type(g)) for g in geoms], dtype=np.int8),
             {k: [f.attributes.get(k, MISSING) for f in features] for k in keys},
             columns,
         )
@@ -99,22 +113,34 @@ class FeatureSet:
     def from_columns(
         cls,
         ids: list[str],
-        xy: np.ndarray | None = None,
-        geometries: list[Geometry] | None = None,
+        coords: np.ndarray,
+        part_offsets: np.ndarray | None = None,
+        feature_offsets: np.ndarray | None = None,
+        kinds: np.ndarray | None = None,
         attributes: dict[str, list] | None = None,
         columns: list[str] | None = None,
     ) -> "FeatureSet":
-        """A set over columns as they are: points by `xy`, else `geometries`."""
+        """A set over its columns as they are; without offsets and kinds,
+        each vertex of `coords` is one point."""
+        n = len(ids)
         fs = cls.__new__(cls)
-        fs._fill(ids, xy, geometries, attributes or {}, columns)
+        fs._fill(
+            ids,
+            coords,
+            np.arange(n + 1) if part_offsets is None else part_offsets,
+            np.arange(n + 1) if feature_offsets is None else feature_offsets,
+            np.full(n, POINT, dtype=np.int8) if kinds is None else kinds,
+            attributes or {},
+            columns,
+        )
         return fs
 
-    def _fill(self, ids, xy, geometries, attributes, columns):
-        if not ids:  # every empty set is an empty point set
-            xy, geometries = np.zeros((0, 2)), None
+    def _fill(self, ids, coords, part_offsets, feature_offsets, kinds, attributes, columns):
         self._ids = ids
-        self.xy = xy
-        self.geometries = geometries
+        self.coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
+        self.part_offsets = np.asarray(part_offsets, dtype=np.intp)
+        self.feature_offsets = np.asarray(feature_offsets, dtype=np.intp)
+        self.kinds = np.asarray(kinds, dtype=np.int8)
         self.attributes = attributes
         self.columns = list(columns or [])
         self._bounds = None
@@ -128,24 +154,29 @@ class FeatureSet:
 
     @property
     def features(self) -> list[Feature]:
-        geoms = self.geometries
-        if geoms is None:
-            geoms = [Point(x, y) for x, y in self.xy.tolist()]
+        xy = self.coords.tolist()
+        po, fo = self.part_offsets.tolist(), self.feature_offsets.tolist()
         cols = list(self.attributes.items())
-        return [
-            Feature(fid, g, {k: col[i] for k, col in cols if col[i] is not MISSING})
-            for i, (fid, g) in enumerate(zip(self._ids, geoms))
-        ]
+        out = []
+        for i, (fid, kind) in enumerate(zip(self._ids, self.kinds.tolist())):
+            parts = [[Point(x, y) for x, y in xy[po[p] : po[p + 1]]]
+                     for p in range(fo[i], fo[i + 1])]
+            if kind == POINT:
+                g = parts[0][0]
+            elif kind == LINE:
+                g = Polyline(parts[0])
+            else:
+                g = Polygon(Ring(parts[0]), [Ring(h) for h in parts[1:]])
+            out.append(Feature(fid, g, {k: col[i] for k, col in cols if col[i] is not MISSING}))
+        return out
 
     def geometry_kind(self) -> str:
-        """"empty", "point", "line" or "polygon", from every geometry; a set
+        """"empty", "point", "line" or "polygon", from every kind code; a set
         that mixes kinds joins them with "+" in that order, e.g. "point+polygon"."""
         if not self._ids:
             return "empty"
-        if self.geometries is None:
-            return "point"
-        types = set(map(type, self.geometries))
-        return "+".join(kind for t, kind in _KINDS if t in types)
+        present = np.bincount(self.kinds, minlength=len(KINDS)) > 0
+        return "+".join(kind for kind, here in zip(KINDS, present.tolist()) if here)
 
     def floats(self, column: str, rows: list[int] | None = None) -> np.ndarray:
         """float() of each value of an attribute column (of `rows` only, if
@@ -164,13 +195,23 @@ class FeatureSet:
             pass
         return np.array([_float(v, column) for v in values], dtype=np.float64)
 
+    def gather(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """coords, part offsets and feature offsets of the features at
+        `indices`, in that order: one ragged gather of parts, then of vertices."""
+        idx = np.asarray(indices, dtype=np.intp)
+        nparts = self.feature_offsets[idx + 1] - self.feature_offsets[idx]
+        part = np.repeat(self.feature_offsets[idx], nparts) + ragged_arange(nparts)
+        nverts = self.part_offsets[part + 1] - self.part_offsets[part]
+        vert = np.repeat(self.part_offsets[part], nverts) + ragged_arange(nverts)
+        return self.coords[vert], _offsets(nverts), _offsets(nparts)
+
     def subset(self, indices) -> "FeatureSet":
         idx = np.asarray(indices, dtype=np.intp)
         rows = idx.tolist()
         sub = FeatureSet.from_columns(
             [self._ids[i] for i in rows],
-            None if self.xy is None else self.xy[idx],
-            None if self.geometries is None else [self.geometries[i] for i in rows],
+            *self.gather(idx),
+            self.kinds[idx],
             {k: [col[i] for i in rows] for k, col in self.attributes.items()},
             self.columns,
         )
@@ -179,38 +220,35 @@ class FeatureSet:
         return sub
 
     def bounds(self) -> np.ndarray:
-        """(n, 4) xmin, ymin, xmax, ymax of each feature's bbox, cached on first
-        use. Built in the parent before forking, workers clip by bbox with one
-        vectorized mask."""
+        """(n, 4) xmin, ymin, xmax, ymax of each feature's first part (a
+        polygon's outer ring), cached on first use. Built in the parent before
+        forking, workers clip by bbox with one vectorized mask."""
         if self._bounds is None:
-            if self.xy is not None:
-                self._bounds = np.concatenate([self.xy, self.xy], axis=1)
-            else:
-                boxes = [bbox_of(g) for g in self.geometries]
-                self._bounds = np.array(
-                    [(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], dtype=np.float64
-                ).reshape(-1, 4)
+            self._bounds = np.zeros((0, 4))
+            if len(self):
+                starts = self.part_offsets[:-1]
+                first = self.feature_offsets[:-1]
+                lo = np.minimum.reduceat(self.coords, starts, axis=0)[first]
+                hi = np.maximum.reduceat(self.coords, starts, axis=0)[first]
+                self._bounds = np.concatenate([lo, hi], axis=1)
         return self._bounds
 
     def segments(self) -> tuple[np.ndarray, list[str]]:
-        """(S, 4) x0, y0, x1, y1 of every segment and the id of each one's
-        feature, cached on first use: a chunk that falls back to the whole
-        context reuses them. A point is one zero-length segment."""
+        """(S, 4) x0, y0, x1, y1 of every segment of points and lines, and the
+        id of each one's feature, cached on first use: a chunk that falls back
+        to the whole context reuses them. A point is one zero-length segment,
+        a line one segment per pair of consecutive vertices."""
         if self._segments is None:
-            if self.xy is not None:
-                self._segments = self.bounds(), self._ids
-            else:
-                segs, owners = [], []
-                for fid, g in zip(self._ids, self.geometries):
-                    if isinstance(g, Point):
-                        segs.append((g.x, g.y, g.x, g.y))
-                        owners.append(fid)
-                    else:
-                        verts = g.vertices if not isinstance(g, Polygon) else g.outer.vertices
-                        for a, b in zip(verts, verts[1:]):
-                            segs.append((a.x, a.y, b.x, b.y))
-                            owners.append(fid)
-                self._segments = np.array(segs, dtype=np.float64).reshape(-1, 4), owners
+            nverts = np.diff(self.part_offsets)
+            nsegs = np.maximum(nverts - 1, 1)
+            a = np.repeat(self.part_offsets[:-1], nsegs) + ragged_arange(nsegs)
+            b = a + (np.repeat(nverts, nsegs) > 1)
+            part_owner = np.repeat(np.arange(len(self)), np.diff(self.feature_offsets))
+            owners = np.repeat(part_owner, nsegs).tolist()
+            self._segments = (
+                np.concatenate([self.coords[a], self.coords[b]], axis=1),
+                [self._ids[i] for i in owners],
+            )
         return self._segments
 
 
@@ -261,27 +299,32 @@ def _xy(position) -> tuple[float, float]:
     """x and y of a GeoJSON position; its altitude, if any, is dropped."""
     if isinstance(position, (str, dict)):  # indexing would read characters or keys
         raise TypeError(f"position {position!r} is not an array")
-    return float(position[0]), float(position[1])
+    x, y = float(position[0]), float(position[1])
+    # a JSON number loads as int or float; a bool or a numeric string is not one
+    if any(type(v) not in (int, float) for v in position):
+        raise TypeError(f"position {position!r} is not an array of numbers")
+    return x, y
 
 
-def _geojson_geometry(gtype: str, coords) -> tuple[float, float] | Geometry:
-    """A Point as an (x, y) tuple, a LineString or Polygon as its object."""
+def _check_geometry(gtype: str, coords) -> None:
+    """Build the geometry's objects one vertex at a time, which raises the
+    error of a bad one: the per-feature path behind a failed bulk check."""
     if gtype == "Point":
         x, y = _xy(coords)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise LoadError(f"non-finite coordinates ({x}, {y})")
-        return x, y
-    if gtype == "LineString":
-        return Polyline([Point(*_xy(p)) for p in coords])
-    if gtype == "Polygon":
+    elif gtype == "LineString":
+        Polyline([Point(*_xy(p)) for p in coords])
+    elif gtype == "Polygon":
         rings = []
         for raw in coords:
             pts = [Point(*_xy(p)) for p in raw]
             if len(pts) > 1 and pts[0] == pts[-1]:
                 pts = pts[:-1]
-            rings.append(pts)
-        return make_polygon(rings)
-    raise LoadError(f"unsupported GeoJSON geometry type {gtype!r}")
+            rings.append(Ring(pts))
+        Polygon(rings[0], rings[1:])
+    else:
+        raise LoadError(f"unsupported GeoJSON geometry type {gtype!r}")
 
 
 def _raise_row_error(path: str, rows: list[list], xi: int, yi: int, attr_index):
@@ -329,20 +372,12 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
         _raise_row_error(path, rows, xi, yi, [(c, index[c]) for c in attr_cols])
     ids = list(cols[index[id_column]])
     _check_ids(ids, path)
-    return FeatureSet.from_columns(ids, xy, None, attributes, attr_cols)
+    return FeatureSet.from_columns(ids, xy, attributes=attributes, columns=attr_cols)
 
 
-def _load_geojson(path: str, id_column: str) -> FeatureSet:
-    """Points go to one coordinate array; lines and polygons stay objects."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
-        raise LoadError(f"{path}: not a FeatureCollection")
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise LoadError(f"{path}: features is not an array")
-    ids, geoms, props = [], [], []
-    attr_cols: dict[str, None] = {}
+def _raise_feature_error(path: str, features: list, id_column: str):
+    """Raise the LoadError of the first bad feature. Inside a feature a bad
+    structure comes first, then a bad geometry, then a missing id."""
     for i, f in enumerate(features):
         if not isinstance(f, dict):
             raise LoadError(f"{path}: feature {i}: not an object")
@@ -351,27 +386,110 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
         for key, value in (("geometry", geom), ("properties", p)):
             if not isinstance(value, dict):
                 raise LoadError(f"{path}: feature {i}: {key} is not an object")
-        gtype, coords = geom.get("type"), geom.get("coordinates")
+        gtype = geom.get("type")
         try:
-            g = _geojson_geometry(gtype, coords)
-        except (TypeError, ValueError, IndexError) as e:  # a position that is not numbers
+            _check_geometry(gtype, geom.get("coordinates"))
+        except (TypeError, ValueError, IndexError, OverflowError) as e:  # not a position of numbers
             raise LoadError(f"{path}: feature {i}: bad {gtype} coordinates: {e}")
         except GridchopError as e:  # non-finite, duplicate or too few vertices
             raise LoadError(f"{path}: feature {i}: {e}")
-        p = dict(p)
         if id_column not in p:
             raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
+    raise AssertionError("no bad feature")
+
+
+_GEOJSON_KINDS = {"Point": POINT, "LineString": LINE, "Polygon": POLYGON}
+
+
+def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
+    """The set of a GeoJSON feature list, every position read into one flat
+    array and checked in bulk; None if any feature is bad."""
+    ids, props, kinds, parts, nparts = [], [], [], [], []
+    for f in features:
+        if not isinstance(f, dict):
+            return None
+        geom = f.get("geometry") or {}
+        p = f.get("properties") or {}
+        if not (isinstance(geom, dict) and isinstance(p, dict)) or id_column not in p:
+            return None
+        kind = _GEOJSON_KINDS.get(geom.get("type"))
+        coords = geom.get("coordinates")
+        if kind is None:
+            return None
+        if kind == POLYGON:
+            parts += coords
+            nparts.append(len(coords))
+        else:
+            parts.append([coords] if kind == POINT else coords)
+            nparts.append(1)
+        p = dict(p)
         ids.append(str(p.pop(id_column)))
-        attr_cols.update(dict.fromkeys(p))
-        geoms.append(g)
         props.append(p)
-    _check_ids(ids, path)
-    attributes = {c: [p.get(c, MISSING) for p in props] for c in attr_cols}
-    if all(isinstance(g, tuple) for g in geoms):
-        xy = np.array(geoms, dtype=np.float64).reshape(-1, 2)
-        return FeatureSet.from_columns(ids, xy, None, attributes, list(attr_cols))
-    geoms = [Point(*g) if isinstance(g, tuple) else g for g in geoms]
-    return FeatureSet.from_columns(ids, None, geoms, attributes, list(attr_cols))
+        kinds.append(kind)
+    positions = [pos for part in parts for pos in part]
+    if not set(map(type, chain.from_iterable(positions))) <= {int, float}:
+        return None
+    widths = set(map(len, positions))
+    if widths and min(widths) < 2:
+        return None
+    if widths - {2}:  # drop the altitudes
+        positions = [pos[:2] for pos in positions]
+    xy = np.fromiter(chain.from_iterable(positions), np.float64, 2 * len(positions))
+    xy = xy.reshape(-1, 2)
+    nverts = np.fromiter(map(len, parts), np.intp, len(parts))
+    nparts = np.array(nparts, dtype=np.intp)
+    kinds = np.array(kinds, dtype=np.int8)
+    part_kind = np.repeat(kinds, nparts)
+    ring = part_kind == POLYGON
+    if not (nparts.all() and nverts.all() and np.isfinite(xy).all()):
+        return None
+    # a ring's closing vertex, equal to its first one, is dropped
+    ends = _offsets(nverts)
+    closed = ring & (nverts > 1) & (xy[ends[:-1]] == xy[ends[1:] - 1]).all(axis=1)
+    keep = np.ones(len(xy), dtype=bool)
+    keep[ends[1:][closed] - 1] = False
+    xy, nverts = xy[keep], nverts - closed
+    if (nverts < np.where(ring, 3, np.where(part_kind == LINE, 2, 1))).any():
+        return None
+    # no vertex may equal the one before it, in a ring also the first the last
+    part_offsets = _offsets(nverts)
+    part = np.repeat(np.arange(len(nverts)), nverts)
+    prev = ring_neighbour(part, len(nverts), -1)
+    first = np.zeros(len(xy), dtype=bool)
+    first[part_offsets[:-1]] = True
+    if ((xy == xy[prev]).all(axis=1) & (ring[part] | ~first)).any():
+        return None
+    # outer rings counterclockwise, holes clockwise: reverse the others
+    outer = np.zeros(len(nverts), dtype=bool)
+    outer[_offsets(nparts)[:-1]] = True
+    flip = (ring & ((signed_ring_areas(xy, part_offsets) > 0) != outer))[part]
+    at = np.arange(len(xy))
+    at[flip] = (part_offsets[:-1] + part_offsets[1:] - 1)[part[flip]] - at[flip]
+    attr_cols = dict.fromkeys(k for p in props for k in p)
+    return FeatureSet.from_columns(
+        ids, xy[at], part_offsets, _offsets(nparts), kinds,
+        {c: [p.get(c, MISSING) for p in props] for c in attr_cols}, list(attr_cols),
+    )
+
+
+def _load_geojson(path: str, id_column: str) -> FeatureSet:
+    """Every geometry kind into the flat layout, with no object per vertex; a
+    bad feature is found again one object at a time, for its error message."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        raise LoadError(f"{path}: not a FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise LoadError(f"{path}: features is not an array")
+    try:
+        fs = _geojson_columns(features, id_column)
+    except (TypeError, ValueError, OverflowError):  # a coordinate that is not a list
+        fs = None
+    if fs is None:
+        _raise_feature_error(path, features, id_column)
+    _check_ids(fs.ids(), path)
+    return fs
 
 
 def load_features(

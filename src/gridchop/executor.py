@@ -159,7 +159,7 @@ def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_
     if len(clipped) == 0:
         return _apply_op(task, context, anchors, id_column)
     table = _apply_op(task, clipped, anchors, id_column)
-    x, y = anchors.xy.T
+    x, y = anchors.coords.T
     edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y])
     redo = np.nonzero(~(np.array(table.data["distance"]) < edge))[0]
     if redo.size:

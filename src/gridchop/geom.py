@@ -1,7 +1,9 @@
-"""Planar geometry primitives and predicates.
+"""Planar geometry objects: one object per geometry and per vertex.
 
-All coordinates are planar Euclidean in CRS units; callers own any
-reprojection. Every function here is pure and safe to call concurrently.
+Feature sets store geometry as flat arrays (see dataio.FeatureSet); these
+objects are what its `features` view builds and what `FeatureSet(features)`
+reads. All coordinates are planar Euclidean in CRS units; callers own any
+reprojection.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidParameterError(f"non-finite point coordinates ({self.x}, {self.y})")
+
+    @property
+    def parts(self) -> list[list["Point"]]:
+        """The vertex lists of the geometry: a point is one part of one vertex."""
+        return [[self]]
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,11 @@ class Polygon:
     outer: Ring
     holes: list[Ring] = field(default_factory=list)
 
+    @property
+    def parts(self) -> list[list[Point]]:
+        """The outer ring's vertices, then each hole's."""
+        return [self.outer.vertices, *(h.vertices for h in self.holes)]
+
 
 @dataclass
 class Polyline:
@@ -107,86 +119,18 @@ class Polyline:
                 raise InvalidParameterError("consecutive duplicate polyline vertices")
             prev = v
 
+    @property
+    def parts(self) -> list[list[Point]]:
+        """The line's vertices, as its one part."""
+        return [self.vertices]
+
 
 Geometry = Point | Polyline | Polygon
 
 
-def signed_ring_area(ring: Ring) -> float:
-    """Shoelace area; positive for counterclockwise rings."""
-    verts = ring.vertices
-    total = 0.0
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        total += a.x * b.y - b.x * a.y
-    return 0.5 * total
-
-
-def make_polygon(rings: list[list[Point]]) -> Polygon:
-    """Build a polygon from raw vertex lists, fixing ring orientations."""
-    oriented = []
-    for i, pts in enumerate(rings):
-        ring = Ring(list(pts))
-        area = signed_ring_area(ring)
-        want_ccw = i == 0
-        if (area > 0) != want_ccw:
-            ring = Ring(list(reversed(ring.vertices)))
-        oriented.append(ring)
-    return Polygon(oriented[0], oriented[1:])
-
-
 def bbox_of(geometry: Geometry) -> BBox:
-    if isinstance(geometry, Point):
-        return BBox(geometry.x, geometry.y, geometry.x, geometry.y)
-    if isinstance(geometry, Polyline):
-        verts = geometry.vertices
-    elif isinstance(geometry, Polygon):
-        verts = geometry.outer.vertices
-    else:
-        raise InvalidParameterError(f"unsupported geometry {type(geometry)}")
+    """The bbox of a point, of a line, or of a polygon's outer ring."""
+    verts = geometry.parts[0]
     xs = [v.x for v in verts]
     ys = [v.y for v in verts]
     return BBox(min(xs), min(ys), max(xs), max(ys))
-
-
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if cross != 0.0:
-        return False
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-
-
-def _ring_crossings(p: Point, ring: Ring) -> int:
-    count = 0
-    verts = ring.vertices
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            xcross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xcross > p.x:
-                count += 1
-    return count
-
-
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    """Even-odd test; points on any ring boundary count as inside."""
-    for ring in [poly.outer, *poly.holes]:
-        verts = ring.vertices
-        n = len(verts)
-        for i in range(n):
-            if _on_segment(p, verts[i], verts[(i + 1) % n]):
-                return True
-    crossings = _ring_crossings(p, poly.outer)
-    for hole in poly.holes:
-        crossings += _ring_crossings(p, hole)
-    return crossings % 2 == 1
-
-
-def polygon_area(poly: Polygon) -> float:
-    area = abs(signed_ring_area(poly.outer))
-    for hole in poly.holes:
-        area -= abs(signed_ring_area(hole))
-    return area

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from .geom import BBox, Polygon, polygon_area
+from .geom import BBox
 from .raster import (
     Raster,
     StatSpec,
@@ -23,9 +23,9 @@ from .raster import (
     cell_stat,
     covered_cells,
     ragged_arange,
-    ring_arrays,
     ring_edges,
     ring_neighbour,
+    signed_ring_areas,
     window_for_bbox,
 )
 
@@ -84,15 +84,14 @@ def _check_kind(fs: FeatureSet, op: str, *kinds: str) -> str:
     """The geometry kind of fs, which must be empty or one of `kinds`."""
     kind = fs.geometry_kind()
     if kind != "empty" and kind not in kinds:
-        want = " or ".join(f"{k} geometry" for k in kinds)
+        want = " or ".join(f"{k} geometry" for k in kinds).replace("+", " and ")
         raise InvalidInputError(f"{op} requires {want}, got {kind.replace('+', ' and ')}")
     return kind
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    if fs.xy is None:  # a set that mixes points with lines or polygons
-        raise InvalidInputError("operation requires point geometry")
-    px, py = np.ascontiguousarray(fs.xy.T)
+    """x and y of a point set (one vertex per feature)."""
+    px, py = np.ascontiguousarray(fs.coords.T)
     return px, py
 
 
@@ -244,7 +243,7 @@ def extract_at(
             if (hi - lo + 1) * nr2 * nc2 > _BATCH_ELEMS:
                 break
             hi, nr, nc = hi + 1, nr2, nc2
-        cells = covered_cells(x, y.geometries[lo:hi], wins[lo:hi])
+        cells = covered_cells(x, y, np.arange(lo, hi), wins[lo:hi])
         results += [cell_stat(x, rows, cols, w, stat) for rows, cols, w in cells]
         lo = hi
     if stat.kind == "frequency":
@@ -257,17 +256,19 @@ def extract_at(
 # --- polygon/polygon intersection via trapezoid decomposition -----------
 
 
-def _trapezoid_corners(polys: list[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut every polygon (holes included, even-odd) into convex trapezoids.
+def _trapezoid_corners(
+    polys: FeatureSet, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut polygons idx of polys (holes included, even-odd) into convex trapezoids.
 
     The slabs lie between consecutive distinct edge-end ys of a polygon; in
     each slab the edges that span it are sorted by their x at the middle,
     bottom and top of the slab, and ranks 0-1, 2-3, ... bound a trapezoid.
-    Returns the polygon of each trapezoid and its corners x, y as (n, 4)
-    arrays, counterclockwise from the bottom left, by polygon, then slab,
-    then left to right.
+    Returns the position in idx of each trapezoid's polygon and its corners
+    x, y as (n, 4) arrays, counterclockwise from the bottom left, by polygon,
+    then slab, then left to right.
     """
-    ax, ay, bx, by, owner = ring_edges(polys)
+    ax, ay, bx, by, owner = ring_edges(polys, idx)
     keep = ay != by
     ax, ay, bx, by, owner = ax[keep], ay[keep], bx[keep], by[keep], owner[keep]
     n = ay.size
@@ -336,8 +337,11 @@ def _clip_convex(x, y, inst, cx, cy):
     return x, y, inst
 
 
-def _intersection_areas(tpolys, spolys, ti: np.ndarray, si: np.ndarray) -> np.ndarray:
-    """Intersection area of tpolys[ti[k]] and spolys[si[k]] for each pair k.
+def _intersection_areas(
+    tpolys: FeatureSet, spolys: FeatureSet, ti: np.ndarray, si: np.ndarray
+) -> np.ndarray:
+    """Intersection area of polygon ti[k] of tpolys and polygon si[k] of
+    spolys for each pair k.
 
     Every ring of the source is clipped against every trapezoid of the
     target, and the signed shoelace areas are summed in (trapezoid, ring)
@@ -347,14 +351,13 @@ def _intersection_areas(tpolys, spolys, ti: np.ndarray, si: np.ndarray) -> np.nd
     if ti.size == 0:
         return np.zeros(0)
     tu, ti = np.unique(ti, return_inverse=True)
-    su, si = np.unique(si, return_inverse=True)
-    towner, cx, cy = _trapezoid_corners([tpolys[k] for k in tu])
+    towner, cx, cy = _trapezoid_corners(tpolys, tu)
     ntrap = np.bincount(towner, minlength=tu.size)
     trap0 = np.cumsum(ntrap) - ntrap
-    x, y, ring_len, nrings = ring_arrays([spolys[k] for k in su])
-    vert0 = np.cumsum(ring_len) - ring_len
-    ring0 = np.cumsum(nrings) - nrings
-    nverts = np.add.reduceat(ring_len, ring0)
+    x, y = spolys.coords[:, 0], spolys.coords[:, 1]
+    vert0, ring_len = spolys.part_offsets[:-1], np.diff(spolys.part_offsets)
+    ring0, nrings = spolys.feature_offsets[:-1], np.diff(spolys.feature_offsets)
+    nverts = spolys.part_offsets[spolys.feature_offsets[1:]] - vert0[ring0]
     cum = np.cumsum(ntrap[ti] * nverts[si])
     total = np.zeros(ti.size)
     lo = 0
@@ -379,10 +382,20 @@ def _intersection_areas(tpolys, spolys, ti: np.ndarray, si: np.ndarray) -> np.nd
     return np.where(0.0 > total, 0.0, total)
 
 
-def _same_polygon(a: Polygon, b: Polygon) -> bool:
-    ra = [[(v.x, v.y) for v in ring.vertices] for ring in [a.outer, *a.holes]]
-    rb = [[(v.x, v.y) for v in ring.vertices] for ring in [b.outer, *b.holes]]
-    return ra == rb
+def _polygon_areas(polys: FeatureSet) -> np.ndarray:
+    """Area of each polygon: |outer ring|, then each hole's |area| subtracted
+    in turn. np.bincount adds each polygon's terms in ring order."""
+    area = np.abs(signed_ring_areas(polys.coords, polys.part_offsets))
+    outer = np.zeros(area.size, dtype=bool)
+    outer[polys.feature_offsets[:-1]] = True
+    owner = np.repeat(np.arange(len(polys)), np.diff(polys.feature_offsets))
+    return np.bincount(owner, weights=np.where(outer, area, -area), minlength=len(polys))
+
+
+def _same_rings(a: FeatureSet, i: int, b: FeatureSet, j: int) -> bool:
+    """Whether polygon i of a and polygon j of b have equal rings, vertex for vertex."""
+    (ca, pa, _), (cb, pb, _) = a.gather([i]), b.gather([j])
+    return pa.shape == pb.shape and bool((pa == pb).all() and (ca == cb).all())
 
 
 def summarize_aw(
@@ -402,14 +415,14 @@ def summarize_aw(
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
     _check_kind(targets, "summarize_aw", "polygon")
     _check_kind(sources, "summarize_aw", "polygon")
-    # an empty set keeps no geometry list; a target over no source gets a null row
-    tpolys, spolys = targets.geometries or [], sources.geometries or []
+    # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
+    tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
     value_columns = list(dict.fromkeys(value_columns))  # one column each
     out = {id_column: list(targets.ids()), **{f"{c}_{stat}": [] for c in value_columns},
            "coverage": []}
-    block = max(1, _PAIR_ELEMS // max(1, len(spolys)))
-    for lo in range(0, len(tpolys), block):
+    block = max(1, _PAIR_ELEMS // max(1, len(sources)))
+    for lo in range(0, len(targets), block):
         t = tb[lo : lo + block, None, :]
         hit = ((sb[:, 2] >= t[..., 0]) & (sb[:, 0] <= t[..., 2])
                & (sb[:, 3] >= t[..., 1]) & (sb[:, 1] <= t[..., 3]))
@@ -417,16 +430,17 @@ def summarize_aw(
         ti, si = np.nonzero(hit)
         ti += lo
         same = np.all(tb[ti] == sb[si], axis=1)
-        same[same] = [_same_polygon(tpolys[i], spolys[j]) for i, j in zip(ti[same], si[same])]
+        same[same] = [_same_rings(targets, i, sources, j)
+                      for i, j in zip(ti[same].tolist(), si[same].tolist())]
         aij = np.empty(ti.size)
-        aij[same] = [polygon_area(tpolys[i]) for i in ti[same]]
-        aij[~same] = _intersection_areas(tpolys, spolys, ti[~same], si[~same])
+        aij[same] = tarea[ti[same]]
+        aij[~same] = _intersection_areas(targets, sources, ti[~same], si[~same])
         keep = ~(aij <= 0.0)
         ti, si, aij = ti[keep] - lo, si[keep], aij[keep]
         # np.bincount adds each target's terms in pair order, as a loop would
         inter = np.bincount(ti, weights=aij, minlength=len(t)).tolist()
         if stat == "sum":
-            aij = aij / np.array([polygon_area(spolys[j]) for j in si.tolist()])
+            aij = aij / sarea[si]
         for c in value_columns:
             weights = aij * sources.floats(c, si.tolist())
             num = np.bincount(ti, minlength=len(t), weights=weights).tolist()
@@ -434,9 +448,8 @@ def summarize_aw(
                 (n / total if stat == "mean" else n) if total > 0.0 else None
                 for n, total in zip(num, inter)
             ]
-        for k, total in enumerate(inter):
-            tarea = polygon_area(tpolys[lo + k])
-            out["coverage"].append(total / tarea if tarea > 0 else 0.0)
+        for total, area in zip(inter, tarea[lo : lo + block].tolist()):
+            out["coverage"].append(total / area if area > 0 else 0.0)
     return ResultTable(out)
 
 
@@ -482,6 +495,7 @@ def nearest_distance(
     _check_kind(y, "nearest_distance", "point")
     if len(x) == 0:
         raise InvalidInputError("nearest_distance requires a non-empty context dataset")
+    _check_kind(x, "nearest_distance", "point", "line", "point+line")
     segs, owners = x.segments()
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax

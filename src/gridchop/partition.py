@@ -13,7 +13,12 @@ import numpy as np
 
 from .dataio import MISSING, FeatureSet
 from .errors import InvalidInputError, InvalidParameterError
-from .geom import BBox, Point, Polygon, Polyline, point_in_polygon
+from .geom import BBox
+from .raster import ring_edges
+
+# cap on the anchor x edge block of the region test of group_by_hierarchy, in
+# array elements
+_PAIR_ELEMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -43,29 +48,10 @@ class PartitionSet:
     chunks: list[Chunk]
 
 
-def representative_point(geometry) -> Point:
-    """Cheap deterministic anchor point used for unique chunk assignment."""
-    if isinstance(geometry, Point):
-        return geometry
-    if isinstance(geometry, Polyline):
-        return geometry.vertices[0]
-    if isinstance(geometry, Polygon):
-        return geometry.outer.vertices[0]
-    raise InvalidParameterError(f"unsupported geometry {type(geometry)}")
-
-
 def _point_coords(points: FeatureSet) -> np.ndarray:
-    if points.geometry_kind() != "point" or points.xy is None:
+    if points.geometry_kind() != "point":
         raise InvalidInputError("operation requires point geometry")
-    return points.xy
-
-
-def _representative_xy(fs: FeatureSet) -> np.ndarray:
-    """(n, 2) representative point of each feature."""
-    if fs.xy is not None:
-        return fs.xy
-    reps = [representative_point(g) for g in fs.geometries]
-    return np.array([(p.x, p.y) for p in reps], dtype=np.float64).reshape(-1, 2)
+    return points.coords
 
 
 def _members(ids: list[str], label: np.ndarray, n: int) -> list[list[str]]:
@@ -341,7 +327,7 @@ def _swap_rounds(coords: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.nda
 
 
 def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSet:
-    """Assign each anchor to exactly one chunk by its representative point.
+    """Assign each anchor to exactly one chunk by its first vertex.
 
     Half-open interval rule [xmin, xmax) x [ymin, ymax) with the last
     row/column closed at the global extent; representatives outside every
@@ -351,7 +337,7 @@ def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSe
     gy = max(c.core.ymax for c in parts.chunks)
     chunks = [Chunk(c.chunk_id, c.core) for c in parts.chunks]
     chunks.sort(key=lambda c: c.chunk_id)
-    rep = _representative_xy(anchors)
+    rep = anchors.coords[anchors.part_offsets[anchors.feature_offsets[:-1]]]  # first vertices
     x, y = rep[:, 0], rep[:, 1]
     owner = np.full(len(rep), -1, dtype=np.intp)
     for k, c in enumerate(chunks):
@@ -376,13 +362,33 @@ def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSe
     return PartitionSet(parts.mode, chunks)
 
 
+def _in_polygon(points: np.ndarray, ax, ay, bx, by) -> np.ndarray:
+    """Even-odd test of each point against the edges (ax, ay) -> (bx, by) of
+    the rings of one polygon; a point on a ring counts as inside. Per point
+    and edge, the float expressions of a scalar loop, over blocks of points."""
+    xlo, xhi = np.minimum(ax, bx), np.maximum(ax, bx)
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    inside = np.zeros(len(points), dtype=bool)
+    block = max(1, _PAIR_ELEMS // ax.size)
+    for lo in range(0, len(points), block):
+        px, py = points[lo : lo + block, :1], points[lo : lo + block, 1:]
+        on = (bx - ax) * (py - ay) - (by - ay) * (px - ax) == 0.0
+        on &= (xlo <= px) & (px <= xhi) & (ylo <= py) & (py <= yhi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # horizontal edges never cross
+            xcross = ax + (py - ay) * (bx - ax) / (by - ay)
+        crossings = np.count_nonzero(((ay > py) != (by > py)) & (xcross > px), axis=1)
+        inside[lo : lo + block] = on.any(axis=1) | (crossings % 2 == 1)
+    return inside
+
+
 def group_by_hierarchy(
     anchors: FeatureSet,
     key: str | None = None,
     regions: FeatureSet | None = None,
     regions_id: str | None = None,
 ) -> list[tuple[str, list[str]]]:
-    """Group anchors by an attribute column or by containing region polygon."""
+    """Group anchors by an attribute column, or by the first region polygon,
+    in file order, that holds an anchor's first vertex (on a ring counts)."""
     if key is not None:
         values = anchors.attributes.get(key, [MISSING] * len(anchors))
         groups: dict[str, list[str]] = {}
@@ -397,14 +403,17 @@ def group_by_hierarchy(
         raise InvalidInputError("regions must be polygons")
     values = regions.attributes.get(regions_id, [MISSING] * len(regions))
     region_keys = [str(rid if v is MISSING else v) for rid, v in zip(regions.ids(), values)]
+    rep = anchors.coords[anchors.part_offsets[anchors.feature_offsets[:-1]]]  # first vertices
+    region = np.full(len(anchors), -1)
+    for r in range(len(regions)):
+        ax, ay, bx, by, _ = ring_edges(regions, [r])
+        # outside the y range of its rings, a point is on no ring and crosses none
+        todo = np.nonzero((region < 0) & (ay.min() <= rep[:, 1]) & (rep[:, 1] <= ay.max()))[0]
+        region[todo[_in_polygon(rep[todo], ax, ay, bx, by)]] = r
     groups = {k: [] for k in region_keys}
     unassigned: list[str] = []
-    for fid, (x, y) in zip(anchors.ids(), _representative_xy(anchors).tolist()):
-        rep = Point(x, y)
-        rkey = next(
-            (k for k, g in zip(region_keys, regions.geometries) if point_in_polygon(rep, g)), None
-        )
-        (unassigned if rkey is None else groups[rkey]).append(fid)
+    for fid, r in zip(anchors.ids(), region.tolist()):
+        (unassigned if r < 0 else groups[region_keys[r]]).append(fid)
     out = list(groups.items())
     if unassigned:
         out.append(("UNASSIGNED", unassigned))

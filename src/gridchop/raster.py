@@ -8,11 +8,15 @@ under the half-open point-lookup rule (left/top closed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geom import BBox, Polygon
+from .geom import BBox
+
+if TYPE_CHECKING:  # dataio imports this module
+    from .dataio import FeatureSet
 
 STAT_KINDS = ("mean", "sum", "count", "min", "max", "stdev", "frequency")
 
@@ -98,17 +102,6 @@ def window_for_bbox(r: Raster, b: BBox) -> CellWindow:
     return CellWindow(row0, col0, row1 - row0 + 1, col1 - col0 + 1)
 
 
-def ring_arrays(polys: list[Polygon]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every ring of polys (outer ring first, then holes), flattened: vertex
-    x and y, the vertex count of each ring and the ring count of each polygon."""
-    rings = [ring.vertices for poly in polys for ring in (poly.outer, *poly.holes)]
-    x = np.array([v.x for ring in rings for v in ring], dtype=np.float64)
-    y = np.array([v.y for ring in rings for v in ring], dtype=np.float64)
-    ring_len = np.array([len(ring) for ring in rings], dtype=np.intp)
-    nrings = np.array([1 + len(poly.holes) for poly in polys], dtype=np.intp)
-    return x, y, ring_len, nrings
-
-
 def ring_neighbour(ring: np.ndarray, nrings: int, step: int) -> np.ndarray:
     """Index of each vertex's predecessor (step -1) or successor (step 1) in
     its ring, for vertices in contiguous runs of ring index `ring`."""
@@ -117,12 +110,29 @@ def ring_neighbour(ring: np.ndarray, nrings: int, step: int) -> np.ndarray:
     return first + (np.arange(ring.size) - first + step) % cnt[ring]
 
 
-def ring_edges(polys: list[Polygon]):
-    """Directed edges (ax, ay) -> (bx, by) of every ring of polys, holes
-    included, and the index in polys of each edge's polygon."""
-    x, y, ring_len, nrings = ring_arrays(polys)
-    nxt = ring_neighbour(np.repeat(np.arange(ring_len.size), ring_len), ring_len.size, 1)
-    owner = np.repeat(np.repeat(np.arange(len(polys)), nrings), ring_len)
+def _ring_index(part_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ring of each vertex and the index of its successor in that ring."""
+    nrings = part_offsets.size - 1
+    ring = np.repeat(np.arange(nrings), np.diff(part_offsets))
+    return ring, ring_neighbour(ring, nrings, 1)
+
+
+def signed_ring_areas(coords: np.ndarray, part_offsets: np.ndarray) -> np.ndarray:
+    """Shoelace area of each ring, positive counterclockwise. np.bincount adds
+    each ring's terms in vertex order, as a loop over the ring would."""
+    ring, nxt = _ring_index(part_offsets)
+    x, y = coords[:, 0], coords[:, 1]
+    twice = np.bincount(ring, weights=x * y[nxt] - x[nxt] * y, minlength=part_offsets.size - 1)
+    return 0.5 * twice
+
+
+def ring_edges(polys: FeatureSet, idx: np.ndarray):
+    """Directed edges (ax, ay) -> (bx, by) of every ring of polygons idx of
+    polys, holes included, and the position in idx of each edge's polygon."""
+    coords, part_offsets, feature_offsets = polys.gather(idx)
+    ring, nxt = _ring_index(part_offsets)
+    owner = np.repeat(np.arange(len(idx)), np.diff(feature_offsets))[ring]
+    x, y = coords[:, 0], coords[:, 1]
     return x, y, x[nxt], y[nxt], owner
 
 
@@ -215,16 +225,17 @@ def cell_areas(
 
 
 def covered_cells(
-    r: Raster, polys: list[Polygon], wins: list[CellWindow]
+    r: Raster, polys: FeatureSet, idx: np.ndarray, wins: list[CellWindow]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, cols, fractions) of the raster cells each polygon covers.
+    """(rows, cols, fractions) of the raster cells each polygon idx of polys
+    covers.
 
-    wins[k] is window_for_bbox of polys[k]. Cells come in row-major order,
+    wins[k] is window_for_bbox of polygon idx[k]. Cells come in row-major order,
     fractions are capped at 1 and cells with zero coverage are omitted. One
     kernel call serves every polygon, each window padded to the largest.
     """
     none = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-    out = [none] * len(polys)
+    out = [none] * len(wins)
     live = [k for k, w in enumerate(wins) if not w.empty]
     if not live:
         return out
@@ -232,7 +243,7 @@ def covered_cells(
     row0, col0, nrows, ncols = np.array(
         [(wins[k].row0, wins[k].col0, wins[k].nrows_w, wins[k].ncols_w) for k in live]
     ).T
-    ax, ay, bx, by, owner = ring_edges([polys[k] for k in live])
+    ax, ay, bx, by, owner = ring_edges(polys, np.asarray(idx, dtype=np.intp)[live])
     frac = cell_areas(ax, ay, bx, by, owner, r.xll + col0 * cs, r.ytop - row0 * cs, cs,
                       int(nrows.max()), ncols)
     for i, k in enumerate(live):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridchop import Point, Polygon, Ring
+from gridchop import Feature, FeatureSet, Point, Polygon, Ring
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -15,6 +15,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def polygon_set(polys) -> FeatureSet:
+    """The polygons as a set, in order, as the polygon kernels take them."""
+    return FeatureSet([Feature(f"g{i}", p) for i, p in enumerate(polys)])
 
 
 def square(x0=0.0, y0=0.0, size=1.0) -> Polygon:

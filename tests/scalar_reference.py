@@ -1,10 +1,13 @@
 """Scalar reference implementations that the batched kernels must match.
 
 One polygon, one trapezoid, one ring at a time, in plain Python floats: the
-convex Sutherland-Hodgman clipper, the shoelace sum, the trapezoid
-decomposition and the per-pair `summarize_aw` loop the batched code replaced,
-the per-point, per-chunk loop of `assign_to_partition`, and the inscribed
-buffer polygon and point-segment distance of `extract_at` and `nearest`.
+ring orientation of the GeoJSON reader, polygon areas, the even-odd
+point-in-polygon test of `group_by_hierarchy`, the convex Sutherland-Hodgman
+clipper, the shoelace sum, the trapezoid decomposition and the per-pair
+`summarize_aw` loop the batched code replaced, the per-point, per-chunk loop
+of `assign_to_partition` and the per-anchor, per-region loop of
+`group_by_hierarchy`, and the inscribed buffer polygon and point-segment
+distance of `extract_at` and `nearest`.
 The batched code performs the same float operations in the same order, so
 its results must be equal to these bit for bit.
 """
@@ -13,8 +16,84 @@ import math
 
 from gridchop.dataio import ResultTable
 from gridchop.errors import InvalidParameterError
-from gridchop.geom import Point, Polygon, Ring, bbox_of, point_in_polygon, polygon_area
-from gridchop.partition import Chunk, PartitionSet, representative_point
+from gridchop.geom import Point, Polygon, Polyline, Ring, bbox_of
+from gridchop.partition import Chunk, PartitionSet
+
+
+def signed_ring_area(ring):
+    """Shoelace area; positive for counterclockwise rings."""
+    verts = ring.vertices
+    total = 0.0
+    n = len(verts)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        total += a.x * b.y - b.x * a.y
+    return 0.5 * total
+
+
+def make_polygon(rings):
+    """Build a polygon from raw vertex lists, fixing ring orientations."""
+    oriented = []
+    for i, pts in enumerate(rings):
+        ring = Ring(list(pts))
+        area = signed_ring_area(ring)
+        want_ccw = i == 0
+        if (area > 0) != want_ccw:
+            ring = Ring(list(reversed(ring.vertices)))
+        oriented.append(ring)
+    return Polygon(oriented[0], oriented[1:])
+
+
+def polygon_area(poly):
+    area = abs(signed_ring_area(poly.outer))
+    for hole in poly.holes:
+        area -= abs(signed_ring_area(hole))
+    return area
+
+
+def _on_segment(p, a, b):
+    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
+    if cross != 0.0:
+        return False
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+
+
+def _ring_crossings(p, ring):
+    count = 0
+    verts = ring.vertices
+    n = len(verts)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        if (a.y > p.y) != (b.y > p.y):
+            xcross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            if xcross > p.x:
+                count += 1
+    return count
+
+
+def point_in_polygon(p, poly):
+    """Even-odd test; points on any ring boundary count as inside."""
+    for ring in [poly.outer, *poly.holes]:
+        verts = ring.vertices
+        n = len(verts)
+        for i in range(n):
+            if _on_segment(p, verts[i], verts[(i + 1) % n]):
+                return True
+    crossings = _ring_crossings(p, poly.outer)
+    for hole in poly.holes:
+        crossings += _ring_crossings(p, hole)
+    return crossings % 2 == 1
+
+
+def representative_point(geometry):
+    """The point that places a feature: its first vertex."""
+    if isinstance(geometry, Point):
+        return geometry
+    if isinstance(geometry, Polyline):
+        return geometry.vertices[0]
+    return geometry.outer.vertices[0]
 
 
 def buffer_point(p, radius, segments=64):

@@ -18,7 +18,7 @@ from gridchop.bench import SynthSpec, efficiency, synth_dataset
 from gridchop.cli import EXIT_PARTIAL, main
 from gridchop.dataio import Feature, FeatureSet, write_raster
 from gridchop.executor import RunConfig, TaskSpec, run_grid
-from gridchop.geom import BBox, Point, Polygon, Polyline, bbox_of, make_polygon, polygon_area
+from gridchop.geom import BBox, Point, Polygon, Polyline, bbox_of
 from gridchop.geoops import SedcParams, extract_at, nearest_distance, summarize_aw, summarize_sedc
 from gridchop.partition import (
     GridSpec,
@@ -29,6 +29,9 @@ from gridchop.partition import (
     make_regular_grid,
 )
 from gridchop.raster import Raster, covered_cells, window_for_bbox
+
+from conftest import polygon_set
+from scalar_reference import make_polygon, polygon_area
 
 
 # collected here and echoed by the pytest_terminal_summary hook in
@@ -251,7 +254,8 @@ def test_criterion_05_coverage_oracle():
     for poly_i in range(50):
         poly = _random_polygon(rng, convex=(poly_i % 2 == 0))
         ring_pts = [(p.x, p.y) for p in poly.outer.vertices]
-        ((rows, cols, fracs),) = covered_cells(ras, [poly], [window_for_bbox(ras, bbox_of(poly))])
+        ((rows, cols, fracs),) = covered_cells(ras, polygon_set([poly]), [0],
+                                               [window_for_bbox(ras, bbox_of(poly))])
         frac = dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
 
         # conservation against the exact polygon area
@@ -391,7 +395,7 @@ def test_criterion_06_partition_properties():
     bal = make_balanced_groups(pts, k)
     sizes = sorted(len(c.member_ids) for c in bal.chunks)
     assert sizes[-1] - sizes[0] <= 1
-    assign, trace = _swap_rounds(pts.xy, _greedy_assignment(pts.xy, k), k)
+    assign, trace = _swap_rounds(pts.coords, _greedy_assignment(pts.coords, k), k)
     assert [c.member_ids for c in bal.chunks] == [
         [fid for fid, g in zip(pts.ids(), assign.tolist()) if g == c.chunk_id]
         for c in bal.chunks], "groups are not the swap phase's assignment"

@@ -20,7 +20,7 @@ from gridchop.dataio import (
     write_raster,
 )
 from gridchop.errors import GridchopError, LoadError
-from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, bbox_of, make_polygon
+from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, bbox_of
 from gridchop.partition import Chunk, PartitionSet
 from gridchop.raster import Raster
 
@@ -263,7 +263,12 @@ class TestLoadFeaturesGeoJSON:
         ('{"type": "Point", "coordinates": null}',
          "bad Point coordinates: 'NoneType' object is not subscriptable"),
         ('{"type": "LineString", "coordinates": [[0, 0], [1, "2"], ["x", 2]]}',
-         "bad LineString coordinates: could not convert string to float: 'x'"),
+         "bad LineString coordinates: position [1, '2'] is not an array of numbers"),
+        # a position member must be a JSON number: not a numeric string, not a bool
+        ('{"type": "Point", "coordinates": [1, "2"]}',
+         "bad Point coordinates: position [1, '2'] is not an array of numbers"),
+        ('{"type": "Point", "coordinates": [true, 2]}',
+         "bad Point coordinates: position [True, 2] is not an array of numbers"),
         ('{"type": "Polygon", "coordinates": null}',
          "bad Polygon coordinates: 'NoneType' object is not iterable"),
         # a string position is not read character by character
@@ -299,7 +304,8 @@ class TestLoadFeaturesGeoJSON:
          '[0, 0, 9]], [[1, 1, 8], [2, 1, 8], [2, 2, 8], [1, 1, 8]]]}',
          Polygon(Ring([Point(4, 0), Point(4, 4), Point(0, 4), Point(0, 0)]),
                  [Ring([Point(2, 2), Point(2, 1), Point(1, 1)])])),
-    ], ids=["text_point", "null_point", "text_line", "null_polygon", "string_point",
+    ], ids=["text_point", "null_point", "text_line", "numeric_string_point", "bool_point",
+            "null_polygon", "string_point",
             "string_line", "string_polygon", "nan_line",
             "duplicate_ring_vertex", "altitude_line", "altitude_polygon",
             "clockwise_outer", "counterclockwise_hole", "open_rings",
@@ -572,7 +578,7 @@ class TestFeatureSet:
         assert FeatureSet([]).geometry_kind() == "empty"
         assert FeatureSet([Feature("a", Point(0, 0))]).geometry_kind() == "point"
         # decided from every geometry, not the first one
-        square = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1)]])
+        square = Polygon(Ring([Point(0, 0), Point(1, 0), Point(1, 1)]))
         line = Polyline([Point(0, 0), Point(1, 1)])
         for geoms, kind in (([square, square], "polygon"), ([line], "line"),
                             ([square, Point(0, 0)], "point+polygon"),

@@ -35,7 +35,7 @@ from gridchop.executor import (
     run_hierarchy,
     run_multirasters,
 )
-from gridchop.geom import BBox, Point, Polyline, bbox_of, make_polygon
+from gridchop.geom import BBox, Point, Polyline, bbox_of
 from gridchop.partition import (
     GridSpec,
     assign_to_partition,
@@ -46,7 +46,7 @@ from gridchop.partition import (
 from gridchop.raster import Raster
 
 from conftest import random_star
-from scalar_reference import point_segment_distance
+from scalar_reference import make_polygon, point_segment_distance
 
 
 def points_fs(coords, values=None, extra=None):
@@ -266,7 +266,7 @@ def brute_nearest(pt, context):
 
 def assert_nearest_exact(table, anchors, context):
     assert not table.had_errors
-    xy = dict(zip(anchors.ids(), anchors.xy.tolist()))
+    xy = dict(zip(anchors.ids(), anchors.coords.tolist()))
     for row in table.rows:
         best, owners = brute_nearest(Point(*xy[row["id"]]), context)
         assert row["distance"] == pytest.approx(best, rel=1e-12, abs=1e-12), row
@@ -342,7 +342,7 @@ class TestExactRows:
         lines = lines_fs(30, 23)
         task = TaskSpec("nearest_distance", lines, pts, {})
         zones = {}
-        for fid, (x, y) in zip(pts.ids(), pts.xy.tolist()):
+        for fid, (x, y) in zip(pts.ids(), pts.coords.tolist()):
             zones.setdefault(f"{int(x // 2)}_{int(y // 2)}", []).append(fid)
         t = run_hierarchy(task, sorted(zones.items()))
         assert value_rows(t) == value_rows(direct(task))

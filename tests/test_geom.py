@@ -13,12 +13,10 @@ from gridchop import (
     Polyline,
     Ring,
     bbox_of,
-    point_in_polygon,
-    polygon_area,
 )
 
 from conftest import square, square_with_hole, star_polygon
-from scalar_reference import buffer_point, point_segment_distance
+from scalar_reference import buffer_point, point_in_polygon, point_segment_distance, polygon_area
 
 
 class TestBBoxOf:

@@ -10,7 +10,7 @@ import pytest
 from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from gridchop.geom import Point, Polyline, bbox_of, make_polygon, polygon_area
+from gridchop.geom import Point, Polyline, bbox_of
 from gridchop.geoops import (
     SedcParams,
     _intersection_areas,
@@ -24,8 +24,8 @@ from gridchop.geoops import (
 from gridchop.raster import Raster, StatSpec, cell_stat, covered_cells, window_for_bbox
 
 import scalar_reference
-from conftest import random_star
-from scalar_reference import buffer_point, point_segment_distance
+from conftest import polygon_set, random_star
+from scalar_reference import buffer_point, make_polygon, point_segment_distance, polygon_area
 
 
 def rect(x0, y0, x1, y1):
@@ -97,7 +97,8 @@ class TestExtractAtPoints:
             t = extract_at(r, points_fs(pts), radius=2.5, stat=stat, segments=16)
             for i, (x, y) in enumerate(pts):
                 poly = buffer_point(Point(x, y), 2.5, 16)
-                ((rows, cols, w),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+                ((rows, cols, w),) = covered_cells(r, polygon_set([poly]), [0],
+                                                    [window_for_bbox(r, bbox_of(poly))])
                 want = cell_stat(r, rows, cols, w, StatSpec(stat)).value
                 assert t.rows[i][stat] == pytest.approx(want, rel=1e-9), stat
 
@@ -219,7 +220,7 @@ def polygon_intersection_area(a, b):
     """The area of one pair, as summarize_aw computes it for two polygons that
     are not the same."""
     pair = np.zeros(1, dtype=np.intp)
-    return float(_intersection_areas([a], [b], pair, pair)[0])
+    return float(_intersection_areas(polygon_set([a]), polygon_set([b]), pair, pair)[0])
 
 
 class TestPolygonIntersectionArea:

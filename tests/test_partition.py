@@ -10,7 +10,7 @@ import pytest
 from gridchop import partition
 from gridchop.dataio import Feature, FeatureSet, load_features, save_partitions
 from gridchop.errors import InvalidInputError, InvalidParameterError
-from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, make_polygon
+from gridchop.geom import BBox, Point, Polygon, Polyline, Ring
 from gridchop.partition import (
     Chunk,
     GridSpec,
@@ -22,11 +22,10 @@ from gridchop.partition import (
     make_merged_grid,
     make_quantile_grid,
     make_regular_grid,
-    representative_point,
 )
 from conftest import random_star
 from scalar_reference import assign_to_partition as assign_loop
-from scalar_reference import group_by_regions
+from scalar_reference import group_by_regions, make_polygon
 
 
 def point_set(coords, attrs=None):
@@ -382,12 +381,12 @@ class TestHierarchy:
         pts += rng.uniform(-1.0, 9.0, (300, 2)).tolist()
         return pts
 
-    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("block", [None, 500])
     @pytest.mark.parametrize("kind", ["point", "line", "polygon"])
     def test_regions_match_scalar_point_in_polygon(self, kind, block, monkeypatch):
         # a line or polygon anchor is placed by its first vertex
         if block is not None:
-            monkeypatch.setattr(partition, "_PAIR_ELEMS", block, raising=False)
+            monkeypatch.setattr(partition, "_PAIR_ELEMS", block)
         rng = np.random.default_rng(20261018)
         regions = self._regions(rng)
         feats = []
@@ -429,8 +428,3 @@ class TestBuildPartitionDeterminism:
             assert a.read_bytes() == b.read_bytes(), spec.mode
             doc = json.loads(a.read_text())
             assert doc["mode"] == spec.mode
-
-    def test_representative_point(self):
-        assert representative_point(Point(2, 3)) == Point(2, 3)
-        sq = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]])
-        assert representative_point(sq) == Point(0, 0)

@@ -16,14 +16,19 @@ from gridchop import (
     StatSpec,
     bbox_of,
     extract_at,
-    polygon_area,
     window_for_bbox,
 )
-from gridchop.geom import make_polygon, signed_ring_area
 from gridchop.raster import cell_areas, cell_stat, covered_cells, ring_edges
 
-from conftest import random_star, square, star_polygon
-from scalar_reference import buffer_point, clip_ring_convex, shoelace
+from conftest import polygon_set, random_star, square, star_polygon
+from scalar_reference import (
+    buffer_point,
+    clip_ring_convex,
+    make_polygon,
+    polygon_area,
+    shoelace,
+    signed_ring_area,
+)
 
 
 def grid(n=4, values=None, kind="continuous", nodata=-9999.0):
@@ -34,13 +39,15 @@ def grid(n=4, values=None, kind="continuous", nodata=-9999.0):
 
 def coverage(r, poly):
     """{(row, col): fraction} of the cells poly covers, as extract_at reads them."""
-    ((rows, cols, fracs),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+    ((rows, cols, fracs),) = covered_cells(r, polygon_set([poly]), [0],
+                                           [window_for_bbox(r, bbox_of(poly))])
     return dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
 
 
 def zonal(r, poly, kind):
     """The statistic of kind over the cells poly covers."""
-    ((rows, cols, w),) = covered_cells(r, [poly], [window_for_bbox(r, bbox_of(poly))])
+    ((rows, cols, w),) = covered_cells(r, polygon_set([poly]), [0],
+                                       [window_for_bbox(r, bbox_of(poly))])
     return cell_stat(r, rows, cols, w, StatSpec(kind))
 
 
@@ -74,7 +81,7 @@ def mc_fraction_oracle(r, poly, row, col, sub=256):
 
 def kernel_cells(poly, x0, ytop, cs, nrows, ncols):
     """cell_areas of one polygon over one window, in cell units."""
-    ax, ay, bx, by, win = ring_edges([poly])
+    ax, ay, bx, by, win = ring_edges(polygon_set([poly]), [0])
     return cell_areas(ax, ay, bx, by, win, np.array([x0]), np.array([ytop]), cs, nrows, ncols)[0]
 
 
@@ -192,9 +199,9 @@ def test_padded_windows_match_single_windows(nprng):
     polys.append(square(30.0, 30.0, 1.0))  # outside the raster
     wins = [window_for_bbox(ras, bbox_of(p)) for p in polys]
     assert len({(w.nrows_w, w.ncols_w) for w in wins}) > 10
-    batch = covered_cells(ras, polys, wins)
+    batch = covered_cells(ras, polygon_set(polys), np.arange(len(polys)), wins)
     for poly, win, cells in zip(polys, wins, batch):
-        (alone,) = covered_cells(ras, [poly], [win])
+        (alone,) = covered_cells(ras, polygon_set([poly]), [0], [win])
         for got, want in zip(cells, alone):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
