@@ -19,6 +19,7 @@ from .geom import BBox
 from .raster import (
     Raster,
     StatSpec,
+    category_weights,
     cell_areas,
     cell_stat,
     covered_cells,
@@ -149,11 +150,7 @@ def _buffered_point_stats(
         counts[lo:hi] = cnt
         if stat.kind == "frequency":
             for i in range(hi - lo):
-                d = freqs[lo + i]
-                idx = np.nonzero(valid[i])[0]
-                for j in idx:
-                    v = float(vals[i, j])
-                    d[v] = d.get(v, 0.0) + float(w[i, j])
+                freqs[lo + i] = category_weights(vals[i, valid[i]], w[i, valid[i]])
             continue
         with np.errstate(invalid="ignore", divide="ignore"):
             if stat.kind == "count":

@@ -283,8 +283,13 @@ def cell_stat(
     if kind == "stdev":
         mu = np.sum(w * v) / np.sum(w)
         return StatResult(float(np.sqrt(np.sum(w * (v - mu) ** 2) / np.sum(w))), count)
-    # frequency
-    freq: dict[float, float] = {}
-    for vi, wi in zip(v.tolist(), w.tolist()):
-        freq[vi] = freq.get(vi, 0.0) + wi
-    return StatResult(None, count, dict(sorted(freq.items())))
+    return StatResult(None, count, category_weights(v, w))
+
+
+def category_weights(v: np.ndarray, w: np.ndarray) -> dict[float, float]:
+    """{category: summed weight} of cells of value v[i] and weight w[i],
+    categories ascending; every NaN cell falls in one NaN category, last.
+    np.bincount adds each category's weights in cell order, as a loop would."""
+    cats, inv = np.unique(v, return_inverse=True)
+    sums = np.bincount(inv.reshape(-1), weights=w, minlength=cats.size)
+    return dict(zip(cats.tolist(), sums.tolist()))

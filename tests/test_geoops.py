@@ -126,6 +126,22 @@ class TestExtractAtPoints:
         assert row["freq_3"] == pytest.approx(1.0)
         assert t.columns.index("freq_1") < t.columns.index("freq_3")
 
+    @pytest.mark.parametrize("anchor", ["whole_raster_polygon", "buffered_point"])
+    def test_frequency_columns_add_up_to_count(self, anchor):
+        # every NaN cell falls in the one freq_nan column
+        vals = np.zeros((4, 4))
+        vals[0, 1] = vals[2, 2] = vals[3, 0] = np.nan
+        r = Raster(4, 4, 0.0, 0.0, 1.0, -9999.0, vals, kind="categorical")
+        if anchor == "whole_raster_polygon":
+            fs = FeatureSet([Feature("a", rect(0, 0, 4, 4))])
+            row = extract_at(r, fs, stat="frequency").rows[0]
+            assert (row["freq_0"], row["freq_nan"], row["count"]) == (13.0, 3.0, 16.0)
+        else:
+            row = extract_at(r, points_fs([(2.0, 2.0)]), radius=1.9, stat="frequency").rows[0]
+        freq = [v for c, v in row.items() if c.startswith("freq_")]
+        assert list(row)[-3:] == ["freq_0", "freq_nan", "count"]
+        assert sum(freq) == pytest.approx(row["count"], rel=1e-12)
+
     def test_frequency_requires_categorical(self):
         with pytest.raises(InvalidParameterError):
             extract_at(const_raster(2, 1.0), points_fs([(0.5, 0.5)]), stat="frequency")
@@ -577,3 +593,13 @@ class TestNearestDistance:
         t = nearest_distance(points_fs([(1, 0)]), ctx)
         assert t.rows[0]["distance"] == 1.0
         assert t.rows[0]["nearest_feature_id"] == "p0"
+
+    @pytest.mark.parametrize("context,kind", [
+        ([Feature("sq", rect(0, 0, 1, 1))], "polygon"),
+        ([Feature("sq", rect(0, 0, 1, 1)), Feature("p", Point(5.0, 5.0))], "point and polygon"),
+    ])
+    def test_polygon_context_rejected(self, context, kind):
+        # a polygon's distance would miss its closing edge and its holes: from
+        # (-0.5, 0.5) the unit square is 0.5 away, not 0.7071067811865476
+        with pytest.raises(InvalidInputError, match=f"requires .*line geometry.*, got {kind}$"):
+            nearest_distance(points_fs([(-0.5, 0.5)]), FeatureSet(context))
