@@ -1,5 +1,6 @@
 """The package's public names: `__all__` lists every one, each resolves,
-and the one-at-a-time helpers that the batch kernels replaced stay gone."""
+and the one-at-a-time helpers that the batch kernels and the flat geometry
+layout replaced stay gone."""
 
 import dataclasses
 import importlib
@@ -9,6 +10,7 @@ import pytest
 
 import gridchop
 from gridchop import executor, partition
+from gridchop.dataio import FeatureSet
 from gridchop.geom import BBox
 from gridchop.partition import Chunk, GridSpec, PartitionSet
 
@@ -20,6 +22,15 @@ REMOVED = [
     ("gridchop.geoops", "polygon_intersection_area"),
     ("gridchop.geom", "buffer_point"),
     ("gridchop.geom", "point_segment_distance"),
+    # scalar one-object-at-a-time code the flat geometry layout replaced
+    ("gridchop.geom", "point_in_polygon"),
+    ("gridchop.geom", "polygon_area"),
+    ("gridchop.geom", "signed_ring_area"),
+    ("gridchop.geom", "make_polygon"),
+    ("gridchop.raster", "ring_arrays"),
+    ("gridchop.geoops", "_same_polygon"),
+    ("gridchop.partition", "representative_point"),
+    ("gridchop.partition", "_representative_xy"),
 ]
 
 
@@ -47,5 +58,7 @@ def test_no_leftovers():
     assert not hasattr(partition, "_LAST_SSQ_TRACE")
     assert not hasattr(BBox, "contains")
     assert not hasattr(PartitionSet, "global_extent")
+    # one geometry layout: no geometry list and no point-only coordinate array
+    assert not {"geometries", "xy"} & set(vars(FeatureSet([])))
     for cls in (GridSpec, Chunk, PartitionSet):
         assert not {"padding", "padded"} & {f.name for f in dataclasses.fields(cls)}, cls
