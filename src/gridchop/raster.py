@@ -283,6 +283,7 @@ def cell_stat(
     if kind == "stdev":
         mu = np.sum(w * v) / np.sum(w)
         return StatResult(float(np.sqrt(np.sum(w * (v - mu) ** 2) / np.sum(w))), count)
+    # frequency
     return StatResult(None, count, category_weights(v, w))
 
 
