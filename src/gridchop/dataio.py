@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridchopError, LoadError
 from .geom import BBox, Geometry, Point, Polygon, Polyline, Ring
-from .raster import Raster, ragged_arange, ring_neighbour, signed_ring_areas
+from .raster import Raster, ring_neighbour, signed_ring_areas
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -71,7 +71,17 @@ def _float(value, column: str) -> float:
 
 def _offsets(counts) -> np.ndarray:
     """0 and the running sum of counts: the offsets of consecutive runs."""
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)]).astype(np.intp)
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the runs starts[i] up to ends[i], concatenated, and the
+    offsets of the runs in that concatenation."""
+    counts = ends - starts
+    offsets = _offsets(counts)
+    return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
 
 
 class FeatureSet:
@@ -199,11 +209,9 @@ class FeatureSet:
         """coords, part offsets and feature offsets of the features at
         `indices`, in that order: one ragged gather of parts, then of vertices."""
         idx = np.asarray(indices, dtype=np.intp)
-        nparts = self.feature_offsets[idx + 1] - self.feature_offsets[idx]
-        part = np.repeat(self.feature_offsets[idx], nparts) + ragged_arange(nparts)
-        nverts = self.part_offsets[part + 1] - self.part_offsets[part]
-        vert = np.repeat(self.part_offsets[part], nverts) + ragged_arange(nverts)
-        return self.coords[vert], _offsets(nverts), _offsets(nparts)
+        part, feature_offsets = _runs(self.feature_offsets[idx], self.feature_offsets[idx + 1])
+        vert, part_offsets = _runs(self.part_offsets[part], self.part_offsets[part + 1])
+        return self.coords[vert], part_offsets, feature_offsets
 
     def subset(self, indices) -> "FeatureSet":
         idx = np.asarray(indices, dtype=np.intp)
@@ -239,10 +247,10 @@ class FeatureSet:
         to the whole context reuses them. A point is one zero-length segment,
         a line one segment per pair of consecutive vertices."""
         if self._segments is None:
-            nverts = np.diff(self.part_offsets)
+            starts, nverts = self.part_offsets[:-1], np.diff(self.part_offsets)
             nsegs = np.maximum(nverts - 1, 1)
-            a = np.repeat(self.part_offsets[:-1], nsegs) + ragged_arange(nsegs)
-            b = a + (np.repeat(nverts, nsegs) > 1)
+            a, _ = _runs(starts, starts + nsegs)
+            b = a + np.repeat(nverts > 1, nsegs)
             part_owner = np.repeat(np.arange(len(self)), np.diff(self.feature_offsets))
             owners = np.repeat(part_owner, nsegs).tolist()
             self._segments = (
