@@ -421,9 +421,9 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
         if not (isinstance(geom, dict) and isinstance(p, dict)) or id_column not in p:
             return None
         kind = _GEOJSON_KINDS.get(geom.get("type"))
-        coords = geom.get("coordinates")
         if kind is None:
             return None
+        coords = geom.get("coordinates")
         if kind == POLYGON:
             parts += coords
             nparts.append(len(coords))
@@ -442,8 +442,7 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
         return None
     if widths - {2}:  # drop the altitudes
         positions = [pos[:2] for pos in positions]
-    xy = np.fromiter(chain.from_iterable(positions), np.float64, 2 * len(positions))
-    xy = xy.reshape(-1, 2)
+    xy = np.fromiter(chain.from_iterable(positions), np.float64, 2 * len(positions)).reshape(-1, 2)
     nverts = np.fromiter(map(len, parts), np.intp, len(parts))
     nparts = np.array(nparts, dtype=np.intp)
     kinds = np.array(kinds, dtype=np.int8)
@@ -492,7 +491,7 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
         raise LoadError(f"{path}: features is not an array")
     try:
         fs = _geojson_columns(features, id_column)
-    except (TypeError, ValueError, OverflowError):  # a coordinate that is not a list
+    except (TypeError, ValueError, OverflowError):  # coordinates of a wrong shape or type
         fs = None
     if fs is None:
         _raise_feature_error(path, features, id_column)

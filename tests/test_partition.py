@@ -401,7 +401,7 @@ class TestHierarchy:
         anchors = FeatureSet(feats)
         got = group_by_hierarchy(anchors, regions=regions, regions_id="name")
         assert got == group_by_regions(anchors, regions, "name")
-        sizes = dict((k, len(ids)) for k, ids in got)
+        sizes = {k: len(ids) for k, ids in got}
         assert sizes["UNASSIGNED"] > 0 and sizes["q00"] > 0 and sizes["n0"] > 0
 
     def test_unassigned_bucket(self):
