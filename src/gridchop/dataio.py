@@ -209,6 +209,9 @@ class FeatureSet:
         """coords, part offsets and feature offsets of the features at
         `indices`, in that order: one ragged gather of parts, then of vertices."""
         idx = np.asarray(indices, dtype=np.intp)
+        if len(self.coords) == len(self):  # points only: one part of one vertex each
+            offsets = np.arange(idx.size + 1)
+            return self.coords[idx], offsets, offsets
         part, feature_offsets = _runs(self.feature_offsets[idx], self.feature_offsets[idx + 1])
         vert, part_offsets = _runs(self.part_offsets[part], self.part_offsets[part + 1])
         return self.coords[vert], part_offsets, feature_offsets

@@ -1,25 +1,30 @@
-"""Chunked execution of a TaskSpec over a worker pool.
+"""Chunked execution of a TaskSpec over forked workers.
 
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
-one per raster file. `_run` executes every plan the same way. Grid and
-hierarchy jobs must own each anchor exactly once (the plan is checked before
-any chunk runs), and they share one context dataset that each job clips
-around its own anchors, so merged results never need deduplication and each
-row is the row of an unpartitioned run. A shared raster given
-by path is loaded once in the parent; it and in-memory datasets reach the
-workers read-only via fork. Each multiraster job loads its own raster in its
-worker. Determinism comes from merge ordering (by chunk id), not execution
-order.
+one per raster file. `_run` executes every plan the same way. It checks the
+geometry kinds of the inputs, resolves each job's member ids to anchor
+indices once, and checks that grid and hierarchy jobs own each anchor
+exactly once, all before any chunk runs. Those jobs share one context
+dataset that each job clips around its own anchors, so merged results never
+need deduplication and each row is the row of an unpartitioned run.
+
+At more than one worker the jobs are split into one batch per worker,
+largest first by anchor count (Graham's LPT rule), and one worker process is
+forked per batch. A worker inherits its batch and the run's datasets
+through fork, read-only; nothing is sent to it. It sends its batch's results
+back on one pipe. A shared raster given by path is loaded once in the
+parent; each multiraster job loads its own raster in its worker. A worker
+that dies gives error rows to the chunks of its own batch only.
+Determinism comes from merge ordering (by chunk id), not execution order.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -29,8 +34,6 @@ from .errors import GridchopError, InvalidParameterError, LoadError
 from .geom import BBox
 from .partition import PartitionSet
 from .raster import Raster
-
-OPS = ("extract_at", "summarize_aw", "summarize_sedc", "nearest_distance")
 
 
 @dataclass
@@ -44,7 +47,7 @@ class TaskSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.op not in OPS:
+        if self.op not in geoops.OP_KINDS:
             raise InvalidParameterError(f"unknown operation {self.op!r}")
 
 
@@ -56,6 +59,7 @@ class Job:
     anchor_ids: list[str]
     context: str | None = None  # the job's own raster path; None: the shared context
     extra: dict = field(default_factory=dict)  # e.g. {"group": key}, on every row
+    rows: np.ndarray | None = None  # anchor index of each member id, -1 if none; set by _run
 
 
 @dataclass
@@ -90,8 +94,15 @@ class ChunkError(GridchopError):
         self.traceback = error
 
 
-# Shared state of the current run, set once before the workers fork.
-_CTX: dict = {}
+@dataclass
+class _Run:
+    """The shared state of one run; forked workers inherit it read-only."""
+
+    task: TaskSpec
+    anchors: FeatureSet
+    context: Raster | FeatureSet | None
+    id_column: str
+    raster_kind: str
 
 
 def _apply_op(task: TaskSpec, x, y, id_column: str) -> ResultTable:
@@ -170,18 +181,17 @@ def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_
     return table
 
 
-def _run_chunk(job: Job) -> ChunkResult:
-    task: TaskSpec = _CTX["task"]
+def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
+    run, job = chunk
     try:
-        index_of = _CTX["index_of"]
-        anchors: FeatureSet = _CTX["anchors"].subset([index_of[fid] for fid in job.anchor_ids])
-        context = _CTX["context"]
+        anchors = run.anchors.subset(job.rows)
+        context = run.context
         if job.context is not None:
-            context = load_raster(job.context, kind=_CTX["raster_kind"])
+            context = load_raster(job.context, kind=run.raster_kind)
         if isinstance(context, FeatureSet):
-            table = _apply_clipped(task, context, anchors, _CTX["id_column"])
+            table = _apply_clipped(run.task, context, anchors, run.id_column)
         else:
-            table = _apply_op(task, context, anchors, _CTX["id_column"])
+            table = _apply_op(run.task, context, anchors, run.id_column)
         return ChunkResult(job.chunk_id, table)
     except Exception:
         return ChunkResult(job.chunk_id, error=traceback.format_exc(limit=4))
@@ -193,25 +203,65 @@ def _checked(res: ChunkResult, cfg: RunConfig) -> ChunkResult:
     return res
 
 
-def _execute(jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
-    """Each job's result, in job order: a loop at one worker, else one fork
-    pool. A dead worker breaks the pool, and every job still without a
-    result gets an error."""
+def lpt_batches(sizes: list[int], workers: int) -> list[list[int]]:
+    """The positions of `sizes` split into min(workers, len(sizes)) batches by
+    Graham's longest-processing-time rule: largest first (equal sizes in
+    position order), each to the batch with the least total so far, then the
+    fewest members, then the lowest index. Each batch lists its positions in
+    ascending order."""
+    batches: list[list[int]] = [[] for _ in range(min(workers, len(sizes)))]
+    loads = [0] * len(batches)
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        b = min(range(len(batches)), key=lambda b: (loads[b], len(batches[b])))
+        batches[b].append(i)
+        loads[b] += sizes[i]
+    return [sorted(batch) for batch in batches]
+
+
+def _work(writer, chunks: list[tuple[_Run, Job]]):
+    """A forked worker's body: run its batch, send the results home."""
+    writer.send([_run_chunk(chunk) for chunk in chunks])
+    writer.close()
+
+
+def _execute(run: _Run, jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
+    """Each job's result, in job order: a loop at one worker, else one forked
+    worker per LPT batch. A worker that dies before its results arrive gives
+    an error to every job of its batch."""
     if cfg.workers == 1 or len(jobs) <= 1:
-        return [_checked(_run_chunk(job), cfg) for job in jobs]
-    results = []
-    pool = ProcessPoolExecutor(min(cfg.workers, len(jobs)), mp_context=mp.get_context("fork"))
+        return [_checked(_run_chunk((run, job)), cfg) for job in jobs]
+    fork = mp.get_context("fork")
+    results: list[ChunkResult | None] = [None] * len(jobs)
+    workers = []
     try:
-        futures = [pool.submit(_run_chunk, job) for job in jobs]
-        for job, future in zip(jobs, futures):
+        for batch in lpt_batches([len(job.anchor_ids) for job in jobs], cfg.workers):
+            reader, writer = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_work, args=(writer, [(run, jobs[i]) for i in batch]),
+                                daemon=True)
+            # close this write end before the next fork: a dead worker's pipe
+            # reads EOF only once every copy of its write end is closed
+            with writer:
+                proc.start()
+            workers.append((proc, reader, batch))
+        for proc, reader, batch in workers:
             try:
-                res = future.result()
-            except BrokenProcessPool:
-                res = ChunkResult(job.chunk_id, error=traceback.format_exc(limit=1))
-            results.append(_checked(res, cfg))
+                got = reader.recv()
+            except EOFError:
+                proc.join()
+                error = f"worker {proc.pid} died with exit code {proc.exitcode}"
+                got = [ChunkResult(jobs[i].chunk_id, error=error) for i in batch]
+            for i, res in zip(batch, got):
+                results[i] = res
+    except BaseException:
+        for proc, _, _ in workers:
+            proc.terminate()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
-    return results
+        for proc, reader, _ in workers:
+            proc.join()
+            proc.close()
+            reader.close()
+    return [_checked(res, cfg) for res in results]
 
 
 def merge_chunks(
@@ -274,38 +324,56 @@ def _anchors(task: TaskSpec) -> FeatureSet:
     return task.y
 
 
-def _check_plan(index_of: dict[str, int], jobs: list[Job]):
-    """Raise LoadError on a repeated chunk id, or unless member ids partition the anchors."""
-    owner: dict[str, int] = {}
-    chunk_ids: set[int] = set()
-    for job in jobs:
-        if job.chunk_id in chunk_ids:
-            raise LoadError(f"chunk id {job.chunk_id} is used by more than one chunk")
-        chunk_ids.add(job.chunk_id)
-        for fid in job.anchor_ids:
-            if fid not in index_of:
-                raise LoadError(f"chunk {job.chunk_id}: member id {fid!r} is not an anchor id")
-            if fid in owner:
-                raise LoadError(
-                    f"chunk {job.chunk_id}: member id {fid!r} is already in chunk {owner[fid]}"
-                )
-            owner[fid] = job.chunk_id
-    missing = [fid for fid in index_of if fid not in owner]
-    if missing:
-        raise LoadError(f"{len(missing)} anchor ids are in no chunk, first {missing[0]!r}")
+def _resolve(index_of: dict[str, int], jobs: list[Job]):
+    """Set each job's rows: the anchor index of each member id, -1 if none."""
+    ids = list(chain.from_iterable(job.anchor_ids for job in jobs))
+    rows = np.fromiter(map(index_of.get, ids, repeat(-1)), np.intp, len(ids))
+    ends = np.cumsum([len(job.anchor_ids) for job in jobs]).tolist()
+    for job, lo, hi in zip(jobs, [0, *ends], ends):
+        job.rows = rows[lo:hi]
+
+
+def _check_plan(ids: list[str], jobs: list[Job]):
+    """Raise LoadError on a repeated chunk id, or unless the jobs' rows
+    partition the anchors. The first fault in plan order is named."""
+    rows = np.concatenate([np.zeros(0, np.intp), *(job.rows for job in jobs)])
+    per_anchor = np.bincount(rows + 1, minlength=len(ids) + 1)  # bin 0: no such anchor
+    if per_anchor[0] or per_anchor.max() > 1 or len({job.chunk_id for job in jobs}) < len(jobs):
+        owner: dict[int, int] = {}
+        chunk_ids: set[int] = set()
+        for job in jobs:
+            if job.chunk_id in chunk_ids:
+                raise LoadError(f"chunk id {job.chunk_id} is used by more than one chunk")
+            chunk_ids.add(job.chunk_id)
+            for fid, row in zip(job.anchor_ids, job.rows.tolist()):
+                if row < 0:
+                    raise LoadError(f"chunk {job.chunk_id}: member id {fid!r} is not an anchor id")
+                if row in owner:
+                    raise LoadError(
+                        f"chunk {job.chunk_id}: member id {fid!r} is already in chunk {owner[row]}"
+                    )
+                owner[row] = job.chunk_id
+    missing = np.flatnonzero(per_anchor[1:] == 0)
+    if missing.size:
+        raise LoadError(f"{missing.size} anchor ids are in no chunk, first {ids[missing[0]]!r}")
 
 
 def _run(
     task: TaskSpec, jobs: list[Job], cfg: RunConfig | None, id_column: str, raster_kind: str
 ) -> ResultTable:
-    """Check the plan, share the context with the workers, run, merge."""
-    global _CTX
+    """Check the inputs and the plan, run the jobs, merge."""
     anchors = _anchors(task)
-    index_of = {fid: i for i, fid in enumerate(anchors.ids())}
+    geoops.check_kinds(task.op, anchors, task.x)
+    ids = anchors.ids()
     # jobs that name a raster path each take every anchor and no shared context
     context = None
-    if not any(job.context is not None for job in jobs):
-        _check_plan(index_of, jobs)
+    if any(job.context is not None for job in jobs):
+        every = np.arange(len(ids))
+        for job in jobs:
+            job.rows = every
+    else:
+        _resolve({fid: i for i, fid in enumerate(ids)}, jobs)
+        _check_plan(ids, jobs)
         context = task.x
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
@@ -313,18 +381,8 @@ def _run(
         # build the bbox caches pre-fork, workers share them
         anchors.bounds()
         context.bounds()
-    _CTX = dict(
-        task=task,
-        id_column=id_column,
-        anchors=anchors,
-        index_of=index_of,
-        context=context,
-        raster_kind=raster_kind,
-    )
-    try:
-        results = _execute(jobs, cfg or RunConfig())
-    finally:
-        _CTX = {}  # the run's datasets must not outlive it
+    results = _execute(_Run(task, anchors, context, id_column, raster_kind), jobs,
+                       cfg or RunConfig())
     return merge_chunks(
         results,
         id_column,

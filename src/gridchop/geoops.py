@@ -81,12 +81,34 @@ def _freq_columns(freqs: list[dict[float, float]]) -> dict[str, list]:
     return {c: cols[c] for c in sorted(cols, key=freq_sort_key)}
 
 
-def _check_kind(fs: FeatureSet, op: str, *kinds: str) -> str:
-    """The geometry kind of fs, which must be empty or one of `kinds`."""
-    kind = fs.geometry_kind()
+def _check_kind(kind: str, op: str, kinds: tuple[str, ...]):
+    """Raise InvalidInputError unless `kind` is "empty" or one of `kinds`."""
     if kind != "empty" and kind not in kinds:
         want = " or ".join(f"{k} geometry" for k in kinds).replace("+", " and ")
         raise InvalidInputError(f"{op} requires {want}, got {kind.replace('+', ' and ')}")
+
+
+# The geometry kinds each op accepts: of its anchors y, and of its context x
+# where that is a FeatureSet (None: a raster context). The ops and the
+# executor's check before any chunk runs both read it through check_kinds.
+OP_KINDS = {
+    "extract_at": (("point", "polygon"), None),
+    "summarize_aw": (("polygon",), ("polygon",)),
+    "summarize_sedc": (("point",), ("point",)),
+    "nearest_distance": (("point",), ("point", "line", "point+line")),
+}
+
+
+def check_kinds(op: str, y: FeatureSet, x=None) -> str:
+    """The geometry kind of the anchors y; raise InvalidInputError unless y,
+    and x where it is a FeatureSet, is empty or of a kind `op` accepts."""
+    y_kinds, x_kinds = OP_KINDS[op]
+    kind = y.geometry_kind()
+    if op == "extract_at" and kind == "line":
+        raise UnsupportedGeometryError("extract_at does not support line inputs")
+    _check_kind(kind, op, y_kinds)
+    if x_kinds is not None and isinstance(x, FeatureSet):
+        _check_kind(x.geometry_kind(), op, x_kinds)
     return kind
 
 
@@ -195,9 +217,7 @@ def extract_at(
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     if stat.kind == "frequency" and x.kind != "categorical":
         raise InvalidParameterError("frequency statistic requires a categorical raster")
-    if y.geometry_kind() == "line":
-        raise UnsupportedGeometryError("extract_at does not support line inputs")
-    kind = _check_kind(y, "extract_at", "point", "polygon")
+    kind = check_kinds("extract_at", y)
     ids = list(y.ids())
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat.kind == "count" else [stat.kind]
@@ -410,8 +430,7 @@ def summarize_aw(
     """
     if stat not in ("mean", "sum"):
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
-    _check_kind(targets, "summarize_aw", "polygon")
-    _check_kind(sources, "summarize_aw", "polygon")
+    check_kinds("summarize_aw", targets, sources)
     # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
@@ -457,8 +476,7 @@ def summarize_sedc(
     id_column: str = "id",
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    _check_kind(targets, "summarize_sedc", "point")
-    _check_kind(sources, "summarize_sedc", "point")
+    check_kinds("summarize_sedc", targets, sources)
     value_columns = list(dict.fromkeys(params.value_columns))  # one column each
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
@@ -489,10 +507,9 @@ def nearest_distance(
     id_column: str = "id",
 ) -> ResultTable:
     """Distance from each y point to the closest x feature (points or lines)."""
-    _check_kind(y, "nearest_distance", "point")
+    check_kinds("nearest_distance", y, x)
     if len(x) == 0:
         raise InvalidInputError("nearest_distance requires a non-empty context dataset")
-    _check_kind(x, "nearest_distance", "point", "line", "point+line")
     segs, owners = x.segments()
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax

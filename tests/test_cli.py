@@ -242,9 +242,9 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"load error: {bad}: feature 0: non-finite coordinates (nan, 2.0)\n"
 
-    def test_polygon_then_point_error_rows(self, workspace):
-        # the kind comes from every feature: the point makes every row an
-        # error that names both kinds
+    def test_polygon_then_point_input_error(self, workspace, capsys):
+        # the kind comes from every feature: the point makes the anchors an
+        # input error, found before any chunk runs, with no table written
         mixed = workspace / "mixed.geojson"
         square = [[[1, 1], [3, 1], [3, 3], [1, 3], [1, 1]]]
         mixed.write_text(json.dumps({"type": "FeatureCollection", "features": [
@@ -255,12 +255,31 @@ class TestRunCommand:
         out = workspace / "mixed.csv"
         rc = main(["run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
                    "--y", str(mixed), "--hierarchy", "grp", "--out", str(out)])
-        assert rc == EXIT_PARTIAL
-        lines = out.read_bytes().decode().splitlines()
-        assert lines[0] == "id,chunk_id,group,error"
+        assert rc == EXIT_INPUT and not out.exists()
         msg = "extract_at requires point geometry or polygon geometry, got point and polygon"
-        err = f'"gridchop.errors.InvalidInputError: {msg}"'
-        assert lines[1:] == [f"a,0,g,{err}", f"b,0,g,{err}"]
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_wrong_context_kind_is_input_error(self, workspace, capsys, monkeypatch):
+        # a polygon nearest context is an input error known before any chunk
+        # runs: exit 3, one message, no table, no chunk run
+        import gridchop.executor as executor
+
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+        square = workspace / "sq.geojson"
+        square.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "s"}, "geometry": {
+                "type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]}}]}))
+        pts = workspace / "pts.csv"
+        pts.write_text("id,x,y,g\na,2,2,u\nb,3,3,u\nc,4,5,w\n")
+        out = workspace / "near.csv"
+        rc = main(["run", "--task", "nearest", "--x", str(square), "--y", str(pts),
+                   "--hierarchy", "g", "--workers", "2", "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists() and ran == []
+        msg = ("nearest_distance requires point geometry or line geometry or point and line "
+               "geometry, got polygon")
+        assert capsys.readouterr().err == f"error: {msg}\n"
 
     def test_missing_x_raster_load_error(self, workspace):
         out = workspace / "nox.csv"

@@ -25,11 +25,14 @@ from gridchop.errors import InvalidParameterError, LoadError
 from gridchop.executor import (
     ChunkError,
     ChunkResult,
+    Job,
     RunConfig,
     TaskSpec,
     _apply_op,
+    _run,
     _subset_by_bbox,
     interaction_radius,
+    lpt_batches,
     merge_chunks,
     run_grid,
     run_hierarchy,
@@ -425,37 +428,41 @@ class TestFaultIsolation:
         assert raised == [parts.chunks[0].chunk_id] * 2
 
     def test_dead_worker_gives_error_rows(self, tmp_path):
-        # a worker that dies must not hang the run: every chunk without a
-        # result gets error rows. Run in a subprocess so a hang times out.
+        # only the worker running one chosen chunk dies: every chunk of its
+        # batch gets error rows naming its exit code, every other row is the
+        # row of a clean run. Run in a subprocess so a hang times out.
         script = tmp_path / "dead_worker.py"
         script.write_text(textwrap.dedent("""
             import json, os
             import numpy as np
-            from gridchop import geoops
+            from gridchop import executor
             from gridchop.dataio import Feature, FeatureSet
-            from gridchop.executor import RunConfig, TaskSpec, run_grid
+            from gridchop.executor import RunConfig, TaskSpec, lpt_batches, run_grid
             from gridchop.geom import Point
             from gridchop.partition import GridSpec, build_partition
             from gridchop.raster import Raster
 
-            parent = os.getpid()
-            original = geoops.extract_at
-
-            def dying(*args, **kwargs):
-                if os.getpid() != parent:
-                    os._exit(1)
-                return original(*args, **kwargs)
-
-            geoops.extract_at = dying
             rng = np.random.default_rng(0)
             pts = FeatureSet([Feature(f"p{i}", Point(*map(float, rng.uniform(1, 19, 2))))
                               for i in range(40)])
             raster = Raster(20, 20, 0.0, 0.0, 1.0, -9999.0, rng.uniform(0, 10, (20, 20)))
             parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
-            table = run_grid(TaskSpec("extract_at", raster, pts, {}), parts, RunConfig(workers=2))
-            print(json.dumps({"ids": [r["id"] for r in table.rows],
-                              "errors": sum(1 for r in table.rows if r.get("error")),
-                              "had_errors": table.had_errors}))
+            task = TaskSpec("extract_at", raster, pts, {})
+            clean = run_grid(task, parts, RunConfig(workers=1))
+
+            parent, doomed = os.getpid(), parts.chunks[1].chunk_id
+            original = executor._run_chunk
+
+            def dying(chunk):
+                if os.getpid() != parent and chunk[1].chunk_id == doomed:
+                    os._exit(7)
+                return original(chunk)
+
+            executor._run_chunk = dying
+            table = run_grid(task, parts, RunConfig(workers=2))
+            batches = lpt_batches([len(c.member_ids) for c in parts.chunks], 2)
+            dead = [parts.chunks[i].chunk_id for b in batches if 1 in b for i in b]
+            print(json.dumps({"clean": clean.rows, "rows": table.rows, "dead": dead}))
         """))
         src = os.path.dirname(os.path.dirname(gridchop.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -463,8 +470,56 @@ class TestFaultIsolation:
                               timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
-        assert sorted(out["ids"]) == sorted(f"p{i}" for i in range(40))
-        assert out["errors"] >= 1 and out["had_errors"]
+        assert 1 <= len(out["dead"]) < 4
+        clean = {r["id"]: r for r in out["clean"]}
+        rows = out["rows"]
+        assert sorted(r["id"] for r in rows) == sorted(clean)
+        dead = [r for r in rows if r["chunk_id"] in out["dead"]]
+        assert {r["chunk_id"] for r in dead} == set(out["dead"])
+        for r in dead:
+            assert r["error"].startswith("worker ") and r["error"].endswith(" exit code 7")
+        for r in rows:
+            if r["chunk_id"] not in out["dead"]:
+                assert r.pop("error") is None and r == clean[r["id"]]
+
+    def test_failed_run_leaves_no_worker(self, tmp_path):
+        # a chunk error, or a dead worker, at 2 workers without captured
+        # errors raises ChunkError, and no worker process outlives the run
+        script = tmp_path / "fail_fast.py"
+        script.write_text(textwrap.dedent("""
+            import json, multiprocessing, os
+            from gridchop import executor
+            from gridchop.dataio import Feature, FeatureSet
+            from gridchop.executor import ChunkError, RunConfig, TaskSpec, run_grid
+            from gridchop.geom import Point
+            from gridchop.partition import GridSpec, build_partition
+
+            pts = FeatureSet([Feature(f"p{i}", Point(i + 0.5, 0.5 + i % 2)) for i in range(6)])
+            src = FeatureSet([Feature("s0", Point(1.0, 1.0))])  # no "v" attribute
+            task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
+            parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
+            parent, original = os.getpid(), executor._run_chunk
+            out = []
+            for die in (False, True):
+                executor._run_chunk = (
+                    lambda chunk: os._exit(3) if die and os.getpid() != parent
+                    else original(chunk)
+                )
+                try:
+                    run_grid(task, parts, RunConfig(workers=2, capture_errors=False))
+                except ChunkError as e:
+                    out.append([str(e), len(multiprocessing.active_children())])
+            print(json.dumps(out))
+        """))
+        src = os.path.dirname(os.path.dirname(gridchop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        (error, left), (died, left_after_death) = json.loads(proc.stdout.splitlines()[-1])
+        assert error == "chunk 0: KeyError: 'v'" and left == 0
+        assert died.startswith("chunk 0: worker ") and died.endswith(" exit code 3")
+        assert left_after_death == 0
 
     def test_partial_failure_keeps_good_chunks(self):
         # chunk with the poisoned anchor errors; others produce rows
@@ -693,3 +748,49 @@ class TestRunConfig:
     def test_workers_validation(self):
         with pytest.raises(InvalidParameterError):
             RunConfig(workers=0)
+
+
+class TestPlan:
+    def test_lpt_each_job_in_one_batch(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 12):
+            for workers in range(1, 8):
+                sizes = rng.integers(0, 5, n).tolist()
+                batches = lpt_batches(sizes, workers)
+                assert len(batches) == min(workers, n) and all(batches)
+                assert sorted(i for b in batches for i in b) == list(range(n))
+                assert all(b == sorted(b) for b in batches)
+                assert lpt_batches(sizes, workers) == batches
+
+    def test_lpt_largest_first(self):
+        # 7, 6, then 5 to the lighter batch; 3 breaks the 11-11 tie to batch 0
+        assert lpt_batches([7, 6, 5, 4, 3], 2) == [[0, 3, 4], [1, 2]]
+        assert lpt_batches([1, 9, 1, 1], 2) == [[1], [0, 2, 3]]
+
+    def test_lpt_equal_sizes_deterministic(self):
+        assert lpt_batches([5] * 6, 2) == [[0, 2, 4], [1, 3, 5]]
+        assert lpt_batches([5] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
+        assert lpt_batches([0, 0, 0], 2) == [[0, 2], [1]]  # empty chunks spread too
+
+    def test_lpt_more_workers_than_jobs(self):
+        assert lpt_batches([3, 1], 5) == [[0], [1]]
+        assert lpt_batches([4], 3) == [[0]]
+        assert lpt_batches([], 2) == []
+
+    def test_plan_names_first_fault_in_plan_order(self):
+        pts = points_fs([(i + 0.5, 0.5 + i % 2) for i in range(4)])
+        task = TaskSpec("extract_at", grid_raster(), pts, {})
+        cases = [
+            ([Job(0, ["p0", "p1"]), Job(1, ["p2", "p2", "ghost"]), Job(0, ["p3"])],
+             "chunk 1: member id 'p2' is already in chunk 1"),
+            ([Job(0, ["p0", "ghost"]), Job(1, ["p0"])],
+             "chunk 0: member id 'ghost' is not an anchor id"),
+            ([Job(0, ["p0", "p1"]), Job(0, ["p9"])], "chunk id 0 is used by more than one chunk"),
+            ([Job(3, ["p0"]), Job(1, ["p3", "p0", "ghost"])],
+             "chunk 1: member id 'p0' is already in chunk 3"),
+            ([Job(0, ["p0"]), Job(1, ["p2"])], "2 anchor ids are in no chunk, first 'p1'"),
+        ]
+        for jobs, message in cases:
+            with pytest.raises(LoadError) as exc:
+                _run(task, jobs, RunConfig(workers=2), "id", "continuous")
+            assert str(exc.value) == message
