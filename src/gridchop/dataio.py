@@ -10,11 +10,11 @@ determinism check.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -61,12 +61,6 @@ MISSING = object()  # the attribute value of a feature that lacks the key
 KINDS = ("point", "line", "polygon")  # the geometry kind of each kind code
 POINT, LINE, POLYGON = range(3)
 _CLASSES = (Point, Polyline, Polygon)  # the geometry class of each kind code
-
-
-def _float(value, column: str) -> float:
-    if value is MISSING:
-        raise KeyError(column)
-    return float(value)
 
 
 def _offsets(counts) -> np.ndarray:
@@ -190,8 +184,8 @@ class FeatureSet:
 
     def floats(self, column: str, rows: list[int] | None = None) -> np.ndarray:
         """float() of each value of an attribute column (of `rows` only, if
-        given). The first bad value raises what a per-feature lookup would:
-        KeyError(column) where the feature lacks the key, else float()'s error."""
+        given); the first bad value raises float()'s error. The ops find a
+        column some feature lacks first, with geoops.check_inputs."""
         values = self.attributes.get(column)
         if values is None:
             if len(self) if rows is None else len(rows):
@@ -199,11 +193,7 @@ class FeatureSet:
             return np.zeros(0)
         if rows is not None:
             values = [values[i] for i in rows]
-        try:
-            return np.fromiter(map(float, values), np.float64, len(values))
-        except (TypeError, ValueError, OverflowError):
-            pass
-        return np.array([_float(v, column) for v in values], dtype=np.float64)
+        return np.fromiter(map(float, values), np.float64, len(values))
 
     def gather(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """coords, part offsets and feature offsets of the features at
@@ -287,11 +277,74 @@ class ResultTable:
         return [dict(zip(names, values)) for values in zip(*self.data.values())]
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(self.data)
-        writer.writerows(zip(*[map(format_value, col) for col in self.data.values()]))
-        return buf.getvalue().encode("utf-8")
+        return "".join(_csv_blocks(self)).encode("utf-8")
+
+
+# rows formatted at a time: bounds the field strings a large table holds at
+# once. At 1024 an 8k-row, 4-column table peaks at about a third of the
+# memory csv.writer's whole-table buffer took; larger blocks are no faster.
+_BLOCK_ROWS = 1024
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer's QUOTE_MINIMAL, with the CRLF line terminator,
+    quotes a field holding `text`: it holds a comma, a quote or a line break.
+    Four substring tests, each far faster than one regex search."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _fields(values: list) -> list[str]:
+    """format_value of each value. A column of exact floats, ints or strs
+    takes one map call of the method format_value reaches for that type."""
+    types = set(map(type, values))
+    if len(types) == 1:
+        kind = types.pop()
+        if kind is float:
+            return list(map(float.__repr__, values))
+        if kind is int:
+            return list(map(int.__repr__, values))
+        if kind is str:
+            return values
+    return list(map(format_value, values))
+
+
+def _quoted(fields: list[str]) -> list[str]:
+    """The fields as csv.writer's QUOTE_MINIMAL writes them: one holding a
+    comma, a quote or a line break is quoted, its quotes doubled. One test
+    of the joined text clears a column that needs none."""
+    if not _needs_quotes("".join(fields)):
+        return fields
+    return ['"' + f.replace('"', '""') + '"' if _needs_quotes(f) else f for f in fields]
+
+
+def _lines(columns: list[list[str]]) -> str:
+    """The rows of columns of quoted fields, each ended by CRLF. As in
+    csv.writer, a row whose only field is empty is written as a quoted one."""
+    if len(columns) == 1:
+        rows = [f or '""' for f in columns[0]]
+    else:
+        rows = list(map(",".join, zip(*columns)))
+    rows.append("")
+    return "\r\n".join(rows)
+
+
+def _csv_blocks(t: ResultTable) -> Iterator[str]:
+    """The CSV text of `t`, the text csv.writer writes for it with CRLF line
+    ends: the header line, then blocks of up to _BLOCK_ROWS rows, formatted
+    a column at a time. Columns of different lengths raise GridchopError at
+    once, before any text."""
+    columns = list(t.data.values())
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        sizes = ", ".join(f"{name!r} {len(col)}" for name, col in t.data.items())
+        raise GridchopError(f"result columns differ in length: {sizes}")
+    names = _quoted(list(t.data))
+    header = ",".join(names) if names != [""] else '""'
+    blocks = (
+        _lines([_quoted(_fields(col[lo : lo + _BLOCK_ROWS])) for col in columns])
+        for lo in range(0, max(lengths, default=0), _BLOCK_ROWS)
+    )
+    return chain([header + "\r\n"], blocks)
 
 
 def _check_ids(ids: list[str], where: str):
@@ -518,8 +571,11 @@ def load_features(
 
 
 def save_table(t: ResultTable, path: str) -> None:
+    """Write `t` as CSV (to_csv_bytes), each block of rows as it is formatted."""
+    blocks = _csv_blocks(t)
     with open(path, "wb") as fh:
-        fh.write(t.to_csv_bytes())
+        for text in blocks:
+            fh.write(text.encode("utf-8"))
 
 
 _ASC_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")

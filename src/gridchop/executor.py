@@ -3,11 +3,12 @@
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. It checks the
-geometry kinds of the inputs, resolves each job's member ids to anchor
-indices once, and checks that grid and hierarchy jobs own each anchor
-exactly once, all before any chunk runs. Those jobs share one context
-dataset that each job clips around its own anchors, so merged results never
-need deduplication and each row is the row of an unpartitioned run.
+inputs as the op does (geometry kinds, value columns, a non-empty nearest
+context), resolves each job's member ids to anchor indices once, and checks
+that grid and hierarchy jobs own each anchor exactly once, all before any
+chunk runs. Those jobs share one context dataset that each job clips around
+its own anchors, so merged results never need deduplication and each row is
+the row of an unpartitioned run.
 
 At more than one worker the jobs are split into one batch per worker,
 largest first by anchor count (Graham's LPT rule), and one worker process is
@@ -159,12 +160,13 @@ def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_
     is empty) not strictly nearer than the box's edge, beyond which any
     feature is at least that far."""
     radius = interaction_radius(task)
-    box, clipped = None, context.subset([])
-    if len(anchors):
-        b = anchors.bounds()
-        box = BBox(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist())
-        box = box.expand(0.5 * max(box.width, box.height) if radius is None else radius)
-        clipped = _subset_by_bbox(context, box)
+    if not len(anchors):  # no box: an empty clip, which nearest_distance widens to all
+        clipped = context if radius is None else context.subset([])
+        return _apply_op(task, clipped, anchors, id_column)
+    b = anchors.bounds()
+    box = BBox(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist())
+    box = box.expand(0.5 * max(box.width, box.height) if radius is None else radius)
+    clipped = _subset_by_bbox(context, box)
     if radius is not None:
         return _apply_op(task, clipped, anchors, id_column)
     if len(clipped) == 0:
@@ -363,7 +365,7 @@ def _run(
 ) -> ResultTable:
     """Check the inputs and the plan, run the jobs, merge."""
     anchors = _anchors(task)
-    geoops.check_kinds(task.op, anchors, task.x)
+    geoops.check_inputs(task.op, anchors, task.x, task.params.get("value_columns", ()))
     ids = anchors.ids()
     # jobs that name a raster path each take every anchor and no shared context
     context = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FeatureSet, ResultTable
+from .dataio import MISSING, FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
 from .geom import BBox
 from .raster import (
@@ -90,7 +90,7 @@ def _check_kind(kind: str, op: str, kinds: tuple[str, ...]):
 
 # The geometry kinds each op accepts: of its anchors y, and of its context x
 # where that is a FeatureSet (None: a raster context). The ops and the
-# executor's check before any chunk runs both read it through check_kinds.
+# executor's check before any chunk runs both read it through check_inputs.
 OP_KINDS = {
     "extract_at": (("point", "polygon"), None),
     "summarize_aw": (("polygon",), ("polygon",)),
@@ -99,16 +99,33 @@ OP_KINDS = {
 }
 
 
-def check_kinds(op: str, y: FeatureSet, x=None) -> str:
-    """The geometry kind of the anchors y; raise InvalidInputError unless y,
-    and x where it is a FeatureSet, is empty or of a kind `op` accepts."""
+def check_inputs(op: str, y: FeatureSet, x=None, value_columns=()) -> str:
+    """The geometry kind of the anchors y, once every check below holds;
+    each failure raises InvalidInputError:
+    - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
+    - a nearest_distance context x has a feature;
+    - every feature of a non-empty context x has each value column.
+    Values are not read: float() of a bad one fails in the op."""
     y_kinds, x_kinds = OP_KINDS[op]
     kind = y.geometry_kind()
     if op == "extract_at" and kind == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     _check_kind(kind, op, y_kinds)
-    if x_kinds is not None and isinstance(x, FeatureSet):
+    if not isinstance(x, FeatureSet):
+        return kind
+    if x_kinds is not None:
         _check_kind(x.geometry_kind(), op, x_kinds)
+    if len(x) == 0:
+        if op == "nearest_distance":
+            raise InvalidInputError("nearest_distance requires a non-empty context dataset")
+        return kind
+    for c in value_columns:
+        values = x.attributes.get(c)
+        if values is None:
+            raise InvalidInputError(f"{op}: no context feature has value column {c!r}")
+        if MISSING in values:
+            fid = x.ids()[values.index(MISSING)]
+            raise InvalidInputError(f"{op}: context feature {fid!r} lacks value column {c!r}")
     return kind
 
 
@@ -217,7 +234,7 @@ def extract_at(
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     if stat.kind == "frequency" and x.kind != "categorical":
         raise InvalidParameterError("frequency statistic requires a categorical raster")
-    kind = check_kinds("extract_at", y)
+    kind = check_inputs("extract_at", y)
     ids = list(y.ids())
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat.kind == "count" else [stat.kind]
@@ -430,7 +447,7 @@ def summarize_aw(
     """
     if stat not in ("mean", "sum"):
         raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
-    check_kinds("summarize_aw", targets, sources)
+    check_inputs("summarize_aw", targets, sources, value_columns)
     # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
@@ -476,7 +493,7 @@ def summarize_sedc(
     id_column: str = "id",
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    check_kinds("summarize_sedc", targets, sources)
+    check_inputs("summarize_sedc", targets, sources, params.value_columns)
     value_columns = list(dict.fromkeys(params.value_columns))  # one column each
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
@@ -507,9 +524,7 @@ def nearest_distance(
     id_column: str = "id",
 ) -> ResultTable:
     """Distance from each y point to the closest x feature (points or lines)."""
-    check_kinds("nearest_distance", y, x)
-    if len(x) == 0:
-        raise InvalidInputError("nearest_distance requires a non-empty context dataset")
+    check_inputs("nearest_distance", y, x)
     segs, owners = x.segments()
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax

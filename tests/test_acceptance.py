@@ -476,7 +476,7 @@ def test_criterion_08_fault_isolation(tmp_path):
     bad_sources = FeatureSet(
         [
             Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
-            Feature("s1", Point(9.0, 2.0), {}),  # poison: missing value column
+            Feature("s1", Point(9.0, 2.0), {"v": "bad"}),  # poison: non-numeric value
             Feature("s2", Point(1.5, 8.5), {"v": 3.0}),
         ],
         ["v"],

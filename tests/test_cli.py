@@ -281,6 +281,35 @@ class TestRunCommand:
                "geometry, got polygon")
         assert capsys.readouterr().err == f"error: {msg}\n"
 
+    @pytest.mark.parametrize("case", ["no_feature_has_it", "a_feature_lacks_it", "empty_nearest"])
+    def test_value_columns_and_nearest_context_are_input_errors(self, workspace, capsys,
+                                                                 monkeypatch, case):
+        # known before any chunk runs: exit 3, one message, no table, no chunk run
+        import gridchop.executor as executor
+
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+        sources = workspace / "sources.geojson"
+        features = [{"type": "Feature", "properties": {"id": fid, **props},
+                     "geometry": {"type": "Point", "coordinates": [x, x]}}
+                    for fid, x, props in (("s0", 2, {"v": 1}), ("s1", 9, {}), ("s2", 15, {"v": 2}))]
+        task = ["--task", "sedc", "--bandwidth", "2", "--value-cols", "v"]
+        msg = "summarize_sedc: context feature 's1' lacks value column 'v'"
+        if case == "no_feature_has_it":
+            task[-1] = "nosuch"
+            msg = "summarize_sedc: no context feature has value column 'nosuch'"
+        elif case == "empty_nearest":
+            features, task = [], ["--task", "nearest"]
+            msg = "nearest_distance requires a non-empty context dataset"
+        sources.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        out = workspace / "out.csv"
+        rc = main(["run", *task, "--x", str(sources), "--y", str(workspace / "points.csv"),
+                   "--partition", str(workspace / "parts.json"), "--workers", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists() and ran == []
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
     def test_missing_x_raster_load_error(self, workspace):
         out = workspace / "nox.csv"
         rc = main([
@@ -293,10 +322,13 @@ class TestRunCommand:
 
 
 def _failing_sedc(workspace, out):
-    # a value column the sources lack fails every chunk
+    # a non-numeric value column fails every chunk
+    lines = (workspace / "points.csv").read_text().splitlines()
+    sources = workspace / "text_values.csv"
+    sources.write_text("\n".join([lines[0] + ",w", *(line + ",n/a" for line in lines[1:])]))
     return {
-        "task": "sedc", "x": str(workspace / "points.csv"),
-        "y": str(workspace / "points.csv"), "bandwidth": 1.0, "value_cols": "nope",
+        "task": "sedc", "x": str(sources),
+        "y": str(workspace / "points.csv"), "bandwidth": 1.0, "value_cols": "w",
         "partition": str(workspace / "parts.json"), "out": str(out),
     }
 
@@ -326,7 +358,7 @@ class TestCaptureErrors:
             assert rc == EXIT_PARTIAL
             assert not out.exists()
             err = capsys.readouterr().err
-            assert err.startswith("error: chunk 0: KeyError")
+            assert err.startswith("error: chunk 0: ValueError")
             assert "Traceback" not in err
 
 

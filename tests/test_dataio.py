@@ -1,10 +1,15 @@
 """Readers/writers: CSV, GeoJSON subset, ESRI ASCII grid, PartitionSet JSON."""
 
+import csv
+import io
 import json
+import random
 import re
+import sys
 
 import pytest
 
+from gridchop import dataio
 from gridchop.cli import main
 from gridchop.dataio import (
     Feature,
@@ -19,12 +24,21 @@ from gridchop.dataio import (
     save_table,
     write_raster,
 )
-from gridchop.errors import GridchopError, LoadError
+from gridchop.errors import GridchopError, InvalidInputError, LoadError
 from gridchop.geom import BBox, Point, Polygon, Polyline, Ring, bbox_of
 from gridchop.partition import Chunk, PartitionSet
 from gridchop.raster import Raster
 
 import numpy as np
+
+
+def csv_writer_bytes(data):
+    """The bytes csv.writer writes for a table's columns, the writer's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(data)
+    writer.writerows(zip(*[map(format_value, col) for col in data.values()]))
+    return buf.getvalue().encode("utf-8")
 
 
 def table(columns, rows):
@@ -232,10 +246,10 @@ class TestLoadFeaturesGeoJSON:
         assert [f.geometry for f in fs.features] == [Point(0.0, 0.0), Point(1.5, 2.0),
                                                      Point(3.0, -1.0)]
         assert fs.bounds().tolist() == [[0, 0, 0, 0], [1.5, 2, 1.5, 2], [3, -1, 3, -1]]
-        # a value column some features lack fails as the per-feature lookup did
-        with pytest.raises(KeyError, match="'k'"):
+        # a value column some features lack is an input error naming the first
+        with pytest.raises(InvalidInputError, match="feature '5' lacks value column 'k'"):
             summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("k",)))
-        with pytest.raises(KeyError, match="'m'"):
+        with pytest.raises(InvalidInputError, match="feature 'a' lacks value column 'm'"):
             summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("m",)))
         with pytest.raises(TypeError):
             summarize_sedc(fs, fs.subset([2]), SedcParams(bandwidth=1.0, value_columns=("k",)))
@@ -419,6 +433,8 @@ class TestSaveTable:
         (None, b""), (True, b"1"), (False, b"0"), (7, b"7"), (-3, b"-3"),
         (np.int64(12), b"12"), (np.float64(0.1), b"0.1"), (np.float64(2.0), b"2.0"),
         (1e22, b"1e+22"), (float("nan"), b"nan"), (float("-inf"), b"-inf"), ("s p", b"s p"),
+        ("a\0b", b"a\0b"), ("\t", b"\t"), ("\u2028", "\u2028".encode()), (" s ", b" s "),
+        (np.float32(0.25), b"0.25"), (np.bool_(True), b"True"),
     ])
     def test_field_formats(self, value, text):
         t = table(["id", "v"], [{"id": "a", "v": value}])
@@ -426,7 +442,7 @@ class TestSaveTable:
 
     @pytest.mark.parametrize("columns,want", [
         (["id"], b"id\r\n"), (["id", "mean", "count"], b"id,mean,count\r\n"),
-        (["id", 'a"b'], b'id,"a""b"\r\n'),
+        (["id", 'a"b'], b'id,"a""b"\r\n'), ([""], b'""\r\n'), ([], b"\r\n"),
     ])
     def test_header_only(self, columns, want):
         assert table(columns, []).to_csv_bytes() == want
@@ -436,6 +452,58 @@ class TestSaveTable:
         p = tmp_path / "t.csv"
         save_table(t, str(p))
         assert b"0.30000000000000004" in p.read_bytes()
+
+    @pytest.mark.parametrize("data", [
+        {"": ["", None, "x"]},  # one column: an empty field alone on its row is quoted
+        {"v": [""]},
+        {"a": [""], "b": [None]},  # two empty fields are not
+        {"id": ["a", "b", "c", "d", "e", "f", "g"],
+         "mixed": [1, 1.5, "a,b", None, True, np.float64(0.1), np.int64(3)]},
+        {"id": [" lead", "trail ", "tab\there", "\u2028", "é,"], "n": [np.int32(-1), 2, 3, 4, 5],
+         "f": [np.float64(2.0), 0.5, -0.0, float("inf"), np.float32(0.1)]},
+        {"b": [True, False], "s": ['"', "\r\n"]},
+    ])
+    def test_bytes_equal_csv_writer(self, data):
+        assert ResultTable(data).to_csv_bytes() == csv_writer_bytes(data)
+
+    def test_table_longer_than_one_block(self, tmp_path):
+        n = dataio._BLOCK_ROWS + 3
+        data = {"id": [f"p{i}" for i in range(n)], "v": [i / 7 for i in range(n)],
+                "k": list(range(n)), "note": [""] * (n - 1) + ['last, "quoted"']}
+        p = tmp_path / "t.csv"
+        save_table(ResultTable(data), str(p))
+        assert p.read_bytes() == ResultTable(data).to_csv_bytes() == csv_writer_bytes(data)
+
+    def test_ragged_table_raises(self, tmp_path):
+        # zip would cut the table to its shortest column
+        t = ResultTable({"id": ["a", "b", "c"], "v": [1.0]})
+        with pytest.raises(GridchopError, match="'id' 3, 'v' 1"):
+            t.to_csv_bytes()
+        p = tmp_path / "t.csv"
+        with pytest.raises(GridchopError):
+            save_table(t, str(p))
+        assert not p.exists()
+
+    def test_fuzz_bytes_equal_csv_writer(self):
+        # before Python 3.11, csv.writer refuses a field holding NUL
+        atoms = [",", '"', "\r", "\n", "\t", " ", "\u2028", "é", "a", "x y",
+                 *(["\0"] * (sys.version_info >= (3, 11)))]
+        rng = random.Random(20261018)
+
+        def text():
+            return "".join(rng.choice(atoms) for _ in range(rng.randrange(4)))
+
+        scalars = [None, True, False, 0.1, 1e22, -0.0, float("nan"), 2.0, 7, -3,
+                   np.float64(0.5), np.int64(9), np.float32(1.5), np.bool_(False)]
+        makers = [text, rng.random, lambda: rng.randrange(-5, 100),
+                  lambda: rng.choice(scalars) if rng.random() < 0.5 else text()]
+        for _ in range(3000):
+            nrows = rng.randrange(6)
+            data = {}
+            for j in range(rng.randrange(4)):
+                make = rng.choice(makers)
+                data[text() + str(j) * rng.randrange(2)] = [make() for _ in range(nrows)]
+            assert ResultTable(data).to_csv_bytes() == csv_writer_bytes(data), data
 
 
 class TestRasterIO:

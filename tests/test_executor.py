@@ -391,9 +391,9 @@ class TestSubsetByBbox:
 
 class TestFaultIsolation:
     def _bad_task(self):
-        # sedc with a value column missing from sources raises inside chunks
+        # sedc with a non-numeric source value raises inside chunks
         pts = points_fs([(1, 1), (5, 5), (9, 9)])
-        src = points_fs([(1, 1)])  # no "v" attribute
+        src = points_fs([(1, 1)], extra=[{"v": "bad"}])
         # maxdist 10: every anchor is in range of the source
         return TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 5.0, "value_columns": ["v"]})
@@ -401,15 +401,15 @@ class TestFaultIsolation:
     def test_capture_errors_collects_rows(self):
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])
         src = FeatureSet(
-            [Feature("s0", Point(1.0, 1.0), {"v": 1.0})], ["v"]
+            [Feature("s0", Point(1.0, 1.0), {"v": 1.0, "w": "bad"})], ["v", "w"]
         )
         task = TaskSpec("summarize_sedc", src, pts,
-                        {"bandwidth": 1.0, "value_columns": ["v", "missing"]})
+                        {"bandwidth": 1.0, "value_columns": ["v", "w"]})
         parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
         t = run_grid(task, parts, RunConfig(workers=1, capture_errors=True))
         assert t.had_errors
         assert "error" in t.columns
-        # p0's chunk sees s0 and blows up on the missing column; p1's chunk
+        # p0's chunk sees s0 and blows up on its non-numeric w; p1's chunk
         # has no sources in range (empty-context fast path, no error)
         err_rows = [r for r in t.rows if r.get("error")]
         assert {r["id"] for r in err_rows} == {"p0"}
@@ -495,7 +495,7 @@ class TestFaultIsolation:
             from gridchop.partition import GridSpec, build_partition
 
             pts = FeatureSet([Feature(f"p{i}", Point(i + 0.5, 0.5 + i % 2)) for i in range(6)])
-            src = FeatureSet([Feature("s0", Point(1.0, 1.0))])  # no "v" attribute
+            src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": "bad"})], ["v"])
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
             parent, original = os.getpid(), executor._run_chunk
@@ -517,7 +517,8 @@ class TestFaultIsolation:
                               timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         (error, left), (died, left_after_death) = json.loads(proc.stdout.splitlines()[-1])
-        assert error == "chunk 0: KeyError: 'v'" and left == 0
+        assert error == "chunk 0: ValueError: could not convert string to float: 'bad'"
+        assert left == 0
         assert died.startswith("chunk 0: worker ") and died.endswith(" exit code 3")
         assert left_after_death == 0
 
@@ -525,7 +526,7 @@ class TestFaultIsolation:
         # chunk with the poisoned anchor errors; others produce rows
         pts = points_fs([(1.0, 1.0), (9.0, 2.0)])
         feats = [Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
-                 Feature("s1", Point(9.0, 2.0), {})]  # missing v near p1
+                 Feature("s1", Point(9.0, 2.0), {"v": "bad"})]  # non-numeric v near p1
         src = FeatureSet(feats, ["v"])
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v"]})
