@@ -53,7 +53,6 @@ from .partition import (
     Chunk,
     GridSpec,
     PartitionSet,
-    assign_to_partition,
     build_partition,
     group_by_hierarchy,
     make_balanced_groups,
@@ -73,7 +72,7 @@ __all__ = [
     "run_multirasters",
     "BBox", "Point", "Polygon", "Polyline", "Ring", "bbox_of",
     "SedcParams", "extract_at", "nearest_distance", "summarize_aw", "summarize_sedc",
-    "Chunk", "GridSpec", "PartitionSet", "assign_to_partition", "build_partition",
+    "Chunk", "GridSpec", "PartitionSet", "build_partition",
     "group_by_hierarchy", "make_balanced_groups", "make_merged_grid", "make_quantile_grid",
     "make_regular_grid",
     "CellWindow", "Raster", "StatSpec", "window_for_bbox",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridchopError, LoadError
 from .geom import BBox, Geometry, Point, Polygon, Polyline, Ring
-from .raster import Raster, ring_neighbour, signed_ring_areas
+from .raster import Raster, ragged_runs, ring_neighbour, run_offsets, signed_ring_areas
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -63,21 +63,6 @@ POINT, LINE, POLYGON = range(3)
 _CLASSES = (Point, Polyline, Polygon)  # the geometry class of each kind code
 
 
-def _offsets(counts) -> np.ndarray:
-    """0 and the running sum of counts: the offsets of consecutive runs."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def _runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of the runs starts[i] up to ends[i], concatenated, and the
-    offsets of the runs in that concatenation."""
-    counts = ends - starts
-    offsets = _offsets(counts)
-    return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
-
-
 class FeatureSet:
     """Features stored by column, in file order.
 
@@ -106,8 +91,8 @@ class FeatureSet:
         self._fill(
             [f.id for f in features],
             np.array([(v.x, v.y) for part in parts for v in part], dtype=np.float64),
-            _offsets([len(part) for part in parts]),
-            _offsets([len(g.parts) for g in geoms]),
+            run_offsets([len(part) for part in parts]),
+            run_offsets([len(g.parts) for g in geoms]),
             np.array([_CLASSES.index(type(g)) for g in geoms], dtype=np.int8),
             {k: [f.attributes.get(k, MISSING) for f in features] for k in keys},
             columns,
@@ -202,8 +187,9 @@ class FeatureSet:
         if len(self.coords) == len(self):  # points only: one part of one vertex each
             offsets = np.arange(idx.size + 1)
             return self.coords[idx], offsets, offsets
-        part, feature_offsets = _runs(self.feature_offsets[idx], self.feature_offsets[idx + 1])
-        vert, part_offsets = _runs(self.part_offsets[part], self.part_offsets[part + 1])
+        fo, po = self.feature_offsets, self.part_offsets
+        part, feature_offsets = ragged_runs(fo[idx], fo[idx + 1] - fo[idx])
+        vert, part_offsets = ragged_runs(po[part], po[part + 1] - po[part])
         return self.coords[vert], part_offsets, feature_offsets
 
     def subset(self, indices) -> "FeatureSet":
@@ -242,7 +228,7 @@ class FeatureSet:
         if self._segments is None:
             starts, nverts = self.part_offsets[:-1], np.diff(self.part_offsets)
             nsegs = np.maximum(nverts - 1, 1)
-            a, _ = _runs(starts, starts + nsegs)
+            a, _ = ragged_runs(starts, nsegs)
             b = a + np.repeat(nverts > 1, nsegs)
             part_owner = np.repeat(np.arange(len(self)), np.diff(self.feature_offsets))
             owners = np.repeat(part_owner, nsegs).tolist()
@@ -273,6 +259,7 @@ class ResultTable:
 
     @property
     def rows(self) -> list[dict]:
+        _column_length(self.data)
         names = list(self.data)
         return [dict(zip(names, values)) for values in zip(*self.data.values())]
 
@@ -328,21 +315,28 @@ def _lines(columns: list[list[str]]) -> str:
     return "\r\n".join(rows)
 
 
+def _column_length(data: dict[str, list]) -> int:
+    """The length all columns share; columns of different lengths raise
+    GridchopError."""
+    lengths = set(map(len, data.values()))
+    if len(lengths) > 1:
+        sizes = ", ".join(f"{name!r} {len(col)}" for name, col in data.items())
+        raise GridchopError(f"result columns differ in length: {sizes}")
+    return max(lengths, default=0)
+
+
 def _csv_blocks(t: ResultTable) -> Iterator[str]:
     """The CSV text of `t`, the text csv.writer writes for it with CRLF line
     ends: the header line, then blocks of up to _BLOCK_ROWS rows, formatted
     a column at a time. Columns of different lengths raise GridchopError at
     once, before any text."""
+    n = _column_length(t.data)
     columns = list(t.data.values())
-    lengths = set(map(len, columns))
-    if len(lengths) > 1:
-        sizes = ", ".join(f"{name!r} {len(col)}" for name, col in t.data.items())
-        raise GridchopError(f"result columns differ in length: {sizes}")
     names = _quoted(list(t.data))
     header = ",".join(names) if names != [""] else '""'
     blocks = (
         _lines([_quoted(_fields(col[lo : lo + _BLOCK_ROWS])) for col in columns])
-        for lo in range(0, max(lengths, default=0), _BLOCK_ROWS)
+        for lo in range(0, n, _BLOCK_ROWS)
     )
     return chain([header + "\r\n"], blocks)
 
@@ -370,23 +364,40 @@ def _xy(position) -> tuple[float, float]:
     return x, y
 
 
+def _check_part(positions, kind: str, least: int, closed: bool) -> None:
+    """Check a polyline's or a ring's GeoJSON positions in order; then, with
+    a ring's closing vertex dropped, that it has at least `least` vertices,
+    none equal to the one before it (in a ring, the last precedes the first)."""
+    vertices = []
+    for p in positions:
+        x, y = _xy(p)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise LoadError(f"non-finite point coordinates ({x}, {y})")
+        vertices.append((x, y))
+    if closed and len(vertices) > 1 and vertices[0] == vertices[-1]:
+        vertices.pop()
+    if len(vertices) < least:
+        raise LoadError(f"{kind} needs at least {least} vertices")
+    nxt = vertices[1:] + vertices[:1] if closed else vertices[1:]
+    if any(a == b for a, b in zip(vertices, nxt)):
+        raise LoadError(f"consecutive duplicate {kind} vertices")
+
+
 def _check_geometry(gtype: str, coords) -> None:
-    """Build the geometry's objects one vertex at a time, which raises the
-    error of a bad one: the per-feature path behind a failed bulk check."""
+    """Check one feature's coordinates, a vertex at a time, and raise the
+    error of the first fault: the per-feature path behind a failed bulk
+    check. Each ring is checked in full before the next one."""
     if gtype == "Point":
         x, y = _xy(coords)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise LoadError(f"non-finite coordinates ({x}, {y})")
     elif gtype == "LineString":
-        Polyline([Point(*_xy(p)) for p in coords])
+        _check_part(coords, "polyline", 2, closed=False)
     elif gtype == "Polygon":
-        rings = []
         for raw in coords:
-            pts = [Point(*_xy(p)) for p in raw]
-            if len(pts) > 1 and pts[0] == pts[-1]:
-                pts = pts[:-1]
-            rings.append(Ring(pts))
-        Polygon(rings[0], rings[1:])
+            _check_part(raw, "ring", 3, closed=True)
+        if not coords:  # a polygon needs its outer ring
+            raise IndexError("list index out of range")
     else:
         raise LoadError(f"unsupported GeoJSON geometry type {gtype!r}")
 
@@ -507,7 +518,7 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
     if not (nparts.all() and nverts.all() and np.isfinite(xy).all()):
         return None
     # a ring's closing vertex, equal to its first one, is dropped
-    ends = _offsets(nverts)
+    ends = run_offsets(nverts)
     closed = ring & (nverts > 1) & (xy[ends[:-1]] == xy[ends[1:] - 1]).all(axis=1)
     keep = np.ones(len(xy), dtype=bool)
     keep[ends[1:][closed] - 1] = False
@@ -515,7 +526,7 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
     if (nverts < np.where(ring, 3, np.where(part_kind == LINE, 2, 1))).any():
         return None
     # no vertex may equal the one before it, in a ring also the first the last
-    part_offsets = _offsets(nverts)
+    part_offsets = run_offsets(nverts)
     part = np.repeat(np.arange(len(nverts)), nverts)
     prev = ring_neighbour(part, len(nverts), -1)
     first = np.zeros(len(xy), dtype=bool)
@@ -524,22 +535,29 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
         return None
     # outer rings counterclockwise, holes clockwise: reverse the others
     outer = np.zeros(len(nverts), dtype=bool)
-    outer[_offsets(nparts)[:-1]] = True
+    outer[run_offsets(nparts)[:-1]] = True
     flip = (ring & ((signed_ring_areas(xy, part_offsets) > 0) != outer))[part]
     at = np.arange(len(xy))
     at[flip] = (part_offsets[:-1] + part_offsets[1:] - 1)[part[flip]] - at[flip]
     attr_cols = dict.fromkeys(k for p in props for k in p)
     return FeatureSet.from_columns(
-        ids, xy[at], part_offsets, _offsets(nparts), kinds,
+        ids, xy[at], part_offsets, run_offsets(nparts), kinds,
         {c: [p.get(c, MISSING) for p in props] for c in attr_cols}, list(attr_cols),
     )
 
 
+def _load_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError
+            raise LoadError(f"{path}: not valid JSON: {e}")
+
+
 def _load_geojson(path: str, id_column: str) -> FeatureSet:
     """Every geometry kind into the flat layout, with no object per vertex; a
-    bad feature is found again one object at a time, for its error message."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    bad feature is found again one feature at a time, for its error message."""
+    doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise LoadError(f"{path}: not a FeatureCollection")
     features = doc.get("features", [])
@@ -678,21 +696,30 @@ def load_partitions(path: str):
     """Read a file of save_partitions; keys it does not know are ignored."""
     from .partition import Chunk, PartitionSet
 
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise LoadError(f"{path}: $ is not an object")
     for key in ("mode", "chunks"):
         if key not in doc:
             raise LoadError(f"{path}: $.{key} missing")
+    if not isinstance(doc["chunks"], list):
+        raise LoadError(f"{path}: $.chunks is not an array")
     chunks = []
     for i, c in enumerate(doc["chunks"]):
         where = f"{path}: $.chunks[{i}]"
+        if not isinstance(c, dict):
+            raise LoadError(f"{where} is not an object")
         for key in ("chunk_id", "core", "member_ids"):
             if key not in c:
                 raise LoadError(f"{where}.{key} missing")
+        if type(c["chunk_id"]) is not int:  # a bool is an int, a float may round
+            raise LoadError(f"{where}.chunk_id is not an integer: {json.dumps(c['chunk_id'])}")
+        if not isinstance(c["member_ids"], list):
+            raise LoadError(f"{where}.member_ids is not an array")
         try:
             core = BBox(*[float(v) for v in c["core"]])
         except (TypeError, ValueError) as e:
             raise LoadError(f"{where}: bad bbox: {e}")
-        chunks.append(Chunk(int(c["chunk_id"]), core, [str(m) for m in c["member_ids"]]))
+        chunks.append(Chunk(c["chunk_id"], core, [str(m) for m in c["member_ids"]]))
     chunks.sort(key=lambda c: c.chunk_id)
     return PartitionSet(str(doc["mode"]), chunks)

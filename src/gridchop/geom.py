@@ -62,20 +62,6 @@ class BBox:
             or other.ymin > self.ymax
         )
 
-    def center(self) -> Point:
-        return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-    @staticmethod
-    def union(boxes: list["BBox"]) -> "BBox":
-        if not boxes:
-            raise InvalidParameterError("union of zero boxes")
-        return BBox(
-            min(b.xmin for b in boxes),
-            min(b.ymin for b in boxes),
-            max(b.xmax for b in boxes),
-            max(b.ymax for b in boxes),
-        )
-
 
 @dataclass
 class Ring:

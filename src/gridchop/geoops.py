@@ -23,7 +23,7 @@ from .raster import (
     cell_areas,
     cell_stat,
     covered_cells,
-    ragged_arange,
+    ragged_runs,
     ring_edges,
     ring_neighbour,
     signed_ring_areas,
@@ -319,7 +319,7 @@ def _trapezoid_corners(
     # one entry per (slab, edge spanning it), edges in ring order
     cnt = np.abs(line[n:] - line[:n])
     edge = np.repeat(np.arange(n), cnt)
-    slab = np.minimum(line[:n], line[n:])[edge] + ragged_arange(cnt)
+    slab, _ = ragged_runs(np.minimum(line[:n], line[n:]), cnt)
     y0, y1 = ys[slab], ys[slab + 1]
     ymid = 0.5 * (y0 + y1)
     ex, ey = ax[edge], ay[edge]
@@ -401,11 +401,11 @@ def _intersection_areas(
         # instances: pair, then trapezoid, then ring
         ninst = ntrap[ti[lo:hi]] * nrings[si[lo:hi]]
         pair = np.repeat(np.arange(lo, hi), ninst)
-        k = ragged_arange(ninst)
+        k, _ = ragged_runs(0, ninst)
         trap = trap0[ti[pair]] + k // nrings[si[pair]]
         ring = ring0[si[pair]] + k % nrings[si[pair]]
         inst = np.repeat(np.arange(pair.size), ring_len[ring])
-        vert = vert0[ring][inst] + ragged_arange(ring_len[ring])
+        vert, _ = ragged_runs(vert0[ring], ring_len[ring])
         px, py, inst = _clip_convex(x[vert], y[vert], inst, cx[trap], cy[trap])
         nxt = ring_neighbour(inst, pair.size, 1)
         # np.bincount adds each bin's weights in input order, as a loop would

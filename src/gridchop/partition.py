@@ -7,6 +7,7 @@ identical inputs yield byte-identical PartitionSet JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,14 +72,37 @@ def _coords_bbox(coords: np.ndarray) -> BBox:
     )
 
 
-def _cells_from_edges(xe: list[float], ye: list[float], mode: str) -> PartitionSet:
-    """One cell per pair of adjacent edges, row-major from the minimum corner."""
+def _cell_labels(coords: np.ndarray, xe: list[float], ye: list[float]) -> np.ndarray:
+    """Row-major cell of each point of the lattice of sorted edges xe, ye.
+
+    Cells are half-open, [xe[i], xe[i + 1]) x [ye[j], ye[j + 1]), with the
+    last column and row closed; a zero-width cell holds exact matches only.
+    A point on repeated edges goes to the lowest cell that holds it. Every
+    point must lie inside [xe[0], xe[-1]] x [ye[0], ye[-1]].
+    """
+
+    def axis(v: np.ndarray, edges: list[float]) -> np.ndarray:
+        e = np.asarray(edges)
+        k = np.searchsorted(e, v, side="left")  # the first edge >= v
+        on_edge = e[np.minimum(k, e.size - 1)] == v
+        # off an edge, or on the closing edge behind a cell that ends there
+        return k - (~on_edge | ((v == e[-1]) & (k > 0)))
+
+    return axis(coords[:, 1], ye) * (len(xe) - 1) + axis(coords[:, 0], xe)
+
+
+def _cells_from_edges(
+    xe: list[float], ye: list[float], mode: str, points: FeatureSet
+) -> PartitionSet:
+    """One cell per pair of adjacent edges, row-major from the minimum corner,
+    holding the points that _cell_labels puts in it."""
     cores = [BBox(x0, y0, x1, y1) for y0, y1 in zip(ye, ye[1:]) for x0, x1 in zip(xe, xe[1:])]
-    return PartitionSet(mode, [Chunk(cid, core) for cid, core in enumerate(cores)])
+    members = _members(points.ids(), _cell_labels(points.coords, xe, ye), len(cores))
+    return PartitionSet(mode, [Chunk(cid, *cell) for cid, cell in enumerate(zip(cores, members))])
 
 
-def make_regular_grid(extent: BBox, nx: int, ny: int) -> PartitionSet:
-    """nx*ny equal cells tiling extent, row-major from the minimum corner."""
+def _grid_edges(extent: BBox, nx: int, ny: int) -> tuple[list[float], list[float]]:
+    """The x and y edges of nx*ny equal cells tiling extent."""
     if nx < 1 or ny < 1:
         raise InvalidParameterError("nx and ny must be >= 1")
     if extent.width <= 0 or extent.height <= 0:
@@ -87,7 +111,14 @@ def make_regular_grid(extent: BBox, nx: int, ny: int) -> PartitionSet:
     ye = [extent.ymin + extent.height * j / ny for j in range(ny + 1)]
     xe[-1] = extent.xmax
     ye[-1] = extent.ymax
-    return _cells_from_edges(xe, ye, "grid")
+    return xe, ye
+
+
+def make_regular_grid(extent: BBox, nx: int, ny: int) -> PartitionSet:
+    """nx*ny equal cells tiling extent, row-major from the minimum corner,
+    with no members."""
+    no_points = FeatureSet.from_columns([], np.zeros((0, 2)))
+    return _cells_from_edges(*_grid_edges(extent, nx, ny), "grid", no_points)
 
 
 def make_quantile_grid(points: FeatureSet, nq: int) -> PartitionSet:
@@ -121,13 +152,15 @@ def make_quantile_grid(points: FeatureSet, nq: int) -> PartitionSet:
         xe = [xe[0], xe[0]]
     if len(ye) < 2:
         ye = [ye[0], ye[0]]
-    parts = _cells_from_edges(xe, ye, "grid_quantile")
-    return assign_to_partition(points, parts)
+    return _cells_from_edges(xe, ye, "grid_quantile", points)
 
 
-def _kruskal_mst(n_nodes: int, edges: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
-    """Edges as (weight, u, v); ties broken by (u, v) index order."""
-    parent = list(range(n_nodes))
+def _join_along(edges: list[tuple[float, int, int]], weights: list[int], cap: float):
+    """One ascending scan of edges (weight, u, v) that joins the groups of u
+    and v when they differ and both weigh less than cap. Returns the edges
+    that joined two groups and the root of each node."""
+    parent = list(range(len(weights)))
+    weight = list(weights)
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -135,22 +168,46 @@ def _kruskal_mst(n_nodes: int, edges: list[tuple[float, int, int]]) -> list[tupl
             a = parent[a]
         return a
 
-    mst = []
-    for w, u, v in sorted(edges):
+    joined = []
+    for w, u, v in edges:
         ru, rv = find(u), find(v)
-        if ru != rv:
+        if ru != rv and weight[ru] < cap and weight[rv] < cap:
             parent[ru] = rv
-            mst.append((w, u, v))
-    return mst
+            weight[rv] += weight[ru]
+            joined.append((w, u, v))
+    return joined, [find(a) for a in range(len(weights))]
+
+
+def _merge_cells(counts: list[int], nx: int, ny: int, min_features: int) -> list[list[int]]:
+    """The cells of each merged group, groups ordered by their first cell.
+
+    Rook-adjacency edges are weighted by the combined point count of their
+    endpoints; Kruskal's MST takes them ascending, ties broken by (u, v).
+    One ascending scan of the MST edges then merges two groups when both
+    hold fewer than min_features points. That scan is already a fixpoint:
+    it skips an edge only when its groups are one group or one of them is
+    full, and groups only grow.
+    """
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            u = j * nx + i
+            if i + 1 < nx:
+                edges.append((float(counts[u] + counts[u + 1]), u, u + 1))
+            if j + 1 < ny:
+                edges.append((float(counts[u] + counts[u + nx]), u, u + nx))
+    mst, _ = _join_along(sorted(edges), counts, math.inf)
+    _, root = _join_along(mst, counts, min_features)
+    groups: dict[int, list[int]] = {}  # in order of each group's first cell
+    for cell, r in enumerate(root):
+        groups.setdefault(r, []).append(cell)
+    return list(groups.values())
 
 
 def make_merged_grid(points: FeatureSet, nx: int, ny: int, min_features: int) -> PartitionSet:
-    """Regular grid with sparse adjacent cells merged along MST edges.
-
-    Rook-adjacency edges are weighted by the combined point count of their
-    endpoints. MST edges are scanned ascending; two current groups merge when
-    both hold fewer than min_features points. Scans repeat to fixpoint.
-    """
+    """Regular nx*ny grid over the points' extent, points labelled into cells
+    by _cell_labels, sparse adjacent cells merged by _merge_cells. A chunk's
+    core spans its cells' edges."""
     if min_features < 1:
         raise InvalidParameterError("min_features must be >= 1")
     if nx * ny < 2:
@@ -161,62 +218,19 @@ def make_merged_grid(points: FeatureSet, nx: int, ny: int, min_features: int) ->
     extent = _coords_bbox(coords)
     if extent.width <= 0 or extent.height <= 0:
         raise InvalidInputError("merged grid needs a non-degenerate point extent")
-
-    # Half-open cell assignment, last row/column closed.
-    ix = np.minimum((coords[:, 0] - extent.xmin) / (extent.width / nx), nx - 1e-9).astype(int)
-    iy = np.minimum((coords[:, 1] - extent.ymin) / (extent.height / ny), ny - 1e-9).astype(int)
-    ix = np.clip(ix, 0, nx - 1)
-    iy = np.clip(iy, 0, ny - 1)
-    cell_of_point = iy * nx + ix
-    n_cells = nx * ny
-    counts = np.bincount(cell_of_point, minlength=n_cells)
-
-    edges = []
-    for j in range(ny):
-        for i in range(nx):
-            u = j * nx + i
-            if i + 1 < nx:
-                v = u + 1
-                edges.append((float(counts[u] + counts[v]), u, v))
-            if j + 1 < ny:
-                v = u + nx
-                edges.append((float(counts[u] + counts[v]), u, v))
-    mst = _kruskal_mst(n_cells, edges)
-
-    group = list(range(n_cells))
-
-    def find(a: int) -> int:
-        while group[a] != a:
-            group[a] = group[group[a]]
-            a = group[a]
-        return a
-
-    gcount = {i: int(counts[i]) for i in range(n_cells)}
-    merged = True
-    while merged:
-        merged = False
-        for _, u, v in mst:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            if gcount[ru] < min_features and gcount[rv] < min_features:
-                group[ru] = rv
-                gcount[rv] += gcount.pop(ru)
-                merged = True
-
-    members: dict[int, list[int]] = {}
-    for cell in range(n_cells):
-        members.setdefault(find(cell), []).append(cell)
-    base = make_regular_grid(extent, nx, ny)
-    groups = sorted(members.values(), key=lambda cells: cells[0])
-    chunk_of_cell = np.empty(n_cells, dtype=np.int64)
+    xe, ye = _grid_edges(extent, nx, ny)
+    cell_of_point = _cell_labels(coords, xe, ye)
+    counts = np.bincount(cell_of_point, minlength=nx * ny).tolist()
+    groups = _merge_cells(counts, nx, ny, min_features)
+    chunk_of_cell = np.empty(nx * ny, dtype=np.intp)
     for cid, cells in enumerate(groups):
         chunk_of_cell[cells] = cid
     members = _members(points.ids(), chunk_of_cell[cell_of_point], len(groups))
-    chunks = [
-        Chunk(cid, BBox.union([base.chunks[c].core for c in cells]), ids)
-        for cid, (cells, ids) in enumerate(zip(groups, members))
-    ]
+    chunks = []
+    for cid, (cells, ids) in enumerate(zip(groups, members)):
+        cols = [c % nx for c in cells]  # cells ascend, and so do their rows
+        core = BBox(xe[min(cols)], ye[cells[0] // nx], xe[max(cols) + 1], ye[cells[-1] // nx + 1])
+        chunks.append(Chunk(cid, core, ids))
     return PartitionSet("grid_advanced", chunks)
 
 
@@ -326,42 +340,6 @@ def _swap_rounds(coords: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.nda
     return assign, trace
 
 
-def assign_to_partition(anchors: FeatureSet, parts: PartitionSet) -> PartitionSet:
-    """Assign each anchor to exactly one chunk by its first vertex.
-
-    Half-open interval rule [xmin, xmax) x [ymin, ymax) with the last
-    row/column closed at the global extent; representatives outside every
-    core go to the nearest core center, ties to the lowest chunk_id.
-    """
-    gx = max(c.core.xmax for c in parts.chunks)
-    gy = max(c.core.ymax for c in parts.chunks)
-    chunks = [Chunk(c.chunk_id, c.core) for c in parts.chunks]
-    chunks.sort(key=lambda c: c.chunk_id)
-    rep = anchors.coords[anchors.part_offsets[anchors.feature_offsets[:-1]]]  # first vertices
-    x, y = rep[:, 0], rep[:, 1]
-    owner = np.full(len(rep), -1, dtype=np.intp)
-    for k, c in enumerate(chunks):
-        b = c.core
-        # degenerate (zero-width) cores own only exact matches
-        if b.xmax == b.xmin:
-            okx = x == b.xmin
-        else:
-            okx = ((b.xmin <= x) & (x < b.xmax)) | ((x == b.xmax) & (b.xmax == gx))
-        if b.ymax == b.ymin:
-            oky = y == b.ymin
-        else:
-            oky = ((b.ymin <= y) & (y < b.ymax)) | ((y == b.ymax) & (b.ymax == gy))
-        owner[(owner < 0) & okx & oky] = k  # the lowest chunk id that owns it
-    centres = [c.core.center() for c in chunks]
-    for i in np.nonzero(owner < 0)[0].tolist():
-        px, py = float(x[i]), float(y[i])
-        d = [(px - ctr.x) ** 2 + (py - ctr.y) ** 2 for ctr in centres]
-        owner[i] = d.index(min(d))  # ties to the lowest chunk id
-    for c, ids in zip(chunks, _members(anchors.ids(), owner, len(chunks))):
-        c.member_ids = ids
-    return PartitionSet(parts.mode, chunks)
-
-
 def _in_polygon(points: np.ndarray, ax, ay, bx, by) -> np.ndarray:
     """Even-odd test of each point against the edges (ax, ay) -> (bx, by) of
     the rings of one polygon; a point on a ring counts as inside. Per point
@@ -423,8 +401,8 @@ def group_by_hierarchy(
 def build_partition(spec: GridSpec, points: FeatureSet) -> PartitionSet:
     """Dispatch a GridSpec to the matching generator; members always filled."""
     if spec.mode == "grid":
-        parts = make_regular_grid(_coords_bbox(_point_coords(points)), spec.nx, spec.ny)
-        return assign_to_partition(points, parts)
+        xe, ye = _grid_edges(_coords_bbox(_point_coords(points)), spec.nx, spec.ny)
+        return _cells_from_edges(xe, ye, "grid", points)
     if spec.mode == "grid_quantile":
         return make_quantile_grid(points, spec.nq)
     if spec.mode == "grid_advanced":

@@ -136,9 +136,18 @@ def ring_edges(polys: FeatureSet, idx: np.ndarray):
     return x, y, x[nxt], y[nxt], owner
 
 
-def ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """0..counts[0]-1, 0..counts[1]-1, ... concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+def run_offsets(counts) -> np.ndarray:
+    """0 and the running sum of counts: the offsets of consecutive runs."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def ragged_runs(starts, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1,
+    concatenated, and the offsets of the runs in that concatenation."""
+    offsets = run_offsets(counts)
+    return np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts), offsets
 
 
 def _line_crossings(a: np.ndarray, b: np.ndarray, first, last):
@@ -147,7 +156,7 @@ def _line_crossings(a: np.ndarray, b: np.ndarray, first, last):
     hi = np.minimum(np.ceil(np.maximum(a, b)) - 1.0, last)
     cnt = np.maximum(hi - lo + 1.0, 0.0).astype(np.intp)
     edge = np.repeat(np.arange(a.size), cnt)
-    line = lo[edge] + (np.arange(edge.size) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+    line, _ = ragged_runs(lo, cnt)
     t = (line - a[edge]) / (b[edge] - a[edge])
     return edge, line, t
 

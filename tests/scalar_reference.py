@@ -5,7 +5,8 @@ ring orientation of the GeoJSON reader, polygon areas, the even-odd
 point-in-polygon test of `group_by_hierarchy`, the convex Sutherland-Hodgman
 clipper, the shoelace sum, the trapezoid decomposition and the per-pair
 `summarize_aw` loop the batched code replaced, the per-point, per-chunk loop
-of `assign_to_partition` and the per-anchor, per-region loop of
+of `assign_to_partition` that grid partitions replaced, the merge of sparse
+grid cells repeated to its fixpoint, and the per-anchor, per-region loop of
 `group_by_hierarchy`, and the inscribed buffer polygon and point-segment
 distance of `extract_at` and `nearest`.
 The batched code performs the same float operations in the same order, so
@@ -276,13 +277,67 @@ def assign_to_partition(anchors, parts):
         if target is None:
             best = None
             for c in chunks:
-                ctr = c.core.center()
-                d = (rep.x - ctr.x) ** 2 + (rep.y - ctr.y) ** 2
+                cx = (c.core.xmin + c.core.xmax) / 2.0
+                cy = (c.core.ymin + c.core.ymax) / 2.0
+                d = (rep.x - cx) ** 2 + (rep.y - cy) ** 2
                 if best is None or d < best[0]:
                     best = (d, c)
             target = best[1]
         target.member_ids.append(feat.id)
     return PartitionSet(parts.mode, chunks)
+
+
+def merge_cells_to_fixpoint(counts, nx, ny, min_features):
+    """Cells of each group of the merged grid, groups ordered by their first
+    cell: Kruskal's MST over the rook edges weighted by the two cells' point
+    counts, then scans of the MST edges, ascending, that merge two groups
+    when both hold fewer than min_features points, repeated until a scan
+    merges nothing."""
+    n_cells = nx * ny
+    edges = []
+    for j in range(ny):
+        for i in range(nx):
+            u = j * nx + i
+            if i + 1 < nx:
+                edges.append((float(counts[u] + counts[u + 1]), u, u + 1))
+            if j + 1 < ny:
+                edges.append((float(counts[u] + counts[u + nx]), u, u + nx))
+
+    def finder(parent):
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+        return find
+
+    tree = list(range(n_cells))
+    find = finder(tree)
+    mst = []
+    for w, u, v in sorted(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            tree[ru] = rv
+            mst.append((w, u, v))
+
+    group = list(range(n_cells))
+    find = finder(group)
+    gcount = {i: int(counts[i]) for i in range(n_cells)}
+    merged = True
+    while merged:
+        merged = False
+        for _, u, v in mst:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            if gcount[ru] < min_features and gcount[rv] < min_features:
+                group[ru] = rv
+                gcount[rv] += gcount.pop(ru)
+                merged = True
+    members = {}
+    for cell in range(n_cells):
+        members.setdefault(find(cell), []).append(cell)
+    return sorted(members.values(), key=lambda cells: cells[0])
 
 
 def group_by_regions(anchors, regions, regions_id):

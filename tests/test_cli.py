@@ -77,6 +77,15 @@ class TestPartitionCommand:
     def test_missing_input_usage_error(self, capsys):
         assert main(["partition", "--out", "x.json"]) == EXIT_USAGE
 
+    def test_invalid_json_input_load_error(self, tmp_path, capsys):
+        # this once ended in a JSONDecodeError traceback
+        bad = tmp_path / "f.geojson"
+        bad.write_text('{"mode": ')
+        rc = main(["partition", "--input", str(bad), "--out", str(tmp_path / "o.json")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"load error: {bad}: not valid JSON: Expecting value: line 1 column 10 (char 9)\n")
+
     def test_nonexistent_input_load_error(self, tmp_path):
         rc = main([
             "partition", "--input", str(tmp_path / "nope.csv"),
@@ -362,6 +371,14 @@ class TestCaptureErrors:
             assert "Traceback" not in err
 
 
+def set_in_chunk(at, key, value):
+    """A partition document with chunks[at][key] set to value."""
+    def edit(doc):
+        doc["chunks"][at][key] = value
+        return doc
+    return edit
+
+
 class TestPartitionValidation:
     """A partition file must assign every anchor to exactly one chunk."""
 
@@ -417,6 +434,28 @@ class TestPartitionValidation:
         assert "chunk id 0 " in capsys.readouterr().err
         assert ran == []
 
+
+    @pytest.mark.parametrize("text,want", [
+        (lambda doc: '{"mode": ', "not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+        (lambda doc: {**doc, "chunks": 5}, "$.chunks is not an array"),
+        (lambda doc: {**doc, "chunks": [5]}, "$.chunks[0] is not an object"),
+        (set_in_chunk(3, "member_ids", 5), "$.chunks[3].member_ids is not an array"),
+        (set_in_chunk(3, "chunk_id", "x"), '$.chunks[3].chunk_id is not an integer: "x"'),
+        (set_in_chunk(3, "chunk_id", 3.7), "$.chunks[3].chunk_id is not an integer: 3.7"),
+        (set_in_chunk(1, "chunk_id", True), "$.chunks[1].chunk_id is not an integer: true"),
+    ], ids=["truncated", "chunks_number", "chunk_number", "member_ids_number",
+            "chunk_id_string", "chunk_id_float", "chunk_id_bool"])
+    def test_malformed_file_load_error(self, workspace, capsys, text, want):
+        # each once ended in a traceback, or (3.7, true) was read as chunk 3 or 1
+        doc = text(json.loads((workspace / "parts.json").read_text()))
+        bad = workspace / "bad_parts.json"
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = workspace / "bad.csv"
+        rc = main(["run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
+                   "--y", str(workspace / "points.csv"), "--partition", str(bad),
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists()
+        assert capsys.readouterr().err == f"load error: {bad}: {want}\n"
 
 class TestMultirasterCommand:
     def test_two_rasters_and_fault_isolation(self, workspace):

@@ -477,8 +477,11 @@ class TestSaveTable:
     def test_ragged_table_raises(self, tmp_path):
         # zip would cut the table to its shortest column
         t = ResultTable({"id": ["a", "b", "c"], "v": [1.0]})
-        with pytest.raises(GridchopError, match="'id' 3, 'v' 1"):
+        want = "^result columns differ in length: 'id' 3, 'v' 1$"
+        with pytest.raises(GridchopError, match=want):
             t.to_csv_bytes()
+        with pytest.raises(GridchopError, match=want):
+            t.rows
         p = tmp_path / "t.csv"
         with pytest.raises(GridchopError):
             save_table(t, str(p))

@@ -41,10 +41,8 @@ from gridchop.executor import (
 from gridchop.geom import BBox, Point, Polyline, bbox_of
 from gridchop.partition import (
     GridSpec,
-    assign_to_partition,
     build_partition,
     group_by_hierarchy,
-    make_regular_grid,
 )
 from gridchop.raster import Raster
 
@@ -252,8 +250,10 @@ def stars_fs(n, seed, radius):
 
 
 def grid_parts(anchors, n):
-    """A hand-written n x n grid over [0, 20]^2; members by representative point."""
-    return assign_to_partition(anchors, make_regular_grid(BBox(0.0, 0.0, 20.0, 20.0), n, n))
+    """An n x n grid over the anchors' first vertices; members by first vertex."""
+    first = anchors.coords[anchors.part_offsets[anchors.feature_offsets[:-1]]]
+    points = FeatureSet.from_columns(anchors.ids(), first)
+    return build_partition(GridSpec("grid", nx=n, ny=n), points)
 
 
 def brute_nearest(pt, context):

@@ -31,6 +31,8 @@ REMOVED = [
     ("gridchop.geoops", "_same_polygon"),
     ("gridchop.partition", "representative_point"),
     ("gridchop.partition", "_representative_xy"),
+    # one cell rule labels the points of every grid mode
+    ("gridchop.partition", "assign_to_partition"),
 ]
 
 
@@ -56,7 +58,7 @@ def test_removed_names_are_gone(module, name):
 def test_no_leftovers():
     assert not hasattr(executor, "group_by_hierarchy")  # the partition module exports it
     assert not hasattr(partition, "_LAST_SSQ_TRACE")
-    assert not hasattr(BBox, "contains")
+    assert not {"contains", "center", "union"} & set(vars(BBox))
     assert not hasattr(PartitionSet, "global_extent")
     # one geometry layout: no geometry list and no point-only coordinate array
     assert not {"geometries", "xy"} & set(vars(FeatureSet([])))

@@ -1,5 +1,5 @@
 """Partition generators: tiling, quantiles, MST merging, balanced groups,
-unique anchor assignment, hierarchy grouping."""
+the one cell rule of the grid modes, hierarchy grouping."""
 
 import json
 import random
@@ -15,7 +15,6 @@ from gridchop.partition import (
     Chunk,
     GridSpec,
     PartitionSet,
-    assign_to_partition,
     build_partition,
     group_by_hierarchy,
     make_balanced_groups,
@@ -25,7 +24,7 @@ from gridchop.partition import (
 )
 from conftest import random_star
 from scalar_reference import assign_to_partition as assign_loop
-from scalar_reference import group_by_regions, make_polygon
+from scalar_reference import group_by_regions, make_polygon, merge_cells_to_fixpoint
 
 
 def point_set(coords, attrs=None):
@@ -188,25 +187,20 @@ class TestMergedGrid:
         pts = point_set(xy)
         parts = make_merged_grid(pts, nx, ny, int(rng.integers(1, 60)))
 
-        (x0, y0), (x1, y1) = xy.min(axis=0), xy.max(axis=0)
-        w, h = (x1 - x0) / nx, (y1 - y0) / ny
-        ix = np.clip(np.minimum((xy[:, 0] - x0) / w, nx - 1e-9).astype(int), 0, nx - 1)
-        iy = np.clip(np.minimum((xy[:, 1] - y0) / h, ny - 1e-9).astype(int), 0, ny - 1)
-        cell = (iy * nx + ix).tolist()
-        assert np.bincount(cell, minlength=nx * ny).min() == 0
+        cells = assign_loop(pts, make_regular_grid(_bbox(xy), nx, ny)).chunks
+        cell = {fid: c.chunk_id for c in cells for fid in c.member_ids}
+        assert min(len(c.member_ids) for c in cells) == 0
 
-        position = {fid: i for i, fid in enumerate(pts.ids())}
         chunk_of_cell = {}
         for c in parts.chunks:
             for fid in c.member_ids:
-                i = position[fid]
-                assert chunk_of_cell.setdefault(cell[i], c.chunk_id) == c.chunk_id
-                center = (x0 + (ix[i] + 0.5) * w, y0 + (iy[i] + 0.5) * h)
-                assert c.core.xmin < center[0] < c.core.xmax
-                assert c.core.ymin < center[1] < c.core.ymax
+                assert chunk_of_cell.setdefault(cell[fid], c.chunk_id) == c.chunk_id
+                core = cells[cell[fid]].core
+                assert c.core.xmin < (core.xmin + core.xmax) / 2 < c.core.xmax
+                assert c.core.ymin < (core.ymin + core.ymax) / 2 < c.core.ymax
         want = {c.chunk_id: [] for c in parts.chunks}
-        for i, fid in enumerate(pts.ids()):
-            want[chunk_of_cell[cell[i]]].append(fid)
+        for fid in pts.ids():
+            want[chunk_of_cell[cell[fid]]].append(fid)
         assert {c.chunk_id: c.member_ids for c in parts.chunks} == want
 
 
@@ -238,84 +232,121 @@ class TestBalancedGroups:
             make_balanced_groups(pts, 0)
 
 
+def grid(coords, nx, ny):
+    return build_partition(GridSpec("grid", nx=nx, ny=ny), point_set(coords))
+
+
+def reference_members(pts, spec, parts):
+    """The member lists the scalar loops give for the cores of parts: the
+    reference assignment over those cores, and for a merged grid the
+    reference assignment over its regular cells, merged as the fixpoint
+    loop merges them."""
+    if spec.mode != "grid_advanced":
+        cores = PartitionSet(parts.mode, [Chunk(c.chunk_id, c.core) for c in parts.chunks])
+        return [c.member_ids for c in assign_loop(pts, cores).chunks]
+    cells = assign_loop(pts, make_regular_grid(_bbox(pts.coords), spec.nx, spec.ny)).chunks
+    groups = merge_cells_to_fixpoint([len(c.member_ids) for c in cells], spec.nx, spec.ny,
+                                     spec.min_features)
+    for chunk, group in zip(parts.chunks, groups):
+        boxes = [cells[k].core for k in group]
+        assert chunk.core == BBox(min(b.xmin for b in boxes), min(b.ymin for b in boxes),
+                                  max(b.xmax for b in boxes), max(b.ymax for b in boxes))
+    order = {fid: i for i, fid in enumerate(pts.ids())}
+    return [sorted((m for k in g for m in cells[k].member_ids), key=order.get) for g in groups]
+
+
+def _bbox(xy):
+    return BBox(*xy.min(axis=0).tolist(), *xy.max(axis=0).tolist())
+
+
 class TestAssignToPartition:
+    """Every grid mode labels points by one cell rule: cells are half-open,
+    the last row and column closed, and on repeated edges the lowest cell
+    wins. The extent is the points' bbox, pinned here by corner points."""
+
     def test_interior_point(self):
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2)
-        pts = point_set([(2.5, 1.5)])
-        out = assign_to_partition(pts, parts)
-        owner = [c for c in out.chunks if c.member_ids]
-        assert len(owner) == 1 and owner[0].chunk_id == 6
+        out = grid([(2.5, 1.5), (0, 0), (4, 2)], 4, 2)
+        assert [c.chunk_id for c in out.chunks if "p0" in c.member_ids] == [6]
 
     def test_shared_edge_half_open(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1)
-        out = assign_to_partition(point_set([(1.0, 0.5)]), parts)
+        out = grid([(1.0, 0.5), (0, 0), (2, 1)], 2, 1)
         # x=1 opens the right cell's interval
-        assert out.chunks[1].member_ids == ["p0"]
-        assert out.chunks[0].member_ids == []
+        assert out.chunks[0].member_ids == ["p1"]
+        assert out.chunks[1].member_ids == ["p0", "p2"]
 
     def test_global_max_edge_closed(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 1), 2, 1)
-        out = assign_to_partition(point_set([(2.0, 1.0)]), parts)
-        assert out.chunks[1].member_ids == ["p0"]
+        out = grid([(0, 0), (2.0, 1.0)], 2, 1)
+        assert out.chunks[1].member_ids == ["p1"]
 
     def test_disjoint_and_exhaustive(self):
         rng = random.Random(1234)
-        pts = point_set([(rng.uniform(0, 4), rng.uniform(0, 2)) for _ in range(1000)])
-        parts = make_regular_grid(BBox(0, 0, 4, 2), 4, 2)
-        out = assign_to_partition(pts, parts)
+        out = grid([(rng.uniform(0, 4), rng.uniform(0, 2)) for _ in range(1000)], 4, 2)
         ids = [m for c in out.chunks for m in c.member_ids]
         assert len(ids) == 1000
         assert len(set(ids)) == 1000
 
-    def test_outside_point_goes_to_nearest_center(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2)
-        out = assign_to_partition(point_set([(10.0, 10.0)]), parts)
-        assert out.chunks[3].member_ids == ["p0"]
+    def test_edge_point_same_chunk_in_every_mode(self):
+        # cell 3's core starts at 0.030000000000000006, so x = 0.03 lies in cell 2
+        pts = point_set([(i / 100, 0.0) for i in range(6)] + [(0.0, 1.0)])
+        for spec in (GridSpec("grid", nx=5, ny=1),
+                     GridSpec("grid_advanced", nx=5, ny=1, min_features=1)):
+            parts = build_partition(spec, pts)
+            assert parts.chunks[2].member_ids == ["p2", "p3"], spec.mode
+            assert parts.chunks[3].core.xmin == 0.030000000000000006
 
-    @staticmethod
-    def _cores(*boxes):
-        # chunk ids descend, so the owner and tie rules must sort by id
-        n = len(boxes)
-        return PartitionSet("grid", [Chunk(n - 1 - k, BBox(*b)) for k, b in enumerate(boxes)])
-
-    @pytest.mark.parametrize("case", ["lattice", "degenerate", "equidistant", "overlap"])
+    @pytest.mark.parametrize("case", ["lattice", "degenerate", "coincident", "clustered"])
     def test_matches_reference_loop(self, case):
         rng = np.random.default_rng(7)
+        specs = [GridSpec("grid", nx=5, ny=3), GridSpec("grid", nx=10, ny=7),
+                 GridSpec("grid_quantile", nq=4), GridSpec("grid_quantile", nq=9),
+                 GridSpec("grid_advanced", nx=5, ny=3, min_features=1),
+                 GridSpec("grid_advanced", nx=10, ny=7, min_features=6)]
         if case == "lattice":
-            # points on every core edge, on the global max edges, outside every core
-            parts = make_regular_grid(BBox(0, 0, 4, 3), 4, 3)
-            coords = [(x / 2, y / 2) for x in range(-2, 11) for y in range(-2, 9)]
-            coords += [tuple(v) for v in rng.uniform(-1, 5, (200, 2)).tolist()]
+            # points on a 0.01 lattice lie on the cell edges of every mode;
+            # the cell widths are not exact, so edges fall off the lattice too
+            coords = [(i / 100, j / 100) for i in range(21) for j in range(15)]
         elif case == "degenerate":
-            # zero-width, zero-height and single-point cores own exact matches only
-            # (0, 0.5) and (29, 12) lie nearer to another core's centre than to their own
-            parts = self._cores((0, 0, 0, 10), (0, 12, 30, 12), (1, 1, 1, 1), (1, 0, 3, 2),
-                                (25, 0, 30, 5))
-            coords = [(0, 0), (0, 0.5), (0, 9.5), (0, 10), (1, 2), (3, 2), (1, 1), (2, 1),
-                      (3, 0), (0.5, 1), (4, 4), (-1, 1), (1, 1.5), (3, 1), (29, 12), (0, 12),
-                      (30, 12), (30, 5), (30, 0)]
-        elif case == "equidistant":
-            # outside points equidistant from two or four core centres
-            parts = self._cores((0, 0, 1, 1), (2, 0, 3, 1), (0, 2, 1, 3), (2, 2, 3, 3))
-            coords = [(1.5, 0.5), (1.5, 2.5), (0.5, 1.5), (1.5, 1.5), (1.5, -5), (9, 9)]
+            # one y: the quantile grid keeps one zero-height row of exact matches
+            coords = [(x, 2.0) for x in [0, 0, 1, 1, 1, 2, 5, 5, 8]]
+            specs = [s for s in specs if s.mode == "grid_quantile"]
+        elif case == "coincident":
+            # doubles near 1e16 are 2 apart, so equal-width cell edges repeat
+            coords = [(1e16 + 2 * i, j) for i in range(5) for j in range(4)]
         else:
-            # overlapping cores: the lowest chunk id that owns the point wins
-            parts = self._cores((0, 0, 2, 2), (1, 1, 3, 3), (0, 0, 3, 3))
-            coords = [(1.5, 1.5), (0.5, 0.5), (2.5, 2.5), (3, 3), (2, 2), (3, 0)]
+            centres = rng.uniform(0, 10, (3, 2))
+            coords = (centres[rng.integers(0, 3, 300)] + rng.normal(0, 0.6, (300, 2))).tolist()
         pts = point_set(coords)
-        got, want = assign_to_partition(pts, parts), assign_loop(pts, parts)
-        assert got == want
-        assert sum(len(c.member_ids) for c in got.chunks) == len(coords)
+        xy = dict(zip(pts.ids(), pts.coords.tolist()))
+        for spec in specs:
+            parts = build_partition(spec, pts)
+            got = [c.member_ids for c in parts.chunks]
+            assert got == reference_members(pts, spec, parts), spec
+            assert sum(map(len, got)) == len(coords)
+            for c in parts.chunks:
+                for x, y in map(xy.get, c.member_ids):
+                    assert c.core.xmin <= x <= c.core.xmax and c.core.ymin <= y <= c.core.ymax
 
-    def test_lines_and_polygons_use_first_vertex(self):
-        parts = make_regular_grid(BBox(0, 0, 2, 2), 2, 2)
-        feats = FeatureSet([
-            Feature("l", Polyline([Point(1.5, 0.5), Point(0.1, 0.1)])),
-            Feature("q", make_polygon([[Point(0.5, 1.5), Point(0.9, 1.5), Point(0.9, 1.9)]])),
-        ])
-        got, want = assign_to_partition(feats, parts), assign_loop(feats, parts)
-        assert [c.member_ids for c in got.chunks] == [c.member_ids for c in want.chunks]
-        assert [c.member_ids for c in got.chunks] == [[], ["l"], ["q"], []]
+    def test_coincident_edges_lowest_cell(self):
+        # extent [1e16, 1e16 + 8] in 10 columns: the edges round to 1e16 + 2k,
+        # repeated; a point on one goes to the lowest cell that holds it
+        parts = grid([(1e16 + 2 * i, 0.0) for i in range(5)] + [(1e16, 1.0)], 10, 1)
+        cols = [c for c in parts.chunks if c.member_ids]
+        assert [(c.core.xmin, c.core.xmax) for c in cols] == [
+            (1e16, 1e16), (1e16 + 2, 1e16 + 2), (1e16 + 4, 1e16 + 4),
+            (1e16 + 6, 1e16 + 6), (1e16 + 6, 1e16 + 8)]
+
+
+class TestMergeCells:
+    def test_one_pass_equals_fixpoint_loop(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            nx, ny = (int(v) for v in rng.integers(1, 9, 2))
+            counts = rng.integers(0, 30, nx * ny)
+            counts[rng.random(nx * ny) < 0.4] = 0
+            counts = counts.tolist()
+            m = int(rng.choice([1, 2, 5, 20, 60, 1000]))
+            want = merge_cells_to_fixpoint(counts, nx, ny, m)
+            assert partition._merge_cells(counts, nx, ny, m) == want, (nx, ny, counts, m)
 
 
 class TestHierarchy:
