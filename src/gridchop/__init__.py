@@ -60,7 +60,7 @@ from .partition import (
     make_quantile_grid,
     make_regular_grid,
 )
-from .raster import CellWindow, Raster, StatSpec, window_for_bbox
+from .raster import Raster
 
 __all__ = [
     "BenchMetrics", "SynthSpec", "efficiency", "run_benchmark", "synth_dataset",
@@ -75,7 +75,7 @@ __all__ = [
     "Chunk", "GridSpec", "PartitionSet", "build_partition",
     "group_by_hierarchy", "make_balanced_groups", "make_merged_grid", "make_quantile_grid",
     "make_regular_grid",
-    "CellWindow", "Raster", "StatSpec", "window_for_bbox",
+    "Raster",
 ]
 
 __version__ = "0.1.0"

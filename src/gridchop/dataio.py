@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import GridchopError, LoadError
+from .errors import GridchopError, InvalidParameterError, LoadError
 from .geom import BBox, Geometry, Point, Polygon, Polyline, Ring
 from .raster import Raster, ragged_runs, ring_neighbour, run_offsets, signed_ring_areas
 
@@ -422,13 +422,16 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
     """A point set from CSV, column by column: no object per row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        # a repeated header name reads its last column
-        index = {c: j for j, c in enumerate(header)}
-        for col in (id_column, x_column, y_column):
-            if col not in index:
-                raise LoadError(f"{path}: missing column {col!r}")
-        rows = [r for r in reader if r]  # blank lines are skipped
+        try:
+            header = next(reader, [])
+            rows = [r for r in reader if r]  # blank lines are skipped
+        except UnicodeDecodeError as e:
+            raise LoadError(f"{path}: not valid UTF-8: {e}")
+    # a repeated header name reads its last column
+    index = {c: j for j, c in enumerate(header)}
+    for col in (id_column, x_column, y_column):
+        if col not in index:
+            raise LoadError(f"{path}: missing column {col!r}")
     attr_cols = [c for c in header if c not in (id_column, x_column, y_column)]
     width, n = len(header), len(rows)
     if rows and min(map(len, rows)) < width:  # missing trailing fields read as None
@@ -602,7 +605,10 @@ _ASC_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_v
 def load_raster(path: str, kind: str = "continuous") -> Raster:
     """Read an ESRI ASCII grid; raster kind comes from the caller."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise LoadError(f"{path}: not valid UTF-8: {e}")
     header: dict[str, float] = {}
     idx = 0
     while idx < len(lines) and len(header) < 6:
@@ -716,10 +722,14 @@ def load_partitions(path: str):
             raise LoadError(f"{where}.chunk_id is not an integer: {json.dumps(c['chunk_id'])}")
         if not isinstance(c["member_ids"], list):
             raise LoadError(f"{where}.member_ids is not an array")
+        core = c["core"]
+        if not (isinstance(core, list) and len(core) == 4
+                and all(type(v) in (int, float) for v in core)):  # a bool is an int
+            raise LoadError(f"{where}.core is not an array of four numbers: {json.dumps(core)}")
         try:
-            core = BBox(*[float(v) for v in c["core"]])
-        except (TypeError, ValueError) as e:
-            raise LoadError(f"{where}: bad bbox: {e}")
+            core = BBox(*map(float, core))
+        except InvalidParameterError as e:  # non-finite or inverted
+            raise LoadError(f"{where}.core: bad bbox: {e}")
         chunks.append(Chunk(c["chunk_id"], core, [str(m) for m in c["member_ids"]]))
     chunks.sort(key=lambda c: c.chunk_id)
     return PartitionSet(str(doc["mode"]), chunks)

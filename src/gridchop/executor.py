@@ -3,12 +3,12 @@
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. It checks the
-inputs as the op does (geometry kinds, value columns, a non-empty nearest
-context), resolves each job's member ids to anchor indices once, and checks
-that grid and hierarchy jobs own each anchor exactly once, all before any
-chunk runs. Those jobs share one context dataset that each job clips around
-its own anchors, so merged results never need deduplication and each row is
-the row of an unpartitioned run.
+inputs as the op does (parameters, geometry kinds, value columns, a
+non-empty nearest context), resolves each job's member ids to anchor
+indices once, and checks that grid and hierarchy jobs own each anchor
+exactly once, all before any chunk runs. Those jobs share one context
+dataset that each job clips around its own anchors, so merged results never
+need deduplication and each row is the row of an unpartitioned run.
 
 At more than one worker the jobs are split into one batch per worker,
 largest first by anchor count (Graham's LPT rule), and one worker process is
@@ -122,12 +122,7 @@ def _apply_op(task: TaskSpec, x, y, id_column: str) -> ResultTable:
             y, x, list(p["value_columns"]), stat=p.get("stat", "mean"), id_column=id_column
         )
     if task.op == "summarize_sedc":
-        sp = geoops.SedcParams(
-            bandwidth=float(p["bandwidth"]),
-            maxdist=float(p["maxdist"]) if p.get("maxdist") is not None else None,
-            value_columns=tuple(p["value_columns"]),
-        )
-        return geoops.summarize_sedc(y, x, sp, id_column=id_column)
+        return geoops.summarize_sedc(y, x, geoops.sedc_params(p), id_column=id_column)
     return geoops.nearest_distance(y, x, id_column=id_column)
 
 
@@ -137,8 +132,7 @@ def interaction_radius(task: TaskSpec) -> float | None:
     if task.op == "extract_at":
         return float(p.get("radius", 0.0))
     if task.op == "summarize_sedc":
-        md = p.get("maxdist")
-        return float(md) if md is not None else 2.0 * float(p["bandwidth"])
+        return geoops.sedc_params(p).maxdist
     if task.op == "summarize_aw":
         return 0.0
     return None  # nearest_distance
@@ -365,7 +359,7 @@ def _run(
 ) -> ResultTable:
     """Check the inputs and the plan, run the jobs, merge."""
     anchors = _anchors(task)
-    geoops.check_inputs(task.op, anchors, task.x, task.params.get("value_columns", ()))
+    geoops.check_inputs(task.op, anchors, task.x, task.params, raster_kind)
     ids = anchors.ids()
     # jobs that name a raster path each take every anchor and no shared context
     context = None

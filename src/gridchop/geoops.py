@@ -15,19 +15,16 @@ import numpy as np
 
 from .dataio import MISSING, FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from .geom import BBox
 from .raster import (
+    STAT_KINDS,
     Raster,
-    StatSpec,
-    category_weights,
     cell_areas,
-    cell_stat,
     covered_cells,
     ragged_runs,
     ring_edges,
     ring_neighbour,
     signed_ring_areas,
-    window_for_bbox,
+    zonal_stats,
 )
 
 # cap on the per-batch temporaries of the coverage kernel and of the polygon
@@ -58,6 +55,27 @@ class SedcParams:
             object.__setattr__(self, "maxdist", 2.0 * self.bandwidth)
         if self.maxdist < self.bandwidth:
             raise InvalidParameterError("maxdist must be >= bandwidth")
+
+
+def _number(params: dict, key: str, default=None) -> float | None:
+    """params[key] as a float; default where it is missing or None."""
+    value = params.get(key)
+    if value is None:
+        return default
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{key} must be a number, got {value!r}")
+
+
+def sedc_params(params: dict) -> SedcParams:
+    """The SedcParams of a task's params: bandwidth, maxdist (None: the
+    default) and value_columns."""
+    bandwidth = _number(params, "bandwidth")
+    if bandwidth is None:
+        raise InvalidParameterError("summarize_sedc requires a bandwidth")
+    return SedcParams(bandwidth, _number(params, "maxdist"),
+                      tuple(params.get("value_columns", ())))
 
 
 def freq_column(category: float) -> str:
@@ -99,18 +117,41 @@ OP_KINDS = {
 }
 
 
-def check_inputs(op: str, y: FeatureSet, x=None, value_columns=()) -> str:
-    """The geometry kind of the anchors y, once every check below holds;
-    each failure raises InvalidInputError:
+def check_inputs(
+    op: str, y: FeatureSet, x=None, params: dict | None = None, raster_kind: str = "continuous"
+) -> str:
+    """The geometry kind of the anchors y, once every check below holds:
+    - params, as in a TaskSpec, suit `op`: an extract_at stat of STAT_KINDS,
+      a radius >= 0, frequency only on a categorical raster (x's kind where
+      x is a Raster, else raster_kind) and no radius on polygons; a
+      summarize_aw stat of mean or sum; valid SedcParams for
+      summarize_sedc. A failure raises InvalidParameterError;
     - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
     - a nearest_distance context x has a feature;
     - every feature of a non-empty context x has each value column.
-    Values are not read: float() of a bad one fails in the op."""
+    Each input failure raises InvalidInputError. Values are not read:
+    float() of a bad one fails in the op."""
+    p = params or {}
+    stat, radius = p.get("stat", "mean"), _number(p, "radius", 0.0)
+    if op == "extract_at":
+        if stat not in STAT_KINDS:
+            raise InvalidParameterError(f"unknown statistic {stat!r}")
+        if radius < 0:
+            raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+        categorical = (x.kind if isinstance(x, Raster) else raster_kind) == "categorical"
+        if stat == "frequency" and not categorical:
+            raise InvalidParameterError("frequency statistic requires a categorical raster")
+    elif op == "summarize_aw" and stat not in ("mean", "sum"):
+        raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
+    elif op == "summarize_sedc":
+        sedc_params(p)
     y_kinds, x_kinds = OP_KINDS[op]
     kind = y.geometry_kind()
     if op == "extract_at" and kind == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     _check_kind(kind, op, y_kinds)
+    if op == "extract_at" and kind == "polygon" and radius > 0:
+        raise InvalidParameterError("buffered polygon extraction is not supported")
     if not isinstance(x, FeatureSet):
         return kind
     if x_kinds is not None:
@@ -119,7 +160,7 @@ def check_inputs(op: str, y: FeatureSet, x=None, value_columns=()) -> str:
         if op == "nearest_distance":
             raise InvalidInputError("nearest_distance requires a non-empty context dataset")
         return kind
-    for c in value_columns:
+    for c in p.get("value_columns", ()):
         values = x.attributes.get(c)
         if values is None:
             raise InvalidInputError(f"{op}: no context feature has value column {c!r}")
@@ -135,37 +176,23 @@ def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     return px, py
 
 
-def _buffered_point_stats(
-    r: Raster,
-    px: np.ndarray,
-    py: np.ndarray,
-    radius: float,
-    stat: StatSpec,
-    segments: int,
-):
-    """Coverage-weighted statistics over inscribed-polygon buffers, batched.
-
-    Returns (values, counts) for scalar stats, or (freq dict list, counts)
-    for frequency. Each point's result depends only on that point and the
-    raster, so results are independent of batch composition.
-    """
-    n = px.size
+def _buffer_cells(r: Raster, px: np.ndarray, py: np.ndarray, radius: float, segments: int):
+    """Values and weights (points, cells) of the window cells of each point's
+    inscribed-polygon buffer, one batch of points at a time. A cell's weight
+    is its covered fraction, 0 where the cell is uncovered, outside the
+    raster or nodata. Each point's row depends only on that point and the
+    raster, so results are independent of batch composition."""
     cs = r.cellsize
     theta = 2.0 * np.pi * np.arange(segments) / segments
     ux = np.cos(theta)
     uy = np.sin(theta)
     w_cells = int(np.ceil(2.0 * radius / cs)) + 1
     c_per_pt = w_cells * w_cells
-
-    counts = np.zeros(n)
-    scalars = np.full(n, np.nan)
-    freqs: list[dict[float, float]] = [dict() for _ in range(n)] if stat.kind == "frequency" else []
-
     # per point the kernel sorts about 2V edge ends plus 4W line crossings
     # and accumulates W*W cells
     block = max(1, _BATCH_ELEMS // (2 * segments + 4 * w_cells + c_per_pt))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, px.size, block):
+        hi = min(lo + block, px.size)
         bx, by = px[lo:hi], py[lo:hi]
         vx = bx[:, None] + radius * ux[None, :]  # (P, V)
         vy = by[:, None] + radius * uy[None, :]
@@ -183,61 +210,29 @@ def _buffered_point_stats(
         )
         frac = np.minimum(area.reshape(hi - lo, -1), 1.0)
         vals = r.values[np.clip(rows, 0, r.nrows - 1), np.clip(cols, 0, r.ncols - 1)]
-        valid = inb & (frac > 0.0) & (vals != r.nodata)
-        w = np.where(valid, frac, 0.0)
-        cnt = np.sum(w, axis=1)
-        counts[lo:hi] = cnt
-        if stat.kind == "frequency":
-            for i in range(hi - lo):
-                freqs[lo + i] = category_weights(vals[i, valid[i]], w[i, valid[i]])
-            continue
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if stat.kind == "count":
-                out = cnt
-            elif stat.kind == "sum":
-                out = np.sum(w * vals, axis=1)
-            elif stat.kind == "mean":
-                out = np.sum(w * vals, axis=1) / cnt
-            elif stat.kind == "stdev":
-                mu = np.sum(w * vals, axis=1) / cnt
-                out = np.sqrt(np.sum(w * (vals - mu[:, None]) ** 2, axis=1) / cnt)
-            elif stat.kind == "min":
-                out = np.min(np.where(valid, vals, np.inf), axis=1)
-            elif stat.kind == "max":
-                out = np.max(np.where(valid, vals, -np.inf), axis=1)
-            else:
-                raise InvalidParameterError(f"unknown statistic {stat.kind!r}")
-        scalars[lo:hi] = np.where(cnt > 0, out, np.nan)
-    if stat.kind == "frequency":
-        return freqs, counts
-    return scalars, counts
+        yield vals, np.where(inb & (frac > 0.0) & (vals != r.nodata), frac, 0.0)
 
 
 def extract_at(
     x: Raster,
     y: FeatureSet,
     radius: float = 0.0,
-    stat: StatSpec | str = "mean",
+    stat: str = "mean",
     id_column: str = "id",
     segments: int = 64,
 ) -> ResultTable:
     """Zonal statistics of raster x at features y (points or polygons).
 
     Points with radius 0 read the cell value under the point; with
-    radius > 0 they are buffered into inscribed regular polygons. Raw
-    polygons are summarized directly; buffered polygons and line inputs are
-    rejected.
+    radius > 0 they are buffered into inscribed regular polygons, whose
+    padded windows are reduced a batch at a time. Raw polygons are reduced
+    one at a time over the valid cells they cover; buffered polygons and
+    line inputs are rejected.
     """
-    if isinstance(stat, str):
-        stat = StatSpec(stat)
-    if radius < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-    if stat.kind == "frequency" and x.kind != "categorical":
-        raise InvalidParameterError("frequency statistic requires a categorical raster")
-    kind = check_inputs("extract_at", y)
+    kind = check_inputs("extract_at", y, x, {"radius": radius, "stat": stat})
     ids = list(y.ids())
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
-    value_cols = [] if stat.kind == "count" else [stat.kind]
+    value_cols = [] if stat == "count" else [stat]
     if kind == "empty":
         cols = ["value"] if radius == 0 else value_cols
         return ResultTable({id_column: [], **{c: [] for c in cols}, "count": []})
@@ -254,37 +249,21 @@ def extract_at(
         return ResultTable({id_column: ids, "value": value, "count": ok.astype(float).tolist()})
 
     if kind == "point":
-        px, py = _point_arrays(y)
-        res, counts = _buffered_point_stats(x, px, py, radius, stat, segments)
-        if stat.kind == "frequency":
-            values = _freq_columns(res)
-        else:
-            values = {c: [None if math.isnan(v) else v for v in res.tolist()] for c in value_cols}
-        return ResultTable({id_column: ids, **values, "count": counts.tolist()})
-
-    # polygons
-    if radius > 0:
-        raise InvalidParameterError("buffered polygon extraction is not supported")
-    wins = [window_for_bbox(x, BBox(*b)) for b in y.bounds().tolist()]
-    results = []
-    lo = 0
-    while lo < len(wins):
-        # the next polygons in file order whose windows, padded to the
-        # largest, stay under the cap; a polygon over the cap runs alone
-        hi, nr, nc = lo + 1, wins[lo].nrows_w, wins[lo].ncols_w
-        while hi < len(wins):
-            nr2, nc2 = max(nr, wins[hi].nrows_w), max(nc, wins[hi].ncols_w)
-            if (hi - lo + 1) * nr2 * nc2 > _BATCH_ELEMS:
-                break
-            hi, nr, nc = hi + 1, nr2, nc2
-        cells = covered_cells(x, y, np.arange(lo, hi), wins[lo:hi])
-        results += [cell_stat(x, rows, cols, w, stat) for rows, cols, w in cells]
-        lo = hi
-    if stat.kind == "frequency":
-        values = _freq_columns([sr.frequency or {} for sr in results])
+        batches = _buffer_cells(x, *_point_arrays(y), radius, segments)
     else:
-        values = {c: [sr.value for sr in results] for c in value_cols}
-    return ResultTable({id_column: ids, **values, "count": [sr.count for sr in results]})
+        owner, rows, cols, w = covered_cells(x, y, _BATCH_ELEMS)
+        v = x.values[rows, cols]
+        valid = v != x.nodata
+        v, w = v[valid], w[valid]
+        ends = np.cumsum(np.bincount(owner[valid], minlength=len(ids))).tolist()
+        batches = ((v[None, a:b], w[None, a:b]) for a, b in zip([0, *ends], ends))
+    values, counts = [], []
+    for cell_values, weights in batches:
+        got, count = zonal_stats(cell_values, weights, stat)
+        values += got
+        counts += count
+    columns = _freq_columns(values) if stat == "frequency" else {c: values for c in value_cols}
+    return ResultTable({id_column: ids, **columns, "count": counts})
 
 
 # --- polygon/polygon intersection via trapezoid decomposition -----------
@@ -445,9 +424,7 @@ def summarize_aw(
     Means are normalized by intersected area; the coverage column reports
     sum_i a_ij / area(target_j). Targets intersecting nothing yield null rows.
     """
-    if stat not in ("mean", "sum"):
-        raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
-    check_inputs("summarize_aw", targets, sources, value_columns)
+    check_inputs("summarize_aw", targets, sources, {"value_columns": value_columns, "stat": stat})
     # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
@@ -493,7 +470,7 @@ def summarize_sedc(
     id_column: str = "id",
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    check_inputs("summarize_sedc", targets, sources, params.value_columns)
+    check_inputs("summarize_sedc", targets, sources, vars(params))
     value_columns = list(dict.fromkeys(params.value_columns))  # one column each
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)

@@ -55,51 +55,18 @@ class Raster:
         return BBox(self.xll, self.yll, self.xmax, self.ytop)
 
 
-@dataclass(frozen=True)
-class CellWindow:
-    row0: int
-    col0: int
-    nrows_w: int
-    ncols_w: int
-
-    @property
-    def empty(self) -> bool:
-        return self.nrows_w == 0 or self.ncols_w == 0
-
-
-@dataclass(frozen=True)
-class StatSpec:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in STAT_KINDS:
-            raise InvalidParameterError(f"unknown statistic {self.kind!r}")
-
-
-@dataclass
-class StatResult:
-    value: float | None = None
-    count: float = 0.0
-    frequency: dict[float, float] | None = None
-
-
-EMPTY_WINDOW = CellWindow(0, 0, 0, 0)
-
-
-def window_for_bbox(r: Raster, b: BBox) -> CellWindow:
-    """Smallest window holding every cell whose rectangle overlaps b."""
+def cell_windows(r: Raster, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """row0, col0, nrows, ncols of the smallest window holding every cell
+    whose rectangle overlaps each box (xmin, ymin, xmax, ymax) of bounds, one
+    int array each; a box off the raster gets 0 rows and 0 columns at (0, 0)."""
     cs = r.cellsize
-    col0 = int(np.floor((b.xmin - r.xll) / cs))
-    col1 = int(np.ceil((b.xmax - r.xll) / cs)) - 1
-    row0 = int(np.floor((r.ytop - b.ymax) / cs))
-    row1 = int(np.ceil((r.ytop - b.ymin) / cs)) - 1
-    col1 = min(col1, r.ncols - 1)
-    row1 = min(row1, r.nrows - 1)
-    col0 = max(col0, 0)
-    row0 = max(row0, 0)
-    if col0 > col1 or row0 > row1:
-        return EMPTY_WINDOW
-    return CellWindow(row0, col0, row1 - row0 + 1, col1 - col0 + 1)
+    xmin, ymin, xmax, ymax = bounds.T
+    col0 = np.maximum(np.floor((xmin - r.xll) / cs), 0.0)
+    row0 = np.maximum(np.floor((r.ytop - ymax) / cs), 0.0)
+    ncols = np.minimum(np.ceil((xmax - r.xll) / cs), r.ncols) - col0
+    nrows = np.minimum(np.ceil((r.ytop - ymin) / cs), r.nrows) - row0
+    live = (ncols > 0.0) & (nrows > 0.0)
+    return tuple(np.where(live, a, 0.0).astype(np.intp) for a in (row0, col0, nrows, ncols))
 
 
 def ring_neighbour(ring: np.ndarray, nrings: int, step: int) -> np.ndarray:
@@ -233,67 +200,79 @@ def cell_areas(
     return -own
 
 
-def covered_cells(
-    r: Raster, polys: FeatureSet, idx: np.ndarray, wins: list[CellWindow]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, cols, fractions) of the raster cells each polygon idx of polys
-    covers.
+def covered_cells(r: Raster, polys: FeatureSet, cap: int) -> tuple[np.ndarray, ...]:
+    """(owner, rows, cols, fractions) of the raster cells each polygon of
+    polys covers, as flat arrays: owner is the polygon's index, cells come
+    by polygon, then in row-major order, fractions are capped at 1 and cells
+    with zero coverage are omitted.
 
-    wins[k] is window_for_bbox of polygon idx[k]. Cells come in row-major order,
-    fractions are capped at 1 and cells with zero coverage are omitted. One
-    kernel call serves every polygon, each window padded to the largest.
+    One kernel call serves each run of polygons in file order whose windows,
+    padded to the largest, stay under cap cells; a polygon over the cap runs
+    alone.
     """
-    none = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
-    out = [none] * len(wins)
-    live = [k for k, w in enumerate(wins) if not w.empty]
-    if not live:
-        return out
-    cs = r.cellsize
-    row0, col0, nrows, ncols = np.array(
-        [(wins[k].row0, wins[k].col0, wins[k].nrows_w, wins[k].ncols_w) for k in live]
-    ).T
-    ax, ay, bx, by, owner = ring_edges(polys, np.asarray(idx, dtype=np.intp)[live])
-    frac = cell_areas(ax, ay, bx, by, owner, r.xll + col0 * cs, r.ytop - row0 * cs, cs,
-                      int(nrows.max()), ncols)
-    for i, k in enumerate(live):
-        f = frac[i, : nrows[i], : ncols[i]]
-        rows, cols = np.nonzero(f > 0.0)
-        out[k] = (rows + row0[i], cols + col0[i], np.minimum(f[rows, cols], 1.0))
-    return out
+    row0, col0, nrows, ncols = cell_windows(r, polys.bounds())
+    cs, n = r.cellsize, len(polys)
+    nr_of, nc_of = nrows.tolist(), ncols.tolist()
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),)]
+    lo = 0
+    while lo < n:
+        hi, nr, nc = lo + 1, nr_of[lo], nc_of[lo]
+        while hi < n:
+            nr2, nc2 = max(nr, nr_of[hi]), max(nc, nc_of[hi])
+            if (hi - lo + 1) * nr2 * nc2 > cap:
+                break
+            hi, nr, nc = hi + 1, nr2, nc2
+        idx = lo + np.flatnonzero(nrows[lo:hi])
+        lo = hi
+        if not idx.size:
+            continue
+        ax, ay, bx, by, win = ring_edges(polys, idx)
+        frac = cell_areas(ax, ay, bx, by, win, r.xll + col0[idx] * cs, r.ytop - row0[idx] * cs,
+                          cs, nr, ncols[idx])
+        # cells of the padding are not the window's own
+        own = ((np.arange(nr)[:, None] < nrows[idx, None, None])
+               & (np.arange(frac.shape[2]) < ncols[idx, None, None]))
+        k, i, j = np.nonzero(own & (frac > 0.0))
+        parts.append((idx[k], i + row0[idx][k], j + col0[idx][k], np.minimum(frac[k, i, j], 1.0)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def cell_stat(
-    r: Raster, rows: np.ndarray, cols: np.ndarray, w: np.ndarray, spec: StatSpec
-) -> StatResult:
-    """Weighted statistic over cells (rows[i], cols[i]) covered by fraction
-    w[i]; nodata cells are excluded.
+def zonal_stats(v: np.ndarray, w: np.ndarray, stat: str) -> tuple[list, list[float]]:
+    """The statistic `stat` of each row of cell values v weighted by w, both
+    (features, cells), and each row's count, its summed weight.
 
-    min/max consider any cell with positive fraction; stdev is the weighted
-    population standard deviation sqrt(sum w (v-mu)^2 / sum w).
+    A cell of weight 0 does not count, whatever its value; a counted NaN
+    cell makes the value nan. A row with no counted cell reads None, and {}
+    for frequency, which maps each category to its summed weight. min/max
+    take the counted values; stdev is the weighted population standard
+    deviation sqrt(sum w (v-mu)^2 / sum w). Each row is one NumPy reduction
+    along axis 1 over all its cells, so the caller's layout fixes the
+    summation order: a (1, m) row has the bits of the 1-D reduction of its m
+    cells.
     """
-    v = r.values[rows, cols]
-    valid = v != r.nodata
-    v = v[valid]
-    w = w[valid]
-    if v.size == 0:
-        return StatResult(None, 0.0, {} if spec.kind == "frequency" else None)
-    count = float(np.sum(w))
-    kind = spec.kind
-    if kind == "count":
-        return StatResult(count, count)
-    if kind == "sum":
-        return StatResult(float(np.sum(w * v)), count)
-    if kind == "mean":
-        return StatResult(float(np.sum(w * v) / np.sum(w)), count)
-    if kind == "min":
-        return StatResult(float(np.min(v)), count)
-    if kind == "max":
-        return StatResult(float(np.max(v)), count)
-    if kind == "stdev":
-        mu = np.sum(w * v) / np.sum(w)
-        return StatResult(float(np.sqrt(np.sum(w * (v - mu) ** 2) / np.sum(w))), count)
-    # frequency
-    return StatResult(None, count, category_weights(v, w))
+    counted = w > 0.0
+    count = np.sum(w, axis=1)
+    if stat == "frequency":
+        return [category_weights(vi[c], wi[c]) for vi, wi, c in zip(v, w, counted)], count.tolist()
+    if v.shape[1] == 0:  # min and max have no identity
+        return [None] * len(v), count.tolist()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if stat == "count":
+            out = count
+        elif stat == "min":
+            out = np.min(np.where(counted, v, np.inf), axis=1)
+        elif stat == "max":
+            out = np.max(np.where(counted, v, -np.inf), axis=1)
+        else:
+            # -0.0 leaves any sum as it is: an uncounted cell adds nothing
+            out = np.sum(np.where(counted, w * v, -0.0), axis=1)
+            if stat != "sum":
+                out = out / count
+            if stat == "stdev":
+                dev = np.where(counted, w * (v - out[:, None]) ** 2, -0.0)
+                out = np.sqrt(np.sum(dev, axis=1) / count)
+    count = count.tolist()
+    return [x if n > 0.0 else None for x, n in zip(out.tolist(), count)], count
 
 
 def category_weights(v: np.ndarray, w: np.ndarray) -> dict[float, float]:

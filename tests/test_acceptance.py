@@ -18,7 +18,7 @@ from gridchop.bench import SynthSpec, efficiency, synth_dataset
 from gridchop.cli import EXIT_PARTIAL, main
 from gridchop.dataio import Feature, FeatureSet, write_raster
 from gridchop.executor import RunConfig, TaskSpec, run_grid
-from gridchop.geom import BBox, Point, Polygon, Polyline, bbox_of
+from gridchop.geom import BBox, Point, Polygon, Polyline
 from gridchop.geoops import SedcParams, extract_at, nearest_distance, summarize_aw, summarize_sedc
 from gridchop.partition import (
     GridSpec,
@@ -28,7 +28,7 @@ from gridchop.partition import (
     make_quantile_grid,
     make_regular_grid,
 )
-from gridchop.raster import Raster, covered_cells, window_for_bbox
+from gridchop.raster import Raster, covered_cells
 
 from conftest import polygon_set
 from scalar_reference import make_polygon, polygon_area
@@ -254,8 +254,7 @@ def test_criterion_05_coverage_oracle():
     for poly_i in range(50):
         poly = _random_polygon(rng, convex=(poly_i % 2 == 0))
         ring_pts = [(p.x, p.y) for p in poly.outer.vertices]
-        ((rows, cols, fracs),) = covered_cells(ras, polygon_set([poly]), [0],
-                                               [window_for_bbox(ras, bbox_of(poly))])
+        _, rows, cols, fracs = covered_cells(ras, polygon_set([poly]), 32_000)
         frac = dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
 
         # conservation against the exact polygon area

@@ -330,6 +330,109 @@ class TestRunCommand:
         assert not out.exists()
 
 
+def _polygons(workspace):
+    """Two unit squares in group g, with value column v."""
+    path = workspace / "polys.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": f"q{i}", "grp": "g", "v": i},
+         "geometry": {"type": "Polygon", "coordinates": [[[i, 1], [i + 1, 1], [i + 1, 2],
+                                                          [i, 2], [i, 1]]]}}
+        for i in (2, 5)]}))
+    return str(path)
+
+
+_BAD_PARAMETERS = {  # task, its flags, the message
+    "stat_unknown": ("extract_at", ["--radius", "1", "--stat", "bogus"],
+                     "unknown statistic 'bogus'"),
+    "radius_negative": ("extract_at", ["--radius", "-1"], "radius must be >= 0, got -1.0"),
+    "frequency_continuous": ("extract_at", ["--radius", "1", "--stat", "frequency"],
+                             "frequency statistic requires a categorical raster"),
+    "polygon_radius": ("extract_at", ["--radius", "1"],
+                       "buffered polygon extraction is not supported"),
+    "sedc_bandwidth_zero": ("sedc", ["--bandwidth", "0", "--value-cols", "v"],
+                            "bandwidth must be > 0"),
+    "sedc_maxdist_below_bandwidth": ("sedc", ["--bandwidth", "2", "--maxdist", "1",
+                                              "--value-cols", "v"],
+                                     "maxdist must be >= bandwidth"),
+    "aw_stat_median": ("summarize_aw", ["--value-cols", "v", "--stat", "median"],
+                       "summarize_aw stat must be mean or sum, got 'median'"),
+}
+
+
+class TestParametersCheckedBeforeChunks:
+    """A bad task parameter is one input error found before any chunk runs:
+    exit 3, one message, no table, no chunk run. Each once gave one error
+    row per anchor and exit 4."""
+
+    @pytest.mark.parametrize("case,command", [
+        *((case, "run") for case in sorted(_BAD_PARAMETERS)),
+        *((case, "multiraster") for case in sorted(_BAD_PARAMETERS)
+          if _BAD_PARAMETERS[case][0] == "extract_at"),
+    ])
+    def test_bad_parameter_is_one_input_error(self, workspace, capsys, monkeypatch, case,
+                                              command):
+        import gridchop.executor as executor
+
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+        task, flags, msg = _BAD_PARAMETERS[case]
+        points, polys = str(workspace / "points.csv"), _polygons(workspace)
+        x = {"extract_at": str(workspace / "raster.asc"), "sedc": points,
+             "summarize_aw": polys}[task]
+        y = polys if case in ("polygon_radius", "aw_stat_median") else points
+        if command == "multiraster":
+            context = ["--rasters", x]
+        elif y == polys:
+            context = ["--x", x, "--hierarchy", "grp"]
+        else:
+            context = ["--x", x, "--partition", str(workspace / "parts.json")]
+        out = workspace / "out.csv"
+        rc = main([command, "--task", task, *context, "--y", y, *flags, "--workers", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists() and ran == []
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+    @pytest.mark.parametrize("key,task", [("radius", "extract_at"), ("bandwidth", "sedc"),
+                                          ("maxdist", "sedc")])
+    def test_non_numeric_config_number(self, workspace, capsys, key, task):
+        # a config file may give any JSON value
+        points = str(workspace / "points.csv")
+        doc = {"task": task, "x": str(workspace / "raster.asc") if task == "extract_at" else points,
+               "y": points, "partition": str(workspace / "parts.json"), "bandwidth": 1.0,
+               "value_cols": "v", "out": str(workspace / "out.csv"), key: "wide"}
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        assert not (workspace / "out.csv").exists()
+        assert capsys.readouterr().err == f"error: {key} must be a number, got 'wide'\n"
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in a points CSV or a raster is a load error
+    naming the file, not a UnicodeDecodeError traceback."""
+
+    def test_points_csv(self, workspace, capsys):
+        bad = workspace / "bad.csv"
+        bad.write_bytes(b"id,x,y\na,0,0\nb,1,\xff\n")
+        rc = main(["partition", "--input", str(bad), "--out", str(workspace / "p.json")])
+        assert rc == EXIT_INPUT and not (workspace / "p.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"load error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
+
+    def test_raster(self, workspace, capsys):
+        bad = workspace / "bad.asc"
+        bad.write_bytes((workspace / "raster.asc").read_bytes().replace(b"\n", b"\xff\n", 7))
+        out = workspace / "out.csv"
+        rc = main(["run", "--task", "extract_at", "--x", str(bad),
+                   "--y", str(workspace / "points.csv"),
+                   "--partition", str(workspace / "parts.json"), "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"load error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
+
+
 def _failing_sedc(workspace, out):
     # a non-numeric value column fails every chunk
     lines = (workspace / "points.csv").read_text().splitlines()
@@ -443,10 +546,22 @@ class TestPartitionValidation:
         (set_in_chunk(3, "chunk_id", "x"), '$.chunks[3].chunk_id is not an integer: "x"'),
         (set_in_chunk(3, "chunk_id", 3.7), "$.chunks[3].chunk_id is not an integer: 3.7"),
         (set_in_chunk(1, "chunk_id", True), "$.chunks[1].chunk_id is not an integer: true"),
+        (set_in_chunk(2, "core", "0123"),
+         '$.chunks[2].core is not an array of four numbers: "0123"'),
+        (set_in_chunk(0, "core", [0, False, 10, 5]),
+         "$.chunks[0].core is not an array of four numbers: [0, false, 10, 5]"),
+        (set_in_chunk(0, "core", [0, "0", 10, 5]),
+         '$.chunks[0].core is not an array of four numbers: [0, "0", 10, 5]'),
+        (set_in_chunk(0, "core", [0, 0, 10]),
+         "$.chunks[0].core is not an array of four numbers: [0, 0, 10]"),
+        (set_in_chunk(0, "core", [10, 0, 0, 5]),
+         "$.chunks[0].core: bad bbox: inverted bbox BBox(xmin=10.0, ymin=0.0, xmax=0.0, ymax=5.0)"),
     ], ids=["truncated", "chunks_number", "chunk_number", "member_ids_number",
-            "chunk_id_string", "chunk_id_float", "chunk_id_bool"])
+            "chunk_id_string", "chunk_id_float", "chunk_id_bool", "core_string", "core_bool",
+            "core_numeric_string", "core_three_numbers", "core_inverted"])
     def test_malformed_file_load_error(self, workspace, capsys, text, want):
-        # each once ended in a traceback, or (3.7, true) was read as chunk 3 or 1
+        # each once ended in a traceback, or was read as something else: (3.7,
+        # true) as chunk 3 or 1, a core "0123" as the box (0, 1, 2, 3)
         doc = text(json.loads((workspace / "parts.json").read_text()))
         bad = workspace / "bad_parts.json"
         bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))

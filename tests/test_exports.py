@@ -33,6 +33,15 @@ REMOVED = [
     ("gridchop.partition", "_representative_xy"),
     # one cell rule labels the points of every grid mode
     ("gridchop.partition", "assign_to_partition"),
+    # one reducer, raster.zonal_stats, for buffered points and polygons, and
+    # polygon windows as int arrays (raster.cell_windows)
+    ("gridchop.raster", "StatSpec"),
+    ("gridchop.raster", "StatResult"),
+    ("gridchop.raster", "cell_stat"),
+    ("gridchop.raster", "CellWindow"),
+    ("gridchop.raster", "EMPTY_WINDOW"),
+    ("gridchop.raster", "window_for_bbox"),
+    ("gridchop.geoops", "_buffered_point_stats"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from gridchop.geom import Point, Polyline, bbox_of
+from gridchop.geom import Point, Polyline
 from gridchop.geoops import (
     SedcParams,
     _intersection_areas,
@@ -21,7 +21,7 @@ from gridchop.geoops import (
     summarize_aw,
     summarize_sedc,
 )
-from gridchop.raster import Raster, StatSpec, cell_stat, covered_cells, window_for_bbox
+from gridchop.raster import Raster
 
 import scalar_reference
 from conftest import polygon_set, random_star
@@ -88,19 +88,38 @@ class TestExtractAtPoints:
         assert t.rows[0]["count"] == pytest.approx(area, rel=1e-9)
 
     def test_buffer_stats_vs_direct_zonal(self):
-        # batched buffers equal the polygon path over each buffer polygon
+        # batched buffers equal the polygon path over each buffer polygon,
+        # nodata and raster edges included
         rng = np.random.default_rng(42)
         vals = rng.uniform(0, 10, (30, 30))
+        vals[rng.random((30, 30)) < 0.1] = -9999.0
         r = Raster(30, 30, 0.0, 0.0, 1.0, -9999.0, vals)
-        pts = [(rng.uniform(5, 25), rng.uniform(5, 25)) for _ in range(20)]
-        for stat in ("mean", "sum", "min", "max", "stdev"):
-            t = extract_at(r, points_fs(pts), radius=2.5, stat=stat, segments=16)
-            for i, (x, y) in enumerate(pts):
-                poly = buffer_point(Point(x, y), 2.5, 16)
-                ((rows, cols, w),) = covered_cells(r, polygon_set([poly]), [0],
-                                                    [window_for_bbox(r, bbox_of(poly))])
-                want = cell_stat(r, rows, cols, w, StatSpec(stat)).value
-                assert t.rows[i][stat] == pytest.approx(want, rel=1e-9), stat
+        pts = [(rng.uniform(-1, 31), rng.uniform(-1, 31)) for _ in range(40)]
+        buffers = polygon_set([buffer_point(Point(x, y), 2.5, 16) for x, y in pts])
+        for stat in ("mean", "sum", "count", "min", "max", "stdev"):
+            got = extract_at(r, points_fs(pts), radius=2.5, stat=stat, segments=16).data
+            want = extract_at(r, buffers, stat=stat).data
+            for a, b in zip(got[stat], want[stat]):
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-12) or a is b is None, stat
+            assert got["count"] == pytest.approx(want["count"], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("where", ["inside_buffer", "window_outside_buffer"])
+    def test_nan_cell_same_for_points_and_polygons(self, where):
+        # a covered NaN cell makes the statistic nan for every anchor kind; a
+        # NaN cell in the buffer's window that the buffer misses counts for
+        # nothing
+        vals = np.full((5, 5), 1.0)
+        vals[(2, 2) if where == "inside_buffer" else (0, 0)] = np.nan
+        r = Raster(5, 5, 0.0, 0.0, 1.0, -9999.0, vals)
+        buffer = polygon_set([buffer_point(Point(2.5, 2.5), 2.0, 16)])
+        for stat in ("mean", "sum", "stdev", "min", "max"):
+            point = extract_at(r, points_fs([(2.5, 2.5)]), radius=2.0, stat=stat, segments=16)
+            polygon = extract_at(r, buffer, stat=stat)
+            for t in (point, polygon):
+                (value, count), = zip(t.data[stat], t.data["count"])
+                want = {"sum": count, "stdev": 0.0}.get(stat, 1.0)
+                assert repr(value) == ("nan" if where == "inside_buffer" else repr(want)), stat
+            assert point.data["count"] == pytest.approx(polygon.data["count"], rel=1e-12)
 
     def test_buffered_row_independent_of_batch(self):
         # a point's row is the same bytes alone and among 1000 other points,

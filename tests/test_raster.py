@@ -5,7 +5,6 @@ import pytest
 
 from gridchop import (
     BBox,
-    CellWindow,
     Feature,
     FeatureSet,
     InvalidParameterError,
@@ -13,12 +12,10 @@ from gridchop import (
     Polygon,
     Raster,
     Ring,
-    StatSpec,
     bbox_of,
     extract_at,
-    window_for_bbox,
 )
-from gridchop.raster import cell_areas, cell_stat, covered_cells, ring_edges
+from gridchop.raster import cell_areas, cell_windows, covered_cells, ring_edges, zonal_stats
 
 from conftest import polygon_set, random_star, square, star_polygon
 from scalar_reference import (
@@ -37,18 +34,21 @@ def grid(n=4, values=None, kind="continuous", nodata=-9999.0):
     return Raster(n, n, 0.0, 0.0, 1.0, nodata, values, kind)
 
 
+def window(r, box):
+    """(row0, col0, nrows, ncols) of cell_windows for one box."""
+    return tuple(int(a[0]) for a in cell_windows(r, np.array([[box.xmin, box.ymin,
+                                                                box.xmax, box.ymax]])))
+
+
 def coverage(r, poly):
     """{(row, col): fraction} of the cells poly covers, as extract_at reads them."""
-    ((rows, cols, fracs),) = covered_cells(r, polygon_set([poly]), [0],
-                                           [window_for_bbox(r, bbox_of(poly))])
+    _, rows, cols, fracs = covered_cells(r, polygon_set([poly]), 32_000)
     return dict(zip(zip(rows.tolist(), cols.tolist()), fracs.tolist()))
 
 
 def zonal(r, poly, kind):
-    """The statistic of kind over the cells poly covers."""
-    ((rows, cols, w),) = covered_cells(r, polygon_set([poly]), [0],
-                                       [window_for_bbox(r, bbox_of(poly))])
-    return cell_stat(r, rows, cols, w, StatSpec(kind))
+    """extract_at's row for poly: the statistic of kind over the cells it covers."""
+    return extract_at(r, polygon_set([poly]), stat=kind).rows[0]
 
 
 def value_at(r, x, y):
@@ -164,11 +164,10 @@ def test_kernel_matches_scalar_clipper(case, nprng):
     ras = Raster(10, 12, 3.0, 0.5, 0.25, -9999.0, np.zeros((12, 10)))
     for poly in KERNEL_CASES[case](nprng):
         # the whole raster, and the polygon's own window as covered_cells uses
-        win = window_for_bbox(ras, bbox_of(poly))
-        for window in ((3.0, 3.5, 12, 10),
-                       (3.0 + win.col0 * 0.25, 3.5 - win.row0 * 0.25, win.nrows_w, win.ncols_w)):
-            got = kernel_cells(poly, *window[:2], 0.25, *window[2:])
-            want = scalar_clip_cells(poly, *window[:2], 0.25, *window[2:])
+        row0, col0, nrows, ncols = window(ras, bbox_of(poly))
+        for win in ((3.0, 3.5, 12, 10), (3.0 + col0 * 0.25, 3.5 - row0 * 0.25, nrows, ncols)):
+            got = kernel_cells(poly, *win[:2], 0.25, *win[2:])
+            want = scalar_clip_cells(poly, *win[:2], 0.25, *win[2:])
             assert np.max(np.abs(got - want)) <= 1e-12
             # a cell the ring misses reads exactly 0, or zonal min/max and
             # frequency would pick it up
@@ -197,12 +196,12 @@ def test_padded_windows_match_single_windows(nprng):
         polys.append(make_polygon([random_star(nprng, cx, cy, nprng.uniform(0.2, 4.0),
                                                nprng.integers(5, 40))]))
     polys.append(square(30.0, 30.0, 1.0))  # outside the raster
-    wins = [window_for_bbox(ras, bbox_of(p)) for p in polys]
-    assert len({(w.nrows_w, w.ncols_w) for w in wins}) > 10
-    batch = covered_cells(ras, polygon_set(polys), np.arange(len(polys)), wins)
-    for poly, win, cells in zip(polys, wins, batch):
-        (alone,) = covered_cells(ras, polygon_set([poly]), [0], [win])
-        for got, want in zip(cells, alone):
+    assert len({window(ras, bbox_of(p))[2:] for p in polys}) > 10
+    owner, *batch = covered_cells(ras, polygon_set(polys), 32_000)
+    for k, poly in enumerate(polys):
+        _, *alone = covered_cells(ras, polygon_set([poly]), 32_000)
+        for got, want in zip(batch, alone):
+            got = got[owner == k]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -245,15 +244,25 @@ def test_kernel_clip_cases(case, nprng):
 class TestWindowForBBox:
     def test_full_extent(self):
         r = grid()
-        assert window_for_bbox(r, r.extent()) == CellWindow(0, 0, 4, 4)
+        assert window(r, r.extent()) == (0, 0, 4, 4)
 
     def test_inside_one_cell(self):
         r = grid()
-        assert window_for_bbox(r, BBox(1.2, 1.2, 1.8, 1.8)) == CellWindow(2, 1, 1, 1)
+        assert window(r, BBox(1.2, 1.2, 1.8, 1.8)) == (2, 1, 1, 1)
 
     def test_disjoint(self):
         r = grid()
-        assert window_for_bbox(r, BBox(10, 10, 11, 11)).empty
+        assert window(r, BBox(10, 10, 11, 11)) == (0, 0, 0, 0)
+        assert window(r, BBox(-3, -3, -1, -1)) == (0, 0, 0, 0)
+
+    def test_clamped_and_far_boxes(self):
+        # one array call: windows clamped on every side, and boxes too far
+        # off for an int cast of their cell index
+        r = grid()
+        boxes = np.array([[-2.5, 1.5, 1.5, 9.0], [2.5, -1.0, 7.0, 0.5],
+                          [-1e300, -1e300, 1e300, 1e300], [1e300, 0.0, 2e300, 1.0]])
+        assert [tuple(w) for w in np.stack(cell_windows(r, boxes), 1).tolist()] == [
+            (0, 0, 3, 2), (3, 2, 1, 2), (0, 0, 4, 4), (0, 0, 0, 0)]
 
 
 class TestCoverageFractions:
@@ -307,49 +316,107 @@ class TestCoverageFractions:
 class TestZonalStat:
     def test_constant_mean(self):
         r = grid(4, np.full((4, 4), 5.0))
-        assert zonal(r, square(0, 0, 4.0), "mean").value == 5.0
+        assert zonal(r, square(0, 0, 4.0), "mean")["mean"] == 5.0
 
     def test_plain_average(self):
         r = grid(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
         res = zonal(r, square(0, 0, 2.0), "mean")
-        assert res.value == 2.5
-        assert res.count == 4.0
+        assert res["mean"] == 2.5
+        assert res["count"] == 4.0
 
     def test_frequency(self):
         r = grid(2, np.array([[7.0, 7.0], [7.0, 9.0]]), kind="categorical")
         res = zonal(r, square(0, 0, 2.0), "frequency")
-        assert res.frequency == {7.0: 3.0, 9.0: 1.0}
-        assert sum(res.frequency.values()) == res.count
+        assert res == {"id": "g0", "freq_7": 3.0, "freq_9": 1.0, "count": 4.0}
 
     def test_nodata_excluded(self):
         vals = np.array([[1.0, -9999.0], [3.0, 5.0]])
         res = zonal(grid(2, vals), square(0, 0, 2.0), "mean")
-        assert res.value == pytest.approx(3.0)
-        assert res.count == 3.0
+        assert res["mean"] == pytest.approx(3.0)
+        assert res["count"] == 3.0
 
     def test_all_nodata_null(self):
         r = grid(2, np.full((2, 2), -9999.0))
         res = zonal(r, square(0, 0, 2.0), "mean")
-        assert res.value is None
-        assert res.count == 0.0
+        assert res["mean"] is None
+        assert res["count"] == 0.0
 
     def test_stdev_population(self):
         r = grid(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
         res = zonal(r, square(0, 0, 2.0), "stdev")
-        assert res.value == pytest.approx(math.sqrt(1.25))
+        assert res["stdev"] == pytest.approx(math.sqrt(1.25))
 
     def test_min_max_and_mean_bounds(self, rng):
         r = grid(6, np.array([[rng.uniform(0, 10) for _ in range(6)] for _ in range(6)]))
         poly = star_polygon(3.0, 3.0, 2.5, 1.0)
-        lo = zonal(r, poly, "min").value
-        hi = zonal(r, poly, "max").value
-        mu = zonal(r, poly, "mean").value
+        lo = zonal(r, poly, "min")["min"]
+        hi = zonal(r, poly, "max")["max"]
+        mu = zonal(r, poly, "mean")["mean"]
         assert lo <= mu <= hi
 
     def test_frequency_requires_categorical(self):
         polys = FeatureSet([Feature("a", square(0, 0, 2.0))])
         with pytest.raises(InvalidParameterError):
             extract_at(grid(2), polys, stat="frequency")
+
+
+STATS = ("mean", "sum", "count", "min", "max", "stdev")
+
+
+class TestZonalStatsReducer:
+    """raster.zonal_stats, the one reducer of buffered points and polygons."""
+
+    def test_uncounted_cells_add_nothing(self):
+        # a cell of weight 0 counts for nothing, whatever its value
+        v = np.array([[2.0, np.nan, 4.0, np.inf, 1.0, -np.inf]])
+        w = np.array([[0.5, 0.0, 1.0, 0.0, 0.25, 0.0]])
+        for stat in (*STATS, "frequency"):
+            got = zonal_stats(v, w, stat)
+            want = zonal_stats(v[:, [0, 2, 4]], w[:, [0, 2, 4]], stat)
+            assert repr(got) == repr(want), stat
+        assert zonal_stats(v, w, "mean") == ([(1.0 + 4.0 + 0.25) / 1.75], [1.75])
+
+    def test_counted_nan_is_nan(self):
+        v = np.array([[1.0, np.nan, 3.0]])
+        w = np.ones((1, 3))
+        for stat in ("mean", "sum", "stdev", "min", "max"):
+            (value,), _ = zonal_stats(v, w, stat)
+            assert math.isnan(value), stat
+        assert repr(zonal_stats(v, w, "frequency")) == "([{1.0: 1.0, 3.0: 1.0, nan: 1.0}], [3.0])"
+
+    @pytest.mark.parametrize("cells", [0, 3])
+    def test_row_without_counted_cell(self, cells):
+        # zero cells, or only weight-0 cells: None (no identity for min and
+        # max), {} for frequency, count 0.0
+        v, w = np.full((2, cells), 5.0), np.zeros((2, cells))
+        for stat in STATS:
+            assert zonal_stats(v, w, stat) == ([None, None], [0.0, 0.0]), stat
+        assert zonal_stats(v, w, "frequency") == ([{}, {}], [0.0, 0.0])
+
+    def test_rows_are_independent(self, nprng):
+        v = nprng.uniform(-5, 5, (7, 40))
+        w = np.where(nprng.random((7, 40)) < 0.3, 0.0, nprng.random((7, 40)))
+        for stat in (*STATS, "frequency"):
+            together = zonal_stats(v, w, stat)
+            for i in range(7):
+                alone = zonal_stats(v[i : i + 1], w[i : i + 1], stat)
+                assert repr((together[0][i], together[1][i])) == repr((alone[0][0], alone[1][0]))
+
+
+def test_numpy_row_reduction_has_1d_bits():
+    # the polygon path reduces each polygon as one (1, m) row and keeps the
+    # bytes of the 1-D reductions it replaced only while NumPy's axis-1 sum,
+    # min and max of a (1, m) row have the bits of the 1-D ones, signed
+    # zeros included
+    rng = np.random.default_rng(299)
+    for n in [*range(1, 300), 513, 1000, 4097]:
+        mixed = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
+        signed = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        for a in (mixed, signed, zeros):
+            for reduce in (np.sum, np.min, np.max):
+                got, want = reduce(a[None], axis=1)[0], reduce(a)
+                assert got.tobytes() == want.tobytes(), (reduce.__name__, n, got, want)
 
 
 class TestValueAtPoint:
