@@ -172,7 +172,10 @@ def _raster_paths(args) -> list[str]:
         paths = [p for p in args.rasters.split(",") if p]
     elif args.raster_list:
         with open(args.raster_list) as fh:
-            paths = [line.strip() for line in fh if line.strip()]
+            try:
+                paths = [line.strip() for line in fh if line.strip()]
+            except UnicodeDecodeError as e:
+                raise LoadError(f"{args.raster_list}: not valid UTF-8: {e}")
     if not paths:
         raise UsageError("need --rasters or --raster-list")
     return paths

@@ -167,19 +167,6 @@ class FeatureSet:
         present = np.bincount(self.kinds, minlength=len(KINDS)) > 0
         return "+".join(kind for kind, here in zip(KINDS, present.tolist()) if here)
 
-    def floats(self, column: str, rows: list[int] | None = None) -> np.ndarray:
-        """float() of each value of an attribute column (of `rows` only, if
-        given); the first bad value raises float()'s error. The ops find a
-        column some feature lacks first, with geoops.check_inputs."""
-        values = self.attributes.get(column)
-        if values is None:
-            if len(self) if rows is None else len(rows):
-                raise KeyError(column)
-            return np.zeros(0)
-        if rows is not None:
-            values = [values[i] for i in rows]
-        return np.fromiter(map(float, values), np.float64, len(values))
-
     def gather(self, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """coords, part offsets and feature offsets of the features at
         `indices`, in that order: one ragged gather of parts, then of vertices."""
@@ -220,21 +207,20 @@ class FeatureSet:
                 self._bounds = np.concatenate([lo, hi], axis=1)
         return self._bounds
 
-    def segments(self) -> tuple[np.ndarray, list[str]]:
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
         """(S, 4) x0, y0, x1, y1 of every segment of points and lines, and the
-        id of each one's feature, cached on first use: a chunk that falls back
-        to the whole context reuses them. A point is one zero-length segment,
-        a line one segment per pair of consecutive vertices."""
+        index of each one's feature, cached on first use: a chunk that falls
+        back to the whole context reuses them. A point is one zero-length
+        segment, a line one segment per pair of consecutive vertices."""
         if self._segments is None:
             starts, nverts = self.part_offsets[:-1], np.diff(self.part_offsets)
             nsegs = np.maximum(nverts - 1, 1)
             a, _ = ragged_runs(starts, nsegs)
             b = a + np.repeat(nverts > 1, nsegs)
             part_owner = np.repeat(np.arange(len(self)), np.diff(self.feature_offsets))
-            owners = np.repeat(part_owner, nsegs).tolist()
             self._segments = (
                 np.concatenate([self.coords[a], self.coords[b]], axis=1),
-                [self._ids[i] for i in owners],
+                np.repeat(part_owner, nsegs),
             )
         return self._segments
 

@@ -8,7 +8,9 @@ non-empty nearest context), resolves each job's member ids to anchor
 indices once, and checks that grid and hierarchy jobs own each anchor
 exactly once, all before any chunk runs. Those jobs share one context
 dataset that each job clips around its own anchors, so merged results never
-need deduplication and each row is the row of an unpartitioned run.
+need deduplication and each row is the row of an unpartitioned run. A
+chunk's table holds the op's value columns only, one row per anchor; the
+merge attaches each row's anchor id, chunk id and extra columns.
 
 At more than one worker the jobs are split into one batch per worker,
 largest first by anchor count (Graham's LPT rule), and one worker process is
@@ -102,11 +104,10 @@ class _Run:
     task: TaskSpec
     anchors: FeatureSet
     context: Raster | FeatureSet | None
-    id_column: str
     raster_kind: str
 
 
-def _apply_op(task: TaskSpec, x, y, id_column: str) -> ResultTable:
+def _apply_op(task: TaskSpec, x, y) -> ResultTable:
     p = task.params
     if task.op == "extract_at":
         return geoops.extract_at(
@@ -114,16 +115,13 @@ def _apply_op(task: TaskSpec, x, y, id_column: str) -> ResultTable:
             y,
             radius=float(p.get("radius", 0.0)),
             stat=p.get("stat", "mean"),
-            id_column=id_column,
             segments=int(p.get("segments", 64)),
         )
     if task.op == "summarize_aw":
-        return geoops.summarize_aw(
-            y, x, list(p["value_columns"]), stat=p.get("stat", "mean"), id_column=id_column
-        )
+        return geoops.summarize_aw(y, x, list(p["value_columns"]), stat=p.get("stat", "mean"))
     if task.op == "summarize_sedc":
-        return geoops.summarize_sedc(y, x, geoops.sedc_params(p), id_column=id_column)
-    return geoops.nearest_distance(y, x, id_column=id_column)
+        return geoops.summarize_sedc(y, x, geoops.sedc_params(p))
+    return geoops.nearest_distance(y, x)
 
 
 def interaction_radius(task: TaskSpec) -> float | None:
@@ -146,31 +144,38 @@ def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
     return fs.subset(np.nonzero(keep)[0])
 
 
-def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_column: str):
+def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet):
     """The op over the context clipped to the anchors' bbox expanded by the
     op's radius, so each row is the row of an unclipped run. nearest_distance
     has none: it clips to the bbox expanded by half its larger side, then
     recomputes against the whole context every row (all of them if the clip
     is empty) not strictly nearer than the box's edge, beyond which any
-    feature is at least that far."""
+    feature is at least that far.
+
+    The op's own distances round, and so do the box's sums, each by an ulp
+    or so of the numbers involved; the box is widened, and the edge pulled
+    in, by a margin of several ulps of the largest of them, so the clip
+    holds every feature the op could admit or find nearest."""
     radius = interaction_radius(task)
     if not len(anchors):  # no box: an empty clip, which nearest_distance widens to all
         clipped = context if radius is None else context.subset([])
-        return _apply_op(task, clipped, anchors, id_column)
+        return _apply_op(task, clipped, anchors)
     b = anchors.bounds()
-    box = BBox(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist())
-    box = box.expand(0.5 * max(box.width, box.height) if radius is None else radius)
+    lo, hi = b[:, :2].min(axis=0), b[:, 2:].max(axis=0)
+    reach = 0.5 * float((hi - lo).max()) if radius is None else radius
+    margin = 8 * np.finfo(float).eps * (float(np.abs(b).max()) + reach)
+    box = BBox(*lo.tolist(), *hi.tolist()).expand(reach + margin)
     clipped = _subset_by_bbox(context, box)
     if radius is not None:
-        return _apply_op(task, clipped, anchors, id_column)
+        return _apply_op(task, clipped, anchors)
     if len(clipped) == 0:
-        return _apply_op(task, context, anchors, id_column)
-    table = _apply_op(task, clipped, anchors, id_column)
+        return _apply_op(task, context, anchors)
+    table = _apply_op(task, clipped, anchors)
     x, y = anchors.coords.T
-    edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y])
+    edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y]) - margin
     redo = np.nonzero(~(np.array(table.data["distance"]) < edge))[0]
     if redo.size:
-        again = _apply_op(task, context, anchors.subset(redo), id_column)
+        again = _apply_op(task, context, anchors.subset(redo))
         for name, column in table.data.items():
             for i, value in zip(redo.tolist(), again.data[name]):
                 column[i] = value
@@ -178,6 +183,7 @@ def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet, id_
 
 
 def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
+    """The op's table over the job's anchors: one row per anchor, or an error."""
     run, job = chunk
     try:
         anchors = run.anchors.subset(job.rows)
@@ -185,9 +191,13 @@ def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
         if job.context is not None:
             context = load_raster(job.context, kind=run.raster_kind)
         if isinstance(context, FeatureSet):
-            table = _apply_clipped(run.task, context, anchors, run.id_column)
+            table = _apply_clipped(run.task, context, anchors)
         else:
-            table = _apply_op(run.task, context, anchors, run.id_column)
+            table = _apply_op(run.task, context, anchors)
+        for name, column in table.data.items():
+            if len(column) != len(anchors):
+                raise GridchopError(f"column {name!r} has {len(column)} rows for "
+                                    f"{len(anchors)} anchors")
         return ChunkResult(job.chunk_id, table)
     except Exception:
         return ChunkResult(job.chunk_id, error=traceback.format_exc(limit=4))
@@ -263,17 +273,20 @@ def _execute(run: _Run, jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
 def merge_chunks(
     chunks: list[ChunkResult],
     id_column: str,
-    anchor_ids_by_chunk: dict[int, list[str]] | None = None,
+    anchor_ids_by_chunk: dict[int, list[str]],
     extra_by_chunk: dict[int, dict] | None = None,
 ) -> ResultTable:
     """Concatenate chunk tables column by column, sorted by chunk_id.
 
-    Every row gets its chunk_id and its chunk's extra columns, which win over
-    op columns of the same name. Value columns come in first-seen order; with
+    A chunk's table holds value columns only, one row per anchor id of its
+    chunk in anchor_ids_by_chunk, in that order. Every row gets its anchor
+    id, its chunk_id and its chunk's extra columns, which win over value
+    columns of the same name. Value columns come in first-seen order; with
     frequency columns, the sorted freq_* columns come first, then the other
     value columns, then count. A successful chunk's rows read 0.0 in the
     frequency columns they lack; any other missing field is None. A failed
-    chunk gives one error row per anchor id.
+    chunk gives one error row per anchor id. An id column named like any
+    other column raises InvalidParameterError.
     """
     seen = set()
     for c in chunks:
@@ -281,36 +294,32 @@ def merge_chunks(
             raise InvalidParameterError(f"duplicate chunk_id {c.chunk_id}")
         seen.add(c.chunk_id)
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    anchor_ids_by_chunk = anchor_ids_by_chunk or {}
     extra_by_chunk = extra_by_chunk or {}
     tags = ["chunk_id", *dict.fromkeys(k for extra in extra_by_chunk.values() for k in extra)]
     values = list(dict.fromkeys(
-        col for c in ordered if c.table is not None for col in c.table.data
-        if col != id_column and col not in tags
+        col for c in ordered if c.table is not None for col in c.table.data if col not in tags
     ))
     freq = sorted((col for col in values if col.startswith("freq_")), key=geoops.freq_sort_key)
     if freq:
         rest = [col for col in values if not col.startswith("freq_") and col != "count"]
         values = freq + rest + (["count"] if "count" in values else [])
-    data: dict[str, list] = {col: [] for col in [id_column, *tags, *values]}
     if any(c.error is not None for c in ordered):
-        data["error"] = []
+        values.append("error")
+    if id_column in tags or id_column in values:
+        raise InvalidParameterError(f"id column {id_column!r} is also an output column")
+    data: dict[str, list] = {col: [] for col in [id_column, *tags, *values]}
     zero = dict.fromkeys(freq, 0.0)
     for c in ordered:
+        ids = anchor_ids_by_chunk[c.chunk_id]
+        n = len(ids)
         if c.error is not None:
-            ids = anchor_ids_by_chunk.get(c.chunk_id, [""])
-            got, fill = {id_column: ids, "error": [_last_line(c.error)] * len(ids)}, {}
+            got, fill = {"error": [_last_line(c.error)] * n}, {}
         else:
             got, fill = (c.table.data if c.table is not None else {}), zero
-        n = len(next(iter(got.values()), ()))
         own = {"chunk_id": c.chunk_id, **extra_by_chunk.get(c.chunk_id, {})}
+        got = {**got, id_column: ids, **{col: [value] * n for col, value in own.items()}}
         for col, out in data.items():
-            if col in own:
-                out += [own[col]] * n
-            elif col in got:
-                out += got[col]
-            else:
-                out += [fill.get(col)] * n
+            out += got[col] if col in got else [fill.get(col)] * n
     return ResultTable(data)
 
 
@@ -377,8 +386,7 @@ def _run(
         # build the bbox caches pre-fork, workers share them
         anchors.bounds()
         context.bounds()
-    results = _execute(_Run(task, anchors, context, id_column, raster_kind), jobs,
-                       cfg or RunConfig())
+    results = _execute(_Run(task, anchors, context, raster_kind), jobs, cfg or RunConfig())
     return merge_chunks(
         results,
         id_column,

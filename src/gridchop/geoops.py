@@ -1,9 +1,9 @@
 """User-facing geospatial summarizers parallelized by the executor.
 
 All four operations are pure functions from immutable inputs to a
-ResultTable, built column by column, and compute each output row
-independently of the others, which is what makes chunked execution
-value-exact.
+ResultTable of value columns only, one row per anchor in anchor order (the
+executor attaches ids at merge), and compute each output row independently
+of the others, which is what makes chunked execution value-exact.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ OP_KINDS = {
 
 def check_inputs(
     op: str, y: FeatureSet, x=None, params: dict | None = None, raster_kind: str = "continuous"
-) -> str:
-    """The geometry kind of the anchors y, once every check below holds:
+) -> tuple[str, dict[str, np.ndarray]]:
+    """The geometry kind of the anchors y and float() of each value column
+    of a FeatureSet context x, as one float64 array per column, once every
+    check below holds:
     - params, as in a TaskSpec, suit `op`: an extract_at stat of STAT_KINDS,
       a radius >= 0, frequency only on a categorical raster (x's kind where
       x is a Raster, else raster_kind) and no radius on polygons; a
@@ -128,9 +130,9 @@ def check_inputs(
       summarize_sedc. A failure raises InvalidParameterError;
     - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
     - a nearest_distance context x has a feature;
-    - every feature of a non-empty context x has each value column.
-    Each input failure raises InvalidInputError. Values are not read:
-    float() of a bad one fails in the op."""
+    - every feature of a non-empty context x has each value column, and
+      float() takes each of its values.
+    Each input failure raises InvalidInputError."""
     p = params or {}
     stat, radius = p.get("stat", "mean"), _number(p, "radius", 0.0)
     if op == "extract_at":
@@ -153,21 +155,29 @@ def check_inputs(
     if op == "extract_at" and kind == "polygon" and radius > 0:
         raise InvalidParameterError("buffered polygon extraction is not supported")
     if not isinstance(x, FeatureSet):
-        return kind
+        return kind, {}
     if x_kinds is not None:
         _check_kind(x.geometry_kind(), op, x_kinds)
+    columns = dict.fromkeys(p.get("value_columns", ()))
     if len(x) == 0:
         if op == "nearest_distance":
             raise InvalidInputError("nearest_distance requires a non-empty context dataset")
-        return kind
-    for c in p.get("value_columns", ()):
+        return kind, {c: np.zeros(0) for c in columns}
+    for c in columns:
         values = x.attributes.get(c)
         if values is None:
             raise InvalidInputError(f"{op}: no context feature has value column {c!r}")
         if MISSING in values:
             fid = x.ids()[values.index(MISSING)]
             raise InvalidInputError(f"{op}: context feature {fid!r} lacks value column {c!r}")
-    return kind
+        rest = iter(values)
+        try:
+            columns[c] = np.fromiter(map(float, rest), np.float64, len(values))
+        except (TypeError, ValueError):
+            i = len(values) - len(list(rest)) - 1  # the value float() rejected was the last taken
+            raise InvalidInputError(f"{op}: context feature {x.ids()[i]!r} has value "
+                                    f"{values[i]!r} in column {c!r}, not a number")
+    return kind, columns
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +228,6 @@ def extract_at(
     y: FeatureSet,
     radius: float = 0.0,
     stat: str = "mean",
-    id_column: str = "id",
     segments: int = 64,
 ) -> ResultTable:
     """Zonal statistics of raster x at features y (points or polygons).
@@ -229,13 +238,12 @@ def extract_at(
     one at a time over the valid cells they cover; buffered polygons and
     line inputs are rejected.
     """
-    kind = check_inputs("extract_at", y, x, {"radius": radius, "stat": stat})
-    ids = list(y.ids())
+    kind, _ = check_inputs("extract_at", y, x, {"radius": radius, "stat": stat})
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat == "count" else [stat]
     if kind == "empty":
         cols = ["value"] if radius == 0 else value_cols
-        return ResultTable({id_column: [], **{c: [] for c in cols}, "count": []})
+        return ResultTable({**{c: [] for c in cols}, "count": []})
 
     if kind == "point" and radius == 0:
         px, py = _point_arrays(y)
@@ -246,7 +254,7 @@ def extract_at(
         vals = x.values[np.clip(row, 0, x.nrows - 1), np.clip(col, 0, x.ncols - 1)]
         ok = inb & (vals != x.nodata)  # a NaN cell is a value
         value = [v if k else None for v, k in zip(vals.tolist(), ok.tolist())]
-        return ResultTable({id_column: ids, "value": value, "count": ok.astype(float).tolist()})
+        return ResultTable({"value": value, "count": ok.astype(float).tolist()})
 
     if kind == "point":
         batches = _buffer_cells(x, *_point_arrays(y), radius, segments)
@@ -255,7 +263,7 @@ def extract_at(
         v = x.values[rows, cols]
         valid = v != x.nodata
         v, w = v[valid], w[valid]
-        ends = np.cumsum(np.bincount(owner[valid], minlength=len(ids))).tolist()
+        ends = np.cumsum(np.bincount(owner[valid], minlength=len(y))).tolist()
         batches = ((v[None, a:b], w[None, a:b]) for a, b in zip([0, *ends], ends))
     values, counts = [], []
     for cell_values, weights in batches:
@@ -263,7 +271,7 @@ def extract_at(
         values += got
         counts += count
     columns = _freq_columns(values) if stat == "frequency" else {c: values for c in value_cols}
-    return ResultTable({id_column: ids, **columns, "count": counts})
+    return ResultTable({**columns, "count": counts})
 
 
 # --- polygon/polygon intersection via trapezoid decomposition -----------
@@ -416,7 +424,6 @@ def summarize_aw(
     sources: FeatureSet,
     value_columns: list[str],
     stat: str = "mean",
-    id_column: str = "id",
 ) -> ResultTable:
     """Area-weighted polygon-to-polygon transfer.
 
@@ -424,13 +431,12 @@ def summarize_aw(
     Means are normalized by intersected area; the coverage column reports
     sum_i a_ij / area(target_j). Targets intersecting nothing yield null rows.
     """
-    check_inputs("summarize_aw", targets, sources, {"value_columns": value_columns, "stat": stat})
+    _, svals = check_inputs("summarize_aw", targets, sources,
+                            {"value_columns": value_columns, "stat": stat})
     # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
-    value_columns = list(dict.fromkeys(value_columns))  # one column each
-    out = {id_column: list(targets.ids()), **{f"{c}_{stat}": [] for c in value_columns},
-           "coverage": []}
+    out = {**{f"{c}_{stat}": [] for c in svals}, "coverage": []}
     block = max(1, _PAIR_ELEMS // max(1, len(sources)))
     for lo in range(0, len(targets), block):
         t = tb[lo : lo + block, None, :]
@@ -451,9 +457,8 @@ def summarize_aw(
         inter = np.bincount(ti, weights=aij, minlength=len(t)).tolist()
         if stat == "sum":
             aij = aij / sarea[si]
-        for c in value_columns:
-            weights = aij * sources.floats(c, si.tolist())
-            num = np.bincount(ti, minlength=len(t), weights=weights).tolist()
+        for c, v in svals.items():
+            num = np.bincount(ti, minlength=len(t), weights=aij * v[si]).tolist()
             out[f"{c}_{stat}"] += [
                 (n / total if stat == "mean" else n) if total > 0.0 else None
                 for n, total in zip(num, inter)
@@ -467,16 +472,12 @@ def summarize_sedc(
     targets: FeatureSet,
     sources: FeatureSet,
     params: SedcParams,
-    id_column: str = "id",
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    check_inputs("summarize_sedc", targets, sources, vars(params))
-    value_columns = list(dict.fromkeys(params.value_columns))  # one column each
+    _, svals = check_inputs("summarize_sedc", targets, sources, vars(params))
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
-    svals = {c: sources.floats(c) for c in value_columns}
-    out = {id_column: list(targets.ids()), **{f"{c}_sedc": [] for c in value_columns},
-           "count": []}
+    out = {**{f"{c}_sedc": [] for c in svals}, "count": []}
     block = max(1, _PAIR_ELEMS // max(1, len(sources)))
     for lo in range(0, len(targets), block):
         d = np.sqrt((sx - tx[lo : lo + block, None]) ** 2 + (sy - ty[lo : lo + block, None]) ** 2)
@@ -486,8 +487,8 @@ def summarize_sedc(
         counts = np.bincount(ti, minlength=len(d))
         ends = np.cumsum(counts).tolist()
         slices = list(zip([0, *ends], ends))
-        for c in value_columns:
-            t = svals[c][si] * w
+        for c, v in svals.items():
+            t = v[si] * w
             # the sum of the target's own slice has the same bits as the sum
             # of its terms alone (np.add.reduceat rounds differently)
             out[f"{c}_sedc"] += [float(t[a:b].sum()) if b > a else 0.0 for a, b in slices]
@@ -495,14 +496,11 @@ def summarize_sedc(
     return ResultTable(out)
 
 
-def nearest_distance(
-    y: FeatureSet,
-    x: FeatureSet,
-    id_column: str = "id",
-) -> ResultTable:
+def nearest_distance(y: FeatureSet, x: FeatureSet) -> ResultTable:
     """Distance from each y point to the closest x feature (points or lines)."""
     check_inputs("nearest_distance", y, x)
     segs, owners = x.segments()
+    ids = x.ids()
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax
     dy = by - ay
@@ -521,7 +519,5 @@ def nearest_distance(
             d = np.sqrt((bx - cx) ** 2 + (by - cy) ** 2)
             nearest = np.argmin(d, axis=1)
             distance += d[np.arange(len(d)), nearest].tolist()
-            nearest_id += [owners[j] for j in nearest.tolist()]
-    return ResultTable(
-        {id_column: list(y.ids()), "distance": distance, "nearest_feature_id": nearest_id}
-    )
+            nearest_id += [ids[j] for j in owners[nearest].tolist()]
+    return ResultTable({"distance": distance, "nearest_feature_id": nearest_id})

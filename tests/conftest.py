@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridchop import Feature, FeatureSet, Point, Polygon, Ring
+from gridchop import Feature, FeatureSet, Point, Polygon, Ring, ResultTable, executor
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -15,6 +15,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def with_ids(table: ResultTable, anchors: FeatureSet) -> ResultTable:
+    """An op's table with its anchors' ids as the first column, "id", as a
+    run attaches them at merge."""
+    return ResultTable({"id": anchors.ids(), **table.data})
+
+
+def poison_chunks(monkeypatch, anchor_id=None):
+    """Make every chunk whose anchors hold anchor_id (every chunk, if None)
+    fail in its op as float("bad") does. A forked worker inherits the patch."""
+    original = executor._apply_clipped
+
+    def poisoned(task, context, anchors):
+        if anchor_id is None or anchor_id in anchors.ids():
+            float("bad")
+        return original(task, context, anchors)
+
+    monkeypatch.setattr(executor, "_apply_clipped", poisoned)
 
 
 def polygon_set(polys) -> FeatureSet:

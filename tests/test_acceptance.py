@@ -30,7 +30,7 @@ from gridchop.partition import (
 )
 from gridchop.raster import Raster, covered_cells
 
-from conftest import polygon_set
+from conftest import poison_chunks, polygon_set, with_ids
 from scalar_reference import make_polygon, polygon_area
 
 
@@ -201,7 +201,7 @@ def test_criterion_04_sequential_equivalence():
         parts = build_partition(GridSpec(mode, **spec_kwargs), pts)
         merged = run_grid(task, parts, RunConfig(workers=2))
         got = table_by_id(merged)
-        want = table_by_id(direct)
+        want = table_by_id(with_ids(direct, pts))
         assert got == want, f"config {cfg_i} ({op}, {mode}): partitioned != sequential"
         checked[op] += 1
     elapsed = time.perf_counter() - t0
@@ -460,11 +460,11 @@ def test_criterion_07_speedup_smoke():
 
 
 @criterion(8, "fault isolation")
-def test_criterion_08_fault_isolation(tmp_path):
-    # library level: the chunk holding the poisoned source errors, the rest
+def test_criterion_08_fault_isolation(tmp_path, monkeypatch):
+    # library level: the chunk holding the poisoned anchor errors, the rest
     # of the rows match a clean run exactly
     pts = points_fs([(1.0, 1.0), (9.0, 2.0), (1.5, 8.5)])
-    good_sources = FeatureSet(
+    sources = FeatureSet(
         [
             Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
             Feature("s1", Point(9.0, 2.0), {"v": 2.0}),
@@ -472,20 +472,11 @@ def test_criterion_08_fault_isolation(tmp_path):
         ],
         ["v"],
     )
-    bad_sources = FeatureSet(
-        [
-            Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
-            Feature("s1", Point(9.0, 2.0), {"v": "bad"}),  # poison: non-numeric value
-            Feature("s2", Point(1.5, 8.5), {"v": 3.0}),
-        ],
-        ["v"],
-    )
     parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
-    params = {"bandwidth": 1.0, "value_columns": ["v"]}
-    clean = run_grid(TaskSpec("summarize_sedc", good_sources, pts, params), parts,
-                     RunConfig(workers=2))
-    mixed = run_grid(TaskSpec("summarize_sedc", bad_sources, pts, params), parts,
-                     RunConfig(workers=2, capture_errors=True))
+    task = TaskSpec("summarize_sedc", sources, pts, {"bandwidth": 1.0, "value_columns": ["v"]})
+    clean = run_grid(task, parts, RunConfig(workers=2))
+    poison_chunks(monkeypatch, "p1")
+    mixed = run_grid(task, parts, RunConfig(workers=2, capture_errors=True))
     assert mixed.had_errors
     bad_ids = {r["id"] for r in mixed.rows if r.get("error")}
     assert bad_ids == {"p1"}, f"errors leaked beyond the failing chunk: {bad_ids}"

@@ -410,8 +410,8 @@ class TestParametersCheckedBeforeChunks:
 
 
 class TestNotUtf8:
-    """A byte that is not UTF-8 in a points CSV or a raster is a load error
-    naming the file, not a UnicodeDecodeError traceback."""
+    """A byte that is not UTF-8 in a points CSV, a raster or a raster list is
+    a load error naming the file, not a UnicodeDecodeError traceback."""
 
     def test_points_csv(self, workspace, capsys):
         bad = workspace / "bad.csv"
@@ -433,15 +433,68 @@ class TestNotUtf8:
         assert err.startswith(f"load error: {bad}: not valid UTF-8: ") and err.count("\n") == 1
 
 
-def _failing_sedc(workspace, out):
-    # a non-numeric value column fails every chunk
-    lines = (workspace / "points.csv").read_text().splitlines()
-    sources = workspace / "text_values.csv"
-    sources.write_text("\n".join([lines[0] + ",w", *(line + ",n/a" for line in lines[1:])]))
+    def test_raster_list(self, workspace, capsys):
+        lst = workspace / "rasters.txt"
+        lst.write_bytes(b"r\xff.asc\n")
+        out = workspace / "out.csv"
+        rc = main(["multiraster", "--task", "extract_at", "--y", str(workspace / "points.csv"),
+                   "--raster-list", str(lst), "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"load error: {lst}: not valid UTF-8: ") and err.count("\n") == 1
+
+
+class TestNonNumericValue:
+    """A value that float() rejects in a value column is one input error
+    found before any chunk runs, naming the feature, the column and the
+    value: exit 3, no table, no chunk run. Far from every anchor it once
+    passed unseen (exit 0); in a chunk's clip it failed that chunk (exit 4)."""
+
+    @pytest.mark.parametrize("where", ["far", "near"])
+    def test_bad_value_is_one_input_error(self, workspace, capsys, monkeypatch, where):
+        import gridchop.executor as executor
+
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+        sources = workspace / "sources.csv"
+        xy = "500.0,500.0" if where == "far" else "1.0,1.0"
+        sources.write_text((workspace / "points.csv").read_text() + f"bad,{xy},oops\n")
+        out = workspace / "out.csv"
+        rc = main(["run", "--task", "sedc", "--x", str(sources),
+                   "--y", str(workspace / "points.csv"), "--bandwidth", "5",
+                   "--value-cols", "v", "--partition", str(workspace / "parts.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists() and ran == []
+        assert capsys.readouterr().err == (
+            "error: summarize_sedc: context feature 'bad' has value 'oops' in column 'v',"
+            " not a number\n")
+
+
+class TestIdNamedLikeOutputColumn:
+    """An id column named like an output column is an input error naming the
+    column: exit 3, no table. Once the chunk ids replaced the anchor ids
+    (nearest, --id chunk_id), or the counts did (sedc, --id count)."""
+
+    @pytest.mark.parametrize("task,column", [("nearest", "chunk_id"), ("sedc", "count")])
+    def test_id_clash_is_an_input_error(self, workspace, capsys, task, column):
+        points = workspace / "renamed.csv"
+        text = (workspace / "points.csv").read_text()
+        points.write_text(text.replace("id,", f"{column},", 1))
+        out = workspace / "out.csv"
+        rc = main(["run", "--task", task, "--x", str(points), "--y", str(points),
+                   "--id", column, "--bandwidth", "1", "--value-cols", "v",
+                   "--partition", str(workspace / "parts.json"), "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: id column {column!r} is also an output column\n")
+
+
+def _failing_multiraster(workspace, out):
+    # the missing first raster fails chunk 0
     return {
-        "task": "sedc", "x": str(sources),
-        "y": str(workspace / "points.csv"), "bandwidth": 1.0, "value_cols": "w",
-        "partition": str(workspace / "parts.json"), "out": str(out),
+        "task": "extract_at", "rasters": f"{workspace / 'missing.asc'},{workspace / 'raster.asc'}",
+        "y": str(workspace / "points.csv"), "out": str(out),
     }
 
 
@@ -449,28 +502,29 @@ class TestCaptureErrors:
     def test_captured_by_default(self, workspace):
         out = workspace / "cap.csv"
         cfg_path = workspace / "job.json"
-        cfg_path.write_text(json.dumps(_failing_sedc(workspace, out)))
-        assert main(["run", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        cfg_path.write_text(json.dumps(_failing_multiraster(workspace, out)))
+        assert main(["multiraster", "--config", str(cfg_path)]) == EXIT_PARTIAL
         assert b"error" in out.read_bytes().split(b"\r\n")[0]
 
     def test_config_capture_errors_false(self, workspace):
         out = workspace / "nocap.csv"
         cfg_path = workspace / "job.json"
-        cfg_path.write_text(json.dumps({**_failing_sedc(workspace, out), "capture_errors": False}))
-        assert main(["run", "--config", str(cfg_path)]) == EXIT_PARTIAL
+        cfg_path.write_text(json.dumps({**_failing_multiraster(workspace, out),
+                                        "capture_errors": False}))
+        assert main(["multiraster", "--config", str(cfg_path)]) == EXIT_PARTIAL
         assert not out.exists()
 
     def test_no_capture_errors_flag(self, workspace, capsys):
         out = workspace / "nocap.csv"
         cfg_path = workspace / "job.json"
-        cfg_path.write_text(json.dumps(_failing_sedc(workspace, out)))
+        cfg_path.write_text(json.dumps(_failing_multiraster(workspace, out)))
         for workers in ("1", "2"):
-            rc = main(["run", "--config", str(cfg_path), "--no-capture-errors",
+            rc = main(["multiraster", "--config", str(cfg_path), "--no-capture-errors",
                        "--workers", workers])
             assert rc == EXIT_PARTIAL
             assert not out.exists()
             err = capsys.readouterr().err
-            assert err.startswith("error: chunk 0: ValueError")
+            assert err.startswith("error: chunk 0: FileNotFoundError")
             assert "Traceback" not in err
 
 

@@ -251,9 +251,10 @@ class TestLoadFeaturesGeoJSON:
             summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("k",)))
         with pytest.raises(InvalidInputError, match="feature 'a' lacks value column 'm'"):
             summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("m",)))
-        with pytest.raises(TypeError):
+        # and so is a value float() rejects, naming the feature, the column and the value
+        with pytest.raises(InvalidInputError, match="feature 'c' has value None in column 'k'"):
             summarize_sedc(fs, fs.subset([2]), SedcParams(bandwidth=1.0, value_columns=("k",)))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="feature '5' has value 'x' in column 'm'"):
             summarize_sedc(fs, fs.subset([1, 2]),
                            SedcParams(bandwidth=1.0, value_columns=("m",)))
 
@@ -775,4 +776,5 @@ class TestFeatureSetViews:
             for s, w in ((fs, feats), (sub, want)):
                 segs, owners = s.segments()
                 want_segs, want_owners = _segments_of(w)
-                assert segs.tolist() == want_segs and list(owners) == want_owners
+                assert segs.tolist() == want_segs
+                assert [s.ids()[i] for i in owners.tolist()] == want_owners

@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 import gridchop
-from gridchop import geoops
+from gridchop import executor, geoops
 from gridchop.dataio import (
     Feature,
     FeatureSet,
@@ -40,13 +41,15 @@ from gridchop.executor import (
 )
 from gridchop.geom import BBox, Point, Polyline, bbox_of
 from gridchop.partition import (
+    Chunk,
     GridSpec,
+    PartitionSet,
     build_partition,
     group_by_hierarchy,
 )
 from gridchop.raster import Raster
 
-from conftest import random_star
+from conftest import poison_chunks, random_star, with_ids
 from scalar_reference import make_polygon, point_segment_distance
 
 
@@ -78,7 +81,7 @@ def scatter(n=40, seed=1, lo=1.0, hi=19.0):
 
 def direct(task):
     """The op on the whole datasets, with no partition and no clip."""
-    return _apply_op(task, task.x, task.y, "id")
+    return with_ids(_apply_op(task, task.x, task.y), task.y)
 
 
 def value_rows(table):
@@ -116,7 +119,7 @@ class TestRunGridExtract:
         got = run_grid(task, parts, RunConfig(workers=1))
         from gridchop.geoops import extract_at
 
-        want = extract_at(r, pts, radius=1.5, stat="mean", segments=12)
+        want = with_ids(extract_at(r, pts, radius=1.5, stat="mean", segments=12), pts)
         by_id = {row["id"]: row for row in got.rows}
         for row in want.rows:
             assert by_id[row["id"]]["mean"] == row["mean"]  # value-exact
@@ -180,7 +183,7 @@ class TestRunGridVectorOps:
         got = run_grid(task, parts, RunConfig(workers=2))
         from gridchop.geoops import SedcParams, summarize_sedc
 
-        want = summarize_sedc(pts, src, SedcParams(1.0, 2.0, ("v",)))
+        want = with_ids(summarize_sedc(pts, src, SedcParams(1.0, 2.0, ("v",))), pts)
         by_id = {row["id"]: row for row in got.rows}
         for row in want.rows:
             assert by_id[row["id"]]["v_sedc"] == row["v_sedc"]
@@ -352,6 +355,95 @@ class TestExactRows:
         assert_nearest_exact(t, pts, lines)
 
 
+def _snapped_shapes(rings, kind, values=None):
+    """Features of one part each: rings (n, m, 2) as open rings or lines."""
+    n, m = rings.shape[:2]
+    attrs = {"v": values.tolist()} if values is not None else {}
+    return FeatureSet.from_columns([f"p{i}" for i in range(n)], rings.reshape(-1, 2),
+                                   np.arange(0, n * m + 1, m), np.arange(n + 1),
+                                   np.full(n, kind, np.int8), attrs, list(attrs))
+
+
+def _snapped_task(rng, op):
+    """A task of `op` on coordinates that are multiples k * step of a step of
+    0.1, 0.25, 0.3 or 0.5, so clip boxes and distance tests meet at sums
+    rounded from the same steps."""
+    step = float(rng.choice([0.1, 0.3, 0.05, 0.25]))
+
+    def snap(*shape):
+        return rng.integers(0, 8, shape) * step
+
+    values = rng.integers(1, 9, 40).astype(float)
+    if op == "summarize_aw":
+        def squares(n):
+            lo, side = snap(n, 1, 2), rng.integers(1, 5, (n, 1, 1)) * step
+            return lo + side * np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+        return TaskSpec(op, _snapped_shapes(squares(40), 2, values),
+                        _snapped_shapes(squares(30), 2), {"value_columns": ["v"]})
+    anchors = points_fs(snap(30, 2))
+    if op == "extract_at":
+        raster = Raster(24, 24, 0.0, 0.0, step, -9999.0, rng.uniform(0, 10, (24, 24)))
+        radius = float(rng.choice([0.0, 0.5, 0.75])) * step
+        return TaskSpec(op, raster, anchors, {"radius": radius, "segments": 8})
+    if op == "summarize_sedc":
+        sources = points_fs(snap(40, 2), values)
+        return TaskSpec(op, sources, anchors, {"bandwidth": rng.integers(1, 7) * step / 2,
+                                               "value_columns": ["v"]})
+    if rng.integers(2):
+        return TaskSpec(op, points_fs(snap(12, 2)), anchors, {})
+    return TaskSpec(op, _snapped_shapes(snap(6, 3, 2), 1), anchors, {})
+
+
+class TestClipEdge:
+    """A chunk's context clip holds every feature its op admits, also where
+    the clip box's edge is a rounded sum."""
+
+    def test_sedc_source_at_maxdist(self):
+        # 0.7000000000000001 - 0.5 rounds to 0.20000000000000007, so a box
+        # of the anchors expanded by maxdist 0.5 misses the source at y 0.2,
+        # which the distance test admits at 0.5 exactly
+        anchors = points_fs([(5.9, 0.7000000000000001), (9.0, 0.0)])
+        sources = points_fs([(5.9, 0.2)], [1.0])
+        task = TaskSpec("summarize_sedc", sources, anchors,
+                        {"bandwidth": 0.25, "value_columns": ["v"]})
+        want = {"p0": repr(["p0", 0.0024787521766663585, 1]), "p1": repr(["p1", 0.0, 0])}
+        for groups in ([("all", ["p0", "p1"])], [("a", ["p0"]), ("b", ["p1"])]):
+            for workers in (1, 2):
+                assert value_rows(run_hierarchy(task, groups, RunConfig(workers)))[1] == want
+
+    def test_snapped_coordinates_fuzz(self):
+        # seeded cases of every op on snapped coordinates, each split into
+        # 2-6 chunks of arbitrary members or at snapped x values, run at 1
+        # and 2 workers through run_grid and run_hierarchy: every anchor's
+        # values are those of a one-chunk run
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(2024)
+        ops = ("summarize_sedc", "summarize_sedc", "nearest_distance", "summarize_aw",
+               "extract_at")
+        for case in range(250):
+            task = _snapped_task(rng, ops[case % len(ops)])
+            ids = task.y.ids()
+            want = value_rows(run_hierarchy(task, [("all", ids)]))
+            k = int(rng.integers(2, 7))
+            if case % 2:
+                label = rng.integers(0, k, len(ids))
+            else:
+                x = task.y.bounds()[:, 0]
+                label = np.searchsorted(np.sort(rng.choice(x, k - 1)), x)
+            members = [[fid for fid, g in zip(ids, label.tolist()) if g == c] for c in range(k)]
+            workers = 2 if case % 10 == 0 else 1
+            if case % 3:
+                parts = PartitionSet("fuzz", [Chunk(c, BBox(0, 0, 0, 0), m)
+                                              for c, m in enumerate(members)])
+                got = run_grid(task, parts, RunConfig(workers))
+            else:
+                got = run_hierarchy(task, [(str(c), m) for c, m in enumerate(members)],
+                                    RunConfig(workers))
+            assert value_rows(got) == want, (case, task.op)
+        assert time.perf_counter() - t0 < 10.0
+
+
 class TestSubsetByBbox:
     """The context clip keeps exactly the features whose bbox meets the box."""
 
@@ -391,34 +483,35 @@ class TestSubsetByBbox:
 
 class TestFaultIsolation:
     def _bad_task(self):
-        # sedc with a non-numeric source value raises inside chunks
-        pts = points_fs([(1, 1), (5, 5), (9, 9)])
-        src = points_fs([(1, 1)], extra=[{"v": "bad"}])
         # maxdist 10: every anchor is in range of the source
+        pts = points_fs([(1, 1), (5, 5), (9, 9)])
+        src = points_fs([(1, 1)], values=[1.0])
         return TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 5.0, "value_columns": ["v"]})
 
-    def test_capture_errors_collects_rows(self):
+    def test_capture_errors_collects_rows(self, monkeypatch):
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])
         src = FeatureSet(
-            [Feature("s0", Point(1.0, 1.0), {"v": 1.0, "w": "bad"})], ["v", "w"]
+            [Feature("s0", Point(1.0, 1.0), {"v": 1.0, "w": 2.0})], ["v", "w"]
         )
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v", "w"]})
         parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
+        poison_chunks(monkeypatch, "p0")
         t = run_grid(task, parts, RunConfig(workers=1, capture_errors=True))
         assert t.had_errors
         assert "error" in t.columns
-        # p0's chunk sees s0 and blows up on its non-numeric w; p1's chunk
-        # has no sources in range (empty-context fast path, no error)
+        # p0's chunk blows up; p1's chunk has no sources in range
+        # (empty-context fast path, no error)
         err_rows = [r for r in t.rows if r.get("error")]
         assert {r["id"] for r in err_rows} == {"p0"}
         ok = [r for r in t.rows if not r.get("error")]
         assert [r["id"] for r in ok] == ["p1"]
 
-    def test_fail_fast_raises(self):
-        # every chunk sees the poisoned source; both paths stop at the first
+    def test_fail_fast_raises(self, monkeypatch):
+        # every chunk fails; both paths stop at the first
         task = self._bad_task()
+        poison_chunks(monkeypatch)
         parts = build_partition(GridSpec("grid", nx=3, ny=1), task.y)
         raised = []
         for workers in (1, 2):
@@ -495,9 +588,11 @@ class TestFaultIsolation:
             from gridchop.partition import GridSpec, build_partition
 
             pts = FeatureSet([Feature(f"p{i}", Point(i + 0.5, 0.5 + i % 2)) for i in range(6)])
-            src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": "bad"})], ["v"])
+            src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": 1.0})], ["v"])
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
+            # every chunk fails in its op, as float("bad") does
+            executor._apply_clipped = lambda task, context, anchors: float("bad")
             parent, original = os.getpid(), executor._run_chunk
             out = []
             for die in (False, True):
@@ -522,15 +617,40 @@ class TestFaultIsolation:
         assert died.startswith("chunk 0: worker ") and died.endswith(" exit code 3")
         assert left_after_death == 0
 
-    def test_partial_failure_keeps_good_chunks(self):
+    def test_short_op_table_gives_error_rows(self, monkeypatch):
+        # a chunk whose op table lacks a row for an anchor errors, its rows
+        # one per anchor; once it wrote a short table
+        pts = scatter(10)
+        task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 0.0})
+        parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
+        doomed = next(c for c in parts.chunks if "p0" in c.member_ids)
+        original = executor._apply_op
+
+        def short(*args):
+            table = original(*args)
+            if "p0" in args[2].ids():
+                return ResultTable({c: col[:-1] for c, col in table.data.items()})
+            return table
+
+        monkeypatch.setattr(executor, "_apply_op", short)
+        t = run_grid(task, parts)
+        n = len(doomed.member_ids)
+        assert len(t.rows) == 10
+        errors = {r["id"]: r["error"] for r in t.rows if r["error"]}
+        assert sorted(errors) == sorted(doomed.member_ids)
+        assert set(errors.values()) == {
+            f"gridchop.errors.GridchopError: column 'value' has {n - 1} rows for {n} anchors"}
+
+    def test_partial_failure_keeps_good_chunks(self, monkeypatch):
         # chunk with the poisoned anchor errors; others produce rows
         pts = points_fs([(1.0, 1.0), (9.0, 2.0)])
         feats = [Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
-                 Feature("s1", Point(9.0, 2.0), {"v": "bad"})]  # non-numeric v near p1
+                 Feature("s1", Point(9.0, 2.0), {"v": 2.0})]
         src = FeatureSet(feats, ["v"])
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v"]})
         parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
+        poison_chunks(monkeypatch, "p1")
         t = run_grid(task, parts, RunConfig(workers=2, capture_errors=True))
         good = [r for r in t.rows if not r.get("error")]
         bad = [r for r in t.rows if r.get("error")]
@@ -539,7 +659,7 @@ class TestFaultIsolation:
 
 
 def chunk(chunk_id, columns=(), rows=(), error=None):
-    """A ChunkResult from the op's columns and row dicts, or from an error."""
+    """A ChunkResult from the op's value columns and row dicts, or from an error."""
     if error is not None:
         return ChunkResult(chunk_id, error=error)
     return ChunkResult(chunk_id, ResultTable({c: [r.get(c) for r in rows] for c in columns}))
@@ -547,16 +667,17 @@ def chunk(chunk_id, columns=(), rows=(), error=None):
 
 class TestMergeChunks:
     def test_layout_csv_bytes(self):
-        # value columns in first-seen order; chunk tags and extra columns on
-        # every row, error rows included; a chunk missing from extra_by_chunk
-        # leaves its extra fields empty; a chunk without a column leaves it empty
+        # value columns in first-seen order; ids, chunk tags and extra columns
+        # on every row, error rows included; a chunk missing from
+        # extra_by_chunk leaves its extra fields empty; a chunk without a
+        # column leaves it empty
         chunks = [
-            chunk(2, ["id", "b"], [{"id": "c", "b": 3}]),
-            chunk(0, ["id", "a"], [{"id": "a", "a": 1.0}]),
+            chunk(2, ["b"], [{"b": 3}]),
+            chunk(0, ["a"], [{"a": 1.0}]),
             chunk(1, error="Traceback ...\nValueError: boom"),
-            chunk(3, ["id", "b", "a"], [{"id": "d", "b": None, "a": 0.5}]),
+            chunk(3, ["b", "a"], [{"b": None, "a": 0.5}]),
         ]
-        t = merge_chunks(chunks, "id", {1: ["b1", "b2"]},
+        t = merge_chunks(chunks, "id", {0: ["a"], 1: ["b1", "b2"], 2: ["c"], 3: ["d"]},
                          {0: {"raster": "r0"}, 1: {"raster": "r,1"}, 3: {"raster": "r3"}})
         assert t.had_errors
         assert t.to_csv_bytes() == (
@@ -573,12 +694,12 @@ class TestMergeChunks:
         # successful chunk zero-fills the freq columns it lacks, an error row
         # leaves them empty
         chunks = [
-            chunk(0, ["id", "freq_10", "count"], [{"id": "a", "freq_10": 2.0, "count": 2.0}]),
+            chunk(0, ["freq_10", "count"], [{"freq_10": 2.0, "count": 2.0}]),
             chunk(1, error="boom"),
-            chunk(2, ["id", "freq_-1", "freq_2", "count"],
-                  [{"id": "c", "freq_-1": 0.5, "freq_2": 1.0, "count": 1.5}]),
+            chunk(2, ["freq_-1", "freq_2", "count"],
+                  [{"freq_-1": 0.5, "freq_2": 1.0, "count": 1.5}]),
         ]
-        t = merge_chunks(chunks, "id", {1: ["b"]}, {})
+        t = merge_chunks(chunks, "id", {0: ["a"], 1: ["b"], 2: ["c"]}, {})
         assert t.to_csv_bytes() == (
             b"id,chunk_id,freq_-1,freq_2,freq_10,count,error\r\n"
             b"a,0,0.0,0.0,2.0,2.0,\r\n"
@@ -586,43 +707,46 @@ class TestMergeChunks:
             b"c,2,0.5,1.0,0.0,1.5,\r\n"
         )
 
-    def test_failed_chunk_without_anchor_list(self):
-        # a failed chunk whose anchors are not known gives one row with an empty id
-        t = merge_chunks([chunk(0, error="x\nKeyError: 'v'")], "id")
-        assert t.to_csv_bytes() == b"id,chunk_id,error\r\n,0,KeyError: 'v'\r\n"
+    def test_id_column_named_like_an_output_column(self):
+        # an op column, a chunk tag, an extra column or the error column
+        chunks = [chunk(0, ["count"], [{"count": 1}]), chunk(1, error="boom")]
+        for id_column in ("count", "chunk_id", "group", "error"):
+            with pytest.raises(InvalidParameterError, match=f"id column '{id_column}'"):
+                merge_chunks(chunks, id_column, {0: ["a"], 1: ["b"]}, {0: {"group": "g"}})
 
     def test_out_of_order_sorted(self):
         chunks = [
-            chunk(1, ["id", "x"], [{"id": "b", "x": 2.0}]),
-            chunk(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
+            chunk(1, ["x"], [{"x": 2.0}]),
+            chunk(0, ["x"], [{"x": 1.0}]),
         ]
-        t = merge_chunks(chunks, "id")
+        t = merge_chunks(chunks, "id", {0: ["a"], 1: ["b"]})
         assert [r["id"] for r in t.rows] == ["a", "b"]
+        assert [r["x"] for r in t.rows] == [1.0, 2.0]
 
     def test_all_empty(self):
-        t = merge_chunks([ChunkResult(0), ChunkResult(1)], "id")
+        t = merge_chunks([ChunkResult(0), ChunkResult(1)], "id", {0: [], 1: []})
         assert t.rows == []
 
     def test_duplicate_chunk_id_rejected(self):
         with pytest.raises(InvalidParameterError):
-            merge_chunks([ChunkResult(0), ChunkResult(0)], "id")
+            merge_chunks([ChunkResult(0), ChunkResult(0)], "id", {0: []})
 
     def test_frequency_union_with_zero_fill(self):
         chunks = [
-            chunk(0, ["id", "freq_2", "count"], [{"id": "a", "freq_2": 1.0, "count": 1.0}]),
-            chunk(1, ["id", "freq_10", "count"], [{"id": "b", "freq_10": 2.0, "count": 2.0}]),
+            chunk(0, ["freq_2", "count"], [{"freq_2": 1.0, "count": 1.0}]),
+            chunk(1, ["freq_10", "count"], [{"freq_10": 2.0, "count": 2.0}]),
         ]
-        t = merge_chunks(chunks, "id")
+        t = merge_chunks(chunks, "id", {0: ["a"], 1: ["b"]})
         assert t.columns == ["id", "chunk_id", "freq_2", "freq_10", "count"]
         assert t.rows[0]["freq_10"] == 0.0
         assert t.rows[1]["freq_2"] == 0.0
 
     def test_error_rows_one_per_anchor(self):
         chunks = [
-            chunk(0, ["id", "x"], [{"id": "a", "x": 1.0}]),
+            chunk(0, ["x"], [{"x": 1.0}]),
             chunk(1, error="Traceback ...\nValueError: boom"),
         ]
-        t = merge_chunks(chunks, "id", anchor_ids_by_chunk={1: ["b", "c"]})
+        t = merge_chunks(chunks, "id", anchor_ids_by_chunk={0: ["a"], 1: ["b", "c"]})
         assert t.had_errors
         errs = [r for r in t.rows if r.get("error")]
         assert [r["id"] for r in errs] == ["b", "c"]
@@ -647,7 +771,7 @@ class TestRunHierarchy:
         t = run_hierarchy(task, [("all", pts.ids())])
         from gridchop.geoops import extract_at
 
-        want = extract_at(r, pts, radius=1.0, segments=8)
+        want = with_ids(extract_at(r, pts, radius=1.0, segments=8), pts)
         assert [row["mean"] for row in t.rows] == [row["mean"] for row in want.rows]
 
     def test_aw_rows_independent_of_groups(self):

@@ -24,7 +24,7 @@ from gridchop.geoops import (
 from gridchop.raster import Raster
 
 import scalar_reference
-from conftest import polygon_set, random_star
+from conftest import polygon_set, random_star, with_ids
 from scalar_reference import buffer_point, make_polygon, point_segment_distance, polygon_area
 
 
@@ -69,7 +69,7 @@ class TestExtractAtPoints:
         vals = np.array([[1.5, -9999.0], [np.nan, 4.0]])
         r = Raster(2, 2, 0.0, 0.0, 1.0, -9999.0, vals)
         pts = points_fs([(0.5, 1.5), (5.0, 0.5), (1.5, 1.5), (0.5, 0.5), (-0.5, 0.5)])
-        assert extract_at(r, pts).to_csv_bytes() == (
+        assert with_ids(extract_at(r, pts), pts).to_csv_bytes() == (
             b"id,value,count\r\np0,1.5,1.0\r\np1,,0.0\r\np2,,0.0\r\n"
             b"p3,nan,1.0\r\np4,,0.0\r\n"
         )
@@ -207,7 +207,7 @@ class TestCountStat:
         r = const_raster(10, 1.0)
         polys = FeatureSet([Feature("a", rect(1, 1, 3, 3))])
         for y, radius in ((points_fs([(5.0, 5.0)]), 2.0), (polys, 0.0), (FeatureSet([]), 2.0)):
-            assert extract_at(r, y, radius=radius, stat="count").columns == ["id", "count"]
+            assert extract_at(r, y, radius=radius, stat="count").columns == ["count"]
 
     def test_no_valid_cell_counts_zero(self):
         # a polygon and a buffered point over nodata or off the raster both count 0.0
@@ -437,7 +437,7 @@ def test_aw_matches_scalar_reference(case, stat, nprng):
     # same order: every row has the same bits
     targets, sources = AW_CASES[case](nprng)
     tfs, sfs = _polys_fs(targets, "t"), _polys_fs(sources, "s", nprng)
-    got = summarize_aw(tfs, sfs, ["v", "w"], stat=stat)
+    got = with_ids(summarize_aw(tfs, sfs, ["v", "w"], stat=stat), tfs)
     want = scalar_reference.summarize_aw(tfs, sfs, ["v", "w"], stat=stat)
     assert got.columns == want.columns
     assert [repr(r) for r in got.rows] == [repr(r) for r in want.rows]
@@ -454,11 +454,12 @@ def test_aw_rows_independent_of_batch(monkeypatch, caps, nprng):
         monkeypatch.setattr(geoops, "_PAIR_ELEMS", caps[0], raising=False)
         monkeypatch.setattr(geoops, "_BATCH_ELEMS", caps[1], raising=False)
     for stat in ("mean", "sum"):
-        got = summarize_aw(tfs, sfs, ["v"], stat=stat).rows
+        got = with_ids(summarize_aw(tfs, sfs, ["v"], stat=stat), tfs).rows
         want = scalar_reference.summarize_aw(tfs, sfs, ["v"], stat=stat).rows
         assert [repr(r) for r in got] == [repr(r) for r in want]
         for k in (0, 3, 7, 13):
-            alone = summarize_aw(tfs.subset([k]), sfs, ["v"], stat=stat).rows[0]
+            one = tfs.subset([k])
+            alone = with_ids(summarize_aw(one, sfs, ["v"], stat=stat), one).rows[0]
             assert repr(alone) == repr(got[k])
 
 
@@ -508,6 +509,7 @@ class TestSummarizeSedc:
     def test_no_sources(self):
         tgt = points_fs([(0, 0), (1, 1)])
         t = summarize_sedc(tgt, FeatureSet([]), SedcParams(bandwidth=1.0, value_columns=("v",)))
+        t = with_ids(t, tgt)
         assert t.columns == ["id", "v_sedc", "count"]
         rows = [(r["id"], r["v_sedc"], r["count"]) for r in t.rows]
         assert rows == [("p0", 0.0, 0), ("p1", 0.0, 0)]
@@ -560,11 +562,12 @@ class TestSummarizeSedc:
         if block is not None:
             monkeypatch.setattr(geoops, "_PAIR_ELEMS", block * len(src), raising=False)
         params = SedcParams(bandwidth=1.0, value_columns=("v",))
-        got = summarize_sedc(tgt, src, params).rows
+        got = with_ids(summarize_sedc(tgt, src, params), tgt).rows
         assert [repr(r) for r in got] == [repr(r) for r in self._reference(tgt, src, params)]
         assert {r["count"] for r in got} >= {0} and max(r["count"] for r in got) > 16
         for k in (0, 2, 3, 6, 7, 20, 39):
-            assert repr(summarize_sedc(tgt.subset([k]), src, params).rows[0]) == repr(got[k])
+            one = tgt.subset([k])
+            assert repr(with_ids(summarize_sedc(one, src, params), one).rows[0]) == repr(got[k])
 
 
 class TestNearestDistance:

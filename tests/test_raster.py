@@ -17,7 +17,7 @@ from gridchop import (
 )
 from gridchop.raster import cell_areas, cell_windows, covered_cells, ring_edges, zonal_stats
 
-from conftest import polygon_set, random_star, square, star_polygon
+from conftest import polygon_set, random_star, square, star_polygon, with_ids
 from scalar_reference import (
     buffer_point,
     clip_ring_convex,
@@ -48,7 +48,8 @@ def coverage(r, poly):
 
 def zonal(r, poly, kind):
     """extract_at's row for poly: the statistic of kind over the cells it covers."""
-    return extract_at(r, polygon_set([poly]), stat=kind).rows[0]
+    polys = polygon_set([poly])
+    return with_ids(extract_at(r, polys, stat=kind), polys).rows[0]
 
 
 def value_at(r, x, y):

@@ -19,16 +19,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 from tracing import Tracer  # noqa: E402
 
+from conftest import poison_chunks  # noqa: E402
+
 
 @pytest.fixture
 def inputs(tmp_path):
-    """40 anchors, 60 sources (one with a bad value in a corner) and 5 lines."""
+    """40 anchors, 60 sources and 5 lines."""
     rng = np.random.default_rng(3)
     anchors = ["id,x,y"] + [f"a{i},{x!r},{y!r}"
                             for i, (x, y) in enumerate(rng.uniform(0, 10, (40, 2)).tolist())]
     sources = ["id,x,y,v"] + [f"s{i},{x!r},{y!r},{v!r}" for i, (x, y, v)
                               in enumerate(rng.uniform(0, 10, (60, 3)).tolist())]
-    sources.append("bad,9.5,9.5,oops")
     (tmp_path / "anchors.csv").write_text("\n".join(anchors) + "\n")
     (tmp_path / "sources.csv").write_text("\n".join(sources) + "\n")
     lines = ",".join(
@@ -91,8 +92,9 @@ def read_rows(path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_traced_sedc(inputs, workers):
+def test_traced_sedc(inputs, workers, monkeypatch):
     out = inputs / "sedc.csv"
+    poison_chunks(monkeypatch, "a0")
     code, tracer = traced([
         "run", "--task", "sedc", "--x", str(inputs / "sources.csv"),
         "--y", str(inputs / "anchors.csv"), "--partition", str(inputs / "parts.json"),
