@@ -36,16 +36,9 @@ def _default_workers() -> int:
     return int(raw)
 
 
-def _infer_format(path: str) -> str:
-    if path.endswith((".geojson", ".json")):
-        return "geojson"
-    return "csv"
-
-
 def _load_vector(path: str, id_column: str, fmt: str | None = None):
-    return dataio.load_features(
-        path, format=fmt or _infer_format(path), id_column=id_column
-    )
+    fmt = fmt or ("geojson" if path.endswith((".geojson", ".json")) else "csv")
+    return dataio.load_features(path, format=fmt, id_column=id_column)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -79,10 +72,7 @@ _CONFIG_KEYS = {
 }
 
 
-_RUN_DEFAULTS = {
-    "id": "id", "radius": 0.0, "stat": "mean", "value_cols": "",
-    "capture_errors": True, "categorical": False,
-}
+_RUN_DEFAULTS = {"id": "id", "value_cols": "", "capture_errors": True, "categorical": False}
 
 
 def _apply_config(args: argparse.Namespace):
@@ -115,30 +105,16 @@ def _build_task(args) -> tuple[TaskSpec, str]:
         raise UsageError("--task, --x, --y and --out are required")
     if multi and args.task != "extract_at":
         raise InvalidParameterError("multiraster supports only --task extract_at")
+    if args.task == "sedc" and args.bandwidth is None:
+        raise UsageError("sedc requires --bandwidth")
     raster_kind = "categorical" if args.categorical else "continuous"
     y = _load_vector(args.y, args.id)
-    value_cols = [c for c in (args.value_cols or "").split(",") if c]
-    if args.task == "extract_at":
-        task = TaskSpec(
-            "extract_at", args.x, y, {"radius": args.radius, "stat": args.stat}
-        )
-    elif args.task == "summarize_aw":
-        x = _load_vector(args.x, args.id)
-        task = TaskSpec("summarize_aw", x, y, {"value_columns": value_cols, "stat": args.stat})
-    elif args.task == "sedc":
-        if args.bandwidth is None:
-            raise UsageError("sedc requires --bandwidth")
-        x = _load_vector(args.x, args.id)
-        task = TaskSpec(
-            "summarize_sedc",
-            x,
-            y,
-            {"bandwidth": args.bandwidth, "maxdist": args.maxdist, "value_columns": value_cols},
-        )
-    else:
-        x = _load_vector(args.x, args.id)
-        task = TaskSpec("nearest_distance", x, y, {})
-    return task, raster_kind
+    # extract_at's --x is a raster path, which the run loads; the other ops' is a vector file
+    x = args.x if args.task == "extract_at" else _load_vector(args.x, args.id)
+    params = {"radius": args.radius, "stat": args.stat, "bandwidth": args.bandwidth,
+              "maxdist": args.maxdist, "value_columns": [c for c in args.value_cols.split(",") if c]}
+    op = {"sedc": "summarize_sedc", "nearest": "nearest_distance"}.get(args.task, args.task)
+    return TaskSpec(op, x, y, params), raster_kind
 
 
 def cmd_partition(args) -> int:
@@ -212,16 +188,19 @@ def cmd_run(args) -> int:
     return EXIT_PARTIAL if table.had_errors else EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    spec = bench_mod.SynthSpec(
+def _synth_dataset(args):
+    return bench_mod.synth_dataset(bench_mod.SynthSpec(
         seed=args.seed,
         n_points=args.n_points,
         raster_ncols=args.raster_size,
         raster_nrows=args.raster_size,
         raster_kind="categorical" if args.case == "frequency" else "continuous",
         n_lines=args.n_lines,
-    )
-    points, lines, raster = bench_mod.synth_dataset(spec)
+    ))
+
+
+def cmd_synth(args) -> int:
+    points, lines, raster = _synth_dataset(args)
     os.makedirs(args.out, exist_ok=True)
     x, y = points.coords.T.tolist()
     table = dataio.ResultTable({"id": points.ids(), "x": x, "y": y, "v": points.attributes["v"]})
@@ -246,15 +225,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = bench_mod.SynthSpec(
-        seed=args.seed,
-        n_points=args.n_points,
-        raster_ncols=args.raster_size,
-        raster_nrows=args.raster_size,
-        raster_kind="categorical" if args.case == "frequency" else "continuous",
-        n_lines=args.n_lines,
-    )
-    points, lines, raster = bench_mod.synth_dataset(spec)
+    points, lines, raster = _synth_dataset(args)
     if args.case == "nearest":
         task = TaskSpec("nearest_distance", lines, points, {})
     else:

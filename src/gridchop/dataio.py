@@ -585,7 +585,12 @@ def save_table(t: ResultTable, path: str) -> None:
             fh.write(text.encode("utf-8"))
 
 
-_ASC_HEADER = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+_WHOLE = (lambda v: v.is_integer() and v >= 1, "a whole number >= 1")
+_FINITE = (math.isfinite, "a finite number")
+# each header key's rule on its float() value, and what it asks for; else a LoadError
+_ASC_HEADER = {"ncols": _WHOLE, "nrows": _WHOLE, "xllcorner": _FINITE, "yllcorner": _FINITE,
+               "cellsize": (lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+               "nodata_value": (lambda v: True, "a number")}
 
 
 def load_raster(path: str, kind: str = "continuous") -> Raster:
@@ -601,7 +606,14 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
         parts = lines[idx].split()
         if len(parts) != 2 or parts[0].lower() not in _ASC_HEADER:
             break
-        header[parts[0].lower()] = float(parts[1])
+        key = parts[0].lower()
+        rule, want = _ASC_HEADER[key]
+        try:
+            header[key] = float(parts[1])
+            if not rule(header[key]):
+                raise ValueError
+        except ValueError:
+            raise LoadError(f"{path}: {key} must be {want}, got {parts[1]!r}")
         idx += 1
     missing = [k for k in _ASC_HEADER if k not in header]
     if missing:
@@ -609,7 +621,7 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
     values = None
-    if nrows > 0 and ncols > 0 and idx + nrows <= len(lines):
+    if idx + nrows <= len(lines):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns about an empty body
@@ -622,7 +634,7 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
             pass
     if values is None or values.shape != (nrows, ncols):
         # one line at a time, for the error message (loadtxt also skips blank lines)
-        values = np.empty((nrows, ncols), dtype=np.float64)
+        rows = []
         for r in range(nrows):
             lineno = idx + r + 1
             if idx + r >= len(lines):
@@ -633,9 +645,10 @@ def load_raster(path: str, kind: str = "continuous") -> Raster:
                     f"{path}: line {lineno}: expected {ncols} values, got {len(parts)}"
                 )
             try:
-                values[r, :] = [float(p) for p in parts]
+                rows.append([float(p) for p in parts])
             except ValueError:
                 raise LoadError(f"{path}: line {lineno}: non-numeric value")
+        values = np.array(rows, dtype=np.float64)
     return Raster(
         ncols=ncols,
         nrows=nrows,

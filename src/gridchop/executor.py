@@ -3,8 +3,8 @@
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. It checks the
-inputs as the op does (parameters, geometry kinds, value columns, a
-non-empty nearest context), resolves each job's member ids to anchor
+inputs as the op does (parameters, context type, geometry kinds, value
+columns, a non-empty nearest context), resolves each job's member ids to anchor
 indices once, and checks that grid and hierarchy jobs own each anchor
 exactly once, all before any chunk runs. Those jobs share one context
 dataset that each job clips around its own anchors, so merged results never
@@ -108,32 +108,18 @@ class _Run:
 
 
 def _apply_op(task: TaskSpec, x, y) -> ResultTable:
-    p = task.params
-    if task.op == "extract_at":
-        return geoops.extract_at(
-            x,
-            y,
-            radius=float(p.get("radius", 0.0)),
-            stat=p.get("stat", "mean"),
-            segments=int(p.get("segments", 64)),
-        )
-    if task.op == "summarize_aw":
-        return geoops.summarize_aw(y, x, list(p["value_columns"]), stat=p.get("stat", "mean"))
-    if task.op == "summarize_sedc":
-        return geoops.summarize_sedc(y, x, geoops.sedc_params(p))
-    return geoops.nearest_distance(y, x)
+    """The task's op over context x and anchors y, its arguments read by geoops.op_args."""
+    xy = (x, y) if task.op == "extract_at" else (y, x)
+    return getattr(geoops, task.op)(*xy, **geoops.op_args(task.op, task.params))
 
 
 def interaction_radius(task: TaskSpec) -> float | None:
     """Context distance the op needs around each anchor; None if unbounded."""
-    p = task.params
-    if task.op == "extract_at":
-        return float(p.get("radius", 0.0))
+    args = geoops.op_args(task.op, task.params)
     if task.op == "summarize_sedc":
-        return geoops.sedc_params(p).maxdist
-    if task.op == "summarize_aw":
-        return 0.0
-    return None  # nearest_distance
+        return args["params"].maxdist
+    # summarize_aw has no radius: a source must overlap its target
+    return None if task.op == "nearest_distance" else args.get("radius", 0.0)
 
 
 def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
@@ -368,11 +354,12 @@ def _run(
 ) -> ResultTable:
     """Check the inputs and the plan, run the jobs, merge."""
     anchors = _anchors(task)
-    geoops.check_inputs(task.op, anchors, task.x, task.params, raster_kind)
-    ids = anchors.ids()
     # jobs that name a raster path each take every anchor and no shared context
+    own = [job.context for job in jobs if job.context is not None]
+    geoops.check_inputs(task.op, anchors, own[0] if own else task.x, task.params, raster_kind)
+    ids = anchors.ids()
     context = None
-    if any(job.context is not None for job in jobs):
+    if own:
         every = np.arange(len(ids))
         for job in jobs:
             job.rows = every

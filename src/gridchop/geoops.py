@@ -9,6 +9,7 @@ of the others, which is what makes chunked execution value-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,25 +58,56 @@ class SedcParams:
             raise InvalidParameterError("maxdist must be >= bandwidth")
 
 
-def _number(params: dict, key: str, default=None) -> float | None:
-    """params[key] as a float; default where it is missing or None."""
-    value = params.get(key)
-    if value is None:
-        return default
+def _number(key: str, value) -> float:
+    """value as a finite float."""
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise InvalidParameterError(f"{key} must be finite, got {value!r}")
+    return number
 
 
-def sedc_params(params: dict) -> SedcParams:
-    """The SedcParams of a task's params: bandwidth, maxdist (None: the
-    default) and value_columns."""
-    bandwidth = _number(params, "bandwidth")
-    if bandwidth is None:
-        raise InvalidParameterError("summarize_sedc requires a bandwidth")
-    return SedcParams(bandwidth, _number(params, "maxdist"),
-                      tuple(params.get("value_columns", ())))
+def op_args(op: str, params: dict) -> dict:
+    """The keyword arguments of `op` that a task's params give, checked.
+
+    Only the keys `op` takes are read, and a key that is missing or None
+    reads as its default (in brackets):
+    - extract_at: stat, one of STAT_KINDS (mean); radius, a finite number
+      >= 0 (0.0); segments, an integer >= 3 (64);
+    - summarize_aw: value_columns, a list of column names (none); stat, mean
+      or sum (mean);
+    - summarize_sedc: params, the SedcParams of a finite bandwidth, a finite
+      maxdist (twice the bandwidth) and value_columns as above;
+    - nearest_distance: none.
+    A failure raises InvalidParameterError."""
+    p = {k: v for k, v in params.items() if v is not None}
+    names = p.get("value_columns", [])
+    if op in ("summarize_aw", "summarize_sedc") and not (
+            isinstance(names, (list, tuple)) and all(isinstance(c, str) for c in names)):
+        raise InvalidParameterError(f"value_columns must be a list of column names, got {names!r}")
+    if op == "summarize_sedc":
+        if "bandwidth" not in p:
+            raise InvalidParameterError("summarize_sedc requires a bandwidth")
+        maxdist = _number("maxdist", p["maxdist"]) if "maxdist" in p else None
+        return {"params": SedcParams(_number("bandwidth", p["bandwidth"]), maxdist, tuple(names))}
+    if op == "nearest_distance":
+        return {}
+    stat = p.get("stat", "mean")
+    if op == "summarize_aw":
+        if stat not in ("mean", "sum"):
+            raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
+        return {"value_columns": list(names), "stat": stat}
+    if stat not in STAT_KINDS:
+        raise InvalidParameterError(f"unknown statistic {stat!r}")
+    radius = _number("radius", p.get("radius", 0.0))
+    if radius < 0:
+        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+    segments = p.get("segments", 64)
+    if not isinstance(segments, numbers.Integral) or segments < 3:
+        raise InvalidParameterError(f"segments must be an integer >= 3, got {segments!r}")
+    return {"radius": radius, "stat": stat, "segments": int(segments)}
 
 
 def freq_column(category: float) -> str:
@@ -118,51 +150,46 @@ OP_KINDS = {
 
 
 def check_inputs(
-    op: str, y: FeatureSet, x=None, params: dict | None = None, raster_kind: str = "continuous"
-) -> tuple[str, dict[str, np.ndarray]]:
-    """The geometry kind of the anchors y and float() of each value column
-    of a FeatureSet context x, as one float64 array per column, once every
-    check below holds:
-    - params, as in a TaskSpec, suit `op`: an extract_at stat of STAT_KINDS,
-      a radius >= 0, frequency only on a categorical raster (x's kind where
-      x is a Raster, else raster_kind) and no radius on polygons; a
-      summarize_aw stat of mean or sum; valid SedcParams for
-      summarize_sedc. A failure raises InvalidParameterError;
+    op: str, y: FeatureSet, x, params: dict | None = None, raster_kind: str = "continuous"
+) -> tuple[dict, str, dict[str, np.ndarray]]:
+    """The op's keyword arguments (op_args of params), the geometry kind of
+    the anchors y, and float() of each value column of a FeatureSet context
+    x as one float64 array per column, once every check below holds:
+    - params (a task's, or an op's own locals()) suit `op` (op_args), a
+      frequency statistic has a categorical raster (x's kind where x is a
+      Raster, else raster_kind) and a radius > 0 has no polygon anchors. A
+      failure raises InvalidParameterError;
+    - x is the context `op` takes: a Raster for extract_at (or, before a
+      run loads it, a raster path), a FeatureSet for the other ops;
     - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
     - a nearest_distance context x has a feature;
     - every feature of a non-empty context x has each value column, and
       float() takes each of its values.
     Each input failure raises InvalidInputError."""
-    p = params or {}
-    stat, radius = p.get("stat", "mean"), _number(p, "radius", 0.0)
-    if op == "extract_at":
-        if stat not in STAT_KINDS:
-            raise InvalidParameterError(f"unknown statistic {stat!r}")
-        if radius < 0:
-            raise InvalidParameterError(f"radius must be >= 0, got {radius}")
-        categorical = (x.kind if isinstance(x, Raster) else raster_kind) == "categorical"
-        if stat == "frequency" and not categorical:
-            raise InvalidParameterError("frequency statistic requires a categorical raster")
-    elif op == "summarize_aw" and stat not in ("mean", "sum"):
-        raise InvalidParameterError(f"summarize_aw stat must be mean or sum, got {stat!r}")
-    elif op == "summarize_sedc":
-        sedc_params(p)
+    args = op_args(op, params or {})
     y_kinds, x_kinds = OP_KINDS[op]
     kind = y.geometry_kind()
     if op == "extract_at" and kind == "line":
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     _check_kind(kind, op, y_kinds)
-    if op == "extract_at" and kind == "polygon" and radius > 0:
-        raise InvalidParameterError("buffered polygon extraction is not supported")
+    if op == "extract_at":
+        categorical = (x.kind if isinstance(x, Raster) else raster_kind) == "categorical"
+        if args["stat"] == "frequency" and not categorical:
+            raise InvalidParameterError("frequency statistic requires a categorical raster")
+        if not isinstance(x, (Raster, str)):
+            raise InvalidInputError(f"{op} requires a Raster context, got {type(x).__name__}")
+        if kind == "polygon" and args["radius"] > 0:
+            raise InvalidParameterError("buffered polygon extraction is not supported")
+        return args, kind, {}
     if not isinstance(x, FeatureSet):
-        return kind, {}
-    if x_kinds is not None:
-        _check_kind(x.geometry_kind(), op, x_kinds)
-    columns = dict.fromkeys(p.get("value_columns", ()))
+        raise InvalidInputError(f"{op} requires a FeatureSet context, got {type(x).__name__}")
+    _check_kind(x.geometry_kind(), op, x_kinds)
+    sedc = op == "summarize_sedc"
+    columns = dict.fromkeys(args["params"].value_columns if sedc else args.get("value_columns", ()))
     if len(x) == 0:
         if op == "nearest_distance":
             raise InvalidInputError("nearest_distance requires a non-empty context dataset")
-        return kind, {c: np.zeros(0) for c in columns}
+        return args, kind, {c: np.zeros(0) for c in columns}
     for c in columns:
         values = x.attributes.get(c)
         if values is None:
@@ -177,7 +204,7 @@ def check_inputs(
             i = len(values) - len(list(rest)) - 1  # the value float() rejected was the last taken
             raise InvalidInputError(f"{op}: context feature {x.ids()[i]!r} has value "
                                     f"{values[i]!r} in column {c!r}, not a number")
-    return kind, columns
+    return args, kind, columns
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +265,8 @@ def extract_at(
     one at a time over the valid cells they cover; buffered polygons and
     line inputs are rejected.
     """
-    kind, _ = check_inputs("extract_at", y, x, {"radius": radius, "stat": stat})
+    args, kind, _ = check_inputs("extract_at", y, x, locals())
+    radius, stat, segments = args["radius"], args["stat"], args["segments"]
     # a count is one column: the covered weight, 0.0 where no valid cell is covered
     value_cols = [] if stat == "count" else [stat]
     if kind == "empty":
@@ -431,8 +459,8 @@ def summarize_aw(
     Means are normalized by intersected area; the coverage column reports
     sum_i a_ij / area(target_j). Targets intersecting nothing yield null rows.
     """
-    _, svals = check_inputs("summarize_aw", targets, sources,
-                            {"value_columns": value_columns, "stat": stat})
+    args, _, svals = check_inputs("summarize_aw", targets, sources, locals())
+    stat = args["stat"]
     # a target over no source gets a null row
     tb, sb = targets.bounds(), sources.bounds()
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
@@ -474,7 +502,7 @@ def summarize_sedc(
     params: SedcParams,
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
-    _, svals = check_inputs("summarize_sedc", targets, sources, vars(params))
+    _, _, svals = check_inputs("summarize_sedc", targets, sources, vars(params))
     sx, sy = _point_arrays(sources)
     tx, ty = _point_arrays(targets)
     out = {**{f"{c}_sedc": [] for c in svals}, "count": []}

@@ -345,12 +345,15 @@ _BAD_PARAMETERS = {  # task, its flags, the message
     "stat_unknown": ("extract_at", ["--radius", "1", "--stat", "bogus"],
                      "unknown statistic 'bogus'"),
     "radius_negative": ("extract_at", ["--radius", "-1"], "radius must be >= 0, got -1.0"),
+    "radius_nan": ("extract_at", ["--radius", "nan"], "radius must be finite, got nan"),
     "frequency_continuous": ("extract_at", ["--radius", "1", "--stat", "frequency"],
                              "frequency statistic requires a categorical raster"),
     "polygon_radius": ("extract_at", ["--radius", "1"],
                        "buffered polygon extraction is not supported"),
     "sedc_bandwidth_zero": ("sedc", ["--bandwidth", "0", "--value-cols", "v"],
                             "bandwidth must be > 0"),
+    "sedc_bandwidth_inf": ("sedc", ["--bandwidth", "inf", "--value-cols", "v"],
+                           "bandwidth must be finite, got inf"),
     "sedc_maxdist_below_bandwidth": ("sedc", ["--bandwidth", "2", "--maxdist", "1",
                                               "--value-cols", "v"],
                                      "maxdist must be >= bandwidth"),
@@ -407,6 +410,18 @@ class TestParametersCheckedBeforeChunks:
         assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
         assert not (workspace / "out.csv").exists()
         assert capsys.readouterr().err == f"error: {key} must be a number, got 'wide'\n"
+
+
+def test_bad_raster_header_is_a_load_error(workspace, capsys):
+    # `ncols abc` once escaped as a ValueError traceback, exit 1
+    bad = workspace / "bad.asc"
+    bad.write_text((workspace / "raster.asc").read_text().replace("ncols 20", "ncols abc", 1))
+    out = workspace / "out.csv"
+    rc = main(["run", "--task", "extract_at", "--x", str(bad), "--y", str(workspace / "points.csv"),
+               "--partition", str(workspace / "parts.json"), "--out", str(out)])
+    assert rc == EXIT_INPUT and not out.exists()
+    assert capsys.readouterr().err == (
+        f"load error: {bad}: ncols must be a whole number >= 1, got 'abc'\n")
 
 
 class TestNotUtf8:

@@ -582,6 +582,44 @@ class TestRasterIO:
         with pytest.raises(LoadError, match=message):
             load_raster(str(p))
 
+    @pytest.mark.parametrize("key,value,want", [
+        ("ncols", "abc", "a whole number >= 1"),
+        ("ncols", "1e400", "a whole number >= 1"),
+        ("ncols", "nan", "a whole number >= 1"),
+        ("ncols", "-2", "a whole number >= 1"),
+        ("ncols", "2.5", "a whole number >= 1"),
+        ("nrows", "0", "a whole number >= 1"),
+        ("cellsize", "abc", "a finite number > 0"),
+        ("cellsize", "nan", "a finite number > 0"),
+        ("cellsize", "0", "a finite number > 0"),
+        ("xllcorner", "inf", "a finite number"),
+        ("yllcorner", "-inf", "a finite number"),
+        ("nodata_value", "x", "a number"),
+    ])
+    def test_header_errors(self, tmp_path, key, value, want):
+        # each once escaped as a traceback, read as a raster of empty values,
+        # or failed without naming the file
+        header = {"ncols": "2", "nrows": "2", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "1", "nodata_value": "-9999", key: value}
+        p = tmp_path / "r.asc"
+        p.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1 2\n3 4\n")
+        with pytest.raises(LoadError) as e:
+            load_raster(str(p))
+        assert str(e.value) == f"{p}: {key} must be {want}, got {value!r}"
+
+    def test_whole_float_header_count(self, tmp_path):
+        p = tmp_path / "r.asc"
+        p.write_text(self._HEADER.replace("ncols 2", "ncols 2.0") + "1 2\n3 4\n")
+        r = load_raster(str(p))
+        assert (r.ncols, r.values.tolist()) == (2, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_huge_whole_ncols_is_a_load_error(self, tmp_path):
+        # once a ValueError from allocating the 2 x 1e300 values up front
+        p = tmp_path / "r.asc"
+        p.write_text(self._HEADER.replace("ncols 2", "ncols 1e300") + "1 2\n3 4\n")
+        with pytest.raises(LoadError, match=r"line 7: expected \d+ values, got 2$"):
+            load_raster(str(p))
+
     @pytest.mark.parametrize("body,want", [
         ("1_0 2\n3 4\n", [[10.0, 2.0], [3.0, 4.0]]),
         ("1\t2\n3\t \t4\n", [[1.0, 2.0], [3.0, 4.0]]),

@@ -22,7 +22,7 @@ from gridchop.dataio import (
     save_partitions,
     write_raster,
 )
-from gridchop.errors import InvalidParameterError, LoadError
+from gridchop.errors import InvalidInputError, InvalidParameterError, LoadError
 from gridchop.executor import (
     ChunkError,
     ChunkResult,
@@ -107,6 +107,68 @@ class TestTaskSpec:
         assert interaction_radius(TaskSpec("summarize_sedc", pts, pts,
                                            {"bandwidth": 3.0, "maxdist": 9.0})) == 9.0
         assert interaction_radius(TaskSpec("nearest_distance", pts, pts, {})) is None
+
+
+class TestTaskParameters:
+    """geoops.op_args reads each op's params once, for the check before any
+    chunk runs and for every chunk. Each case below once gave one error row
+    per anchor, or rows of the wrong values."""
+
+    @staticmethod
+    def _error_before_chunks(monkeypatch, task, anchors, error):
+        """The message of the `error` that run_grid raises with no chunk run."""
+        ran = []
+        run_chunk = executor._run_chunk
+        monkeypatch.setattr(executor, "_run_chunk", lambda job: ran.append(job) or run_chunk(job))
+        with pytest.raises(error) as e:
+            run_grid(task, grid_parts(anchors, 2))
+        assert ran == []
+        return str(e.value)
+
+    def test_none_radius_reads_as_zero(self):
+        pts, r = scatter(20), grid_raster()
+        none = run_grid(TaskSpec("extract_at", r, pts, {"radius": None}), grid_parts(pts, 2))
+        zero = run_grid(TaskSpec("extract_at", r, pts, {"radius": 0.0}), grid_parts(pts, 2))
+        assert not none.had_errors and none.rows == zero.rows
+
+    @pytest.mark.parametrize("segments", ["x", -3, 0, 2, 2.7])
+    def test_bad_segments_before_any_chunk(self, monkeypatch, segments):
+        pts = scatter(20)
+        task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 1.5, "segments": segments})
+        got = self._error_before_chunks(monkeypatch, task, pts, InvalidParameterError)
+        assert got == f"segments must be an integer >= 3, got {segments!r}"
+
+    def test_aw_without_value_columns(self):
+        tiles = tiles_fs(6)
+        got = run_grid(TaskSpec("summarize_aw", tiles, tiles, {}), grid_parts(tiles, 2))
+        assert not got.had_errors and got.columns == ["id", "chunk_id", "coverage"]
+        assert [r["coverage"] for r in got.rows] == [1.0] * len(tiles)
+
+    @pytest.mark.parametrize("op", ["summarize_aw", "summarize_sedc"])
+    def test_string_value_columns(self, monkeypatch, op):
+        anchors = tiles_fs(4) if op == "summarize_aw" else scatter(20)
+        task = TaskSpec(op, anchors, anchors, {"bandwidth": 1.0, "value_columns": "v"})
+        got = self._error_before_chunks(monkeypatch, task, anchors, InvalidParameterError)
+        assert got == "value_columns must be a list of column names, got 'v'"
+
+    @pytest.mark.parametrize("op,context", [
+        ("extract_at", None), ("extract_at", "points"), ("summarize_sedc", "raster"),
+        ("nearest_distance", "raster"),
+    ])
+    def test_wrong_context_type_before_any_chunk(self, monkeypatch, op, context):
+        pts = scatter(20)
+        x = {None: None, "points": pts, "raster": grid_raster()}[context]
+        task = TaskSpec(op, x, pts, {"bandwidth": 1.0})
+        got = self._error_before_chunks(monkeypatch, task, pts, InvalidInputError)
+        want = "Raster" if op == "extract_at" else "FeatureSet"
+        assert got == f"{op} requires a {want} context, got {type(x).__name__}"
+
+    def test_multiraster_takes_no_shared_context(self, tmp_path):
+        path = str(tmp_path / "r.asc")
+        write_raster(grid_raster(), path)
+        pts = scatter(10)
+        got = run_multirasters(TaskSpec("extract_at", None, pts, {}), [path])
+        assert not got.had_errors and len(got.rows) == 10
 
 
 class TestRunGridExtract:

@@ -202,6 +202,23 @@ def test_points_mixed_with_polygons_rejected():
         summarize_aw(polys, mixed, ["v"])
 
 
+def test_op_bodies_read_op_args():
+    # an op called directly reads its keyword arguments as a task's params
+    # are read: None as the default, each checked, and the context's type
+    r, pts = const_raster(4, 2.0), points_fs([(1.5, 1.5)], [1.0])
+    assert extract_at(r, pts, radius=None).rows == extract_at(r, pts).rows
+    with pytest.raises(InvalidParameterError, match=r"^segments must be an integer >= 3, got 2$"):
+        extract_at(r, pts, radius=1.0, segments=2)
+    with pytest.raises(InvalidParameterError, match="^value_columns must be a list"):
+        summarize_sedc(pts, pts, SedcParams(1.0, value_columns="v"))
+    with pytest.raises(InvalidInputError, match="^nearest_distance requires a FeatureSet context"):
+        nearest_distance(pts, r)
+    with pytest.raises(InvalidInputError, match="^extract_at requires a Raster context"):
+        extract_at(pts, pts)
+    tile = FeatureSet([Feature("s", rect(0, 0, 1, 1))])
+    assert summarize_aw(tile, tile, None).data == {"coverage": [1.0]}
+
+
 class TestCountStat:
     def test_one_count_column(self):
         r = const_raster(10, 1.0)
