@@ -150,7 +150,7 @@ OP_KINDS = {
 
 
 def check_inputs(
-    op: str, y: FeatureSet, x, params: dict | None = None, raster_kind: str = "continuous"
+    op: str, y: FeatureSet, x, params: dict | None = None, raster_kind: str | None = None
 ) -> tuple[dict, str, dict[str, np.ndarray]]:
     """The op's keyword arguments (op_args of params), the geometry kind of
     the anchors y, and float() of each value column of a FeatureSet context
@@ -160,7 +160,8 @@ def check_inputs(
       Raster, else raster_kind) and a radius > 0 has no polygon anchors. A
       failure raises InvalidParameterError;
     - x is the context `op` takes: a Raster for extract_at (or, before a
-      run loads it, a raster path), a FeatureSet for the other ops;
+      run loads it, a raster path, with the raster_kind the run loads it
+      as), a FeatureSet for the other ops;
     - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
     - a nearest_distance context x has a feature;
     - every feature of a non-empty context x has each value column, and
@@ -173,11 +174,11 @@ def check_inputs(
         raise UnsupportedGeometryError("extract_at does not support line inputs")
     _check_kind(kind, op, y_kinds)
     if op == "extract_at":
+        if not (isinstance(x, Raster) or (isinstance(x, str) and raster_kind is not None)):
+            raise InvalidInputError(f"{op} requires a Raster context, got {type(x).__name__}")
         categorical = (x.kind if isinstance(x, Raster) else raster_kind) == "categorical"
         if args["stat"] == "frequency" and not categorical:
             raise InvalidParameterError("frequency statistic requires a categorical raster")
-        if not isinstance(x, (Raster, str)):
-            raise InvalidInputError(f"{op} requires a Raster context, got {type(x).__name__}")
         if kind == "polygon" and args["radius"] > 0:
             raise InvalidParameterError("buffered polygon extraction is not supported")
         return args, kind, {}

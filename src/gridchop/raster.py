@@ -33,6 +33,10 @@ class Raster:
     kind: str = "continuous"
 
     def __post_init__(self):
+        for name in ("xll", "yll", "cellsize"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.cellsize <= 0:
             raise InvalidParameterError("cellsize must be > 0")
         if self.kind not in ("continuous", "categorical"):

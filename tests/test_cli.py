@@ -400,16 +400,18 @@ class TestParametersCheckedBeforeChunks:
     @pytest.mark.parametrize("key,task", [("radius", "extract_at"), ("bandwidth", "sedc"),
                                           ("maxdist", "sedc")])
     def test_non_numeric_config_number(self, workspace, capsys, key, task):
-        # a config file may give any JSON value
+        # a config value meets its flag's type, as --radius wide does: a usage
+        # error before any input is read (once exit 3, from the task's check)
         points = str(workspace / "points.csv")
         doc = {"task": task, "x": str(workspace / "raster.asc") if task == "extract_at" else points,
                "y": points, "partition": str(workspace / "parts.json"), "bandwidth": 1.0,
                "value_cols": "v", "out": str(workspace / "out.csv"), key: "wide"}
         cfg = workspace / "job.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["run", "--config", str(cfg)]) == EXIT_INPUT
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert not (workspace / "out.csv").exists()
-        assert capsys.readouterr().err == f"error: {key} must be a number, got 'wide'\n"
+        assert capsys.readouterr().err == (
+            f'error: --{key} must be a number in --config {cfg}, got "wide"\n')
 
 
 def test_bad_raster_header_is_a_load_error(workspace, capsys):
@@ -676,6 +678,14 @@ class TestMultirasterCommand:
         ])
         assert rc == EXIT_OK
 
+    def test_task_other_than_extract_at_usage_error(self, workspace, capsys):
+        # once exit 3, from a check after the parse
+        out = workspace / "o.csv"
+        rc = main(["multiraster", "--task", "nearest", "--y", str(workspace / "points.csv"),
+                   "--rasters", str(workspace / "raster.asc"), "--out", str(out)])
+        assert rc == EXIT_USAGE and not out.exists()
+        assert "argument --task: invalid choice: 'nearest'" in capsys.readouterr().err
+
     def test_no_rasters_usage(self, workspace):
         rc = main([
             "multiraster", "--task", "extract_at",
@@ -746,6 +756,30 @@ class TestSynthAndBench:
             outs.append(out.read_bytes().split(b"\r\n")[0])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("argv,err", [
+        (["bench", "--workers", "1,x"], "argument --workers: must be an integer >= 1, got 'x'"),
+        (["synth", "--n-points", "-5"], "argument --n-points: must be an integer >= 0, got '-5'"),
+        (["synth", "--raster-size", "0"],
+         "argument --raster-size: must be an integer >= 1, got '0'"),
+    ], ids=["bench_workers", "synth_n_points", "synth_raster_size"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, err):
+        # each once escaped as a ValueError or ZeroDivisionError traceback (exit 1)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        got = capsys.readouterr().err
+        assert err in got and "Traceback" not in got
+        assert not out.exists()
+
+    def test_least_values_run(self, tmp_path):
+        assert main(["synth", "--n-points", "0", "--n-lines", "0", "--raster-size", "1",
+                     "--seed", "0", "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert (tmp_path / "s" / "points.csv").read_bytes() == b"id,x,y,v\r\n"
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--n-points", "20", "--raster-size", "5", "--workers", "1,,2",
+                     "--repeats", "1", "--nx", "1", "--ny", "1", "--out", str(out)]) == EXIT_OK
+        rows = (tmp_path / "b_metrics.csv").read_bytes().split(b"\r\n")
+        assert [row.split(b",")[1] for row in rows[1:-1]] == [b"1", b"2"]
+
 
 def _run_args(workspace):
     return [
@@ -809,3 +843,143 @@ class TestUsage:
         assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
         assert "unknown config keys: ['pad_y']" in capsys.readouterr().err
         assert not (workspace / "out.csv").exists()
+
+
+class TestConfigValues:
+    """A --config value is read as its flag: each meets the flag's type,
+    choices and JSON type, or is a usage error naming the flag and the value
+    (exit 2, no CSV). Each case once ran (exit 0) or failed later: a list of
+    value columns as an AttributeError traceback, the string "false" as a
+    categorical raster, "no" as captured errors, true as 1 worker, "1" as
+    radius 1, 1 as the CSV written to stdout, and a bogus task as a load error."""
+
+    @pytest.mark.parametrize("key,value,err", [
+        ("value_cols", ["v"], '--value-cols must be a string in --config {cfg}, got ["v"]'),
+        ("categorical", "false", '--categorical must be true or false in --config {cfg}, '
+                                 'got "false"'),
+        ("capture_errors", "no", '--capture-errors must be true or false in --config {cfg}, '
+                                 'got "no"'),
+        ("workers", True, "--workers must be an integer in --config {cfg}, got true"),
+        ("radius", "1", '--radius must be a number in --config {cfg}, got "1"'),
+        ("out", 1, "--out must be a string in --config {cfg}, got 1"),
+        ("task", "bogus", "argument --task: invalid choice: 'bogus'"),
+    ], ids=["value_cols_list", "categorical_string", "capture_errors_string", "workers_true",
+            "radius_string", "out_number", "task_bogus"])
+    def test_bad_value_is_usage_error(self, workspace, capsys, key, value, err):
+        out = workspace / "out.csv"
+        doc = {"task": "sedc", "x": str(workspace / "points.csv"),
+               "y": str(workspace / "points.csv"), "partition": str(workspace / "parts.json"),
+               "bandwidth": 2.0, "value_cols": "v", "out": str(out), key: value}
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert not out.exists()
+        got = capsys.readouterr().err
+        assert err.format(cfg=cfg) in got and "Traceback" not in got
+
+    def test_config_value_starting_with_dash(self, workspace, monkeypatch):
+        # a config value is one token, so a file named -o.csv is an output path
+        doc = {"task": "extract_at", "x": str(workspace / "raster.asc"),
+               "y": str(workspace / "points.csv"), "hierarchy": "v", "out": "-o.csv"}
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.chdir(workspace)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (workspace / "-o.csv").exists()
+
+    def test_switch_flag_wins_over_config(self, workspace):
+        out = workspace / "cap.csv"
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps({**_failing_multiraster(workspace, out),
+                                   "capture_errors": False}))
+        assert main(["multiraster", "--config", str(cfg), "--capture-errors"]) == EXIT_PARTIAL
+        assert b"error" in out.read_bytes().split(b"\r\n")[0]
+
+    def test_a_key_of_another_command_is_unknown(self, workspace, capsys):
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps({"rasters": str(workspace / "raster.asc")}))
+        assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
+        assert "unknown config keys: ['rasters']" in capsys.readouterr().err
+        assert not (workspace / "out.csv").exists()
+
+    @pytest.mark.parametrize("config", [{}, {"raster_list": "list.txt"}],
+                             ids=["both_flags", "flag_and_config"])
+    def test_rasters_and_raster_list_usage_error(self, workspace, capsys, config):
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps(config))
+        out = workspace / "mr.csv"
+        rc = main(["multiraster", "--task", "extract_at", "--y", str(workspace / "points.csv"),
+                   "--rasters", str(workspace / "raster.asc"), "--config", str(cfg),
+                   *([] if config else ["--raster-list", "list.txt"]), "--out", str(out)])
+        assert rc == EXIT_USAGE and not out.exists()
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def _flags(doc):
+    """The command-line spelling of a config document."""
+    argv = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+class TestConfigAndFlagsSameBytes:
+    """A job given as flags and as a --config file writes the same bytes."""
+
+    @pytest.fixture
+    def inputs(self, workspace):
+        src = (workspace / "points.csv").read_text().splitlines()
+        rows = [src[0] + ",g"] + [line + ("," + "ab"[i % 2]) for i, line in enumerate(src[1:])]
+        (workspace / "pts.csv").write_text("\n".join(rows) + "\n")
+        vals = np.arange(400, dtype=float).reshape(20, 20) % 4
+        write_raster(Raster(20, 20, 0.0, 0.0, 1.0, -9999.0, vals, "categorical"),
+                     str(workspace / "cat.asc"))
+        polys = _polygons(workspace)
+        (workspace / "poly_parts.json").write_text(json.dumps({"mode": "grid", "chunks": [
+            {"chunk_id": i, "core": [0, 0, 10, 10], "member_ids": [fid]}
+            for i, fid in enumerate(["q2", "q5"])]}))
+        return {"pts": str(workspace / "pts.csv"), "raster": str(workspace / "raster.asc"),
+                "cat": str(workspace / "cat.asc"), "polys": polys,
+                "parts": str(workspace / "parts.json"),
+                "poly_parts": str(workspace / "poly_parts.json")}
+
+    @pytest.mark.parametrize("chunking", ["partition", "hierarchy"])
+    @pytest.mark.parametrize("job", ["extract_mean", "extract_frequency", "summarize_aw", "sedc",
+                                     "nearest"])
+    def test_run(self, workspace, inputs, chunking, job):
+        f = inputs
+        doc = {
+            "extract_mean": {"task": "extract_at", "x": f["raster"], "y": f["pts"],
+                             "radius": 1.5, "stat": "mean", "workers": 2},
+            "extract_frequency": {"task": "extract_at", "x": f["cat"], "y": f["pts"],
+                                  "radius": 1.5, "stat": "frequency", "categorical": True},
+            "summarize_aw": {"task": "summarize_aw", "x": f["polys"], "y": f["polys"],
+                             "value_cols": "v", "stat": "sum"},
+            "sedc": {"task": "sedc", "x": f["pts"], "y": f["pts"], "bandwidth": 2,
+                     "maxdist": 5.0, "value_cols": "v", "capture_errors": False},
+            "nearest": {"task": "nearest", "x": f["pts"], "y": f["pts"], "id": "id"},
+        }[job]
+        polygons = job == "summarize_aw"
+        if chunking == "partition":
+            doc["partition"] = f["poly_parts"] if polygons else f["parts"]
+        else:
+            doc["hierarchy"] = "grp" if polygons else "g"
+        self._same_bytes(workspace, "run", doc)
+
+    def test_multiraster(self, workspace, inputs):
+        doc = {"task": "extract_at", "y": inputs["pts"],
+               "rasters": f"{inputs['raster']},{inputs['cat']}", "radius": 1.0, "stat": "max"}
+        self._same_bytes(workspace, "multiraster", doc)
+
+    def _same_bytes(self, workspace, command, doc):
+        flags_out, config_out = workspace / "flags.csv", workspace / "config.csv"
+        assert main([command, *_flags(doc), "--out", str(flags_out)]) == EXIT_OK
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps({**doc, "out": str(config_out)}))
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert flags_out.read_bytes() == config_out.read_bytes()
+        assert len(flags_out.read_bytes().split(b"\r\n")) > 2

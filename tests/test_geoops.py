@@ -215,6 +215,10 @@ def test_op_bodies_read_op_args():
         nearest_distance(pts, r)
     with pytest.raises(InvalidInputError, match="^extract_at requires a Raster context"):
         extract_at(pts, pts)
+    # only a run takes a raster path, which it loads; called directly, this
+    # once failed with AttributeError: 'str' object has no attribute 'cellsize'
+    with pytest.raises(InvalidInputError, match="^extract_at requires a Raster context, got str$"):
+        extract_at("r.asc", pts)
     tile = FeatureSet([Feature("s", rect(0, 0, 1, 1))])
     assert summarize_aw(tile, tile, None).data == {"coverage": [1.0]}
 

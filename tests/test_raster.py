@@ -361,6 +361,15 @@ class TestZonalStat:
             extract_at(grid(2), polys, stat="frequency")
 
 
+@pytest.mark.parametrize("field", ["xll", "yll", "cellsize"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_georeference_rejected(field, value):
+    # a NaN cellsize once built a raster on which every extract_at read None
+    fields = {"xll": 0.0, "yll": 0.0, "cellsize": 1.0, field: value}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be finite, got {value}$"):
+        Raster(2, 2, fields["xll"], fields["yll"], fields["cellsize"], -9999.0, np.ones((2, 2)))
+
+
 STATS = ("mean", "sum", "count", "min", "max", "stdev")
 
 
