@@ -6,11 +6,18 @@ one per raster file. `_run` executes every plan the same way. It checks the
 inputs as the op does (parameters, context type, geometry kinds, value
 columns, a non-empty nearest context), resolves each job's member ids to anchor
 indices once, and checks that grid and hierarchy jobs own each anchor
-exactly once, all before any chunk runs. Those jobs share one context
-dataset that each job clips around its own anchors, so merged results never
-need deduplication and each row is the row of an unpartitioned run. A
-chunk's table holds the op's value columns only, one row per anchor; the
-merge attaches each row's anchor id, chunk id and extra columns.
+exactly once, all before any chunk runs. Its check caches each converted
+value column on the context, and it builds the context's bounds() (for
+nearest, its segments()) and the anchors' bounds() before any fork, so a
+chunk's own check and prune read those caches.
+
+Grid and hierarchy jobs share one context dataset. A chunk's anchors are
+index arrays into the run's anchors (their gathered geometry, ids and
+bounds, no attributes), and the op itself prunes the whole context to
+those anchors' reach (see geoops), so merged results never need
+deduplication and each row is the row of an unpartitioned run. A chunk's
+table holds the op's value columns only, one row per anchor; the merge
+attaches each row's anchor id, chunk id and extra columns.
 
 At more than one worker the jobs are split into one batch per worker,
 largest first by anchor count (Graham's LPT rule), and one worker process is
@@ -34,7 +41,6 @@ import numpy as np
 from . import geoops
 from .dataio import FeatureSet, ResultTable, load_raster
 from .errors import GridchopError, InvalidParameterError, LoadError
-from .geom import BBox
 from .partition import PartitionSet
 from .raster import Raster
 
@@ -113,73 +119,19 @@ def _apply_op(task: TaskSpec, x, y) -> ResultTable:
     return getattr(geoops, task.op)(*xy, **geoops.op_args(task.op, task.params))
 
 
-def interaction_radius(task: TaskSpec) -> float | None:
-    """Context distance the op needs around each anchor; None if unbounded."""
-    args = geoops.op_args(task.op, task.params)
-    if task.op == "summarize_sedc":
-        return args["params"].maxdist
-    # summarize_aw has no radius: a source must overlap its target
-    return None if task.op == "nearest_distance" else args.get("radius", 0.0)
-
-
-def _subset_by_bbox(fs: FeatureSet, box: BBox) -> FeatureSet:
-    """The features whose bbox intersects `box` (edges touching count)."""
-    b = fs.bounds()
-    keep = (b[:, 0] <= box.xmax) & (b[:, 2] >= box.xmin)
-    keep &= (b[:, 1] <= box.ymax) & (b[:, 3] >= box.ymin)
-    return fs.subset(np.nonzero(keep)[0])
-
-
-def _apply_clipped(task: TaskSpec, context: FeatureSet, anchors: FeatureSet):
-    """The op over the context clipped to the anchors' bbox expanded by the
-    op's radius, so each row is the row of an unclipped run. nearest_distance
-    has none: it clips to the bbox expanded by half its larger side, then
-    recomputes against the whole context every row (all of them if the clip
-    is empty) not strictly nearer than the box's edge, beyond which any
-    feature is at least that far.
-
-    The op's own distances round, and so do the box's sums, each by an ulp
-    or so of the numbers involved; the box is widened, and the edge pulled
-    in, by a margin of several ulps of the largest of them, so the clip
-    holds every feature the op could admit or find nearest."""
-    radius = interaction_radius(task)
-    if not len(anchors):  # no box: an empty clip, which nearest_distance widens to all
-        clipped = context if radius is None else context.subset([])
-        return _apply_op(task, clipped, anchors)
-    b = anchors.bounds()
-    lo, hi = b[:, :2].min(axis=0), b[:, 2:].max(axis=0)
-    reach = 0.5 * float((hi - lo).max()) if radius is None else radius
-    margin = 8 * np.finfo(float).eps * (float(np.abs(b).max()) + reach)
-    box = BBox(*lo.tolist(), *hi.tolist()).expand(reach + margin)
-    clipped = _subset_by_bbox(context, box)
-    if radius is not None:
-        return _apply_op(task, clipped, anchors)
-    if len(clipped) == 0:
-        return _apply_op(task, context, anchors)
-    table = _apply_op(task, clipped, anchors)
-    x, y = anchors.coords.T
-    edge = np.minimum.reduce([x - box.xmin, box.xmax - x, y - box.ymin, box.ymax - y]) - margin
-    redo = np.nonzero(~(np.array(table.data["distance"]) < edge))[0]
-    if redo.size:
-        again = _apply_op(task, context, anchors.subset(redo))
-        for name, column in table.data.items():
-            for i, value in zip(redo.tolist(), again.data[name]):
-                column[i] = value
-    return table
-
-
 def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
     """The op's table over the job's anchors: one row per anchor, or an error."""
     run, job = chunk
     try:
-        anchors = run.anchors.subset(job.rows)
+        rows = job.rows
+        anchors = FeatureSet.from_columns(
+            job.anchor_ids, *run.anchors.gather(rows), run.anchors.kinds[rows],
+            bounds=run.anchors.bounds()[rows],
+        )
         context = run.context
         if job.context is not None:
             context = load_raster(job.context, kind=run.raster_kind)
-        if isinstance(context, FeatureSet):
-            table = _apply_clipped(run.task, context, anchors)
-        else:
-            table = _apply_op(run.task, context, anchors)
+        table = _apply_op(run.task, context, anchors)
         for name, column in table.data.items():
             if len(column) != len(anchors):
                 raise GridchopError(f"column {name!r} has {len(column)} rows for "
@@ -370,9 +322,12 @@ def _run(
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
     elif isinstance(context, FeatureSet):
-        # build the bbox caches pre-fork, workers share them
-        anchors.bounds()
-        context.bounds()
+        # build the cache the op prunes by before the fork: workers share it
+        if task.op == "nearest_distance":
+            context.segments()
+        else:
+            context.bounds()
+    anchors.bounds()  # each chunk slices its anchors' boxes from it
     results = _execute(_Run(task, anchors, context, raster_kind), jobs, cfg or RunConfig())
     return merge_chunks(
         results,

@@ -4,6 +4,17 @@ All four operations are pure functions from immutable inputs to a
 ResultTable of value columns only, one row per anchor in anchor order (the
 executor attaches ids at merge), and compute each output row independently
 of the others, which is what makes chunked execution value-exact.
+
+A chunk passes an op the run's whole context, and the op prunes it to its
+anchors' reach: one mask over the context's cached bounds() keeps the
+features whose bbox meets the anchors' bbox grown by the op's reach (sedc's
+maxdist, 0 for summarize_aw) plus a margin of rounding. The op's kernel then
+runs on the kept features' coordinates and values, gathered by index in
+ascending context order, so every sum adds the terms of an unpruned run in
+their order. nearest_distance has no reach: it masks the bboxes of the
+context's cached segments() by the anchors' bbox grown by half its larger
+side, and searches once more, in a box bounded by the distances found,
+every row not strictly nearer than that box's edge.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import numpy as np
 
 from .dataio import MISSING, FeatureSet, ResultTable
 from .errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
+from .geom import BBox
 from .raster import (
     STAT_KINDS,
     Raster,
@@ -166,7 +178,10 @@ def check_inputs(
     - a nearest_distance context x has a feature;
     - every feature of a non-empty context x has each value column, and
       float() takes each of its values.
-    Each input failure raises InvalidInputError."""
+    Each input failure raises InvalidInputError. Each converted column is
+    cached in x.value_arrays, so a later check of the same set (a chunk's,
+    after the run's own) takes it from there: a FeatureSet is read-only
+    once built."""
     args = op_args(op, params or {})
     y_kinds, x_kinds = OP_KINDS[op]
     kind = y.geometry_kind()
@@ -192,6 +207,9 @@ def check_inputs(
             raise InvalidInputError("nearest_distance requires a non-empty context dataset")
         return args, kind, {c: np.zeros(0) for c in columns}
     for c in columns:
+        if c in x.value_arrays:
+            columns[c] = x.value_arrays[c]
+            continue
         values = x.attributes.get(c)
         if values is None:
             raise InvalidInputError(f"{op}: no context feature has value column {c!r}")
@@ -205,7 +223,36 @@ def check_inputs(
             i = len(values) - len(list(rest)) - 1  # the value float() rejected was the last taken
             raise InvalidInputError(f"{op}: context feature {x.ids()[i]!r} has value "
                                     f"{values[i]!r} in column {c!r}, not a number")
+        x.value_arrays[c] = columns[c]
     return args, kind, columns
+
+
+def _reach_box(bounds: np.ndarray, reach: float) -> tuple[BBox, float]:
+    """The bbox of the boxes `bounds` (n > 0 rows of xmin, ymin, xmax, ymax)
+    grown by reach plus a margin, and that margin: 8 eps x (largest
+    coordinate + reach). The ops' own distances round, and so do the box's
+    sums, each by an ulp or so of the numbers involved; the margin keeps in
+    the box every feature an op could admit or find nearest."""
+    lo, hi = bounds[:, :2].min(axis=0), bounds[:, 2:].max(axis=0)
+    margin = 8 * np.finfo(float).eps * (float(np.abs(bounds).max()) + reach)
+    return BBox(*lo.tolist(), *hi.tolist()).expand(reach + margin), margin
+
+
+def _in_box(bounds: np.ndarray, box: BBox) -> np.ndarray:
+    """Whether each of the boxes `bounds` (n, 4) meets `box`, edges touching."""
+    keep = (bounds[:, 0] <= box.xmax) & (bounds[:, 2] >= box.xmin)
+    keep &= (bounds[:, 1] <= box.ymax) & (bounds[:, 3] >= box.ymin)
+    return keep
+
+
+def _near(x: FeatureSet, y: FeatureSet, reach: float) -> np.ndarray:
+    """The indices, ascending, of the features of context x within `reach`
+    of the anchors y: those whose bbox meets _reach_box of y's. None of them
+    for no anchors."""
+    if not len(y):
+        return np.zeros(0, dtype=np.intp)
+    box, _ = _reach_box(y.bounds(), reach)
+    return np.flatnonzero(_in_box(x.bounds(), box))
 
 
 def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -432,14 +479,19 @@ def _intersection_areas(
     return np.where(0.0 > total, 0.0, total)
 
 
-def _polygon_areas(polys: FeatureSet) -> np.ndarray:
-    """Area of each polygon: |outer ring|, then each hole's |area| subtracted
-    in turn. np.bincount adds each polygon's terms in ring order."""
-    area = np.abs(signed_ring_areas(polys.coords, polys.part_offsets))
+def _polygon_areas(polys: FeatureSet, idx: np.ndarray | None = None) -> np.ndarray:
+    """Area of each polygon (of polygons idx, if given): |outer ring|, then
+    each hole's |area| subtracted in turn. np.bincount adds each polygon's
+    terms in ring order."""
+    coords, part_offsets, feature_offsets = (
+        (polys.coords, polys.part_offsets, polys.feature_offsets) if idx is None
+        else polys.gather(idx))
+    n = feature_offsets.size - 1
+    area = np.abs(signed_ring_areas(coords, part_offsets))
     outer = np.zeros(area.size, dtype=bool)
-    outer[polys.feature_offsets[:-1]] = True
-    owner = np.repeat(np.arange(len(polys)), np.diff(polys.feature_offsets))
-    return np.bincount(owner, weights=np.where(outer, area, -area), minlength=len(polys))
+    outer[feature_offsets[:-1]] = True
+    owner = np.repeat(np.arange(n), np.diff(feature_offsets))
+    return np.bincount(owner, weights=np.where(outer, area, -area), minlength=n)
 
 
 def _same_rings(a: FeatureSet, i: int, b: FeatureSet, j: int) -> bool:
@@ -462,32 +514,36 @@ def summarize_aw(
     """
     args, _, svals = check_inputs("summarize_aw", targets, sources, locals())
     stat = args["stat"]
-    # a target over no source gets a null row
-    tb, sb = targets.bounds(), sources.bounds()
-    tarea, sarea = _polygon_areas(targets), _polygon_areas(sources)
+    # a source must overlap its target; a target over no source gets a null row
+    near = _near(sources, targets, 0.0)
+    tb, sb = targets.bounds(), sources.bounds()[near]
+    tarea, sarea = _polygon_areas(targets), _polygon_areas(sources, near)
+    svals = {c: v[near] for c, v in svals.items()}
     out = {**{f"{c}_{stat}": [] for c in svals}, "coverage": []}
-    block = max(1, _PAIR_ELEMS // max(1, len(sources)))
+    block = max(1, _PAIR_ELEMS // max(1, near.size))
     for lo in range(0, len(targets), block):
         t = tb[lo : lo + block, None, :]
         hit = ((sb[:, 2] >= t[..., 0]) & (sb[:, 0] <= t[..., 2])
                & (sb[:, 3] >= t[..., 1]) & (sb[:, 1] <= t[..., 3]))
-        # row-major: target-major, each target's sources ascending
-        ti, si = np.nonzero(hit)
+        # row-major: target-major, each target's sources ascending; sj
+        # indexes the kept sources, si the whole context
+        ti, sj = np.nonzero(hit)
         ti += lo
-        same = np.all(tb[ti] == sb[si], axis=1)
+        si = near[sj]
+        same = np.all(tb[ti] == sb[sj], axis=1)
         same[same] = [_same_rings(targets, i, sources, j)
                       for i, j in zip(ti[same].tolist(), si[same].tolist())]
         aij = np.empty(ti.size)
         aij[same] = tarea[ti[same]]
         aij[~same] = _intersection_areas(targets, sources, ti[~same], si[~same])
         keep = ~(aij <= 0.0)
-        ti, si, aij = ti[keep] - lo, si[keep], aij[keep]
+        ti, sj, aij = ti[keep] - lo, sj[keep], aij[keep]
         # np.bincount adds each target's terms in pair order, as a loop would
         inter = np.bincount(ti, weights=aij, minlength=len(t)).tolist()
         if stat == "sum":
-            aij = aij / sarea[si]
+            aij = aij / sarea[sj]
         for c, v in svals.items():
-            num = np.bincount(ti, minlength=len(t), weights=aij * v[si]).tolist()
+            num = np.bincount(ti, minlength=len(t), weights=aij * v[sj]).tolist()
             out[f"{c}_{stat}"] += [
                 (n / total if stat == "mean" else n) if total > 0.0 else None
                 for n, total in zip(num, inter)
@@ -504,15 +560,24 @@ def summarize_sedc(
 ) -> ResultTable:
     """Sum of exponentially decaying contributions from sources at targets."""
     _, _, svals = check_inputs("summarize_sedc", targets, sources, vars(params))
-    sx, sy = _point_arrays(sources)
+    near = _near(sources, targets, params.maxdist)
+    sx, sy = np.ascontiguousarray(sources.coords[near].T)
+    svals = {c: v[near] for c, v in svals.items()}
     tx, ty = _point_arrays(targets)
     out = {**{f"{c}_sedc": [] for c in svals}, "count": []}
-    block = max(1, _PAIR_ELEMS // max(1, len(sources)))
+    block = max(1, _PAIR_ELEMS // max(1, near.size))
     for lo in range(0, len(targets), block):
-        d = np.sqrt((sx - tx[lo : lo + block, None]) ** 2 + (sy - ty[lo : lo + block, None]) ** 2)
+        # sqrt((sx - tx)**2 + (sy - ty)**2), the same operations in place
+        d = sx - tx[lo : lo + block, None]
+        d *= d
+        dy = sy - ty[lo : lo + block, None]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
         # row-major: each target's pairs are contiguous, its sources ascending
-        ti, si = np.nonzero(d <= params.maxdist)
-        w = np.exp(-3.0 * d[ti, si] / params.bandwidth)
+        pair = np.flatnonzero(d <= params.maxdist)
+        ti, si = np.divmod(pair, near.size)
+        w = np.exp(-3.0 * d.ravel()[pair] / params.bandwidth)
         counts = np.bincount(ti, minlength=len(d))
         ends = np.cumsum(counts).tolist()
         slices = list(zip([0, *ends], ends))
@@ -525,28 +590,83 @@ def summarize_sedc(
     return ResultTable(out)
 
 
-def nearest_distance(y: FeatureSet, x: FeatureSet) -> ResultTable:
-    """Distance from each y point to the closest x feature (points or lines)."""
-    check_inputs("nearest_distance", y, x)
-    segs, owners = x.segments()
-    ids = x.ids()
+def _nearest_segments(px: np.ndarray, py: np.ndarray, segs: np.ndarray):
+    """The distance from each point (px, py) to its nearest segment of segs
+    (S, 4), S > 0, and that segment's row: the first of equal distances."""
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     dx = bx - ax
     dy = by - ay
     dd = dx * dx + dy * dy
+    point = dd == 0.0
+    distance, nearest = np.empty(px.size), np.empty(px.size, dtype=np.intp)
+    block = max(1, _PAIR_ELEMS // len(segs))
+    for lo in range(0, px.size, block):
+        qx = px[lo : lo + block, None]
+        qy = py[lo : lo + block, None]
+        # each step in place, the operations of t = min(1, max(0, ((qx - ax)
+        # * dx + (qy - ay) * dy) / dd)), 0 on a point, then of d =
+        # sqrt((qx - (ax + t * dx))**2 + (qy - (ay + t * dy))**2)
+        t = qx - ax
+        t *= dx
+        d = qy - ay
+        d *= dy
+        t += d
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t /= dd
+        np.maximum(0.0, t, out=t)
+        np.minimum(1.0, t, out=t)
+        t[:, point] = 0.0
+        np.multiply(t, dy, out=d)
+        d += ay
+        np.subtract(qy, d, out=d)
+        d *= d
+        t *= dx
+        t += ax
+        np.subtract(qx, t, out=t)
+        t *= t
+        d += t
+        np.sqrt(d, out=d)
+        k = np.argmin(d, axis=1)
+        nearest[lo : lo + block] = k
+        distance[lo : lo + block] = d[np.arange(len(d)), k]
+    return distance, nearest
+
+
+def nearest_distance(y: FeatureSet, x: FeatureSet) -> ResultTable:
+    """Distance from each y point to the closest x feature (points or lines).
+
+    The segments searched first are those whose bbox meets y's bbox grown
+    by half its larger side (an empty prune searches them all). A segment
+    outside that box is at least as far from a point as the box's edge, so
+    the rows not strictly nearer than the edge are searched once more, in
+    their own bbox grown by the largest distance found for them: each
+    distance found bounds its row's own, so every segment at least as near
+    lies in that box. Segments stay in ascending order, so argmin takes the
+    segment a search of the whole context takes."""
+    check_inputs("nearest_distance", y, x)
+    if not len(y):
+        return ResultTable({"distance": [], "nearest_feature_id": []})
+    segs, owners = x.segments()
+    ax, ay, bx, by = segs.T
+    # each segment's bbox, column by column as bounds() stores them
+    sb = np.stack([np.minimum(ax, bx), np.minimum(ay, by), np.maximum(ax, bx),
+                   np.maximum(ay, by)]).T
     px, py = _point_arrays(y)
-    distance, nearest_id = [], []
-    block = max(1, _PAIR_ELEMS // max(1, len(owners)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, len(y), block):
-            bx = px[lo : lo + block, None]
-            by = py[lo : lo + block, None]
-            t = ((bx - ax) * dx + (by - ay) * dy) / dd
-            t = np.where(dd == 0.0, 0.0, np.minimum(1.0, np.maximum(0.0, t)))
-            cx = ax + t * dx
-            cy = ay + t * dy
-            d = np.sqrt((bx - cx) ** 2 + (by - cy) ** 2)
-            nearest = np.argmin(d, axis=1)
-            distance += d[np.arange(len(d)), nearest].tolist()
-            nearest_id += [ids[j] for j in owners[nearest].tolist()]
-    return ResultTable({"distance": distance, "nearest_feature_id": nearest_id})
+    b = y.bounds()
+    box, margin = _reach_box(b, 0.5 * float((b[:, 2:].max(axis=0) - b[:, :2].min(axis=0)).max()))
+    cand = np.flatnonzero(_in_box(sb, box))
+    if not cand.size:
+        distance, seg = _nearest_segments(px, py, segs)
+    else:
+        distance, k = _nearest_segments(px, py, segs[cand])
+        seg = cand[k]
+        edge = np.minimum.reduce([px - box.xmin, box.xmax - px, py - box.ymin, box.ymax - py])
+        redo = np.flatnonzero(~(distance < edge - margin))
+        if redo.size:
+            box, _ = _reach_box(b[redo], float(distance[redo].max()))
+            cand = np.flatnonzero(_in_box(sb, box))
+            distance[redo], k = _nearest_segments(px[redo], py[redo], segs[cand])
+            seg[redo] = cand[k]
+    ids = x.ids()
+    return ResultTable({"distance": distance.tolist(),
+                        "nearest_feature_id": [ids[j] for j in owners[seg].tolist()]})

@@ -26,14 +26,14 @@ def with_ids(table: ResultTable, anchors: FeatureSet) -> ResultTable:
 def poison_chunks(monkeypatch, anchor_id=None):
     """Make every chunk whose anchors hold anchor_id (every chunk, if None)
     fail in its op as float("bad") does. A forked worker inherits the patch."""
-    original = executor._apply_clipped
+    original = executor._apply_op
 
     def poisoned(task, context, anchors):
         if anchor_id is None or anchor_id in anchors.ids():
             float("bad")
         return original(task, context, anchors)
 
-    monkeypatch.setattr(executor, "_apply_clipped", poisoned)
+    monkeypatch.setattr(executor, "_apply_op", poisoned)
 
 
 def polygon_set(polys) -> FeatureSet:

@@ -31,15 +31,13 @@ from gridchop.executor import (
     TaskSpec,
     _apply_op,
     _run,
-    _subset_by_bbox,
-    interaction_radius,
     lpt_batches,
     merge_chunks,
     run_grid,
     run_hierarchy,
     run_multirasters,
 )
-from gridchop.geom import BBox, Point, Polyline, bbox_of
+from gridchop.geom import BBox, Point, Polyline
 from gridchop.partition import (
     Chunk,
     GridSpec,
@@ -97,16 +95,6 @@ class TestTaskSpec:
     def test_unknown_op(self):
         with pytest.raises(InvalidParameterError):
             TaskSpec("resample", grid_raster(), scatter())
-
-    def test_interaction_radius(self):
-        pts = scatter(3)
-        assert interaction_radius(TaskSpec("extract_at", grid_raster(), pts,
-                                           {"radius": 2.5})) == 2.5
-        assert interaction_radius(TaskSpec("summarize_sedc", pts, pts,
-                                           {"bandwidth": 3.0})) == 6.0
-        assert interaction_radius(TaskSpec("summarize_sedc", pts, pts,
-                                           {"bandwidth": 3.0, "maxdist": 9.0})) == 9.0
-        assert interaction_radius(TaskSpec("nearest_distance", pts, pts, {})) is None
 
 
 class TestTaskParameters:
@@ -458,8 +446,8 @@ def _snapped_task(rng, op):
 
 
 class TestClipEdge:
-    """A chunk's context clip holds every feature its op admits, also where
-    the clip box's edge is a rounded sum."""
+    """An op's context prune holds every feature the op admits, also where
+    the prune box's edge is a rounded sum."""
 
     def test_sedc_source_at_maxdist(self):
         # 0.7000000000000001 - 0.5 rounds to 0.20000000000000007, so a box
@@ -506,41 +494,19 @@ class TestClipEdge:
         assert time.perf_counter() - t0 < 10.0
 
 
-class TestSubsetByBbox:
-    """The context clip keeps exactly the features whose bbox meets the box."""
+@pytest.mark.parametrize("op", ["summarize_sedc", "nearest_distance", "summarize_aw",
+                                "extract_at"])
+def test_no_run_path_subsets(monkeypatch, op):
+    # a chunk's anchors are index arrays, and each op prunes the whole
+    # context itself: no chunk, at 1 or 2 workers, copies a FeatureSet
+    def subset(self, indices):
+        raise AssertionError("FeatureSet.subset called")
 
-    @staticmethod
-    def _features(kind, rng):
-        feats = []
-        for i in range(60):
-            if kind == "point":
-                g = Point(*(float(v) for v in rng.integers(0, 7, 2)))
-            elif kind == "line":
-                xy = np.cumsum(rng.integers(1, 3, (3, 2)) * rng.choice([-1, 1], (3, 2)), axis=0)
-                g = Polyline([Point(float(x), float(y)) for x, y in xy + 3])
-            else:
-                x0, y0 = (float(v) for v in rng.integers(0, 5, 2))
-                x1, y1 = x0 + float(rng.integers(1, 3)), y0 + float(rng.integers(1, 3))
-                rings = [[Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]]
-                if i % 3 == 0:  # a hole never widens the bbox
-                    rings.append([Point(x0 + 0.25, y0 + 0.25), Point(x0 + 0.25, y0 + 0.75),
-                                  Point(x0 + 0.75, y0 + 0.75)])
-                g = make_polygon(rings)
-            feats.append(Feature(f"f{i}", g))
-        return FeatureSet(feats)
-
-    @pytest.mark.parametrize("kind", ["point", "line", "polygon"])
-    def test_matches_bbox_intersects(self, kind):
-        # integer coordinates: many boxes touch a feature's bbox exactly
-        rng = np.random.default_rng(len(kind))
-        fs = self._features(kind, rng)
-        assert fs.geometry_kind() == kind
-        for _ in range(200):
-            x0, x1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
-            y0, y1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
-            box = BBox(x0, y0, x1, y1)
-            want = [f.id for f in fs.features if box.intersects(bbox_of(f.geometry))]
-            assert _subset_by_bbox(fs, box).ids() == want
+    task = _snapped_task(np.random.default_rng(5), op)
+    want = value_rows(run_hierarchy(task, [("all", task.y.ids())]))
+    monkeypatch.setattr(FeatureSet, "subset", subset)
+    for workers in (1, 2):
+        assert value_rows(run_grid(task, grid_parts(task.y, 3), RunConfig(workers))) == want
 
 
 class TestFaultIsolation:
@@ -654,7 +620,7 @@ class TestFaultIsolation:
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
             # every chunk fails in its op, as float("bad") does
-            executor._apply_clipped = lambda task, context, anchors: float("bad")
+            executor._apply_op = lambda task, context, anchors: float("bad")
             parent, original = os.getpid(), executor._run_chunk
             out = []
             for die in (False, True):

@@ -42,6 +42,10 @@ REMOVED = [
     ("gridchop.raster", "EMPTY_WINDOW"),
     ("gridchop.raster", "window_for_bbox"),
     ("gridchop.geoops", "_buffered_point_stats"),
+    # each op prunes the whole context itself: the executor clips nothing
+    ("gridchop.executor", "_apply_clipped"),
+    ("gridchop.executor", "_subset_by_bbox"),
+    ("gridchop.executor", "interaction_radius"),
 ]
 
 

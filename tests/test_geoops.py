@@ -10,10 +10,12 @@ import pytest
 from gridchop import geoops
 from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
-from gridchop.geom import Point, Polyline
+from gridchop.geom import BBox, Point, Polyline, bbox_of
 from gridchop.geoops import (
     SedcParams,
+    _in_box,
     _intersection_areas,
+    check_inputs,
     extract_at,
     freq_column,
     freq_sort_key,
@@ -646,3 +648,169 @@ class TestNearestDistance:
         # (-0.5, 0.5) the unit square is 0.5 away, not 0.7071067811865476
         with pytest.raises(InvalidInputError, match=f"requires .*line geometry.*, got {kind}$"):
             nearest_distance(points_fs([(-0.5, 0.5)]), FeatureSet(context))
+
+
+class TestPrune:
+    """Each op prunes the whole context it is given to its anchors' reach."""
+
+    @staticmethod
+    def _features(kind, rng):
+        feats = []
+        for i in range(60):
+            if kind == "point":
+                g = Point(*(float(v) for v in rng.integers(0, 7, 2)))
+            elif kind == "line":
+                xy = np.cumsum(rng.integers(1, 3, (3, 2)) * rng.choice([-1, 1], (3, 2)), axis=0)
+                g = Polyline([Point(float(x), float(y)) for x, y in xy + 3])
+            else:
+                x0, y0 = (float(v) for v in rng.integers(0, 5, 2))
+                x1, y1 = x0 + float(rng.integers(1, 3)), y0 + float(rng.integers(1, 3))
+                rings = [[Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]]
+                if i % 3 == 0:  # a hole never widens the bbox
+                    rings.append([Point(x0 + 0.25, y0 + 0.25), Point(x0 + 0.25, y0 + 0.75),
+                                  Point(x0 + 0.75, y0 + 0.75)])
+                g = make_polygon(rings)
+            feats.append(Feature(f"f{i}", g))
+        return FeatureSet(feats)
+
+    @pytest.mark.parametrize("kind", ["point", "line", "polygon"])
+    def test_in_box_matches_bbox_intersects(self, kind):
+        # the prune keeps exactly the features whose bbox meets the box;
+        # integer coordinates: many boxes touch a feature's bbox exactly
+        rng = np.random.default_rng(len(kind))
+        fs = self._features(kind, rng)
+        assert fs.geometry_kind() == kind
+        for _ in range(200):
+            x0, x1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
+            y0, y1 = sorted(float(v) for v in rng.integers(-1, 8, 2))
+            box = BBox(x0, y0, x1, y1)
+            want = [f.id for f in fs.features if box.intersects(bbox_of(f.geometry))]
+            assert [fs.ids()[i] for i in np.flatnonzero(_in_box(fs.bounds(), box))] == want
+
+    def test_op_reach(self, monkeypatch):
+        # the reach each op grows its anchors' bbox by: sedc's maxdist, 0
+        # for summarize_aw, half the larger side for nearest_distance; an
+        # extract_at context is a raster, which is not pruned
+        reaches = []
+        reach_box = geoops._reach_box
+        monkeypatch.setattr(geoops, "_reach_box",
+                            lambda b, reach: reaches.append(reach) or reach_box(b, reach))
+        pts = points_fs([(1.0, 1.0), (4.0, 2.0), (2.0, 3.5)], [1.0, 2.0, 3.0])
+        extract_at(const_raster(6, 1.0), pts, radius=2.5)
+        assert reaches == []
+        summarize_sedc(pts, pts, SedcParams(3.0))
+        summarize_sedc(pts, pts, SedcParams(3.0, 9.0))
+        tile = FeatureSet([Feature("s", rect(0, 0, 1, 1))])
+        summarize_aw(tile, tile, [])
+        nearest_distance(pts, pts)
+        assert reaches[:4] == [6.0, 9.0, 0.0, 1.5]
+
+
+class TestValueCache:
+    """check_inputs converts a context's value column once per FeatureSet."""
+
+    def test_second_check_returns_same_array(self):
+        src = points_fs([(0.0, 0.0), (1.0, 1.0)], [1.0, 2.5])
+        params = {"bandwidth": 1.0, "value_columns": ["v"]}
+        first = check_inputs("summarize_sedc", src, src, params)[2]["v"]
+        assert first.tolist() == [1.0, 2.5]
+        assert check_inputs("summarize_sedc", src, src, params)[2]["v"] is first
+        assert src.value_arrays["v"] is first
+
+    def test_subset_holds_no_cache(self):
+        # a subset converts, and so checks, its own values again
+        fs = FeatureSet([Feature("a", Point(0.0, 0.0), {"v": 1.0}),
+                         Feature("b", Point(1.0, 0.0), {"v": "x"})], ["v"])
+        fs.value_arrays["v"] = np.zeros(2)  # as if a check had cached the column
+        sub = fs.subset([0, 1])
+        assert sub.value_arrays == {}
+        with pytest.raises(InvalidInputError, match="'b' has value 'x' in column 'v'"):
+            summarize_sedc(sub, sub, SedcParams(1.0, value_columns=("v",)))
+
+
+def _brute_nearest(pts, context):
+    """(distance, id) of each point's first nearest segment of the context,
+    one scalar distance at a time over the whole context."""
+    out = []
+    for x, y in pts:
+        best = None
+        for f in context.features:
+            g = f.geometry
+            verts = g.vertices if isinstance(g, Polyline) else [g, g]
+            for a, b in zip(verts, verts[1:]):
+                d = point_segment_distance(Point(x, y), a, b)
+                if best is None or d < best[0]:
+                    best = (d, f.id)
+        out.append(best)
+    return out
+
+
+class TestNearestResearch:
+    """nearest_distance searches a row again in one bounded step, never the
+    whole context once its first prune holds a feature; every row is the
+    first nearest of a whole-context search, bit for bit."""
+
+    @staticmethod
+    def _searched(monkeypatch):
+        """The number of segments each _nearest_segments call searches."""
+        sizes = []
+        kernel = geoops._nearest_segments
+        monkeypatch.setattr(geoops, "_nearest_segments",
+                            lambda px, py, segs: sizes.append(len(segs)) or kernel(px, py, segs))
+        return sizes
+
+    @staticmethod
+    def _check(pts, context):
+        got = nearest_distance(points_fs(pts), context).data
+        want = _brute_nearest(pts, context)
+        assert [repr(d) for d in got["distance"]] == [repr(d) for d, _ in want]
+        assert got["nearest_feature_id"] == [fid for _, fid in want]
+
+    @pytest.mark.parametrize("copies", [1, 4])
+    def test_one_or_coincident_anchors(self, monkeypatch, copies):
+        # the anchors' bbox has no extent: the long line's bbox holds it,
+        # the short line nearer to it lies outside the first box
+        lines = FeatureSet([Feature("long", Polyline([Point(0, 0), Point(10, 10)])),
+                            Feature("near", Polyline([Point(3, 6.5), Point(4, 6.5)])),
+                            Feature("far", Polyline([Point(50, 50), Point(60, 50)]))])
+        searched = self._searched(monkeypatch)
+        self._check([(3.0, 6.0)] * copies, lines)
+        assert searched == [1, 2]
+
+    def test_empty_first_prune(self, monkeypatch):
+        # no feature meets the first box: the whole context is searched once
+        ctx = points_fs([(20.0, 0.0), (0.0, 30.0), (-20.0, 0.0)])
+        searched = self._searched(monkeypatch)
+        self._check([(0.0, 0.0), (1.0, 1.0)], ctx)
+        assert searched == [3]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_tie_across_box_edge(self, monkeypatch, order):
+        # the anchors' box is x -2..6, y -2..2: from (0, 0), "out" at (0, 2.5)
+        # and "in" at (2.5, 0) are both 2.5 away, and the first in context
+        # order is the nearest
+        both = [Feature("out", Point(0.0, 2.5)), Feature("in", Point(2.5, 0.0))]
+        ctx = FeatureSet([both[i] for i in order])
+        searched = self._searched(monkeypatch)
+        self._check([(0.0, 0.0), (4.0, 0.0)], ctx)
+        assert searched == [1, 2]
+
+    def test_snapped_fuzz(self, monkeypatch):
+        # chunks of 1-4 anchors, some coincident, on integer coordinates,
+        # where equal distances are common; at most one search follows the
+        # first
+        rng = np.random.default_rng(77)
+        searched = self._searched(monkeypatch)
+        for case in range(300):
+            feats = []
+            for k in range(int(rng.integers(1, 9))):
+                xy = rng.integers(0, 12, (int(rng.integers(1, 4)), 2)).astype(float)
+                xy = xy[np.append(True, (np.diff(xy, axis=0) != 0).any(axis=1))].tolist()
+                g = Point(*xy[0]) if len(xy) == 1 else Polyline([Point(*v) for v in xy])
+                feats.append(Feature(f"f{k}", g))
+            pts = rng.integers(0, 12, (int(rng.integers(1, 5)), 2)).astype(float).tolist()
+            if case % 4 == 0:
+                pts = pts[:1] * len(pts)
+            del searched[:]
+            self._check(pts, FeatureSet(feats))
+            assert len(searched) <= 2, case
