@@ -227,7 +227,7 @@ def cmd_bench(args) -> int:
     grid = GridSpec(mode="grid", nx=args.nx, ny=args.ny)
     records, metrics = bench_mod.run_benchmark(task, grid, args.workers, args.repeats, args.case)
     dataio.save_table(bench_mod.records_csv(records), args.out)
-    agg_path = args.out.replace(".csv", "") + "_metrics.csv"
+    agg_path = args.out.removesuffix(".csv") + "_metrics.csv"
     dataio.save_table(bench_mod.metrics_csv(metrics), agg_path)
     for m in metrics:
         print(f"case={m.case} workers={m.n} tn={m.tn:.4f}s "

@@ -220,11 +220,11 @@ def merge_chunks(
     chunk in anchor_ids_by_chunk, in that order. Every row gets its anchor
     id, its chunk_id and its chunk's extra columns, which win over value
     columns of the same name. Value columns come in first-seen order; with
-    frequency columns, the sorted freq_* columns come first, then the other
-    value columns, then count. A successful chunk's rows read 0.0 in the
-    frequency columns they lack; any other missing field is None. A failed
-    chunk gives one error row per anchor id. An id column named like any
-    other column raises InvalidParameterError.
+    frequency columns, those geoops.freq_columns alone picks out and orders
+    come first, then the other value columns, then count. A successful
+    chunk's rows read 0.0 in the frequency columns they lack; any other
+    missing field is None. A failed chunk gives one error row per anchor id.
+    An id column named like any other column raises InvalidParameterError.
     """
     seen = set()
     for c in chunks:
@@ -237,16 +237,15 @@ def merge_chunks(
     values = list(dict.fromkeys(
         col for c in ordered if c.table is not None for col in c.table.data if col not in tags
     ))
-    freq = sorted((col for col in values if col.startswith("freq_")), key=geoops.freq_sort_key)
-    if freq:
-        rest = [col for col in values if not col.startswith("freq_") and col != "count"]
-        values = freq + rest + (["count"] if "count" in values else [])
+    zero = dict.fromkeys(geoops.freq_columns(values), 0.0)
+    if zero:
+        rest = [col for col in values if col not in zero and col != "count"]
+        values = [*zero, *rest, *(["count"] if "count" in values else [])]
     if any(c.error is not None for c in ordered):
         values.append("error")
     if id_column in tags or id_column in values:
         raise InvalidParameterError(f"id column {id_column!r} is also an output column")
     data: dict[str, list] = {col: [] for col in [id_column, *tags, *values]}
-    zero = dict.fromkeys(freq, 0.0)
     for c in ordered:
         ids = anchor_ids_by_chunk[c.chunk_id]
         n = len(ids)

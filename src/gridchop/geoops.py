@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .geom import BBox
 from .raster import (
     STAT_KINDS,
     Raster,
+    category_sums,
     cell_areas,
     covered_cells,
     ragged_runs,
@@ -127,20 +129,15 @@ def freq_column(category: float) -> str:
     return f"freq_{int(c)}" if c.is_integer() else f"freq_{c!r}"
 
 
-def freq_sort_key(column: str) -> tuple[bool, float]:
-    """A frequency column's category, with NaN after every number."""
-    c = float(column.removeprefix("freq_"))
-    return math.isnan(c), c
-
-
-def _freq_columns(freqs: list[dict[float, float]]) -> dict[str, list]:
-    """The freq_* columns, sorted, of each row's {category: weight}; a row
-    without a category reads 0.0 in its column."""
-    cols: dict[str, list] = {}
-    for i, freq in enumerate(freqs):
-        for cat, wsum in freq.items():
-            cols.setdefault(freq_column(cat), [0.0] * len(freqs))[i] = wsum
-    return {c: cols[c] for c in sorted(cols, key=freq_sort_key)}
+def freq_columns(columns) -> list[str]:
+    """The columns freq_column names among `columns` (not freq_pop_sedc),
+    by category, NaN after every number: the merge asks no one else."""
+    cats = {}
+    for col in columns:
+        with suppress(ValueError):
+            cats[col] = float(col.removeprefix("freq_"))
+    return sorted((col for col, c in cats.items() if freq_column(c) == col),
+                  key=lambda col: (math.isnan(cats[col]), cats[col]))
 
 
 def _check_kind(kind: str, op: str, kinds: tuple[str, ...]):
@@ -255,12 +252,6 @@ def _near(x: FeatureSet, y: FeatureSet, reach: float) -> np.ndarray:
     return np.flatnonzero(_in_box(x.bounds(), box))
 
 
-def _point_arrays(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of a point set (one vertex per feature)."""
-    px, py = np.ascontiguousarray(fs.coords.T)
-    return px, py
-
-
 def _buffer_cells(r: Raster, px: np.ndarray, py: np.ndarray, radius: float, segments: int):
     """Values and weights (points, cells) of the window cells of each point's
     inscribed-polygon buffer, one batch of points at a time. A cell's weight
@@ -311,18 +302,13 @@ def extract_at(
     radius > 0 they are buffered into inscribed regular polygons, whose
     padded windows are reduced a batch at a time. Raw polygons are reduced
     one at a time over the valid cells they cover; buffered polygons and
-    line inputs are rejected.
+    line inputs are rejected. Frequency writes a freq_column per category met,
+    by category, 0.0 in rows without it (raster.category_sums); then count.
     """
     args, kind, _ = check_inputs("extract_at", y, x, locals())
     radius, stat, segments = args["radius"], args["stat"], args["segments"]
-    # a count is one column: the covered weight, 0.0 where no valid cell is covered
-    value_cols = [] if stat == "count" else [stat]
-    if kind == "empty":
-        cols = ["value"] if radius == 0 else value_cols
-        return ResultTable({**{c: [] for c in cols}, "count": []})
-
-    if kind == "point" and radius == 0:
-        px, py = _point_arrays(y)
+    if kind != "polygon" and radius == 0:
+        px, py = np.ascontiguousarray(y.coords.T)
         cs = x.cellsize
         col = np.floor((px - x.xll) / cs).astype(int)
         row = np.floor((x.ytop - py) / cs).astype(int)
@@ -332,21 +318,35 @@ def extract_at(
         value = [v if k else None for v, k in zip(vals.tolist(), ok.tolist())]
         return ResultTable({"value": value, "count": ok.astype(float).tolist()})
 
-    if kind == "point":
-        batches = _buffer_cells(x, *_point_arrays(y), radius, segments)
+    freq = stat == "frequency"
+    if kind != "polygon":
+        batches = _buffer_cells(x, *np.ascontiguousarray(y.coords.T), radius, segments)
+        parts = []
     else:
         owner, rows, cols, w = covered_cells(x, y, _BATCH_ELEMS)
         v = x.values[rows, cols]
         valid = v != x.nodata
-        v, w = v[valid], w[valid]
-        ends = np.cumsum(np.bincount(owner[valid], minlength=len(y))).tolist()
+        owner, v, w = owner[valid], v[valid], w[valid]
+        ends = np.cumsum(np.bincount(owner, minlength=len(y))).tolist()
         batches = ((v[None, a:b], w[None, a:b]) for a, b in zip([0, *ends], ends))
+        # every polygon's cells at once, each batch of points in the loop
+        parts = [(0, *category_sums(owner, v, w, len(y)))] if freq else []
     values, counts = [], []
     for cell_values, weights in batches:
-        got, count = zonal_stats(cell_values, weights, stat)
+        if freq and kind != "polygon":
+            at = np.broadcast_to(np.arange(len(weights))[:, None], weights.shape)
+            parts.append((len(counts), *category_sums(at, cell_values, weights, len(weights))))
+        got, count = zonal_stats(cell_values, weights, "count" if freq else stat)
         values += got
         counts += count
-    columns = _freq_columns(values) if stat == "frequency" else {c: values for c in value_cols}
+    if not freq:
+        return ResultTable({**({} if stat == "count" else {stat: values}), "count": counts})
+    # each part's rows from its first row on, its columns put in the union's
+    cats = np.unique(np.concatenate([np.zeros(0), *(c for _, c, _ in parts)]))
+    sums = np.zeros((len(y), cats.size))
+    for lo, c, s in parts:
+        sums[lo : lo + len(s), np.searchsorted(cats, c)] = s
+    columns = {freq_column(c): column for c, column in zip(cats.tolist(), sums.T.tolist())}
     return ResultTable({**columns, "count": counts})
 
 
@@ -563,7 +563,7 @@ def summarize_sedc(
     near = _near(sources, targets, params.maxdist)
     sx, sy = np.ascontiguousarray(sources.coords[near].T)
     svals = {c: v[near] for c, v in svals.items()}
-    tx, ty = _point_arrays(targets)
+    tx, ty = np.ascontiguousarray(targets.coords.T)
     out = {**{f"{c}_sedc": [] for c in svals}, "count": []}
     block = max(1, _PAIR_ELEMS // max(1, near.size))
     for lo in range(0, len(targets), block):
@@ -651,7 +651,7 @@ def nearest_distance(y: FeatureSet, x: FeatureSet) -> ResultTable:
     # each segment's bbox, column by column as bounds() stores them
     sb = np.stack([np.minimum(ax, bx), np.minimum(ay, by), np.maximum(ax, bx),
                    np.maximum(ay, by)]).T
-    px, py = _point_arrays(y)
+    px, py = np.ascontiguousarray(y.coords.T)
     b = y.bounds()
     box, margin = _reach_box(b, 0.5 * float((b[:, 2:].max(axis=0) - b[:, :2].min(axis=0)).max()))
     cand = np.flatnonzero(_in_box(sb, box))

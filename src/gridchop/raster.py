@@ -246,18 +246,15 @@ def zonal_stats(v: np.ndarray, w: np.ndarray, stat: str) -> tuple[list, list[flo
     (features, cells), and each row's count, its summed weight.
 
     A cell of weight 0 does not count, whatever its value; a counted NaN
-    cell makes the value nan. A row with no counted cell reads None, and {}
-    for frequency, which maps each category to its summed weight. min/max
+    cell makes the value nan. A row with no counted cell reads None. min/max
     take the counted values; stdev is the weighted population standard
-    deviation sqrt(sum w (v-mu)^2 / sum w). Each row is one NumPy reduction
-    along axis 1 over all its cells, so the caller's layout fixes the
-    summation order: a (1, m) row has the bits of the 1-D reduction of its m
-    cells.
+    deviation sqrt(sum w (v-mu)^2 / sum w); frequency is category_sums'.
+    Each row is one NumPy reduction along axis 1 over all its cells, so the
+    caller's layout fixes the summation order: a (1, m) row has the bits of
+    the 1-D reduction of its m cells.
     """
     counted = w > 0.0
     count = np.sum(w, axis=1)
-    if stat == "frequency":
-        return [category_weights(vi[c], wi[c]) for vi, wi, c in zip(v, w, counted)], count.tolist()
     if v.shape[1] == 0:  # min and max have no identity
         return [None] * len(v), count.tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -279,10 +276,13 @@ def zonal_stats(v: np.ndarray, w: np.ndarray, stat: str) -> tuple[list, list[flo
     return [x if n > 0.0 else None for x, n in zip(out.tolist(), count)], count
 
 
-def category_weights(v: np.ndarray, w: np.ndarray) -> dict[float, float]:
-    """{category: summed weight} of cells of value v[i] and weight w[i],
-    categories ascending; every NaN cell falls in one NaN category, last.
-    np.bincount adds each category's weights in cell order, as a loop would."""
-    cats, inv = np.unique(v, return_inverse=True)
-    sums = np.bincount(inv.reshape(-1), weights=w, minlength=cats.size)
-    return dict(zip(cats.tolist(), sums.tolist()))
+def category_sums(rows: np.ndarray, v: np.ndarray, w: np.ndarray, n: int):
+    """The categories of the counted cells (w > 0), ascending, every NaN in
+    one NaN category last, and the (n, categories) summed weight of each in
+    each of n rows: a cell has row `rows`, value v and weight w, arrays of one
+    shape. np.bincount adds each bin's weights in cell order, as a loop would."""
+    counted = w > 0.0
+    cats, inv = np.unique(v[counted], return_inverse=True)
+    k = cats.size
+    sums = np.bincount(rows[counted] * k + inv, weights=w[counted], minlength=n * k)
+    return cats, sums.reshape(n, k)

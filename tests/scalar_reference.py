@@ -7,8 +7,9 @@ clipper, the shoelace sum, the trapezoid decomposition and the per-pair
 `summarize_aw` loop the batched code replaced, the per-point, per-chunk loop
 of `assign_to_partition` that grid partitions replaced, the merge of sparse
 grid cells repeated to its fixpoint, and the per-anchor, per-region loop of
-`group_by_hierarchy`, and the inscribed buffer polygon and point-segment
-distance of `extract_at` and `nearest`.
+`group_by_hierarchy`, the inscribed buffer polygon and point-segment
+distance of `extract_at` and `nearest`, and the per-row dict of category
+weights behind `extract_at`'s frequency columns.
 The batched code performs the same float operations in the same order, so
 its results must be equal to these bit for bit.
 """
@@ -251,6 +252,28 @@ def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
                 row[oc] = None
         rows_out.append(row)
     return ResultTable({c: [r[c] for r in rows_out] for c in [id_column, *cols, "coverage"]})
+
+
+def frequency_columns(rows, values, weights, n):
+    """{freq_<category>: one value per row} of n rows from cells of row
+    rows[i], value values[i] and weight weights[i]: each row's dict adds each
+    counted cell's weight (weight > 0) to its category, in cell order from
+    0.0. Every NaN is one category and 0.0 and -0.0 are one (as dict keys);
+    columns go by category, NaN last, and a row without a category reads 0.0."""
+    sums = [{} for _ in range(n)]
+    for row, value, weight in zip(rows, values, weights):
+        if weight > 0.0:
+            key = "nan" if math.isnan(value) else value
+            sums[row][key] = sums[row].get(key, 0.0) + weight
+    cats = sorted({c for per_row in sums for c in per_row},
+                  key=lambda c: (c == "nan", 0.0 if c == "nan" else c))
+
+    def name(c):
+        if c == "nan":
+            return "freq_nan"
+        return f"freq_{int(c)}" if c.is_integer() else f"freq_{c!r}"
+
+    return {name(c): [per_row.get(c, 0.0) for per_row in sums] for c in cats}
 
 
 def assign_to_partition(anchors, parts):

@@ -161,6 +161,34 @@ class TestRunCommand:
         header = blobs.pop().split(b"\r\n")[0]
         assert header == b"id,chunk_id,group,freq_0,freq_1,freq_2,freq_3,freq_4,freq_nan,count"
 
+    @pytest.mark.parametrize("task", ["sedc", "summarize_aw"])
+    def test_value_column_named_freq(self, workspace, capsys, task):
+        # value column freq_pop gives freq_pop_sedc or freq_pop_mean, an
+        # ordinary column; the merge once took it for a frequency column and
+        # exited 1 with a ValueError traceback
+        if task == "sedc":
+            x = workspace / "pts.csv"
+            x.write_text((workspace / "points.csv").read_text().replace(",v\n", ",freq_pop\n", 1))
+            flags = ["--bandwidth", "2", "--partition", str(workspace / "parts.json")]
+            want = b"id,chunk_id,freq_pop_sedc,count"
+        else:
+            x = workspace / "polys.geojson"
+            _polygons(workspace)  # writes x
+            x.write_text(x.read_text().replace('"v":', '"freq_pop":'))
+            parts = workspace / "poly_parts.json"
+            parts.write_text(json.dumps({"mode": "grid", "chunks": [
+                {"chunk_id": i, "core": [0, 0, 10, 10], "member_ids": [fid]}
+                for i, fid in enumerate(["q2", "q5"])]}))
+            flags = ["--partition", str(parts)]
+            want = b"id,chunk_id,freq_pop_mean,coverage"
+        out = workspace / "out.csv"
+        rc = main(["run", "--task", task, "--x", str(x), "--y", str(x), "--value-cols", "freq_pop",
+                   *flags, "--out", str(out)])
+        assert rc == EXIT_OK, capsys.readouterr().err
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[0] == want
+        assert all(line.split(b",")[2] for line in lines[1:-1])  # every row has its value
+
     def test_missing_partition_choice(self, workspace):
         rc = main([
             "run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
@@ -743,6 +771,15 @@ class TestSynthAndBench:
         # single worker: speedup column is exactly 1.0; times are medians
         assert metrics[1].split(b",")[4] == b"1.0"
         assert metrics[1].split(b",")[7] == b"median"
+
+    def test_bench_metrics_beside_out(self, tmp_path):
+        # only the name's own .csv is replaced: one in a directory name once
+        # sent the metrics to a directory that does not exist (exit 3)
+        out = tmp_path / "run.csv.d" / "b.csv"
+        out.parent.mkdir()
+        assert main(["bench", "--n-points", "20", "--raster-size", "5", "--workers", "1",
+                     "--nx", "1", "--ny", "1", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.parent.iterdir()) == ["b.csv", "b_metrics.csv"]
 
     def test_bench_seed_reproducible(self, tmp_path):
         outs = []

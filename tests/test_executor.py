@@ -186,6 +186,18 @@ class TestRunGridExtract:
         }
         assert csvs[1] == csvs[2] == csvs[8]
 
+    def test_frequency_with_empty_chunks_matches_unpartitioned(self):
+        # an 8 x 8 grid over 12 points leaves most chunks empty; an empty
+        # chunk once merged an all-empty "frequency" column into the table
+        pts = scatter(12)
+        task = TaskSpec("extract_at", grid_raster(kind="categorical"), pts,
+                        {"radius": 1.5, "stat": "frequency", "segments": 12})
+        parts = build_partition(GridSpec("grid", nx=8, ny=8), pts)
+        assert any(not c.member_ids for c in parts.chunks)
+        got = run_grid(task, parts, RunConfig(workers=2), raster_kind="categorical")
+        assert value_rows(got) == value_rows(direct(task))
+        assert got.columns[-1] == "count" and "frequency" not in got.columns
+
     def test_chunk_id_column_present(self):
         pts = scatter(10)
         task = TaskSpec("extract_at", grid_raster(), pts, {"radius": 0.0})
@@ -768,6 +780,18 @@ class TestMergeChunks:
         assert t.columns == ["id", "chunk_id", "freq_2", "freq_10", "count"]
         assert t.rows[0]["freq_10"] == 0.0
         assert t.rows[1]["freq_2"] == 0.0
+
+    @pytest.mark.parametrize("name,other", [("freq_pop_sedc", "count"),
+                                            ("freq_pop_mean", "coverage")], ids=["sedc", "aw"])
+    def test_value_column_named_freq_is_ordinary(self, name, other):
+        # a sedc or summarize_aw value column may start with freq_; it is no
+        # frequency column: first-seen order, None where a chunk lacks it, no
+        # zero fill (it once crashed the merge with a ValueError)
+        chunks = [chunk(0, [other], [{other: 1.0}]),
+                  chunk(1, [name, other], [{name: 2.5, other: 3.0}])]
+        t = merge_chunks(chunks, "id", {0: ["a"], 1: ["b"]})
+        assert t.to_csv_bytes() == (
+            f"id,chunk_id,{other},{name}\r\na,0,1.0,\r\nb,1,3.0,2.5\r\n".encode())
 
     def test_error_rows_one_per_anchor(self):
         chunks = [

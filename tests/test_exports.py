@@ -46,6 +46,11 @@ REMOVED = [
     ("gridchop.executor", "_apply_clipped"),
     ("gridchop.executor", "_subset_by_bbox"),
     ("gridchop.executor", "interaction_radius"),
+    # frequency as arrays: one dense category reducer, raster.category_sums,
+    # and geoops.freq_columns the one test of a frequency column's name
+    ("gridchop.raster", "category_weights"),
+    ("gridchop.geoops", "_freq_columns"),
+    ("gridchop.geoops", "freq_sort_key"),
 ]
 
 

@@ -18,12 +18,12 @@ from gridchop.geoops import (
     check_inputs,
     extract_at,
     freq_column,
-    freq_sort_key,
+    freq_columns,
     nearest_distance,
     summarize_aw,
     summarize_sedc,
 )
-from gridchop.raster import Raster
+from gridchop.raster import Raster, covered_cells
 
 import scalar_reference
 from conftest import polygon_set, random_star, with_ids
@@ -266,12 +266,26 @@ class TestFreqColumns:
     def test_naming_and_sorting(self):
         assert freq_column(3.0) == "freq_3"
         assert freq_column(2.5) == "freq_2.5"
-        cols = sorted(["freq_10", "freq_2", "freq_-1"], key=freq_sort_key)
-        assert cols == ["freq_-1", "freq_2", "freq_10"]
+        assert freq_columns(["freq_10", "freq_2", "freq_-1"]) == ["freq_-1", "freq_2", "freq_10"]
         # NaN sorts after every number, wherever it starts
         assert freq_column(float("nan")) == "freq_nan"
         for cols in (["freq_nan", "freq_3", "freq_-1"], ["freq_3", "freq_nan", "freq_inf"]):
-            assert sorted(cols, key=freq_sort_key)[-1] == "freq_nan"
+            assert freq_columns(cols)[-1] == "freq_nan"
+
+    def test_only_a_category_name_is_a_frequency_column(self):
+        # a sedc or summarize_aw value column may start with freq_ (it once
+        # crashed the merge); only a name freq_column gives is a frequency
+        # column, and float() reads more spellings than freq_column writes
+        cols = ["freq_pop_sedc", "freq_pop_mean", "freq_", "freq_1_0", "freq_01", "freq_NaN",
+                "freq_1e999", "freq_ 1", "count", "freq_inf", "freq_nan", "freq_2.5", "freq_-inf"]
+        assert freq_columns(cols) == ["freq_-inf", "freq_2.5", "freq_inf", "freq_nan"]
+
+    def test_every_category_name_reads_back(self, nprng):
+        cats = [0.0, -0.0, 1e300, -5.0, 2.0**60, 1e-310, math.inf, -math.inf, math.nan,
+                *nprng.uniform(-1e6, 1e6, 50).tolist(), *nprng.integers(-10**6, 10**6, 50).tolist()]
+        names = list(dict.fromkeys(map(freq_column, cats)))
+        assert freq_columns(names[::-1]) == sorted(
+            names, key=lambda c: (c == "freq_nan", float(c.removeprefix("freq_"))))
 
 
 def polygon_intersection_area(a, b):
@@ -506,6 +520,73 @@ def test_polygon_extract_rows_independent_of_batch(monkeypatch, cap, nprng):
             assert repr(alone) == repr({c: got[k][c] for c in alone})
             # frequency: categories only other polygons cover read 0
             assert all(got[k][c] == 0.0 for c in set(got[k]) - set(alone))
+
+
+def _categorical_raster(rng):
+    """A 30 x 20 raster of 0.5 cells over [1, 16] x [2, 12]: categories 0-5
+    with NaN, signed-zero, infinite, fractional and nodata cells strewn in."""
+    vals = np.floor(rng.uniform(0, 6, (20, 30)))
+    for value in (np.nan, -0.0, np.inf, -np.inf, 2.5, -9999.0):
+        vals[rng.integers(0, 20, 25), rng.integers(0, 30, 25)] = value
+    return Raster(30, 20, 1.0, 2.0, 0.5, -9999.0, vals, "categorical")
+
+
+def _assert_frequency_is(table, want):
+    """table's freq_* columns have want's names, order and bits, then count."""
+    assert table.columns == [*want, "count"]
+    assert repr({c: table.data[c] for c in want}) == repr(want)
+
+
+@pytest.mark.parametrize("cap", [None, 60])
+def test_polygon_frequency_matches_per_row_dict_loop(monkeypatch, cap, nprng):
+    # the polygons' valid covered cells reduced by the per-row dict loop
+    r = _categorical_raster(nprng)
+    polys = [_star(nprng, -2, 19, 3.0, hole=k % 3 == 0) for k in range(40)]
+    polys.append(rect(20, 20, 21, 21))  # off the raster: no counted cell
+    fs = _polys_fs(polys, "g")
+    if cap is not None:
+        monkeypatch.setattr(geoops, "_BATCH_ELEMS", cap, raising=False)
+    owner, rows, cols, w = covered_cells(r, fs, geoops._BATCH_ELEMS)
+    v = r.values[rows, cols]
+    valid = v != r.nodata
+    want = scalar_reference.frequency_columns(
+        owner[valid].tolist(), v[valid].tolist(), w[valid].tolist(), len(fs))
+    assert {"freq_nan", "freq_0", "freq_inf", "freq_-inf", "freq_2.5"} <= set(want)
+    got = extract_at(r, fs, stat="frequency")
+    _assert_frequency_is(got, want)
+    assert all(col[-1] == 0.0 for col in want.values())
+
+
+def test_buffered_frequency_matches_per_row_dict_loop(monkeypatch, nprng):
+    # points' buffer cells over several _buffer_cells batches, each with its
+    # own categories, reduced by the per-row dict loop over every batch
+    r = _categorical_raster(nprng)
+    # the last point is off the raster
+    pts = [*map(tuple, nprng.uniform(-1.0, 18.0, (60, 2))), (40.0, 40.0)]
+    fs = points_fs(pts)
+    monkeypatch.setattr(geoops, "_BATCH_ELEMS", 2000, raising=False)
+    batches = list(geoops._buffer_cells(r, *fs.coords.T, 1.3, 12))
+    assert len(batches) > 3
+    rows, v, w, first = [], [], [], 0
+    for bv, bw in batches:
+        rows += np.repeat(np.arange(first, first + len(bw)), bw.shape[1]).tolist()
+        first += len(bw)
+        v += bv.ravel().tolist()
+        w += bw.ravel().tolist()
+    want = scalar_reference.frequency_columns(rows, v, w, len(fs))
+    got = extract_at(r, fs, radius=1.3, stat="frequency", segments=12)
+    _assert_frequency_is(got, want)
+    assert all(col[-1] == 0.0 for col in want.values())
+    assert got.data["count"][-1] == 0.0
+
+
+def test_frequency_without_anchors_has_count_only(nprng):
+    # no anchor meets a category: no freq column, and no "frequency" column
+    # (an empty chunk once added one, all empty, to a partitioned run)
+    r = _categorical_raster(nprng)
+    for radius in (0.0, 1.3):
+        assert extract_at(r, points_fs([]), radius=radius, stat="frequency").columns == (
+            ["value", "count"] if radius == 0 else ["count"])
 
 
 class TestSummarizeSedc:

@@ -15,12 +15,21 @@ from gridchop import (
     bbox_of,
     extract_at,
 )
-from gridchop.raster import cell_areas, cell_windows, covered_cells, ring_edges, zonal_stats
+from gridchop.geoops import freq_column
+from gridchop.raster import (
+    category_sums,
+    cell_areas,
+    cell_windows,
+    covered_cells,
+    ring_edges,
+    zonal_stats,
+)
 
 from conftest import polygon_set, random_star, square, star_polygon, with_ids
 from scalar_reference import (
     buffer_point,
     clip_ring_convex,
+    frequency_columns,
     make_polygon,
     polygon_area,
     shoelace,
@@ -374,13 +383,14 @@ STATS = ("mean", "sum", "count", "min", "max", "stdev")
 
 
 class TestZonalStatsReducer:
-    """raster.zonal_stats, the one reducer of buffered points and polygons."""
+    """raster.zonal_stats, the one reducer of buffered points and polygons
+    for every statistic but frequency (TestCategorySums)."""
 
     def test_uncounted_cells_add_nothing(self):
         # a cell of weight 0 counts for nothing, whatever its value
         v = np.array([[2.0, np.nan, 4.0, np.inf, 1.0, -np.inf]])
         w = np.array([[0.5, 0.0, 1.0, 0.0, 0.25, 0.0]])
-        for stat in (*STATS, "frequency"):
+        for stat in STATS:
             got = zonal_stats(v, w, stat)
             want = zonal_stats(v[:, [0, 2, 4]], w[:, [0, 2, 4]], stat)
             assert repr(got) == repr(want), stat
@@ -392,25 +402,92 @@ class TestZonalStatsReducer:
         for stat in ("mean", "sum", "stdev", "min", "max"):
             (value,), _ = zonal_stats(v, w, stat)
             assert math.isnan(value), stat
-        assert repr(zonal_stats(v, w, "frequency")) == "([{1.0: 1.0, 3.0: 1.0, nan: 1.0}], [3.0])"
 
     @pytest.mark.parametrize("cells", [0, 3])
     def test_row_without_counted_cell(self, cells):
         # zero cells, or only weight-0 cells: None (no identity for min and
-        # max), {} for frequency, count 0.0
+        # max), count 0.0
         v, w = np.full((2, cells), 5.0), np.zeros((2, cells))
         for stat in STATS:
             assert zonal_stats(v, w, stat) == ([None, None], [0.0, 0.0]), stat
-        assert zonal_stats(v, w, "frequency") == ([{}, {}], [0.0, 0.0])
 
     def test_rows_are_independent(self, nprng):
         v = nprng.uniform(-5, 5, (7, 40))
         w = np.where(nprng.random((7, 40)) < 0.3, 0.0, nprng.random((7, 40)))
-        for stat in (*STATS, "frequency"):
+        for stat in STATS:
             together = zonal_stats(v, w, stat)
             for i in range(7):
                 alone = zonal_stats(v[i : i + 1], w[i : i + 1], stat)
                 assert repr((together[0][i], together[1][i])) == repr((alone[0][0], alone[1][0]))
+
+
+def freq_table(rows, v, w, n):
+    """category_sums as {freq_column: one value per row}, in its order."""
+    cats, sums = category_sums(np.asarray(rows), np.asarray(v, float), np.asarray(w, float), n)
+    assert sums.shape == (n, cats.size) and sums.dtype == np.float64
+    return {freq_column(c): column for c, column in zip(cats.tolist(), sums.T.tolist())}
+
+
+def one_row(v, w):
+    """freq_table of the cells of one row (a 2-D (1, m) v and w, as rows)."""
+    v, w = np.atleast_2d(v), np.atleast_2d(w)
+    return freq_table(np.zeros(v.shape, np.intp), v, w, 1)
+
+
+class TestCategorySums:
+    """raster.category_sums, the frequency reducer, against the per-row dict
+    loop it replaced (scalar_reference.frequency_columns): the same names,
+    the same order and the same bits."""
+
+    def test_uncounted_cells_add_nothing(self):
+        # a cell of weight 0 counts for nothing, whatever its value: its
+        # category gets no column
+        v = np.array([[2.0, np.nan, 4.0, np.inf, 1.0, -np.inf]])
+        w = np.array([[0.5, 0.0, 1.0, 0.0, 0.25, 0.0]])
+        got = one_row(v, w)
+        assert repr(got) == repr(one_row(v[:, [0, 2, 4]], w[:, [0, 2, 4]]))
+        assert got == {"freq_1": [0.25], "freq_2": [0.5], "freq_4": [1.0]}
+
+    def test_counted_nan_is_a_category(self):
+        # every counted NaN cell falls in one NaN category, last
+        v = np.array([[np.nan, 1.0, np.nan, 3.0, np.nan]])
+        got = one_row(v, np.array([[1.0, 1.0, 0.5, 1.0, 0.25]]))
+        assert repr(got) == "{'freq_1': [1.0], 'freq_3': [1.0], 'freq_nan': [1.75]}"
+
+    @pytest.mark.parametrize("cells", [0, 3])
+    def test_row_without_counted_cell(self, cells):
+        # zero cells, or only weight-0 cells: no category, an (n, 0) array
+        rows = np.repeat(np.arange(2), cells)
+        cats, sums = category_sums(rows, np.full(2 * cells, 5.0), np.zeros(2 * cells), 2)
+        assert cats.shape == (0,) and sums.shape == (2, 0)
+        # with another row's counted cell, these rows read 0.0 in its column
+        got = freq_table([*rows, 2], [*[5.0] * (2 * cells), 7.0], [*[0.0] * (2 * cells), 0.5], 4)
+        assert repr(got) == "{'freq_7': [0.0, 0.0, 0.5, 0.0]}"
+
+    def test_rows_are_independent(self, nprng):
+        v = np.floor(nprng.uniform(-5, 5, (7, 40)))
+        w = np.where(nprng.random((7, 40)) < 0.3, 0.0, nprng.random((7, 40)))
+        together = freq_table(np.repeat(np.arange(7), 40), v.ravel(), w.ravel(), 7)
+        for i in range(7):
+            alone = one_row(v[i], w[i])
+            assert repr(alone) == repr({c: [together[c][i]] for c in alone})
+            # categories only other rows have read 0.0
+            assert all(together[c][i] == 0.0 for c in set(together) - set(alone))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_row_dict_loop(self, seed):
+        # rows in any order, rows past the last cell's, NaN, signed zeros,
+        # infinities, fractions, huge integers and weight-0 cells
+        rng = np.random.default_rng(seed)
+        pool = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 3.0, -2.0, 0.5, 1e20, 7.25, 2.0])
+        m, n = int(rng.integers(0, 400)), int(rng.integers(1, 30))
+        rows = rng.integers(0, max(1, n - 3), m)
+        v = rng.choice(pool[: rng.integers(1, pool.size + 1)], m)
+        w = np.where(rng.random(m) < 0.3, 0.0, rng.random(m) * 10.0 ** rng.integers(-6, 6, m))
+        got = freq_table(rows, v, w, n)
+        want = frequency_columns(rows.tolist(), v.tolist(), w.tolist(), n)
+        assert list(got) == list(want)
+        assert repr(got) == repr(want)
 
 
 def test_numpy_row_reduction_has_1d_bits():
