@@ -43,7 +43,6 @@ from .geom import (
     bbox_of,
 )
 from .geoops import (
-    SedcParams,
     extract_at,
     nearest_distance,
     summarize_aw,
@@ -71,7 +70,7 @@ __all__ = [
     "ChunkResult", "RunConfig", "TaskSpec", "merge_chunks", "run_grid", "run_hierarchy",
     "run_multirasters",
     "BBox", "Point", "Polygon", "Polyline", "Ring", "bbox_of",
-    "SedcParams", "extract_at", "nearest_distance", "summarize_aw", "summarize_sedc",
+    "extract_at", "nearest_distance", "summarize_aw", "summarize_sedc",
     "Chunk", "GridSpec", "PartitionSet", "build_partition",
     "group_by_hierarchy", "make_balanced_groups", "make_merged_grid", "make_quantile_grid",
     "make_regular_grid",

@@ -45,11 +45,11 @@ class BenchMetrics:
 
     @property
     def speedup(self) -> float:
-        return self.t1 / self.tn
+        return efficiency(self.t1, self.n, self.tn)[0]
 
     @property
     def efficiency(self) -> float:
-        return self.t1 / (self.n * self.tn)
+        return efficiency(self.t1, self.n, self.tn)[1]
 
 
 def efficiency(t1: float, n: int, tn: float) -> tuple[float, float]:

@@ -3,13 +3,14 @@
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. It checks the
-inputs as the op does (parameters, context type, geometry kinds, value
-columns, a non-empty nearest context), resolves each job's member ids to anchor
-indices once, and checks that grid and hierarchy jobs own each anchor
-exactly once, all before any chunk runs. Its check caches each converted
-value column on the context, and it builds the context's bounds() (for
-nearest, its segments()) and the anchors' bounds() before any fork, so a
-chunk's own check and prune read those caches.
+inputs with geoops.check_inputs, as the op does, resolves each job's member
+ids to anchor indices once, and checks that grid and hierarchy jobs own each
+anchor exactly once, all before any chunk runs. That check also caches the
+context's converted value columns and the cache the op prunes by, and `_run`
+builds the anchors' bounds(), all before any fork, so a chunk's own check
+and prune read those caches. `_run` holds no rule about any op; the
+executor's only ones are `_apply_op`'s argument order and that
+`run_multirasters` plans extract_at alone.
 
 Grid and hierarchy jobs share one context dataset. A chunk's anchors are
 index arrays into the run's anchors (their gathered geometry, ids and
@@ -65,7 +66,7 @@ class Job:
     """One chunk of a plan: its anchors, its context and its extra columns."""
 
     chunk_id: int
-    anchor_ids: list[str]
+    anchor_ids: list[str]  # a job that names a raster path takes every anchor; set by _run
     context: str | None = None  # the job's own raster path; None: the shared context
     extra: dict = field(default_factory=dict)  # e.g. {"group": key}, on every row
     rows: np.ndarray | None = None  # anchor index of each member id, -1 if none; set by _run
@@ -260,12 +261,6 @@ def merge_chunks(
     return ResultTable(data)
 
 
-def _anchors(task: TaskSpec) -> FeatureSet:
-    if not isinstance(task.y, FeatureSet):
-        raise InvalidParameterError("the anchor dataset must be a FeatureSet")
-    return task.y
-
-
 def _resolve(index_of: dict[str, int], jobs: list[Job]):
     """Set each job's rows: the anchor index of each member id, -1 if none."""
     ids = list(chain.from_iterable(job.anchor_ids for job in jobs))
@@ -304,7 +299,7 @@ def _run(
     task: TaskSpec, jobs: list[Job], cfg: RunConfig | None, id_column: str, raster_kind: str
 ) -> ResultTable:
     """Check the inputs and the plan, run the jobs, merge."""
-    anchors = _anchors(task)
+    anchors = task.y
     # jobs that name a raster path each take every anchor and no shared context
     own = [job.context for job in jobs if job.context is not None]
     geoops.check_inputs(task.op, anchors, own[0] if own else task.x, task.params, raster_kind)
@@ -313,19 +308,13 @@ def _run(
     if own:
         every = np.arange(len(ids))
         for job in jobs:
-            job.rows = every
+            job.anchor_ids, job.rows = ids, every
     else:
         _resolve({fid: i for i, fid in enumerate(ids)}, jobs)
         _check_plan(ids, jobs)
         context = task.x
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
-    elif isinstance(context, FeatureSet):
-        # build the cache the op prunes by before the fork: workers share it
-        if task.op == "nearest_distance":
-            context.segments()
-        else:
-            context.bounds()
     anchors.bounds()  # each chunk slices its anchors' boxes from it
     results = _execute(_Run(task, anchors, context, raster_kind), jobs, cfg or RunConfig())
     return merge_chunks(
@@ -375,6 +364,5 @@ def run_multirasters(
         raise InvalidParameterError("run_multirasters supports only extract_at")
     if not raster_paths:
         raise InvalidParameterError("run_multirasters needs at least one raster path")
-    ids = _anchors(task).ids()
-    jobs = [Job(cid, ids, path, {"raster": path}) for cid, path in enumerate(raster_paths)]
+    jobs = [Job(cid, [], path, {"raster": path}) for cid, path in enumerate(raster_paths)]
     return _run(task, jobs, cfg, id_column, raster_kind)

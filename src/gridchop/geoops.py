@@ -5,6 +5,10 @@ ResultTable of value columns only, one row per anchor in anchor order (the
 executor attaches ids at merge), and compute each output row independently
 of the others, which is what makes chunked execution value-exact.
 
+Every op first calls check_inputs, the one owner of the rules about an
+op's inputs. It also builds the context's cache the op prunes by; a run
+calls it once before any fork, so every chunk reads that cache.
+
 A chunk passes an op the run's whole context, and the op prunes it to its
 anchors' reach: one mask over the context's cached bounds() keeps the
 features whose bbox meets the anchors' bbox grown by the op's reach (sedc's
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import suppress
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,27 +54,6 @@ _BATCH_ELEMS = 32_000
 _PAIR_ELEMS = 200_000
 
 
-@dataclass(frozen=True)
-class SedcParams:
-    """Exponential decay: weight exp(-3 d / bandwidth), hard cutoff at maxdist.
-
-    The weight at d = bandwidth is exp(-3) ~ 0.0498; maxdist defaults to
-    twice the bandwidth.
-    """
-
-    bandwidth: float
-    maxdist: float | None = None
-    value_columns: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise InvalidParameterError("bandwidth must be > 0")
-        if self.maxdist is None:
-            object.__setattr__(self, "maxdist", 2.0 * self.bandwidth)
-        if self.maxdist < self.bandwidth:
-            raise InvalidParameterError("maxdist must be >= bandwidth")
-
-
 def _number(key: str, value) -> float:
     """value as a finite float."""
     try:
@@ -92,8 +74,9 @@ def op_args(op: str, params: dict) -> dict:
       >= 0 (0.0); segments, an integer >= 3 (64);
     - summarize_aw: value_columns, a list of column names (none); stat, mean
       or sum (mean);
-    - summarize_sedc: params, the SedcParams of a finite bandwidth, a finite
-      maxdist (twice the bandwidth) and value_columns as above;
+    - summarize_sedc: bandwidth, a finite number > 0 (required); maxdist, a
+      finite number >= bandwidth (twice the bandwidth); value_columns as
+      above;
     - nearest_distance: none.
     A failure raises InvalidParameterError."""
     p = {k: v for k, v in params.items() if v is not None}
@@ -105,7 +88,13 @@ def op_args(op: str, params: dict) -> dict:
         if "bandwidth" not in p:
             raise InvalidParameterError("summarize_sedc requires a bandwidth")
         maxdist = _number("maxdist", p["maxdist"]) if "maxdist" in p else None
-        return {"params": SedcParams(_number("bandwidth", p["bandwidth"]), maxdist, tuple(names))}
+        bandwidth = _number("bandwidth", p["bandwidth"])
+        if bandwidth <= 0:
+            raise InvalidParameterError("bandwidth must be > 0")
+        maxdist = 2.0 * bandwidth if maxdist is None else maxdist
+        if maxdist < bandwidth:
+            raise InvalidParameterError("maxdist must be >= bandwidth")
+        return {"bandwidth": bandwidth, "maxdist": maxdist, "value_columns": list(names)}
     if op == "nearest_distance":
         return {}
     stat = p.get("stat", "mean")
@@ -164,6 +153,7 @@ def check_inputs(
     """The op's keyword arguments (op_args of params), the geometry kind of
     the anchors y, and float() of each value column of a FeatureSet context
     x as one float64 array per column, once every check below holds:
+    - y is a FeatureSet, else InvalidParameterError;
     - params (a task's, or an op's own locals()) suit `op` (op_args), a
       frequency statistic has a categorical raster (x's kind where x is a
       Raster, else raster_kind) and a radius > 0 has no polygon anchors. A
@@ -176,9 +166,13 @@ def check_inputs(
     - every feature of a non-empty context x has each value column, and
       float() takes each of its values.
     Each input failure raises InvalidInputError. Each converted column is
-    cached in x.value_arrays, so a later check of the same set (a chunk's,
-    after the run's own) takes it from there: a FeatureSet is read-only
-    once built."""
+    cached in x.value_arrays, and the cache the op prunes a non-empty x by
+    is built (x.segments() for nearest_distance, else x.bounds()), so a
+    later check of the same set (a chunk's, after the run's own, which runs
+    before any fork) takes them from there: a FeatureSet is read-only once
+    built."""
+    if not isinstance(y, FeatureSet):
+        raise InvalidParameterError("the anchor dataset must be a FeatureSet")
     args = op_args(op, params or {})
     y_kinds, x_kinds = OP_KINDS[op]
     kind = y.geometry_kind()
@@ -197,12 +191,15 @@ def check_inputs(
     if not isinstance(x, FeatureSet):
         raise InvalidInputError(f"{op} requires a FeatureSet context, got {type(x).__name__}")
     _check_kind(x.geometry_kind(), op, x_kinds)
-    sedc = op == "summarize_sedc"
-    columns = dict.fromkeys(args["params"].value_columns if sedc else args.get("value_columns", ()))
+    columns = dict.fromkeys(args.get("value_columns", ()))
     if len(x) == 0:
         if op == "nearest_distance":
             raise InvalidInputError("nearest_distance requires a non-empty context dataset")
         return args, kind, {c: np.zeros(0) for c in columns}
+    if op == "nearest_distance":
+        x.segments()
+    else:
+        x.bounds()
     for c in columns:
         if c in x.value_arrays:
             columns[c] = x.value_arrays[c]
@@ -556,11 +553,19 @@ def summarize_aw(
 def summarize_sedc(
     targets: FeatureSet,
     sources: FeatureSet,
-    params: SedcParams,
+    bandwidth: float,
+    maxdist: float | None = None,
+    value_columns: list[str] | tuple[str, ...] = (),
 ) -> ResultTable:
-    """Sum of exponentially decaying contributions from sources at targets."""
-    _, _, svals = check_inputs("summarize_sedc", targets, sources, vars(params))
-    near = _near(sources, targets, params.maxdist)
+    """Sum of exponentially decaying contributions from sources at targets.
+
+    A source at distance d adds its value times exp(-3 d / bandwidth), which
+    is exp(-3) ~ 0.0498 at d = bandwidth; a source farther than maxdist
+    (twice the bandwidth by default) adds nothing, a hard cutoff.
+    """
+    args, _, svals = check_inputs("summarize_sedc", targets, sources, locals())
+    bandwidth, maxdist = args["bandwidth"], args["maxdist"]
+    near = _near(sources, targets, maxdist)
     sx, sy = np.ascontiguousarray(sources.coords[near].T)
     svals = {c: v[near] for c, v in svals.items()}
     tx, ty = np.ascontiguousarray(targets.coords.T)
@@ -575,9 +580,9 @@ def summarize_sedc(
         d += dy
         np.sqrt(d, out=d)
         # row-major: each target's pairs are contiguous, its sources ascending
-        pair = np.flatnonzero(d <= params.maxdist)
+        pair = np.flatnonzero(d <= maxdist)
         ti, si = np.divmod(pair, near.size)
-        w = np.exp(-3.0 * d.ravel()[pair] / params.bandwidth)
+        w = np.exp(-3.0 * d.ravel()[pair] / bandwidth)
         counts = np.bincount(ti, minlength=len(d))
         ends = np.cumsum(counts).tolist()
         slices = list(zip([0, *ends], ends))

@@ -19,7 +19,7 @@ from gridchop.cli import EXIT_PARTIAL, main
 from gridchop.dataio import Feature, FeatureSet, write_raster
 from gridchop.executor import RunConfig, TaskSpec, run_grid
 from gridchop.geom import BBox, Point, Polygon, Polyline
-from gridchop.geoops import SedcParams, extract_at, nearest_distance, summarize_aw, summarize_sedc
+from gridchop.geoops import extract_at, nearest_distance, summarize_aw, summarize_sedc
 from gridchop.partition import (
     GridSpec,
     build_partition,
@@ -175,11 +175,11 @@ def test_criterion_04_sequential_equivalence():
             direct = extract_at(ras, pts, radius=radius, stat=stat, segments=12)
         elif op == "summarize_sedc":
             bw = rng.uniform(0.5, 2.0)
-            params = SedcParams(bw, 2.0 * bw, ("v",))
             task = TaskSpec("summarize_sedc", pts, pts,
-                            {"bandwidth": bw, "maxdist": params.maxdist,
+                            {"bandwidth": bw, "maxdist": 2.0 * bw,
                              "value_columns": ["v"]})
-            direct = summarize_sedc(pts, pts, params)
+            direct = summarize_sedc(pts, pts, bandwidth=bw, maxdist=2.0 * bw,
+                                    value_columns=("v",))
         else:
             m = rng.randint(3, 8)
             lines_fs = FeatureSet(
@@ -509,10 +509,10 @@ def test_criterion_09_sedc_contract():
     # weight at d == bandwidth is exp(-3), zero past maxdist
     targets = points_fs([(0.0, 0.0)])
     at_bandwidth = points_fs([(2.0, 0.0)], [1.0])
-    t = summarize_sedc(targets, at_bandwidth, SedcParams(2.0, 4.0, ("v",)))
+    t = summarize_sedc(targets, at_bandwidth, bandwidth=2.0, maxdist=4.0, value_columns=("v",))
     assert t.rows[0]["v_sedc"] == pytest.approx(math.exp(-3.0), abs=1e-9)
     beyond = points_fs([(4.0000001, 0.0)], [5.0])
-    t = summarize_sedc(targets, beyond, SedcParams(2.0, 4.0, ("v",)))
+    t = summarize_sedc(targets, beyond, bandwidth=2.0, maxdist=4.0, value_columns=("v",))
     assert t.rows[0]["v_sedc"] == 0.0 and t.rows[0]["count"] == 0
 
     # additivity: the batch result equals accumulating per-source runs
@@ -523,12 +523,12 @@ def test_criterion_09_sedc_contract():
         src_pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n_src)]
         src_vals = [rng.uniform(-5, 5) for _ in range(n_src)]
         sources = points_fs(src_pts, src_vals)
-        params = SedcParams(rng.uniform(1.0, 3.0), value_columns=("v",))
-        batch = summarize_sedc(tgts, sources, params)
+        params = {"bandwidth": rng.uniform(1.0, 3.0), "value_columns": ("v",)}
+        batch = summarize_sedc(tgts, sources, **params)
         # brute force: one run per source, accumulated with the same
         # pairwise reduction the batch uses
         singles = [
-            summarize_sedc(tgts, points_fs([src_pts[i]], [src_vals[i]]), params)
+            summarize_sedc(tgts, points_fs([src_pts[i]], [src_vals[i]]), **params)
             for i in range(n_src)
         ]
         for ti in range(5):

@@ -229,7 +229,7 @@ class TestLoadFeaturesCsv:
 
 class TestLoadFeaturesGeoJSON:
     def test_points_with_different_property_keys(self, tmp_path):
-        from gridchop.geoops import SedcParams, summarize_sedc
+        from gridchop.geoops import summarize_sedc
 
         feats = [({"id": "a", "k": 1}, [0, 0]), ({"id": 5, "m": "x"}, [1.5, 2]),
                  ({"id": "c", "k": None, "m": 2.5}, [3, -1, 9])]
@@ -248,15 +248,14 @@ class TestLoadFeaturesGeoJSON:
         assert fs.bounds().tolist() == [[0, 0, 0, 0], [1.5, 2, 1.5, 2], [3, -1, 3, -1]]
         # a value column some features lack is an input error naming the first
         with pytest.raises(InvalidInputError, match="feature '5' lacks value column 'k'"):
-            summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("k",)))
+            summarize_sedc(fs, fs, bandwidth=1.0, value_columns=("k",))
         with pytest.raises(InvalidInputError, match="feature 'a' lacks value column 'm'"):
-            summarize_sedc(fs, fs, SedcParams(bandwidth=1.0, value_columns=("m",)))
+            summarize_sedc(fs, fs, bandwidth=1.0, value_columns=("m",))
         # and so is a value float() rejects, naming the feature, the column and the value
         with pytest.raises(InvalidInputError, match="feature 'c' has value None in column 'k'"):
-            summarize_sedc(fs, fs.subset([2]), SedcParams(bandwidth=1.0, value_columns=("k",)))
+            summarize_sedc(fs, fs.subset([2]), bandwidth=1.0, value_columns=("k",))
         with pytest.raises(InvalidInputError, match="feature '5' has value 'x' in column 'm'"):
-            summarize_sedc(fs, fs.subset([1, 2]),
-                           SedcParams(bandwidth=1.0, value_columns=("m",)))
+            summarize_sedc(fs, fs.subset([1, 2]), bandwidth=1.0, value_columns=("m",))
 
     @pytest.mark.parametrize("xy,shown", [("[NaN, 2]", "(nan, 2.0)"),
                                           ("[1, Infinity]", "(1.0, inf)"),

@@ -243,9 +243,10 @@ class TestRunGridVectorOps:
         )
         parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
         got = run_grid(task, parts, RunConfig(workers=2))
-        from gridchop.geoops import SedcParams, summarize_sedc
+        from gridchop.geoops import summarize_sedc
 
-        want = with_ids(summarize_sedc(pts, src, SedcParams(1.0, 2.0, ("v",))), pts)
+        want = summarize_sedc(pts, src, bandwidth=1.0, maxdist=2.0, value_columns=("v",))
+        want = with_ids(want, pts)
         by_id = {row["id"]: row for row in got.rows}
         for row in want.rows:
             assert by_id[row["id"]]["v_sedc"] == row["v_sedc"]
@@ -270,6 +271,27 @@ class TestRunGridVectorOps:
         assert values(5, None) == want
         assert values(5, 3) == want
         assert values(1, 3) == want
+
+    @pytest.mark.parametrize("op", ["nearest_distance", "summarize_sedc"])
+    def test_prune_cache_built_once_in_parent(self, monkeypatch, tmp_path, op):
+        # the run's check builds the context's prune cache before the fork;
+        # a forked worker records a build in the file, so none may happen there
+        pts, src = scatter(40, seed=3), scatter(60, seed=4)
+        builds = tmp_path / "builds"
+        name = "segments" if op == "nearest_distance" else "bounds"
+        build = getattr(FeatureSet, name)
+
+        def recorded(self):
+            if self is src and getattr(self, f"_{name}") is None:
+                with open(builds, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return build(self)
+
+        monkeypatch.setattr(FeatureSet, name, recorded)
+        task = TaskSpec(op, src, pts, {"bandwidth": 1.0, "value_columns": ["v"]})
+        got = run_grid(task, grid_parts(pts, 2), RunConfig(workers=2))
+        assert not got.had_errors
+        assert builds.read_text().split() == [str(os.getpid())]
 
     def test_nearest_beyond_padding_exact(self):
         # nearest has unbounded interaction: a row whose nearest feature lies
@@ -914,6 +936,12 @@ class TestRunMultirasters:
         task = TaskSpec("nearest_distance", pts, pts, {})
         with pytest.raises(InvalidParameterError):
             run_multirasters(task, ["x.asc"])
+
+    def test_anchors_must_be_a_feature_set(self, tmp_path):
+        path = self._write(tmp_path, "a.asc", 0)
+        with pytest.raises(InvalidParameterError,
+                           match="^the anchor dataset must be a FeatureSet$"):
+            run_multirasters(TaskSpec("extract_at", None, None, {}), [path])
 
     def test_no_paths_rejected(self):
         task = TaskSpec("extract_at", None, scatter(4), {})

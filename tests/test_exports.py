@@ -51,6 +51,11 @@ REMOVED = [
     ("gridchop.raster", "category_weights"),
     ("gridchop.geoops", "_freq_columns"),
     ("gridchop.geoops", "freq_sort_key"),
+    # geoops.check_inputs owns every rule about an op's inputs: sedc takes
+    # keyword arguments as the other ops do, and the executor no longer
+    # checks the anchors' type itself
+    ("gridchop.geoops", "SedcParams"),
+    ("gridchop.executor", "_anchors"),
 ]
 
 

@@ -12,7 +12,6 @@ from gridchop.dataio import Feature, FeatureSet
 from gridchop.errors import InvalidInputError, InvalidParameterError, UnsupportedGeometryError
 from gridchop.geom import BBox, Point, Polyline, bbox_of
 from gridchop.geoops import (
-    SedcParams,
     _in_box,
     _intersection_areas,
     check_inputs,
@@ -20,6 +19,7 @@ from gridchop.geoops import (
     freq_column,
     freq_columns,
     nearest_distance,
+    op_args,
     summarize_aw,
     summarize_sedc,
 )
@@ -212,7 +212,7 @@ def test_op_bodies_read_op_args():
     with pytest.raises(InvalidParameterError, match=r"^segments must be an integer >= 3, got 2$"):
         extract_at(r, pts, radius=1.0, segments=2)
     with pytest.raises(InvalidParameterError, match="^value_columns must be a list"):
-        summarize_sedc(pts, pts, SedcParams(1.0, value_columns="v"))
+        summarize_sedc(pts, pts, 1.0, value_columns="v")
     with pytest.raises(InvalidInputError, match="^nearest_distance requires a FeatureSet context"):
         nearest_distance(pts, r)
     with pytest.raises(InvalidInputError, match="^extract_at requires a Raster context"):
@@ -223,6 +223,26 @@ def test_op_bodies_read_op_args():
         extract_at("r.asc", pts)
     tile = FeatureSet([Feature("s", rect(0, 0, 1, 1))])
     assert summarize_aw(tile, tile, None).data == {"coverage": [1.0]}
+    # sedc's own range rules are op_args', so a bandwidth that is not finite
+    # is named as given (SedcParams once built it and blamed a maxdist of nan)
+    for bandwidth in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^bandwidth must be finite, got {bandwidth!r}$"):
+            summarize_sedc(pts, pts, bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("anchors", [None, [], np.zeros((2, 2))])
+def test_anchors_must_be_a_feature_set(anchors):
+    # once an AttributeError on geometry_kind, when called directly
+    pts = points_fs([(1.5, 1.5)], [1.0])
+    tile = FeatureSet([Feature("s", rect(0, 0, 1, 1), {"v": 1.0})], ["v"])
+    for call in (lambda: extract_at(const_raster(4, 2.0), anchors),
+                 lambda: summarize_aw(anchors, tile, ["v"]),
+                 lambda: summarize_sedc(anchors, pts, bandwidth=1.0),
+                 lambda: nearest_distance(anchors, pts)):
+        with pytest.raises(InvalidParameterError,
+                           match="^the anchor dataset must be a FeatureSet$"):
+            call()
 
 
 class TestCountStat:
@@ -593,38 +613,38 @@ class TestSummarizeSedc:
     def test_coincident_source_weight_one(self):
         tgt = points_fs([(0, 0)])
         src = points_fs([(0, 0)], values=[7.0])
-        t = summarize_sedc(tgt, src, SedcParams(bandwidth=1.0, value_columns=("v",)))
+        t = summarize_sedc(tgt, src, bandwidth=1.0, value_columns=("v",))
         assert t.rows[0]["v_sedc"] == pytest.approx(7.0, abs=1e-12)
         assert t.rows[0]["count"] == 1
 
     def test_weight_at_bandwidth(self):
         tgt = points_fs([(0, 0)])
         src = points_fs([(2.0, 0)], values=[1.0])
-        t = summarize_sedc(tgt, src, SedcParams(bandwidth=2.0, value_columns=("v",)))
+        t = summarize_sedc(tgt, src, bandwidth=2.0, value_columns=("v",))
         assert t.rows[0]["v_sedc"] == pytest.approx(math.exp(-3.0), abs=1e-9)
 
     def test_cutoff_beyond_maxdist(self):
         tgt = points_fs([(0, 0)])
         src = points_fs([(100.0, 0)], values=[5.0])
-        t = summarize_sedc(tgt, src, SedcParams(bandwidth=1.0, value_columns=("v",)))
+        t = summarize_sedc(tgt, src, bandwidth=1.0, value_columns=("v",))
         assert t.rows[0]["v_sedc"] == 0.0
         assert t.rows[0]["count"] == 0
 
     def test_no_sources(self):
         tgt = points_fs([(0, 0), (1, 1)])
-        t = summarize_sedc(tgt, FeatureSet([]), SedcParams(bandwidth=1.0, value_columns=("v",)))
+        t = summarize_sedc(tgt, FeatureSet([]), bandwidth=1.0, value_columns=("v",))
         t = with_ids(t, tgt)
         assert t.columns == ["id", "v_sedc", "count"]
         rows = [(r["id"], r["v_sedc"], r["count"]) for r in t.rows]
         assert rows == [("p0", 0.0, 0), ("p1", 0.0, 0)]
 
     def test_maxdist_defaults_to_twice_bandwidth(self):
-        p = SedcParams(bandwidth=3.0)
-        assert p.maxdist == 6.0
-        with pytest.raises(InvalidParameterError):
-            SedcParams(bandwidth=3.0, maxdist=2.0)
-        with pytest.raises(InvalidParameterError):
-            SedcParams(bandwidth=0.0)
+        assert op_args("summarize_sedc", {"bandwidth": 3.0})["maxdist"] == 6.0
+        pts = points_fs([(0, 0)])
+        with pytest.raises(InvalidParameterError, match="^maxdist must be >= bandwidth$"):
+            summarize_sedc(pts, pts, bandwidth=3.0, maxdist=2.0)
+        with pytest.raises(InvalidParameterError, match="^bandwidth must be > 0$"):
+            summarize_sedc(pts, pts, bandwidth=0.0)
 
     def test_multiple_columns_and_sources(self):
         tgt = points_fs([(0, 0)])
@@ -633,14 +653,14 @@ class TestSummarizeSedc:
             Feature("s1", Point(0.0, 1.0), {"a": 4.0, "b": 20.0}),
         ]
         src = FeatureSet(feats, ["a", "b"])
-        t = summarize_sedc(tgt, src, SedcParams(bandwidth=1.0, value_columns=("a", "b")))
+        t = summarize_sedc(tgt, src, bandwidth=1.0, value_columns=("a", "b"))
         w = math.exp(-3.0)
         assert t.rows[0]["a_sedc"] == pytest.approx(6.0 * w, rel=1e-12)
         assert t.rows[0]["b_sedc"] == pytest.approx(30.0 * w, rel=1e-12)
 
 
     @staticmethod
-    def _reference(targets, sources, params):
+    def _reference(targets, sources, bandwidth, maxdist):
         """The per-target loop: one distance row and one sum per target."""
         sx = np.array([f.geometry.x for f in sources.features])
         sy = np.array([f.geometry.y for f in sources.features])
@@ -648,8 +668,8 @@ class TestSummarizeSedc:
         rows = []
         for tgt in targets.features:
             d = np.sqrt((sx - tgt.geometry.x) ** 2 + (sy - tgt.geometry.y) ** 2)
-            hit = np.nonzero(d <= params.maxdist)[0]
-            w = np.exp(-3.0 * d[hit] / params.bandwidth)
+            hit = np.nonzero(d <= maxdist)[0]
+            w = np.exp(-3.0 * d[hit] / bandwidth)
             total = float(np.sum(vals[hit] * w)) if hit.size else 0.0
             rows.append({"id": tgt.id, "v_sedc": total, "count": int(hit.size)})
         return rows
@@ -665,13 +685,13 @@ class TestSummarizeSedc:
         tgt = points_fs(rng.uniform(-2, 14, (40, 2)))
         if block is not None:
             monkeypatch.setattr(geoops, "_PAIR_ELEMS", block * len(src), raising=False)
-        params = SedcParams(bandwidth=1.0, value_columns=("v",))
-        got = with_ids(summarize_sedc(tgt, src, params), tgt).rows
-        assert [repr(r) for r in got] == [repr(r) for r in self._reference(tgt, src, params)]
+        params = {"bandwidth": 1.0, "value_columns": ("v",)}
+        got = with_ids(summarize_sedc(tgt, src, **params), tgt).rows
+        assert [repr(r) for r in got] == [repr(r) for r in self._reference(tgt, src, 1.0, 2.0)]
         assert {r["count"] for r in got} >= {0} and max(r["count"] for r in got) > 16
         for k in (0, 2, 3, 6, 7, 20, 39):
             one = tgt.subset([k])
-            assert repr(with_ids(summarize_sedc(one, src, params), one).rows[0]) == repr(got[k])
+            assert repr(with_ids(summarize_sedc(one, src, **params), one).rows[0]) == repr(got[k])
 
 
 class TestNearestDistance:
@@ -779,8 +799,8 @@ class TestPrune:
         pts = points_fs([(1.0, 1.0), (4.0, 2.0), (2.0, 3.5)], [1.0, 2.0, 3.0])
         extract_at(const_raster(6, 1.0), pts, radius=2.5)
         assert reaches == []
-        summarize_sedc(pts, pts, SedcParams(3.0))
-        summarize_sedc(pts, pts, SedcParams(3.0, 9.0))
+        summarize_sedc(pts, pts, 3.0)
+        summarize_sedc(pts, pts, 3.0, 9.0)
         tile = FeatureSet([Feature("s", rect(0, 0, 1, 1))])
         summarize_aw(tile, tile, [])
         nearest_distance(pts, pts)
@@ -788,7 +808,8 @@ class TestPrune:
 
 
 class TestValueCache:
-    """check_inputs converts a context's value column once per FeatureSet."""
+    """check_inputs converts a context's value column once per FeatureSet,
+    and builds the cache the op prunes it by."""
 
     def test_second_check_returns_same_array(self):
         src = points_fs([(0.0, 0.0), (1.0, 1.0)], [1.0, 2.5])
@@ -798,6 +819,17 @@ class TestValueCache:
         assert check_inputs("summarize_sedc", src, src, params)[2]["v"] is first
         assert src.value_arrays["v"] is first
 
+    @pytest.mark.parametrize("op", ["nearest_distance", "summarize_sedc", "summarize_aw"])
+    def test_check_builds_prune_cache(self, op):
+        # the cache the op prunes a non-empty context by: segments() for
+        # nearest_distance, bounds() for the others
+        x = (FeatureSet([Feature("s", rect(0, 0, 1, 1))]) if op == "summarize_aw"
+             else points_fs([(0.0, 0.0), (1.0, 1.0)]))
+        assert x._segments is None and x._bounds is None
+        check_inputs(op, x, x, {"bandwidth": 1.0})
+        nearest = op == "nearest_distance"
+        assert (x._segments is not None) == nearest and (x._bounds is not None) != nearest
+
     def test_subset_holds_no_cache(self):
         # a subset converts, and so checks, its own values again
         fs = FeatureSet([Feature("a", Point(0.0, 0.0), {"v": 1.0}),
@@ -806,7 +838,7 @@ class TestValueCache:
         sub = fs.subset([0, 1])
         assert sub.value_arrays == {}
         with pytest.raises(InvalidInputError, match="'b' has value 'x' in column 'v'"):
-            summarize_sedc(sub, sub, SedcParams(1.0, value_columns=("v",)))
+            summarize_sedc(sub, sub, 1.0, value_columns=("v",))
 
 
 def _brute_nearest(pts, context):
