@@ -74,7 +74,6 @@ def synth_dataset(s: SynthSpec) -> tuple[FeatureSet, FeatureSet, Raster]:
         [f"p{i}" for i in range(s.n_points)],
         np.column_stack([px, py]),
         attributes={"v": pv.tolist()},
-        columns=["v"],
     )
     if s.raster_kind == "categorical":
         cells = rng.integers(0, s.n_categories, (s.raster_nrows, s.raster_ncols)).astype(float)

@@ -62,8 +62,9 @@ def _load_vector(path: str, id_column: str, fmt: str | None = None):
 def _add_run_flags(p: argparse.ArgumentParser, multi: bool):
     tasks = ["extract_at"] if multi else ["extract_at", "summarize_aw", "sedc", "nearest"]
     p.add_argument("--task", required=True, choices=tasks)
-    p.add_argument("--x", required=not multi,
-                   help="context dataset: raster .asc path or vector file")
+    if not multi:  # multiraster's context and chunks are its rasters
+        p.add_argument("--x", required=True,
+                       help="context dataset: raster .asc path or vector file")
     p.add_argument("--y", required=True, help="anchor dataset: vector file")
     p.add_argument("--id", default="id", help="id column name (default: id)")
     p.add_argument("--radius", type=float)
@@ -71,20 +72,22 @@ def _add_run_flags(p: argparse.ArgumentParser, multi: bool):
     p.add_argument("--bandwidth", type=float)
     p.add_argument("--maxdist", type=float)
     p.add_argument("--value-cols", default="", help="comma-separated source columns")
-    chunks = p.add_mutually_exclusive_group(required=not multi)
-    chunks.add_argument("--partition", help="PartitionSet JSON file")
-    chunks.add_argument("--hierarchy", help="hierarchy attribute column")
-    chunks.add_argument("--regions", help="region polygons file (GeoJSON)")
-    p.add_argument("--regions-id", help="region id column")
+    if multi:
+        rasters = p.add_mutually_exclusive_group(required=True)
+        rasters.add_argument("--rasters", help="comma-separated raster paths")
+        rasters.add_argument("--raster-list", help="file of raster paths")
+        p.set_defaults(x=None)  # no shared context: each job names its raster
+    else:
+        chunks = p.add_mutually_exclusive_group(required=True)
+        chunks.add_argument("--partition", help="PartitionSet JSON file")
+        chunks.add_argument("--hierarchy", help="hierarchy attribute column")
+        chunks.add_argument("--regions", help="region polygons file (GeoJSON)")
+        p.add_argument("--regions-id", help="region id column")
     p.add_argument("--workers", type=int)
     p.add_argument("--capture-errors", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--categorical", action="store_true", help="treat raster as categorical")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help="JSON job config mirroring these flags; flags win")
-    if multi:
-        rasters = p.add_mutually_exclusive_group(required=True)
-        rasters.add_argument("--rasters", help="comma-separated raster paths")
-        rasters.add_argument("--raster-list", help="file of raster paths")
 
 
 # the JSON types a --config value may take, by its flag's type (a switch's is bool)
@@ -168,6 +171,8 @@ def _run_table(args, task: TaskSpec, cfg: RunConfig, raster_kind: str):
         return run_multirasters(
             task, _raster_paths(args), cfg, id_column=args.id, raster_kind=raster_kind
         )
+    if args.regions_id is not None and args.regions is None:
+        raise UsageError("--regions-id requires --regions")
     if args.partition is not None:
         parts = dataio.load_partitions(args.partition)
         return run_grid(task, parts, cfg, id_column=args.id, raster_kind=raster_kind)

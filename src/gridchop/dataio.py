@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import GridchopError, InvalidParameterError, LoadError
 from .geom import BBox, Geometry, Point, Polygon, Polyline, Ring
 from .raster import Raster, ragged_runs, ring_neighbour, run_offsets, signed_ring_areas
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def format_value(v) -> str:
@@ -37,17 +34,6 @@ def format_value(v) -> str:
         # not repr(v): under NumPy 2 that reads "np.float64(0.5)" for a NumPy float
         return repr(float(v))
     return str(v)
-
-
-def parse_scalar(s: str):
-    """Parse a CSV/JSON attribute: int or float when lossless, else str."""
-    if _INT_RE.match(s):
-        return int(s)
-    try:
-        f = float(s)
-    except ValueError:
-        return s
-    return f
 
 
 @dataclass
@@ -75,9 +61,11 @@ class FeatureSet:
     polygon is its outer ring (counterclockwise), then its holes (clockwise),
     each ring stored open.
 
-    Attributes are one list of values per column in `attributes`, with
-    MISSING where a feature lacks the key. `columns` lists the attribute
-    columns as read (a repeated CSV header name appears twice).
+    Attributes are one list of values per column in `attributes`, each
+    value as read: a CSV field's text, a GeoJSON property's JSON value, and
+    MISSING where a feature lacks the key. Nothing is converted on load:
+    geoops.check_inputs reads a value column with float(), and a hierarchy
+    key is the text as written.
 
     A list of Features is converted once; `features` builds them back on
     each access, as a read-only view. A set is read-only once built: its
@@ -86,7 +74,7 @@ class FeatureSet:
     converts to float64. A subset starts with no cached value column.
     """
 
-    def __init__(self, features: list[Feature] = (), columns: list[str] | None = None):
+    def __init__(self, features: list[Feature] = ()):
         features = list(features)
         geoms = [f.geometry for f in features]
         parts = [part for g in geoms for part in g.parts]
@@ -98,7 +86,6 @@ class FeatureSet:
             run_offsets([len(g.parts) for g in geoms]),
             np.array([_CLASSES.index(type(g)) for g in geoms], dtype=np.int8),
             {k: [f.attributes.get(k, MISSING) for f in features] for k in keys},
-            columns,
         )
 
     @classmethod
@@ -110,7 +97,6 @@ class FeatureSet:
         feature_offsets: np.ndarray | None = None,
         kinds: np.ndarray | None = None,
         attributes: dict[str, list] | None = None,
-        columns: list[str] | None = None,
         bounds: np.ndarray | None = None,
     ) -> "FeatureSet":
         """A set over its columns as they are; without offsets and kinds,
@@ -125,19 +111,17 @@ class FeatureSet:
             np.arange(n + 1) if feature_offsets is None else feature_offsets,
             np.full(n, POINT, dtype=np.int8) if kinds is None else kinds,
             attributes or {},
-            columns,
         )
         fs._bounds = bounds
         return fs
 
-    def _fill(self, ids, coords, part_offsets, feature_offsets, kinds, attributes, columns):
+    def _fill(self, ids, coords, part_offsets, feature_offsets, kinds, attributes):
         self._ids = ids
         self.coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
         self.part_offsets = np.asarray(part_offsets, dtype=np.intp)
         self.feature_offsets = np.asarray(feature_offsets, dtype=np.intp)
         self.kinds = np.asarray(kinds, dtype=np.int8)
         self.attributes = attributes
-        self.columns = list(columns or [])
         self._bounds = None
         self._segments = None
         self._kind = None
@@ -197,7 +181,6 @@ class FeatureSet:
             *self.gather(idx),
             self.kinds[idx],
             {k: [col[i] for i in rows] for k, col in self.attributes.items()},
-            self.columns,
             None if self._bounds is None else self._bounds[idx],  # a subset keeps its boxes
         )
 
@@ -416,7 +399,9 @@ def _raise_row_error(path: str, rows: list[list], xi: int, yi: int, attr_index):
 
 
 def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> FeatureSet:
-    """A point set from CSV, column by column: no object per row."""
+    """A point set from CSV, column by column: no object per row. Each
+    attribute is its field's text as csv.reader gave it; nothing else is
+    converted."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -429,25 +414,28 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
     for col in (id_column, x_column, y_column):
         if col not in index:
             raise LoadError(f"{path}: missing column {col!r}")
-    attr_cols = [c for c in header if c not in (id_column, x_column, y_column)]
+    attr_cols = [c for c in index if c not in (id_column, x_column, y_column)]
     width, n = len(header), len(rows)
-    if rows and min(map(len, rows)) < width:  # missing trailing fields read as None
+    shortest = min(map(len, rows), default=width)
+    if shortest < width:  # missing trailing fields read as None
         rows = [r + [None] * (width - len(r)) for r in rows]
+    # a row too short to reach an attribute column lacks its value: a row error
+    ok = shortest > max(map(index.get, attr_cols), default=-1)
     cols = list(zip(*rows)) if rows else [()] * width
     xi, yi = index[x_column], index[y_column]
     xy = np.empty((n, 2))
     try:
         xy[:, 0] = np.fromiter(map(float, cols[xi]), np.float64, n)
         xy[:, 1] = np.fromiter(map(float, cols[yi]), np.float64, n)
-        attributes = {c: list(map(parse_scalar, cols[index[c]])) for c in dict.fromkeys(attr_cols)}
-        ok = bool(np.isfinite(xy).all())
-    except (TypeError, ValueError):  # float() of a bad token or None, parse_scalar(None)
+        ok = ok and bool(np.isfinite(xy).all())
+    except (TypeError, ValueError):  # float() of a bad token or None
         ok = False
     if not ok:
         _raise_row_error(path, rows, xi, yi, [(c, index[c]) for c in attr_cols])
     ids = list(cols[index[id_column]])
     _check_ids(ids, path)
-    return FeatureSet.from_columns(ids, xy, attributes=attributes, columns=attr_cols)
+    attributes = {c: list(cols[index[c]]) for c in attr_cols}
+    return FeatureSet.from_columns(ids, xy, attributes=attributes)
 
 
 def _raise_feature_error(path: str, features: list, id_column: str):
@@ -542,7 +530,7 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
     attr_cols = dict.fromkeys(k for p in props for k in p)
     return FeatureSet.from_columns(
         ids, xy[at], part_offsets, run_offsets(nparts), kinds,
-        {c: [p.get(c, MISSING) for p in props] for c in attr_cols}, list(attr_cols),
+        {c: [p.get(c, MISSING) for p in props] for c in attr_cols},
     )
 
 
@@ -580,7 +568,7 @@ def load_features(
     x_column: str = "x",
     y_column: str = "y",
 ) -> FeatureSet:
-    """Load features in file order; numeric attributes parsed when lossless."""
+    """Load features in file order; attributes as read (see FeatureSet)."""
     if format == "csv":
         return _load_csv(path, id_column, x_column, y_column)
     if format == "geojson":

@@ -164,7 +164,8 @@ def check_inputs(
     - y, and x where it is a FeatureSet, is empty or of a kind `op` accepts;
     - a nearest_distance context x has a feature;
     - every feature of a non-empty context x has each value column, and
-      float() takes each of its values.
+      float() takes each of its values (a CSV field's text, a GeoJSON
+      number) without an error: an int too large for a float is one.
     Each input failure raises InvalidInputError. Each converted column is
     cached in x.value_arrays, and the cache the op prunes a non-empty x by
     is built (x.segments() for nearest_distance, else x.bounds()), so a
@@ -213,7 +214,7 @@ def check_inputs(
         rest = iter(values)
         try:
             columns[c] = np.fromiter(map(float, rest), np.float64, len(values))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large
             i = len(values) - len(list(rest)) - 1  # the value float() rejected was the last taken
             raise InvalidInputError(f"{op}: context feature {x.ids()[i]!r} has value "
                                     f"{values[i]!r} in column {c!r}, not a number")

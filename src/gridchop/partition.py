@@ -366,7 +366,9 @@ def group_by_hierarchy(
     regions_id: str | None = None,
 ) -> list[tuple[str, list[str]]]:
     """Group anchors by an attribute column, or by the first region polygon,
-    in file order, that holds an anchor's first vertex (on a ring counts)."""
+    in file order, that holds an anchor's first vertex (on a ring counts).
+    A key is str() of the value as read: a CSV field's text as written
+    (`007`, `07` and `7` are three groups), a GeoJSON value's str()."""
     if key is not None:
         values = anchors.attributes.get(key, [MISSING] * len(anchors))
         groups: dict[str, list[str]] = {}

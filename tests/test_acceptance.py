@@ -71,7 +71,7 @@ def points_fs(coords, values=None):
     for i, (x, y) in enumerate(coords):
         attrs = {"v": float(values[i])} if values is not None else {}
         feats.append(Feature(f"p{i}", Point(float(x), float(y)), attrs))
-    return FeatureSet(feats, ["v"] if values is not None else [])
+    return FeatureSet(feats)
 
 
 def rect(x0, y0, x1, y1) -> Polygon:
@@ -186,7 +186,7 @@ def test_criterion_04_sequential_equivalence():
                 [Feature(f"l{i}", Polyline(
                     [Point(rng.uniform(0, 30), rng.uniform(0, 30)),
                      Point(rng.uniform(0, 30), rng.uniform(0, 30))]), {})
-                 for i in range(m)], [])
+                 for i in range(m)])
             direct = nearest_distance(pts, lines_fs)
             task = TaskSpec("nearest_distance", lines_fs, pts, {})
         spec_kwargs = {}
@@ -470,7 +470,6 @@ def test_criterion_08_fault_isolation(tmp_path, monkeypatch):
             Feature("s1", Point(9.0, 2.0), {"v": 2.0}),
             Feature("s2", Point(1.5, 8.5), {"v": 3.0}),
         ],
-        ["v"],
     )
     parts = build_partition(GridSpec("grid", nx=2, ny=2), pts)
     task = TaskSpec("summarize_sedc", sources, pts, {"bandwidth": 1.0, "value_columns": ["v"]})
@@ -554,7 +553,7 @@ def test_criterion_10_aw_conservation():
                     attrs = {"v": values[k % len(values)]} if values else {}
                     feats.append(Feature(f"{prefix}{k}", rect(x0, y0, x1, y1), attrs))
                     k += 1
-            return FeatureSet(feats, ["v"] if values else [])
+            return FeatureSet(feats)
 
         vals = [rng.uniform(-5, 5) for _ in range(97)]
         sources = tiling("s", rng.randint(2, 5), rng.randint(2, 4), vals)
@@ -566,8 +565,8 @@ def test_criterion_10_aw_conservation():
 
     # identical polygon: the source value passes through exactly
     poly = make_polygon([[Point(0.3, 0.1), Point(2.7, 0.4), Point(1.9, 3.3)]])
-    src = FeatureSet([Feature("s", poly, {"v": 12.34})], ["v"])
-    tgt = FeatureSet([Feature("t", poly, {})], [])
+    src = FeatureSet([Feature("s", poly, {"v": 12.34})])
+    tgt = FeatureSet([Feature("t", poly, {})])
     t = summarize_aw(tgt, src, ["v"], stat="mean")
     assert t.rows[0]["v_mean"] == 12.34
     return "20 tilings conserve sums at 1e-9; identity transfer exact"

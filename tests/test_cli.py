@@ -137,6 +137,23 @@ class TestRunCommand:
         assert rc == EXIT_OK
         assert b"group" in out.read_bytes().split(b"\r\n")[0]
 
+    def test_hierarchy_keys_are_the_text_as_written(self, workspace):
+        # codes with leading zeros are groups of their own: once 01 and 1
+        # merged into group 1, and 007 and 1.50 were written 7 and 1.5
+        zones = ["01", "1", "007", "1.50", "1", "007"]
+        pts = workspace / "zones.csv"
+        pts.write_text("id,x,y,zone\n" + "".join(
+            f"z{i},{i + 2},5,{zone}\n" for i, zone in enumerate(zones)))
+        out = workspace / "zones_out.csv"
+        rc = main(["run", "--task", "extract_at", "--x", str(workspace / "raster.asc"),
+                   "--y", str(pts), "--hierarchy", "zone", "--out", str(out)])
+        assert rc == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("id,chunk_id,group,")
+        assert [tuple(line.split(",")[:3]) for line in lines[1:]] == [
+            ("z2", "0", "007"), ("z5", "0", "007"), ("z0", "1", "01"), ("z1", "2", "1"),
+            ("z4", "2", "1"), ("z3", "3", "1.50")]
+
     def test_nan_category_frequency_order(self, tmp_path):
         # a NaN category sorts after every number, whatever the hash seed
         vals = np.arange(36, dtype=float).reshape(6, 6) % 5
@@ -515,6 +532,24 @@ class TestNonNumericValue:
             "error: summarize_sedc: context feature 'bad' has value 'oops' in column 'v',"
             " not a number\n")
 
+    def test_json_integer_beyond_float_is_one_input_error(self, workspace, capsys):
+        # float() of it overflows: once an OverflowError traceback, exit 1
+        big = "1" + "0" * 400
+        sources = workspace / "sources.geojson"
+        sources.write_text(
+            '{"type": "FeatureCollection", "features": [{"type": "Feature", "properties": '
+            f'{{"id": "big", "v": {big}}}, "geometry": {{"type": "Point", "coordinates": [1, 1]}}'
+            "}]}")
+        out = workspace / "out.csv"
+        rc = main(["run", "--task", "sedc", "--x", str(sources),
+                   "--y", str(workspace / "points.csv"), "--bandwidth", "5",
+                   "--value-cols", "v", "--partition", str(workspace / "parts.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: summarize_sedc: context feature 'big' has value {big} in column 'v',"
+            " not a number\n")
+
 
 class TestIdNamedLikeOutputColumn:
     """An id column named like an output column is an input error naming the
@@ -722,6 +757,21 @@ class TestMultirasterCommand:
         ])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("key", ["x", "partition", "hierarchy", "regions", "regions_id"])
+    def test_run_only_flag_is_a_usage_error(self, workspace, capsys, key):
+        # once accepted and ignored: --partition /nonexistent.json ran, exit 0
+        out = workspace / "o.csv"
+        doc = {"task": "extract_at", "y": str(workspace / "points.csv"),
+               "rasters": str(workspace / "raster.asc"), "out": str(out)}
+        flag = "--" + key.replace("_", "-")
+        assert main(["multiraster", *_flags(doc), flag, "/nonexistent.json"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} /nonexistent.json" in capsys.readouterr().err
+        cfg = workspace / "job.json"
+        cfg.write_text(json.dumps({**doc, key: "/nonexistent.json"}))
+        assert main(["multiraster", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthAndBench:
     def test_synth_outputs(self, tmp_path):
@@ -879,6 +929,20 @@ class TestUsage:
         cfg.write_text('{"pad_y": true}')
         assert main(_run_args(workspace) + ["--config", str(cfg)]) == EXIT_USAGE
         assert "unknown config keys: ['pad_y']" in capsys.readouterr().err
+        assert not (workspace / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        # the mirror of --regions without --regions-id; once silently ignored
+        (["--regions-id", "q"], "--regions-id requires --regions"),
+        (["--regions", "regions.geojson"], "--regions requires --regions-id"),
+    ])
+    def test_regions_and_regions_id_go_together(self, workspace, capsys, flags, message):
+        argv = _run_args(workspace)
+        if "--regions" in flags:  # in place of --partition
+            at = argv.index("--partition")
+            argv[at : at + 2] = []
+        assert main(argv + flags) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workspace / "out.csv").exists()
 
 

@@ -12,6 +12,7 @@ import pytest
 from gridchop import dataio
 from gridchop.cli import main
 from gridchop.dataio import (
+    MISSING,
     Feature,
     FeatureSet,
     ResultTable,
@@ -19,7 +20,6 @@ from gridchop.dataio import (
     load_features,
     load_partitions,
     load_raster,
-    parse_scalar,
     save_partitions,
     save_table,
     write_raster,
@@ -65,11 +65,6 @@ class TestFormatValue:
         t = ResultTable({"id": ["t"], "v": [np.float64(2.0)], "w": [np.float64(0.5)]})
         assert t.to_csv_bytes() == b"id,v,w\r\nt,2.0,0.5\r\n"
 
-    def test_parse_scalar(self):
-        assert parse_scalar("7") == 7
-        assert parse_scalar("-2.5") == -2.5
-        assert parse_scalar("abc") == "abc"
-
 
 class TestLoadFeaturesCsv:
     def test_single_point(self, tmp_path):
@@ -79,8 +74,8 @@ class TestLoadFeaturesCsv:
         assert len(fs) == 1
         assert fs.features[0].id == "a"
         assert fs.features[0].geometry == Point(0.0, 0.0)
-        assert fs.features[0].attributes == {"v": 1}
-        assert fs.columns == ["v"]
+        assert fs.features[0].attributes == {"v": "1"}
+        assert list(fs.attributes) == ["v"]
 
     def test_duplicate_id_error_names_id(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -123,7 +118,7 @@ class TestLoadFeaturesCsv:
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,v\na,0,0,1,extra,more\n")
         fs = load_features(str(p))
-        assert fs.features[0].attributes == {"v": 1} and fs.columns == ["v"]
+        assert fs.features[0].attributes == {"v": "1"} and list(fs.attributes) == ["v"]
 
     def test_quoted_fields(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -131,13 +126,13 @@ class TestLoadFeaturesCsv:
         fs = load_features(str(p))
         assert fs.ids() == ["a,1", 'b "q"']
         assert fs.features[0].geometry == Point(0.5, 0.0)
-        assert [f.attributes["v"] for f in fs.features] == [7, "x,y"]
+        assert [f.attributes["v"] for f in fs.features] == ["7", "x,y"]
 
     def test_repeated_header_reads_last_column(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,v,v\na,0,0,1,2\n")
         fs = load_features(str(p))
-        assert fs.features[0].attributes == {"v": 2} and fs.columns == ["v", "v"]
+        assert fs.features[0].attributes == {"v": "2"} and list(fs.attributes) == ["v"]
 
     @pytest.mark.parametrize("text,col", [("", "'id'"), ("x,y\n0,0\n", "'id'"),
                                           ("id,y\na,0\n", "'x'")])
@@ -195,17 +190,17 @@ class TestLoadFeaturesCsv:
         p.write_text("id,x,y,v\n\na,0,0,1\n\n\nb,1,2,x\n\n")
         fs = load_features(str(p))
         assert fs.ids() == ["a", "b"]
-        assert [f.attributes for f in fs.features] == [{"v": 1}, {"v": "x"}]
+        assert [f.attributes for f in fs.features] == [{"v": "1"}, {"v": "x"}]
         assert fs.bounds().tolist() == [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 2.0]]
 
     def test_repeated_coordinate_header_reads_last_column(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,x\na,1,2,3\n")
         fs = load_features(str(p))
-        assert fs.features[0].geometry == Point(3.0, 2.0) and fs.columns == []
+        assert fs.features[0].geometry == Point(3.0, 2.0) and fs.attributes == {}
 
-    def test_tokens_parse_as_float_and_parse_scalar(self, tmp_path):
-        # coordinates go through float(); attributes through parse_scalar
+    def test_coordinates_parse_as_float_and_attributes_stay_text(self, tmp_path):
+        # coordinates go through float(); an attribute is its field's text
         p = tmp_path / "pts.csv"
         tokens = ["7", "+3", "-0", "1_0", " 5", "nan", "", "0x1", "-inf", "1e2", "12.0", ".5"]
         coords = [" 1.5", "1_0", "-0.0", "1e3", "+2", "4.9e-324", ".5", "1.", "-7 ", "0",
@@ -215,15 +210,28 @@ class TestLoadFeaturesCsv:
         fs = load_features(str(p))
         assert [repr(f.geometry.x) for f in fs.features] == [repr(float(c)) for c in coords]
         assert [repr(f.geometry.y) for f in fs.features] == [repr(float(c)) for c in coords]
-        assert [repr(f.attributes["v"]) for f in fs.features] == [
-            repr(parse_scalar(t)) for t in tokens]
-        assert [type(f.attributes["v"]) for f in fs.features][:4] == [int, int, int, float]
+        assert fs.attributes == {"v": tokens}
+
+    def test_value_column_reads_as_float_of_its_text(self, tmp_path):
+        # check_inputs reads a value column's text with float(): "-0" is -0.0,
+        # and a 400-digit integer is inf, as 1e400 is. Parsed to int on load,
+        # they once read 0.0 and raised an OverflowError
+        from gridchop.geoops import check_inputs
+
+        tokens = ["7", "+3", "-0", "1_0", " 5", "nan", "-inf", "1e2", "12.0", ".5", "1" * 400,
+                  "1e400", "-" + "9" * 400]
+        p = tmp_path / "pts.csv"
+        p.write_text("id,x,y,v\n" + "".join(f"p{i},0,0,{t}\n" for i, t in enumerate(tokens)))
+        fs = load_features(str(p))
+        _, _, columns = check_inputs("summarize_sedc", fs, fs,
+                                     {"bandwidth": 1.0, "value_columns": ["v"]})
+        assert list(map(repr, columns["v"].tolist())) == [repr(float(t)) for t in tokens]
 
     def test_no_rows(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,v\n")
         fs = load_features(str(p))
-        assert len(fs) == 0 and fs.columns == ["v"] and fs.geometry_kind() == "empty"
+        assert len(fs) == 0 and fs.attributes == {"v": []} and fs.geometry_kind() == "empty"
         assert fs.bounds().shape == (0, 4)
 
 
@@ -240,7 +248,7 @@ class TestLoadFeaturesGeoJSON:
         p.write_text(json.dumps(doc))
         fs = load_features(str(p), format="geojson")
         assert fs.geometry_kind() == "point" and fs.ids() == ["a", "5", "c"]
-        assert fs.columns == ["k", "m"]
+        assert list(fs.attributes) == ["k", "m"]
         assert [f.attributes for f in fs.features] == [{"k": 1}, {"m": "x"},
                                                        {"k": None, "m": 2.5}]
         assert [f.geometry for f in fs.features] == [Point(0.0, 0.0), Point(1.5, 2.0),
@@ -699,16 +707,17 @@ class TestFeatureSet:
     def test_subset_keeps_columns(self):
         from gridchop.dataio import Feature
 
-        fs = FeatureSet([Feature("a", Point(0, 0)), Feature("b", Point(1, 1))], ["v"])
+        # a column no kept feature has stays, every value MISSING
+        fs = FeatureSet([Feature("a", Point(0, 0), {"v": "1"}), Feature("b", Point(1, 1))])
         sub = fs.subset([1])
-        assert sub.ids() == ["b"] and sub.columns == ["v"]
+        assert sub.ids() == ["b"] and sub.attributes == {"v": [MISSING]}
 
     def _points(self):
         from gridchop.dataio import Feature
 
         return FeatureSet([Feature("a", Point(0.5, -1.0), {"v": 1}),
                            Feature("b", Point(2.0, 3.0), {"v": "x", "w": 2.5}),
-                           Feature("c", Point(-0.0, 1e-300), {"v": 3.0})], ["v", "w"])
+                           Feature("c", Point(-0.0, 1e-300), {"v": 3.0})])
 
     def test_point_bounds(self):
         b = self._points().bounds()
@@ -725,7 +734,7 @@ class TestFeatureSet:
             fs.bounds()
         sub = fs.subset(index)
         want = [fs.features[i] for i in list(index)]
-        assert sub.ids() == [f.id for f in want] and sub.columns == ["v", "w"]
+        assert sub.ids() == [f.id for f in want] and list(sub.attributes) == ["v", "w"]
         assert [f.geometry for f in sub.features] == [f.geometry for f in want]
         assert [f.attributes for f in sub.features] == [f.attributes for f in want]
         assert sub.bounds().tolist() == fs.bounds()[list(index)].tolist()
@@ -762,9 +771,9 @@ def _view_sets(tmp_path):
     path = tmp_path / "mixed.geojson"
     path.write_text(json.dumps(doc))
     return {
-        "points": (FeatureSet(pts, ["v", "w"]), pts),
-        "lines": (FeatureSet(lines, ["v", "w"]), lines),
-        "polygons": (FeatureSet(polys, ["v", "w"]), polys),
+        "points": (FeatureSet(pts), pts),
+        "lines": (FeatureSet(lines), lines),
+        "polygons": (FeatureSet(polys), polys),
         "mixed_geojson": (load_features(str(path), format="geojson"), mixed),
     }
 
@@ -802,7 +811,7 @@ class TestFeatureSetViews:
             assert fs.bounds().tolist() == boxes
         sub = fs.subset(index)
         want = [feats[i] for i in list(index)]
-        assert sub.ids() == [f.id for f in want] and sub.columns == fs.columns
+        assert sub.ids() == [f.id for f in want] and list(sub.attributes) == list(fs.attributes)
         assert sub.features == want
         assert sub.bounds().tolist() == [boxes[i] for i in list(index)]
         assert sub.bounds().dtype == np.float64 and sub.bounds().shape == (len(want), 4)

@@ -58,8 +58,7 @@ def points_fs(coords, values=None, extra=None):
         if extra:
             attrs.update(extra[i])
         feats.append(Feature(f"p{i}", Point(float(x), float(y)), attrs))
-    cols = sorted(feats[0].attributes) if feats else []
-    return FeatureSet(feats, cols)
+    return FeatureSet(feats)
 
 
 def grid_raster(n=20, seed=0, kind="continuous"):
@@ -323,7 +322,6 @@ def tiles_fs(n=20, seed=7):
         [Feature(f"s{i}_{j}", make_polygon([[Point(i, j), Point(i + 1, j),
                                              Point(i + 1, j + 1), Point(i, j + 1)]]),
                  {"v": float(rng.uniform(0, 100))}) for i in range(n) for j in range(n)],
-        ["v"],
     )
 
 
@@ -445,7 +443,7 @@ def _snapped_shapes(rings, kind, values=None):
     attrs = {"v": values.tolist()} if values is not None else {}
     return FeatureSet.from_columns([f"p{i}" for i in range(n)], rings.reshape(-1, 2),
                                    np.arange(0, n * m + 1, m), np.arange(n + 1),
-                                   np.full(n, kind, np.int8), attrs, list(attrs))
+                                   np.full(n, kind, np.int8), attrs)
 
 
 def _snapped_task(rng, op):
@@ -554,7 +552,7 @@ class TestFaultIsolation:
     def test_capture_errors_collects_rows(self, monkeypatch):
         pts = points_fs([(1.0, 1.0), (9.0, 9.0)])
         src = FeatureSet(
-            [Feature("s0", Point(1.0, 1.0), {"v": 1.0, "w": 2.0})], ["v", "w"]
+            [Feature("s0", Point(1.0, 1.0), {"v": 1.0, "w": 2.0})]
         )
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v", "w"]})
@@ -650,7 +648,7 @@ class TestFaultIsolation:
             from gridchop.partition import GridSpec, build_partition
 
             pts = FeatureSet([Feature(f"p{i}", Point(i + 0.5, 0.5 + i % 2)) for i in range(6)])
-            src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": 1.0})], ["v"])
+            src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": 1.0})])
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
             # every chunk fails in its op, as float("bad") does
@@ -708,7 +706,7 @@ class TestFaultIsolation:
         pts = points_fs([(1.0, 1.0), (9.0, 2.0)])
         feats = [Feature("s0", Point(1.0, 1.0), {"v": 1.0}),
                  Feature("s1", Point(9.0, 2.0), {"v": 2.0})]
-        src = FeatureSet(feats, ["v"])
+        src = FeatureSet(feats)
         task = TaskSpec("summarize_sedc", src, pts,
                         {"bandwidth": 1.0, "value_columns": ["v"]})
         parts = build_partition(GridSpec("grid", nx=2, ny=1), pts)
@@ -856,7 +854,6 @@ class TestRunHierarchy:
             [Feature(f"s{i}_{j}", make_polygon([[Point(i, j), Point(i + 1, j),
                                                  Point(i + 1, j + 1), Point(i, j + 1)]]),
                      {"v": float(rng.uniform(0, 100))}) for i, j in tiles],
-            ["v"],
         )
         targets = []
         for k in range(30):
@@ -864,7 +861,7 @@ class TestRunHierarchy:
             ring = [Point(cx + 0.8 * np.cos(a), cy + 0.6 * np.sin(a))
                     for a in (2 * np.pi * np.arange(9) / 9 + k).tolist()]
             targets.append(Feature(f"t{k}", make_polygon([ring]), {"zone": f"z{k % 7}"}))
-        targets = FeatureSet(targets, ["zone"])
+        targets = FeatureSet(targets)
 
         def table(groups, stat):
             task = TaskSpec("summarize_aw", sources, targets,

@@ -56,6 +56,8 @@ REMOVED = [
     # checks the anchors' type itself
     ("gridchop.geoops", "SedcParams"),
     ("gridchop.executor", "_anchors"),
+    # a CSV attribute is its field's text: check_inputs converts value columns
+    ("gridchop.dataio", "parse_scalar"),
 ]
 
 

@@ -39,7 +39,7 @@ def points_fs(coords, values=None):
     for i, (x, y) in enumerate(coords):
         attrs = {"v": float(values[i])} if values is not None else {}
         feats.append(Feature(f"p{i}", Point(float(x), float(y)), attrs))
-    return FeatureSet(feats, ["v"] if values is not None else [])
+    return FeatureSet(feats)
 
 
 def const_raster(n, value, kind="continuous"):
@@ -193,8 +193,8 @@ def test_points_mixed_with_lines_rejected():
 def test_points_mixed_with_polygons_rejected():
     # a polygon first, then a point: a polygon op names both kinds
     mixed = FeatureSet([Feature("a", rect(0, 0, 1, 1), {"v": 1.0}),
-                        Feature("b", Point(0.5, 0.5), {"v": 2.0})], ["v"])
-    polys = FeatureSet([Feature("s", rect(0, 0, 2, 2), {"v": 1.0})], ["v"])
+                        Feature("b", Point(0.5, 0.5), {"v": 2.0})])
+    polys = FeatureSet([Feature("s", rect(0, 0, 2, 2), {"v": 1.0})])
     both = "got point and polygon"
     with pytest.raises(InvalidInputError, match=f"extract_at requires .*{both}"):
         extract_at(const_raster(2, 1.0), mixed)
@@ -235,7 +235,7 @@ def test_op_bodies_read_op_args():
 def test_anchors_must_be_a_feature_set(anchors):
     # once an AttributeError on geometry_kind, when called directly
     pts = points_fs([(1.5, 1.5)], [1.0])
-    tile = FeatureSet([Feature("s", rect(0, 0, 1, 1), {"v": 1.0})], ["v"])
+    tile = FeatureSet([Feature("s", rect(0, 0, 1, 1), {"v": 1.0})])
     for call in (lambda: extract_at(const_raster(4, 2.0), anchors),
                  lambda: summarize_aw(anchors, tile, ["v"]),
                  lambda: summarize_sedc(anchors, pts, bandwidth=1.0),
@@ -320,7 +320,7 @@ class TestPolygonIntersectionArea:
         # summarize_aw takes an identical pair's area as it is, not clipped
         p = rect(0.3, 0.7, 2.9, 3.1)
         t = summarize_aw(FeatureSet([Feature("t", p)]),
-                         FeatureSet([Feature("s", p, {"v": 0.1})], ["v"]), ["v"], stat="sum")
+                         FeatureSet([Feature("s", p, {"v": 0.1})]), ["v"], stat="sum")
         assert t.rows[0]["coverage"] == 1.0 and t.rows[0]["v_sum"] == 0.1
         assert polygon_intersection_area(p, p) == pytest.approx(polygon_area(p), rel=1e-12)
 
@@ -365,7 +365,7 @@ class TestPolygonIntersectionArea:
 
 class TestSummarizeAw:
     def test_identical_target_source(self):
-        src = FeatureSet([Feature("s", rect(0, 0, 2, 3), {"pop": 42.0})], ["pop"])
+        src = FeatureSet([Feature("s", rect(0, 0, 2, 3), {"pop": 42.0})])
         tgt = FeatureSet([Feature("t", rect(0, 0, 2, 3))])
         for stat in ("mean", "sum"):
             t = summarize_aw(tgt, src, ["pop"], stat=stat)
@@ -378,7 +378,6 @@ class TestSummarizeAw:
                 Feature("a", rect(0, 0, 1, 2), {"v": 0.0}),
                 Feature("b", rect(1, 0, 2, 2), {"v": 10.0}),
             ],
-            ["v"],
         )
         tgt = FeatureSet([Feature("t", rect(0, 0, 2, 2))])
         t = summarize_aw(tgt, src, ["v"], stat="mean")
@@ -398,7 +397,7 @@ class TestSummarizeAw:
                         attrs = {"v": values[k % len(values)]} if values else {}
                         feats.append(Feature(f"{prefix}{k}", rect(x0, y0, x1, y1), attrs))
                         k += 1
-                return FeatureSet(feats, ["v"] if values else [])
+                return FeatureSet(feats)
 
             vals = [rng.uniform(-5, 5) for _ in range(97)]
             sources = tiling("s", 4, 3, vals)
@@ -409,7 +408,7 @@ class TestSummarizeAw:
             assert total == pytest.approx(want, rel=1e-9)
 
     def test_no_overlap_null_row(self):
-        src = FeatureSet([Feature("s", rect(10, 10, 11, 11), {"v": 1.0})], ["v"])
+        src = FeatureSet([Feature("s", rect(10, 10, 11, 11), {"v": 1.0})])
         tgt = FeatureSet([Feature("t", rect(0, 0, 1, 1))])
         t = summarize_aw(tgt, src, ["v"])
         assert t.rows[0]["v_mean"] is None
@@ -428,7 +427,7 @@ def _polys_fs(polys, prefix, rng=None):
         attrs = {} if rng is None else {"v": float(rng.uniform(-50, 50)),
                                         "w": float(rng.uniform(0, 9))}
         feats.append(Feature(f"{prefix}{i}", p, attrs))
-    return FeatureSet(feats, [] if rng is None else ["v", "w"])
+    return FeatureSet(feats)
 
 
 def _star(rng, lo, hi, rmax, hole=False):
@@ -652,7 +651,7 @@ class TestSummarizeSedc:
             Feature("s0", Point(1.0, 0.0), {"a": 2.0, "b": 10.0}),
             Feature("s1", Point(0.0, 1.0), {"a": 4.0, "b": 20.0}),
         ]
-        src = FeatureSet(feats, ["a", "b"])
+        src = FeatureSet(feats)
         t = summarize_sedc(tgt, src, bandwidth=1.0, value_columns=("a", "b"))
         w = math.exp(-3.0)
         assert t.rows[0]["a_sedc"] == pytest.approx(6.0 * w, rel=1e-12)
@@ -833,7 +832,7 @@ class TestValueCache:
     def test_subset_holds_no_cache(self):
         # a subset converts, and so checks, its own values again
         fs = FeatureSet([Feature("a", Point(0.0, 0.0), {"v": 1.0}),
-                         Feature("b", Point(1.0, 0.0), {"v": "x"})], ["v"])
+                         Feature("b", Point(1.0, 0.0), {"v": "x"})])
         fs.value_arrays["v"] = np.zeros(2)  # as if a check had cached the column
         sub = fs.subset([0, 1])
         assert sub.value_arrays == {}

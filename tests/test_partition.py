@@ -32,8 +32,7 @@ def point_set(coords, attrs=None):
     for i, (x, y) in enumerate(coords):
         a = dict(attrs[i]) if attrs else {}
         feats.append(Feature(f"p{i}", Point(float(x), float(y)), a))
-    cols = sorted(attrs[0]) if attrs else []
-    return FeatureSet(feats, cols)
+    return FeatureSet(feats)
 
 
 class TestRegularGrid:
@@ -365,19 +364,21 @@ class TestHierarchy:
 
     def test_region_containment(self):
         big = make_polygon([[Point(-1, -1), Point(5, -1), Point(5, 5), Point(-1, 5)]])
-        regions = FeatureSet([Feature("r1", big, {"ST": "37"})], ["ST"])
+        regions = FeatureSet([Feature("r1", big, {"ST": "37"})])
         pts = point_set([(0, 0), (1, 1)])
         groups = group_by_hierarchy(pts, regions=regions, regions_id="ST")
         assert groups == [("37", ["p0", "p1"])]
 
-    def test_keys_are_str_of_parsed_values(self, tmp_path):
-        # CSV values parse to int, float or str; a group key is str() of that
+    def test_keys_are_the_text_as_written(self, tmp_path):
+        # a CSV value is its field's text, and a group key is that text: once
+        # values parsed to int or float first, and 12, +12 and 1e2 read 12,
+        # 12 and 100.0
         p = tmp_path / "pts.csv"
         p.write_text("id,x,y,k\na,0,0,12\nb,1,0,12.0\nc,2,0,1e2\nd,3,0,12\ne,4,0,x1\n"
-                     "f,5,0,+12\n")
+                     "f,5,0,+12\ng,6,0,012\n")
         groups = group_by_hierarchy(load_features(str(p)), key="k")
-        assert groups == [("100.0", ["c"]), ("12", ["a", "d", "f"]), ("12.0", ["b"]),
-                          ("x1", ["e"])]
+        assert groups == [("+12", ["f"]), ("012", ["g"]), ("12", ["a", "d"]), ("12.0", ["b"]),
+                          ("1e2", ["c"]), ("x1", ["e"])]
 
     @staticmethod
     def _regions(rng):
@@ -396,7 +397,7 @@ class TestHierarchy:
             for j in range(4):
                 sq = [Point(i, j), Point(i + 1, j), Point(i + 1, j + 1), Point(i, j + 1)]
                 feats.append(Feature(f"q{i}{j}", make_polygon([sq])))
-        return FeatureSet(feats, ["name"])
+        return FeatureSet(feats)
 
     @staticmethod
     def _anchor_points(regions, rng):
@@ -437,7 +438,7 @@ class TestHierarchy:
 
     def test_unassigned_bucket(self):
         small = make_polygon([[Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]])
-        regions = FeatureSet([Feature("r1", small, {"ST": "37"})], ["ST"])
+        regions = FeatureSet([Feature("r1", small, {"ST": "37"})])
         pts = point_set([(0.5, 0.5), (9, 9)])
         groups = group_by_hierarchy(pts, regions=regions, regions_id="ST")
         assert ("UNASSIGNED", ["p1"]) in groups
