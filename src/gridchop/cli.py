@@ -76,7 +76,8 @@ def _add_run_flags(p: argparse.ArgumentParser, multi: bool):
         rasters = p.add_mutually_exclusive_group(required=True)
         rasters.add_argument("--rasters", help="comma-separated raster paths")
         rasters.add_argument("--raster-list", help="file of raster paths")
-        p.set_defaults(x=None)  # no shared context: each job names its raster
+        # no shared context and no regions: each job names its raster
+        p.set_defaults(x=None, regions=None, regions_id=None)
     else:
         chunks = p.add_mutually_exclusive_group(required=True)
         chunks.add_argument("--partition", help="PartitionSet JSON file")
@@ -128,20 +129,6 @@ def _config_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return flags
 
 
-def _build_task(args) -> tuple[TaskSpec, str]:
-    """The task of `run` (context --x) or `multiraster` (one raster per chunk)."""
-    if args.task == "sedc" and args.bandwidth is None:
-        raise UsageError("sedc requires --bandwidth")
-    raster_kind = "categorical" if args.categorical else "continuous"
-    y = _load_vector(args.y, args.id)
-    # extract_at's --x is a raster path, which the run loads; the other ops' is a vector file
-    x = args.x if args.task == "extract_at" else _load_vector(args.x, args.id)
-    params = {"radius": args.radius, "stat": args.stat, "bandwidth": args.bandwidth,
-              "maxdist": args.maxdist, "value_columns": [c for c in args.value_cols.split(",") if c]}
-    op = {"sedc": "summarize_sedc", "nearest": "nearest_distance"}.get(args.task, args.task)
-    return TaskSpec(op, x, y, params), raster_kind
-
-
 def cmd_partition(args) -> int:
     feats = _load_vector(args.input, args.id, args.format)
     mode = {"grid": "grid", "quantile": "grid_quantile", "advanced": "grid_advanced",
@@ -166,32 +153,37 @@ def _raster_paths(args) -> list[str]:
             raise LoadError(f"{args.raster_list}: not valid UTF-8: {e}")
 
 
-def _run_table(args, task: TaskSpec, cfg: RunConfig, raster_kind: str):
-    if args.command == "multiraster":
-        return run_multirasters(
-            task, _raster_paths(args), cfg, id_column=args.id, raster_kind=raster_kind
-        )
+def cmd_run(args) -> int:
+    """`chop run` and `chop multiraster`: --workers, then every usage rule,
+    then the reads (--y, a vector --x, then the chunks), the run and the write."""
+    workers = _workers(args)
+    if args.task == "sedc" and args.bandwidth is None:
+        raise UsageError("sedc requires --bandwidth")
     if args.regions_id is not None and args.regions is None:
         raise UsageError("--regions-id requires --regions")
-    if args.partition is not None:
-        parts = dataio.load_partitions(args.partition)
-        return run_grid(task, parts, cfg, id_column=args.id, raster_kind=raster_kind)
-    if args.hierarchy is not None:
-        groups = group_by_hierarchy(task.y, key=args.hierarchy)
-    else:
-        if not args.regions_id:
-            raise UsageError("--regions requires --regions-id")
-        regions = _load_vector(args.regions, args.regions_id, "geojson")
-        groups = group_by_hierarchy(task.y, regions=regions, regions_id=args.regions_id)
-    return run_hierarchy(task, groups, cfg, id_column=args.id, raster_kind=raster_kind)
-
-
-def cmd_run(args) -> int:
-    """`chop run` and `chop multiraster`."""
-    workers = _workers(args)
-    task, raster_kind = _build_task(args)
+    if args.regions is not None and not args.regions_id:
+        raise UsageError("--regions requires --regions-id")
+    y = _load_vector(args.y, args.id)
+    # extract_at's --x is a raster path, which the run loads; the other ops' is a vector file
+    x = args.x if args.task == "extract_at" else _load_vector(args.x, args.id)
+    params = {"radius": args.radius, "stat": args.stat, "bandwidth": args.bandwidth,
+              "maxdist": args.maxdist, "value_columns": [c for c in args.value_cols.split(",") if c]}
+    op = {"sedc": "summarize_sedc", "nearest": "nearest_distance"}.get(args.task, args.task)
+    task = TaskSpec(op, x, y, params)
     cfg = RunConfig(workers=workers, capture_errors=args.capture_errors)
-    table = _run_table(args, task, cfg, raster_kind)
+    kw = {"id_column": args.id,
+          "raster_kind": "categorical" if args.categorical else "continuous"}
+    if args.command == "multiraster":
+        table = run_multirasters(task, _raster_paths(args), cfg, **kw)
+    elif args.partition is not None:
+        table = run_grid(task, dataio.load_partitions(args.partition), cfg, **kw)
+    else:
+        if args.hierarchy is not None:
+            groups = group_by_hierarchy(y, key=args.hierarchy)
+        else:
+            regions = _load_vector(args.regions, args.regions_id, "geojson")
+            groups = group_by_hierarchy(y, regions=regions, regions_id=args.regions_id)
+        table = run_hierarchy(task, groups, cfg, **kw)
     dataio.save_table(table, args.out)
     return EXIT_PARTIAL if table.had_errors else EXIT_OK
 

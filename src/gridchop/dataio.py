@@ -398,7 +398,7 @@ def _raise_row_error(path: str, rows: list[list], xi: int, yi: int, attr_index):
     raise AssertionError("no bad row")
 
 
-def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> FeatureSet:
+def _load_csv(path: str, id_column: str) -> FeatureSet:
     """A point set from CSV, column by column: no object per row. Each
     attribute is its field's text as csv.reader gave it; nothing else is
     converted."""
@@ -411,10 +411,10 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
             raise LoadError(f"{path}: not valid UTF-8: {e}")
     # a repeated header name reads its last column
     index = {c: j for j, c in enumerate(header)}
-    for col in (id_column, x_column, y_column):
+    for col in (id_column, "x", "y"):
         if col not in index:
             raise LoadError(f"{path}: missing column {col!r}")
-    attr_cols = [c for c in index if c not in (id_column, x_column, y_column)]
+    attr_cols = [c for c in index if c not in (id_column, "x", "y")]
     width, n = len(header), len(rows)
     shortest = min(map(len, rows), default=width)
     if shortest < width:  # missing trailing fields read as None
@@ -422,7 +422,7 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
     # a row too short to reach an attribute column lacks its value: a row error
     ok = shortest > max(map(index.get, attr_cols), default=-1)
     cols = list(zip(*rows)) if rows else [()] * width
-    xi, yi = index[x_column], index[y_column]
+    xi, yi = index["x"], index["y"]
     xy = np.empty((n, 2))
     try:
         xy[:, 0] = np.fromiter(map(float, cols[xi]), np.float64, n)
@@ -440,7 +440,7 @@ def _load_csv(path: str, id_column: str, x_column: str, y_column: str) -> Featur
 
 def _raise_feature_error(path: str, features: list, id_column: str):
     """Raise the LoadError of the first bad feature. Inside a feature a bad
-    structure comes first, then a bad geometry, then a missing id."""
+    structure comes first, then a bad geometry, then a missing or null id."""
     for i, f in enumerate(features):
         if not isinstance(f, dict):
             raise LoadError(f"{path}: feature {i}: not an object")
@@ -458,6 +458,8 @@ def _raise_feature_error(path: str, features: list, id_column: str):
             raise LoadError(f"{path}: feature {i}: {e}")
         if id_column not in p:
             raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
+        if p[id_column] is None:
+            raise LoadError(f"{path}: feature {i}: property {id_column!r} is null")
     raise AssertionError("no bad feature")
 
 
@@ -473,7 +475,7 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
             return None
         geom = f.get("geometry") or {}
         p = f.get("properties") or {}
-        if not (isinstance(geom, dict) and isinstance(p, dict)) or id_column not in p:
+        if not (isinstance(geom, dict) and isinstance(p, dict)) or p.get(id_column) is None:
             return None
         kind = _GEOJSON_KINDS.get(geom.get("type"))
         if kind is None:
@@ -561,16 +563,11 @@ def _load_geojson(path: str, id_column: str) -> FeatureSet:
     return fs
 
 
-def load_features(
-    path: str,
-    format: str = "csv",
-    id_column: str = "id",
-    x_column: str = "x",
-    y_column: str = "y",
-) -> FeatureSet:
-    """Load features in file order; attributes as read (see FeatureSet)."""
+def load_features(path: str, format: str = "csv", id_column: str = "id") -> FeatureSet:
+    """Load features in file order; attributes as read (see FeatureSet). A
+    CSV file's points are its x and y columns."""
     if format == "csv":
-        return _load_csv(path, id_column, x_column, y_column)
+        return _load_csv(path, id_column)
     if format == "geojson":
         return _load_geojson(path, id_column)
     raise LoadError(f"unknown feature format {format!r}")

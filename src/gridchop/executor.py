@@ -3,9 +3,11 @@
 Three planners turn a run into a list of `Job`s: `run_grid` makes one per
 PartitionSet chunk, `run_hierarchy` one per group, and `run_multirasters`
 one per raster file. `_run` executes every plan the same way. It checks the
-inputs with geoops.check_inputs, as the op does, resolves each job's member
-ids to anchor indices once, and checks that grid and hierarchy jobs own each
-anchor exactly once, all before any chunk runs. That check also caches the
+inputs with geoops.check_inputs, as the op does; that check reads the
+task's params once, in the parent, and every chunk calls its op with the
+arguments it returned. `_run` also resolves each job's member ids to anchor
+indices once, and checks that grid and hierarchy jobs own each anchor
+exactly once, all before any chunk runs. That check also caches the
 context's converted value columns and the cache the op prunes by, and `_run`
 builds the anchors' bounds(), all before any fork, so a chunk's own check
 and prune read those caches. `_run` holds no rule about any op; the
@@ -108,16 +110,17 @@ class ChunkError(GridchopError):
 class _Run:
     """The shared state of one run; forked workers inherit it read-only."""
 
-    task: TaskSpec
+    op: str
+    args: dict  # the op's keyword arguments, as the run's check returned them
     anchors: FeatureSet
     context: Raster | FeatureSet | None
     raster_kind: str
 
 
-def _apply_op(task: TaskSpec, x, y) -> ResultTable:
-    """The task's op over context x and anchors y, its arguments read by geoops.op_args."""
-    xy = (x, y) if task.op == "extract_at" else (y, x)
-    return getattr(geoops, task.op)(*xy, **geoops.op_args(task.op, task.params))
+def _apply_op(run: _Run, x, y) -> ResultTable:
+    """The run's op over context x and anchors y, called with the run's arguments."""
+    xy = (x, y) if run.op == "extract_at" else (y, x)
+    return getattr(geoops, run.op)(*xy, **run.args)
 
 
 def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
@@ -132,7 +135,7 @@ def _run_chunk(chunk: tuple[_Run, Job]) -> ChunkResult:
         context = run.context
         if job.context is not None:
             context = load_raster(job.context, kind=run.raster_kind)
-        table = _apply_op(run.task, context, anchors)
+        table = _apply_op(run, context, anchors)
         for name, column in table.data.items():
             if len(column) != len(anchors):
                 raise GridchopError(f"column {name!r} has {len(column)} rows for "
@@ -302,7 +305,8 @@ def _run(
     anchors = task.y
     # jobs that name a raster path each take every anchor and no shared context
     own = [job.context for job in jobs if job.context is not None]
-    geoops.check_inputs(task.op, anchors, own[0] if own else task.x, task.params, raster_kind)
+    args = geoops.check_inputs(task.op, anchors, own[0] if own else task.x, task.params,
+                               raster_kind)[0]
     ids = anchors.ids()
     context = None
     if own:
@@ -316,7 +320,8 @@ def _run(
     if isinstance(context, str):
         context = load_raster(context, kind=raster_kind)
     anchors.bounds()  # each chunk slices its anchors' boxes from it
-    results = _execute(_Run(task, anchors, context, raster_kind), jobs, cfg or RunConfig())
+    run = _Run(task.op, args, anchors, context, raster_kind)
+    results = _execute(run, jobs, cfg or RunConfig())
     return merge_chunks(
         results,
         id_column,

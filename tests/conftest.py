@@ -28,10 +28,10 @@ def poison_chunks(monkeypatch, anchor_id=None):
     fail in its op as float("bad") does. A forked worker inherits the patch."""
     original = executor._apply_op
 
-    def poisoned(task, context, anchors):
+    def poisoned(run, context, anchors):
         if anchor_id is None or anchor_id in anchors.ids():
             float("bad")
-        return original(task, context, anchors)
+        return original(run, context, anchors)
 
     monkeypatch.setattr(executor, "_apply_op", poisoned)
 

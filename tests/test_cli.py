@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import gridchop
+from gridchop import dataio
 from gridchop.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from gridchop.dataio import load_partitions, write_raster
+from gridchop.errors import LoadError
 from gridchop.raster import Raster
 
 SRC = os.path.dirname(os.path.dirname(gridchop.__file__))
@@ -943,6 +945,47 @@ class TestUsage:
             argv[at : at + 2] = []
         assert main(argv + flags) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workspace / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--hierarchy", "g", "--regions-id", "q"], "--regions-id requires --regions"),
+        (["--regions", "f.geojson"], "--regions requires --regions-id"),
+    ])
+    def test_regions_rules_on_missing_inputs(self, tmp_path, capsys, flags, message):
+        # neither input exists: each rule once waited behind the read of --y
+        # and exited 3 on the missing file
+        out = tmp_path / "out.csv"
+        argv = ["run", "--task", "extract_at", "--x", str(tmp_path / "nonexistent.asc"),
+                "--y", str(tmp_path / "nonexistent.csv"), "--out", str(out)]
+        assert main(argv + flags) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["sedc_bandwidth", "regions_id", "regions",
+                                      "chop_workers", "workers_flag"])
+    def test_usage_error_reads_no_file(self, workspace, capsys, monkeypatch, case):
+        reads = []
+
+        def load_features(*args, **kwargs):
+            reads.append(args)
+            raise LoadError("read before the usage rules")
+
+        monkeypatch.setattr(dataio, "load_features", load_features)
+        argv = _run_args(workspace)
+        if case == "sedc_bandwidth":
+            argv[argv.index("extract_at")] = "sedc"
+        elif case == "regions_id":
+            argv += ["--regions-id", "q"]
+        elif case == "regions":
+            at = argv.index("--partition")
+            argv[at : at + 2] = ["--regions", str(workspace / "regions.geojson")]
+        elif case == "chop_workers":
+            monkeypatch.setenv("CHOP_WORKERS", "0")
+        else:
+            argv += ["--workers", "0"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert reads == []
         assert not (workspace / "out.csv").exists()
 
 

@@ -412,6 +412,30 @@ class TestLoadFeaturesGeoJSON:
         with pytest.raises(LoadError, match="feature 0"):
             load_features(str(p), format="geojson")
 
+    @staticmethod
+    def _feature(fid, coordinates=(0, 0)):
+        return {"type": "Feature", "properties": {"id": fid, "v": 1},
+                "geometry": {"type": "Point", "coordinates": list(coordinates)}}
+
+    @pytest.mark.parametrize("features,want", [
+        ([("a",), (None,)], "feature 1: property 'id' is null"),
+        ([(None,), (None, (1, 1))], "feature 0: property 'id' is null"),
+        # the missing-id order: a bad geometry before a null id, in the
+        # same feature and in an earlier one
+        ([(None, (0, "x"))], "feature 0: bad Point coordinates"),
+        ([("a", (0, "x")), (None,)], "feature 0: bad Point coordinates"),
+    ], ids=["second", "two_nulls", "bad_geometry_same_feature", "bad_geometry_first"])
+    def test_null_id_property(self, tmp_path, features, want):
+        # a null id once loaded as the id "None"; two of them read as a
+        # duplicate id 'None'
+        doc = {"type": "FeatureCollection",
+               "features": [self._feature(*f) for f in features]}
+        p = tmp_path / "f.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(LoadError) as e:
+            load_features(str(p), format="geojson")
+        assert str(e.value).startswith(f"{p}: {want}")
+
 
 class TestSaveTable:
     def test_empty_table_header_only(self, tmp_path):

@@ -30,6 +30,7 @@ from gridchop.executor import (
     RunConfig,
     TaskSpec,
     _apply_op,
+    _Run,
     _run,
     lpt_batches,
     merge_chunks,
@@ -78,7 +79,8 @@ def scatter(n=40, seed=1, lo=1.0, hi=19.0):
 
 def direct(task):
     """The op on the whole datasets, with no partition and no clip."""
-    return with_ids(_apply_op(task, task.x, task.y), task.y)
+    run = _Run(task.op, geoops.op_args(task.op, task.params), task.y, task.x, "continuous")
+    return with_ids(_apply_op(run, task.x, task.y), task.y)
 
 
 def value_rows(table):
@@ -97,9 +99,10 @@ class TestTaskSpec:
 
 
 class TestTaskParameters:
-    """geoops.op_args reads each op's params once, for the check before any
-    chunk runs and for every chunk. Each case below once gave one error row
-    per anchor, or rows of the wrong values."""
+    """geoops.op_args reads a task's params once, for the check before any
+    chunk runs, and every chunk calls its op with what that check returned.
+    Each case below once gave one error row per anchor, or rows of the
+    wrong values."""
 
     @staticmethod
     def _error_before_chunks(monkeypatch, task, anchors, error):
@@ -111,6 +114,24 @@ class TestTaskParameters:
             run_grid(task, grid_parts(anchors, 2))
         assert ran == []
         return str(e.value)
+
+    def test_params_read_once(self):
+        # each chunk once read the params again, through op_args: a 6-chunk
+        # run read them 7 times
+        class Counted(dict):
+            reads = 0
+
+            def items(self):
+                self.reads += 1
+                return super().items()
+
+        pts = scatter(40)
+        params = Counted(bandwidth=2.0, value_columns=["v"])
+        parts = build_partition(GridSpec("grid", nx=3, ny=2), pts)
+        assert len(parts.chunks) == 6
+        got = run_grid(TaskSpec("summarize_sedc", pts, pts, params), parts)
+        assert not got.had_errors and len(got.rows) == len(pts)
+        assert params.reads == 1
 
     def test_none_radius_reads_as_zero(self):
         pts, r = scatter(20), grid_raster()
@@ -652,7 +673,7 @@ class TestFaultIsolation:
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
             # every chunk fails in its op, as float("bad") does
-            executor._apply_op = lambda task, context, anchors: float("bad")
+            executor._apply_op = lambda run, context, anchors: float("bad")
             parent, original = os.getpid(), executor._run_chunk
             out = []
             for die in (False, True):
