@@ -438,9 +438,13 @@ def _load_csv(path: str, id_column: str) -> FeatureSet:
     return FeatureSet.from_columns(ids, xy, attributes=attributes)
 
 
+_ID_TYPES = (str, int)  # what json.load gives for a string or an integer; a bool is not
+
+
 def _raise_feature_error(path: str, features: list, id_column: str):
     """Raise the LoadError of the first bad feature. Inside a feature a bad
-    structure comes first, then a bad geometry, then a missing or null id."""
+    structure comes first, then a bad geometry, then a missing or null id,
+    then an id that is not a string or an integer."""
     for i, f in enumerate(features):
         if not isinstance(f, dict):
             raise LoadError(f"{path}: feature {i}: not an object")
@@ -460,6 +464,9 @@ def _raise_feature_error(path: str, features: list, id_column: str):
             raise LoadError(f"{path}: feature {i}: missing property {id_column!r}")
         if p[id_column] is None:
             raise LoadError(f"{path}: feature {i}: property {id_column!r} is null")
+        if type(p[id_column]) not in _ID_TYPES:
+            raise LoadError(f"{path}: feature {i}: property {id_column!r} is not a string "
+                            f"or an integer: {json.dumps(p[id_column])}")
     raise AssertionError("no bad feature")
 
 
@@ -475,7 +482,8 @@ def _geojson_columns(features: list, id_column: str) -> FeatureSet | None:
             return None
         geom = f.get("geometry") or {}
         p = f.get("properties") or {}
-        if not (isinstance(geom, dict) and isinstance(p, dict)) or p.get(id_column) is None:
+        if not (isinstance(geom, dict) and isinstance(p, dict)) or (
+                type(p.get(id_column)) not in _ID_TYPES):
             return None
         kind = _GEOJSON_KINDS.get(geom.get("type"))
         if kind is None:
@@ -669,28 +677,39 @@ def write_raster(r: Raster, path: str) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _bbox_to_list(b: BBox) -> list[float]:
-    return [b.xmin, b.ymin, b.xmax, b.ymax]
+def _json_array(items: list[str], depth: int) -> str:
+    """A JSON array of encoded items, laid out as json.dump(indent=1) lays
+    out one that opens at indent depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _json_number(v) -> str:
+    """An int or a finite float as json.dump writes it."""
+    return int.__repr__(v) if isinstance(v, int) else float.__repr__(v)
 
 
 def save_partitions(p, path: str) -> None:
+    """Write p as {"chunks": [{"chunk_id", "core": [xmin, ymin, xmax, ymax],
+    "member_ids"}, ...] in chunk_id order, "mode"}: the bytes of
+    json.dump(..., sort_keys=True, indent=1) and a newline, laid out here in
+    one string, as json.dump's encoder makes one small write per token."""
     from .partition import PartitionSet  # local import avoids a cycle
 
     assert isinstance(p, PartitionSet)
-    doc = {
-        "mode": p.mode,
-        "chunks": [
-            {
-                "chunk_id": c.chunk_id,
-                "core": _bbox_to_list(c.core),
-                "member_ids": list(c.member_ids),
-            }
-            for c in sorted(p.chunks, key=lambda c: c.chunk_id)
-        ],
-    }
+    text = json.encoder.encode_basestring_ascii  # json.dump's encoder for a str
+    chunks = [
+        '{\n   "chunk_id": ' + _json_number(c.chunk_id)
+        + ',\n   "core": ' + _json_array(
+            [_json_number(v) for v in (c.core.xmin, c.core.ymin, c.core.xmax, c.core.ymax)], 3)
+        + ',\n   "member_ids": ' + _json_array(list(map(text, c.member_ids)), 3) + "\n  }"
+        for c in sorted(p.chunks, key=lambda c: c.chunk_id)
+    ]
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write('{\n "chunks": ' + _json_array(chunks, 1)
+                 + ',\n "mode": ' + text(p.mode) + "\n}\n")
 
 
 def load_partitions(path: str):

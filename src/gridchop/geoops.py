@@ -438,10 +438,12 @@ def _intersection_areas(
     """Intersection area of polygon ti[k] of tpolys and polygon si[k] of
     spolys for each pair k.
 
-    Every ring of the source is clipped against every trapezoid of the
-    target, and the signed shoelace areas are summed in (trapezoid, ring)
-    order, so holes work. Work runs over blocks of pairs whose ring copies
-    stay under _BATCH_ELEMS vertices; a pair over the cap runs alone.
+    Every ring of the spolys polygon is clipped against every trapezoid of
+    the tpolys polygon, and the signed shoelace areas are summed in
+    (trapezoid, ring) order, so holes on either side work and either
+    argument order gives the area of the intersection. Work runs over blocks
+    of pairs whose ring copies stay under _BATCH_ELEMS vertices; a pair over
+    the cap runs alone.
     """
     if ti.size == 0:
         return np.zeros(0)
@@ -452,8 +454,7 @@ def _intersection_areas(
     x, y = spolys.coords[:, 0], spolys.coords[:, 1]
     vert0, ring_len = spolys.part_offsets[:-1], np.diff(spolys.part_offsets)
     ring0, nrings = spolys.feature_offsets[:-1], np.diff(spolys.feature_offsets)
-    nverts = spolys.part_offsets[spolys.feature_offsets[1:]] - vert0[ring0]
-    cum = np.cumsum(ntrap[ti] * nverts[si])
+    cum = np.cumsum(ntrap[ti] * _vertex_counts(spolys)[si])
     total = np.zeros(ti.size)
     lo = 0
     while lo < ti.size:
@@ -475,6 +476,11 @@ def _intersection_areas(
         total[lo:hi] = np.bincount(pair[ok] - lo, weights=0.5 * twice[ok], minlength=hi - lo)
         lo = hi
     return np.where(0.0 > total, 0.0, total)
+
+
+def _vertex_counts(polys: FeatureSet) -> np.ndarray:
+    """The number of vertices of each polygon, every ring counted."""
+    return np.diff(polys.part_offsets[polys.feature_offsets])
 
 
 def _polygon_areas(polys: FeatureSet, idx: np.ndarray | None = None) -> np.ndarray:
@@ -509,6 +515,9 @@ def summarize_aw(
     mean_j = sum_i a_ij v_i / sum_i a_ij; sum_j = sum_i v_i a_ij / area_i.
     Means are normalized by intersected area; the coverage column reports
     sum_i a_ij / area(target_j). Targets intersecting nothing yield null rows.
+    a_ij of an identical pair is the target's area; otherwise the polygon of
+    the pair with fewer vertices (the target on a tie) is cut into
+    trapezoids and the other one's rings are clipped against them.
     """
     args, _, svals = check_inputs("summarize_aw", targets, sources, locals())
     stat = args["stat"]
@@ -516,6 +525,7 @@ def summarize_aw(
     near = _near(sources, targets, 0.0)
     tb, sb = targets.bounds(), sources.bounds()[near]
     tarea, sarea = _polygon_areas(targets), _polygon_areas(sources, near)
+    tverts, sverts = _vertex_counts(targets), _vertex_counts(sources)
     svals = {c: v[near] for c, v in svals.items()}
     out = {**{f"{c}_{stat}": [] for c in svals}, "coverage": []}
     block = max(1, _PAIR_ELEMS // max(1, near.size))
@@ -533,7 +543,10 @@ def summarize_aw(
                       for i, j in zip(ti[same].tolist(), si[same].tolist())]
         aij = np.empty(ti.size)
         aij[same] = tarea[ti[same]]
-        aij[~same] = _intersection_areas(targets, sources, ti[~same], si[~same])
+        flip = ~same & (sverts[si] < tverts[ti])
+        rest = ~(same | flip)
+        aij[flip] = _intersection_areas(sources, targets, si[flip], ti[flip])
+        aij[rest] = _intersection_areas(targets, sources, ti[rest], si[rest])
         keep = ~(aij <= 0.0)
         ti, sj, aij = ti[keep] - lo, sj[keep], aij[keep]
         # np.bincount adds each target's terms in pair order, as a loop would

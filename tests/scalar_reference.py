@@ -4,12 +4,13 @@ One polygon, one trapezoid, one ring at a time, in plain Python floats: the
 ring orientation of the GeoJSON reader, polygon areas, the even-odd
 point-in-polygon test of `group_by_hierarchy`, the convex Sutherland-Hodgman
 clipper, the shoelace sum, the trapezoid decomposition and the per-pair
-`summarize_aw` loop the batched code replaced, the per-point, per-chunk loop
-of `assign_to_partition` that grid partitions replaced, the merge of sparse
-grid cells repeated to its fixpoint, and the per-anchor, per-region loop of
-`group_by_hierarchy`, the inscribed buffer polygon and point-segment
-distance of `extract_at` and `nearest`, and the per-row dict of category
-weights behind `extract_at`'s frequency columns.
+`summarize_aw` loop the batched code replaced (which cuts the polygon of a
+pair with fewer vertices into trapezoids and clips the other's rings), the
+per-point, per-chunk loop of `assign_to_partition` that grid partitions
+replaced, the merge of sparse grid cells repeated to its fixpoint, and the
+per-anchor, per-region loop of `group_by_hierarchy`, the inscribed buffer
+polygon and point-segment distance of `extract_at` and `nearest`, and the
+per-row dict of category weights behind `extract_at`'s frequency columns.
 The batched code performs the same float operations in the same order, so
 its results must be equal to these bit for bit.
 """
@@ -219,10 +220,17 @@ def intersection_area(a, b, traps):
     return max(total, 0.0)
 
 
+def _vertex_count(poly):
+    return sum(map(len, poly.parts))
+
+
 def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
-    """The per-target, per-source loop over bbox-overlapping pairs."""
+    """The per-target, per-source loop over bbox-overlapping pairs; a pair's
+    polygon with fewer vertices, every ring counted (the target on a tie),
+    is the one cut into trapezoids."""
     src_boxes = [bbox_of(f.geometry) for f in sources.features]
     src_areas = [polygon_area(f.geometry) for f in sources.features]
+    src_traps = [trapezoids(f.geometry) for f in sources.features]
     cols = [f"{c}_{stat}" for c in value_columns]
     rows_out = []
     for tgt in targets.features:
@@ -234,7 +242,10 @@ def summarize_aw(targets, sources, value_columns, stat="mean", id_column="id"):
         for i, src in enumerate(sources.features):
             if not tbox.intersects(src_boxes[i]):
                 continue
-            aij = intersection_area(tgt.geometry, src.geometry, traps)
+            if _vertex_count(src.geometry) < _vertex_count(tgt.geometry):
+                aij = intersection_area(src.geometry, tgt.geometry, src_traps[i])
+            else:
+                aij = intersection_area(tgt.geometry, src.geometry, traps)
             if aij <= 0.0:
                 continue
             inter_total += aij

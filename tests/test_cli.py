@@ -947,6 +947,23 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (workspace / "out.csv").exists()
 
+    @pytest.mark.parametrize("rid", [True, 2.0, ["r"]], ids=["true", "float", "array"])
+    def test_regions_id_neither_string_nor_integer(self, workspace, capsys, rid):
+        # a region id once became Python's text for it, and named the group
+        region = {"type": "Feature", "properties": {"q": rid},
+                  "geometry": {"type": "Polygon",
+                               "coordinates": [[[0, 0], [20, 0], [20, 20], [0, 20], [0, 0]]]}}
+        regions = workspace / "regions.geojson"
+        regions.write_text(json.dumps({"type": "FeatureCollection", "features": [region]}))
+        argv = _run_args(workspace)
+        at = argv.index("--partition")
+        argv[at : at + 2] = ["--regions", str(regions), "--regions-id", "q"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"load error: {regions}: feature 0: property 'q' is not a string or an integer: "
+            f"{json.dumps(rid)}\n")
+        assert not (workspace / "out.csv").exists()
+
     @pytest.mark.parametrize("flags,message", [
         (["--hierarchy", "g", "--regions-id", "q"], "--regions-id requires --regions"),
         (["--regions", "f.geojson"], "--regions requires --regions-id"),

@@ -436,6 +436,46 @@ class TestLoadFeaturesGeoJSON:
             load_features(str(p), format="geojson")
         assert str(e.value).startswith(f"{p}: {want}")
 
+    @pytest.mark.parametrize("fid", [True, False, 1.0, -0.0, 1e300, [1], {"a": 1}, []],
+                             ids=["true", "false", "float", "negative_zero", "big_float",
+                                  "array", "object", "empty_array"])
+    def test_id_neither_string_nor_integer(self, tmp_path, fid):
+        # such an id once loaded as Python's text for it: "True", "1.0",
+        # "[1]", "{'a': 1}"; the result CSV wrote those
+        doc = {"type": "FeatureCollection",
+               "features": [self._feature("a"), self._feature(fid, (1, 1)), self._feature(None)]}
+        p = tmp_path / "f.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(LoadError) as e:
+            load_features(str(p), format="geojson")
+        want = f"feature 1: property 'id' is not a string or an integer: {json.dumps(fid)}"
+        assert str(e.value) == f"{p}: {want}"
+
+    @pytest.mark.parametrize("features,want", [
+        # a bad geometry before a bad id, in the same feature
+        ([(True, (0, "x"))], "feature 0: bad Point coordinates"),
+        # the first bad feature, whatever is wrong with a later one
+        ([(1.5,), (None,)], "feature 0: property 'id' is not a string or an integer: 1.5"),
+        ([("a",), (None,), (True,)], "feature 1: property 'id' is null"),
+    ], ids=["bad_geometry_same_feature", "before_null", "after_null"])
+    def test_bad_id_precedence(self, tmp_path, features, want):
+        doc = {"type": "FeatureCollection",
+               "features": [self._feature(*f) for f in features]}
+        p = tmp_path / "f.geojson"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(LoadError) as e:
+            load_features(str(p), format="geojson")
+        assert str(e.value).startswith(f"{p}: {want}")
+
+    def test_string_and_integer_ids_load(self, tmp_path):
+        doc = {"type": "FeatureCollection",
+               "features": [self._feature(f, (k, 0)) for k, f in
+                            enumerate(["a", 7, -3, 2**70, "1.0", "true"])]}
+        p = tmp_path / "f.geojson"
+        p.write_text(json.dumps(doc))
+        fs = load_features(str(p), format="geojson")
+        assert fs.ids() == ["a", "7", "-3", "1180591620717411303424", "1.0", "true"]
+
 
 class TestSaveTable:
     def test_empty_table_header_only(self, tmp_path):
@@ -696,6 +736,38 @@ class TestPartitionIO:
         save_partitions(parts, str(p))
         doc = json.loads(p.read_text())
         assert [c["chunk_id"] for c in doc["chunks"]] == [0, 1]
+
+    def test_bytes_of_json_dump(self, tmp_path):
+        # the hand-written layout has json.dump's bytes: fuzzed ids with
+        # quotes, backslashes, control characters and non-ASCII text, cores
+        # of signed zeros, subnormals and huge values, empty chunks and sets
+        rng = random.Random(11)
+        alphabet = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀",
+                    "a", "7", " ", "/", "<"]
+        floats = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 2.0**53, 1.5e-7]
+
+        def core():
+            xs, ys = sorted(rng.choices(floats, k=2)), sorted(rng.choices(floats, k=2))
+            return BBox(xs[0], ys[0], xs[1], ys[1])
+
+        sets = [PartitionSet("grid", []), PartitionSet('mo"de\\é', [Chunk(0, BBox(0, 0, 1, 1))])]
+        for _ in range(30):
+            chunks = [Chunk(rng.randrange(-5, 10**12), core(),
+                            ["".join(rng.choices(alphabet, k=rng.randrange(0, 6)))
+                             for _ in range(rng.randrange(0, 6))])
+                      for _ in range(rng.randrange(0, 5))]
+            mode = rng.choice(["grid", "balanced", "".join(rng.choices(alphabet, k=4))])
+            sets.append(PartitionSet(mode, chunks))
+        for k, parts in enumerate(sets):
+            doc = {"mode": parts.mode, "chunks": [
+                {"chunk_id": c.chunk_id, "member_ids": c.member_ids,
+                 "core": [c.core.xmin, c.core.ymin, c.core.xmax, c.core.ymax]}
+                for c in sorted(parts.chunks, key=lambda c: c.chunk_id)]}
+            want = io.StringIO()
+            json.dump(doc, want, sort_keys=True, indent=1)
+            p = tmp_path / f"parts{k}.json"
+            save_partitions(parts, str(p))
+            assert p.read_bytes() == (want.getvalue() + "\n").encode(), k
 
     def test_earlier_format_loads(self, tmp_path):
         # earlier versions also wrote `padding` and a `padded` box per chunk;

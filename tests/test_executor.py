@@ -467,6 +467,20 @@ def _snapped_shapes(rings, kind, values=None):
                                    np.full(n, kind, np.int8), attrs)
 
 
+def _holed(squares, rng):
+    """The squares of a summarize_aw _snapped_task, about half of them with
+    a clockwise square hole of half their side at their center."""
+    sq = squares.coords.reshape(-1, 4, 2)
+    center = sq.mean(axis=1, keepdims=True)
+    holes = center + 0.5 * (sq[:, ::-1] - center)
+    rings = [[ring] + ([hole] if rng.integers(2) else []) for ring, hole in zip(sq, holes)]
+    nrings = np.array([len(r) for r in rings])
+    return FeatureSet.from_columns(
+        [f"h{i}" for i in range(len(rings))], np.concatenate(sum(rings, [])).reshape(-1, 2),
+        np.arange(0, 4 * nrings.sum() + 1, 4), np.concatenate([[0], np.cumsum(nrings)]),
+        np.full(len(rings), 2, np.int8))
+
+
 def _snapped_task(rng, op):
     """A task of `op` on coordinates that are multiples k * step of a step of
     0.1, 0.25, 0.3 or 0.5, so clip boxes and distance tests meet at sums
@@ -545,6 +559,26 @@ class TestClipEdge:
                                     RunConfig(workers))
             assert value_rows(got) == want, (case, task.op)
         assert time.perf_counter() - t0 < 10.0
+
+    def test_intersection_area_either_order(self):
+        # the kernel cuts the first polygon of a pair into trapezoids and
+        # clips the second one's rings; summarize_aw passes the pair in
+        # either order, and both give the area of the intersection, with
+        # holes on either side
+        rng = np.random.default_rng(2024)
+        overlaps = 0
+        for case in range(30):
+            task = _snapped_task(rng, "summarize_aw")
+            a, b = _holed(task.x, rng), _holed(task.y, rng)
+            ai, bi = (k.ravel() for k in np.indices((len(a), len(b))))
+            ab = geoops._intersection_areas(a, b, ai, bi)
+            ba = geoops._intersection_areas(b, a, bi, ai)
+            # a pair that only touches may give a rounding residue for zero
+            scale = np.maximum(ab, np.minimum(geoops._polygon_areas(a)[ai],
+                                              geoops._polygon_areas(b)[bi]))
+            assert (np.abs(ab - ba) <= 1e-12 * scale).all(), case
+            overlaps += int((ab > 0.0).sum())
+        assert overlaps > 1000
 
 
 @pytest.mark.parametrize("op", ["summarize_sedc", "nearest_distance", "summarize_aw",

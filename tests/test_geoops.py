@@ -477,12 +477,33 @@ def _no_hit(rng):
     return [*targets[:5], rect(50, 50, 51, 51), *targets[5:], rect(-40, 3, -39, 4)], sources
 
 
+def _grid_under_stars(rng):
+    # a source with fewer vertices than its target, every ring counted, is
+    # the polygon cut into trapezoids: rectangles under stars with holes;
+    # ties keep the target cut: rectangles under quadrilaterals, and
+    # squares with a square hole under 8-vertex stars
+    def square_with_hole(x, y):
+        return make_polygon([rect(x, y, x + 2, y + 2).outer.vertices,
+                             rect(x + 0.5, y + 0.5, x + 1.5, y + 1.5).outer.vertices])
+
+    targets = [_star(rng, 1, 9, 2.5, hole=k % 2 == 0) for k in range(10)]
+    targets += [make_polygon([random_star(rng, *rng.uniform(1, 9, 2).tolist(), 2.0, 8)])
+                for _ in range(4)]
+    targets += [make_polygon([random_star(rng, *rng.uniform(1, 9, 2).tolist(), 1.5, 4)])
+                for _ in range(4)]
+    sources = [rect(i * 1.25, j * 1.25, (i + 1) * 1.25, (j + 1) * 1.25)
+               for j in range(8) for i in range(8)]
+    sources += [square_with_hole(*rng.uniform(0, 8, 2).tolist()) for _ in range(6)]
+    return targets, sources
+
+
 AW_CASES = {
     "stars_with_holes": _stars_with_holes,
     "identical": _identical,
     "shared_edges": _shared_edges,
     "triangles": _triangles,
     "no_hit": _no_hit,
+    "grid_under_stars": _grid_under_stars,
 }
 
 
