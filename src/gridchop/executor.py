@@ -22,13 +22,15 @@ deduplication and each row is the row of an unpartitioned run. A chunk's
 table holds the op's value columns only, one row per anchor; the merge
 attaches each row's anchor id, chunk id and extra columns.
 
-At more than one worker the jobs are split into one batch per worker,
-largest first by anchor count (Graham's LPT rule), and one worker process is
-forked per batch. A worker inherits its batch and the run's datasets
-through fork, read-only; nothing is sent to it. It sends its batch's results
-back on one pipe. A shared raster given by path is loaded once in the
-parent; each multiraster job loads its own raster in its worker. A worker
-that dies gives error rows to the chunks of its own batch only.
+The jobs are split into one batch per worker, largest first by anchor count
+(Graham's LPT rule). The parent forks one worker process per batch after the
+first and runs the first batch itself, so a 1-worker run forks nothing and
+an n-worker run forks n - 1 processes. A worker inherits its batch and the
+run's datasets through fork, read-only; nothing is sent to it. It sends its
+batch's results back on one pipe. A shared raster given by path is loaded
+once in the parent; each multiraster job loads its own raster where its
+batch runs. A worker that dies gives error rows to the chunks of its own
+batch only.
 Determinism comes from merge ordering (by chunk id), not execution order.
 """
 
@@ -173,16 +175,19 @@ def _work(writer, chunks: list[tuple[_Run, Job]]):
 
 
 def _execute(run: _Run, jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
-    """Each job's result, in job order: a loop at one worker, else one forked
-    worker per LPT batch. A worker that dies before its results arrive gives
-    an error to every job of its batch."""
-    if cfg.workers == 1 or len(jobs) <= 1:
-        return [_checked(_run_chunk((run, job)), cfg) for job in jobs]
+    """Each job's result, in job order. The jobs are split into LPT batches,
+    one per worker; the parent forks one worker per batch after the first,
+    runs the first batch itself, then collects the workers' results. So one
+    worker, or one job, forks nothing. A worker that dies before its results
+    arrive gives an error to every job of its batch. Without captured errors
+    the first failed job in job order raises ChunkError once every worker has
+    answered, and the parent's batch stops at its own first failure."""
+    batches = lpt_batches([len(job.anchor_ids) for job in jobs], cfg.workers)
     fork = mp.get_context("fork")
     results: list[ChunkResult | None] = [None] * len(jobs)
     workers = []
     try:
-        for batch in lpt_batches([len(job.anchor_ids) for job in jobs], cfg.workers):
+        for batch in batches[1:]:
             reader, writer = fork.Pipe(duplex=False)
             proc = fork.Process(target=_work, args=(writer, [(run, jobs[i]) for i in batch]),
                                 daemon=True)
@@ -191,6 +196,10 @@ def _execute(run: _Run, jobs: list[Job], cfg: RunConfig) -> list[ChunkResult]:
             with writer:
                 proc.start()
             workers.append((proc, reader, batch))
+        for i in batches[0] if batches else []:
+            results[i] = _run_chunk((run, jobs[i]))
+            if results[i].error is not None and not cfg.capture_errors:
+                break  # the batch is in job order: a later failure is never named
         for proc, reader, batch in workers:
             try:
                 got = reader.recv()

@@ -50,8 +50,9 @@ from .raster import (
 # memory
 _BATCH_ELEMS = 32_000
 # cap on the target x source block of summarize_sedc, nearest_distance and
-# the bbox mask of summarize_aw, in array elements
-_PAIR_ELEMS = 200_000
+# the bbox mask of summarize_aw, in array elements: 128 KB per float64
+# temporary, so the parent, which runs a batch of chunks itself, grows little
+_PAIR_ELEMS = 16_384
 
 
 def _number(key: str, value) -> float:
@@ -575,7 +576,9 @@ def summarize_sedc(
 
     A source at distance d adds its value times exp(-3 d / bandwidth), which
     is exp(-3) ~ 0.0498 at d = bandwidth; a source farther than maxdist
-    (twice the bandwidth by default) adds nothing, a hard cutoff.
+    (twice the bandwidth by default) adds nothing, a hard cutoff. A target's
+    terms are added one at a time from 0.0, in ascending source order, as
+    summarize_aw's sums are.
     """
     args, _, svals = check_inputs("summarize_sedc", targets, sources, locals())
     bandwidth, maxdist = args["bandwidth"], args["maxdist"]
@@ -597,15 +600,12 @@ def summarize_sedc(
         pair = np.flatnonzero(d <= maxdist)
         ti, si = np.divmod(pair, near.size)
         w = np.exp(-3.0 * d.ravel()[pair] / bandwidth)
-        counts = np.bincount(ti, minlength=len(d))
-        ends = np.cumsum(counts).tolist()
-        slices = list(zip([0, *ends], ends))
         for c, v in svals.items():
-            t = v[si] * w
-            # the sum of the target's own slice has the same bits as the sum
-            # of its terms alone (np.add.reduceat rounds differently)
-            out[f"{c}_sedc"] += [float(t[a:b].sum()) if b > a else 0.0 for a, b in slices]
-        out["count"] += counts.tolist()
+            # np.bincount adds each target's terms in pair order, as a loop
+            # from 0.0 would; without pairs it is int64, hence the cast
+            total = np.bincount(ti, weights=v[si] * w, minlength=len(d))
+            out[f"{c}_sedc"] += total.astype(np.float64, copy=False).tolist()
+        out["count"] += np.bincount(ti, minlength=len(d)).tolist()
     return ResultTable(out)
 
 

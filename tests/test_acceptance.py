@@ -524,19 +524,20 @@ def test_criterion_09_sedc_contract():
         sources = points_fs(src_pts, src_vals)
         params = {"bandwidth": rng.uniform(1.0, 3.0), "value_columns": ("v",)}
         batch = summarize_sedc(tgts, sources, **params)
-        # brute force: one run per source, accumulated with the same
-        # pairwise reduction the batch uses
+        # brute force: one run per source, added one at a time from 0.0 in
+        # source order, as the batch adds them (np.sum and, from Python 3.12,
+        # builtin sum round differently)
         singles = [
             summarize_sedc(tgts, points_fs([src_pts[i]], [src_vals[i]]), **params)
             for i in range(n_src)
         ]
         for ti in range(5):
-            contrib = np.array([
-                s.rows[ti]["v_sedc"] for s in singles if s.rows[ti]["count"]
-            ])
-            want = float(np.sum(contrib)) if contrib.size else 0.0
+            contrib = [s.rows[ti]["v_sedc"] for s in singles if s.rows[ti]["count"]]
+            want = 0.0
+            for term in contrib:
+                want += term
             assert batch.rows[ti]["v_sedc"] == want, "additivity over sources broken"
-            assert batch.rows[ti]["count"] == int(contrib.size)
+            assert batch.rows[ti]["count"] == len(contrib)
     return "exp(-3) weight at bandwidth, hard cutoff, source additivity exact"
 
 

@@ -3,6 +3,7 @@ fault isolation, hierarchy and multiraster planners."""
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -638,7 +639,8 @@ class TestFaultIsolation:
     def test_dead_worker_gives_error_rows(self, tmp_path):
         # only the worker running one chosen chunk dies: every chunk of its
         # batch gets error rows naming its exit code, every other row is the
-        # row of a clean run. Run in a subprocess so a hang times out.
+        # row of a clean run. The chunk is in the second batch, as the
+        # parent runs the first. Run in a subprocess so a hang times out.
         script = tmp_path / "dead_worker.py"
         script.write_text(textwrap.dedent("""
             import json, os
@@ -658,7 +660,8 @@ class TestFaultIsolation:
             task = TaskSpec("extract_at", raster, pts, {})
             clean = run_grid(task, parts, RunConfig(workers=1))
 
-            parent, doomed = os.getpid(), parts.chunks[1].chunk_id
+            batches = lpt_batches([len(c.member_ids) for c in parts.chunks], 2)
+            parent, doomed = os.getpid(), parts.chunks[batches[1][0]].chunk_id
             original = executor._run_chunk
 
             def dying(chunk):
@@ -668,8 +671,7 @@ class TestFaultIsolation:
 
             executor._run_chunk = dying
             table = run_grid(task, parts, RunConfig(workers=2))
-            batches = lpt_batches([len(c.member_ids) for c in parts.chunks], 2)
-            dead = [parts.chunks[i].chunk_id for b in batches if 1 in b for i in b]
+            dead = [parts.chunks[i].chunk_id for i in batches[1]]
             print(json.dumps({"clean": clean.rows, "rows": table.rows, "dead": dead}))
         """))
         src = os.path.dirname(os.path.dirname(gridchop.__file__))
@@ -692,7 +694,9 @@ class TestFaultIsolation:
 
     def test_failed_run_leaves_no_worker(self, tmp_path):
         # a chunk error, or a dead worker, at 2 workers without captured
-        # errors raises ChunkError, and no worker process outlives the run
+        # errors raises ChunkError, and no worker process outlives the run.
+        # The 2-point chunks split into batches [0, 2] and [1]: the parent
+        # runs chunks 0 and 2, healthy when the worker running chunk 1 dies
         script = tmp_path / "fail_fast.py"
         script.write_text(textwrap.dedent("""
             import json, multiprocessing, os
@@ -706,11 +710,13 @@ class TestFaultIsolation:
             src = FeatureSet([Feature("s0", Point(1.0, 1.0), {"v": 1.0})])
             task = TaskSpec("summarize_sedc", src, pts, {"bandwidth": 5.0, "value_columns": ["v"]})
             parts = build_partition(GridSpec("grid", nx=3, ny=1), pts)
-            # every chunk fails in its op, as float("bad") does
-            executor._apply_op = lambda run, context, anchors: float("bad")
             parent, original = os.getpid(), executor._run_chunk
+            healthy = executor._apply_op
             out = []
             for die in (False, True):
+                # without a death every chunk fails in its op, as float("bad") does
+                executor._apply_op = (
+                    healthy if die else lambda run, context, anchors: float("bad"))
                 executor._run_chunk = (
                     lambda chunk: os._exit(3) if die and os.getpid() != parent
                     else original(chunk)
@@ -729,7 +735,7 @@ class TestFaultIsolation:
         (error, left), (died, left_after_death) = json.loads(proc.stdout.splitlines()[-1])
         assert error == "chunk 0: ValueError: could not convert string to float: 'bad'"
         assert left == 0
-        assert died.startswith("chunk 0: worker ") and died.endswith(" exit code 3")
+        assert died.startswith("chunk 1: worker ") and died.endswith(" exit code 3")
         assert left_after_death == 0
 
     def test_short_op_table_gives_error_rows(self, monkeypatch):
@@ -771,6 +777,90 @@ class TestFaultIsolation:
         bad = [r for r in t.rows if r.get("error")]
         assert [r["id"] for r in good] == ["p0"]
         assert [r["id"] for r in bad] == ["p1"]
+
+
+class TestPool:
+    """The parent runs the first LPT batch itself and forks one worker for
+    each other batch."""
+
+    SIZES = [1, 4, 2, 3, 1, 2]  # a small first group puts job 0 in a forked batch
+
+    def _task_and_groups(self):
+        pts = scatter(sum(self.SIZES), seed=6)
+        ids = iter(pts.ids())
+        groups = [(f"g{k}", [next(ids) for _ in range(n)]) for k, n in enumerate(self.SIZES)]
+        return TaskSpec("extract_at", grid_raster(), pts, {"radius": 1.5}), groups
+
+    @staticmethod
+    def _count_starts(monkeypatch):
+        """The list of processes started from now on."""
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted(proc):
+            started.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+        return started
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_batch_runs_in_parent(self, monkeypatch, tmp_path, workers):
+        # each chunk records its pid in a file, as a forked worker's memory
+        # does not come back: the first batch's chunks ran in this process,
+        # every other batch in one child of its own
+        task, groups = self._task_and_groups()
+        want = run_hierarchy(task, groups).data
+        ran = tmp_path / "ran"
+        original = executor._run_chunk
+
+        def recorded(chunk):
+            with open(ran, "a") as fh:
+                fh.write(f"{chunk[1].chunk_id} {os.getpid()}\n")
+            return original(chunk)
+
+        monkeypatch.setattr(executor, "_run_chunk", recorded)
+        started = self._count_starts(monkeypatch)
+        got = run_hierarchy(task, groups, RunConfig(workers=workers))
+        assert got.data == want
+        assert len(started) == workers - 1
+        assert multiprocessing.active_children() == []
+        pid_of = {int(c): int(p) for c, p in map(str.split, ran.read_text().splitlines())}
+        batches = lpt_batches(self.SIZES, workers)
+        pids = [{pid_of[i] for i in batch} for batch in batches]
+        assert pids[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in pids)
+        assert len(set().union(*pids)) == workers
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_one_job_or_none_forks_nothing(self, monkeypatch, jobs):
+        task, groups = self._task_and_groups()
+        if jobs == 0:
+            task.y, groups = points_fs([]), []
+        else:
+            groups = [("all", task.y.ids())]
+        started = self._count_starts(monkeypatch)
+        got = run_hierarchy(task, groups, RunConfig(workers=3))
+        assert len(got.data["id"]) == len(task.y) and started == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fail_fast_names_first_failure_in_job_order(self, monkeypatch, workers):
+        # the parent's first chunk fails, and so does an earlier job of a
+        # forked batch: the forked one is named, and no child is left
+        task, groups = self._task_and_groups()
+        batches = lpt_batches(self.SIZES, workers)
+        first, earlier = min(batches[0]), min(i for b in batches[1:] for i in b)
+        assert earlier < first
+        for k in (first, earlier):
+            poison_chunks(monkeypatch, groups[k][1][0])
+        started = self._count_starts(monkeypatch)
+        with pytest.raises(ChunkError) as exc:
+            run_hierarchy(task, groups, RunConfig(workers=workers, capture_errors=False))
+        assert exc.value.chunk_id == earlier
+        assert str(exc.value) == (
+            f"chunk {earlier}: ValueError: could not convert string to float: 'bad'")
+        assert len(started) == workers - 1
+        assert multiprocessing.active_children() == []
 
 
 def chunk(chunk_id, columns=(), rows=(), error=None):

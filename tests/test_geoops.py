@@ -681,7 +681,9 @@ class TestSummarizeSedc:
 
     @staticmethod
     def _reference(targets, sources, bandwidth, maxdist):
-        """The per-target loop: one distance row and one sum per target."""
+        """The per-target loop: one distance row per target, its terms added
+        one at a time from 0.0 in source order (np.sum and, from Python 3.12,
+        builtin sum round differently)."""
         sx = np.array([f.geometry.x for f in sources.features])
         sy = np.array([f.geometry.y for f in sources.features])
         vals = np.array([f.attributes["v"] for f in sources.features])
@@ -690,9 +692,30 @@ class TestSummarizeSedc:
             d = np.sqrt((sx - tgt.geometry.x) ** 2 + (sy - tgt.geometry.y) ** 2)
             hit = np.nonzero(d <= maxdist)[0]
             w = np.exp(-3.0 * d[hit] / bandwidth)
-            total = float(np.sum(vals[hit] * w)) if hit.size else 0.0
+            total = 0.0
+            for term in (vals[hit] * w).tolist():
+                total += term
             rows.append({"id": tgt.id, "v_sedc": total, "count": int(hit.size)})
         return rows
+
+    def test_sum_is_the_loop_at_pairwise_block_sizes(self):
+        # targets with 0, 1, 8, 9, 16, 17, 129 and 130 pairs, counts on either
+        # side of NumPy's pairwise-sum blocks: each row has the bits of its
+        # terms added one at a time, and terms of mixed sign and size make a
+        # different order or grouping show
+        rng = np.random.default_rng(30)
+        counts = [0, 1, 8, 9, 16, 17, 129, 130]
+        src_xy = np.vstack([
+            np.column_stack([10.0 * k + rng.uniform(-0.9, 0.9, n), rng.uniform(-0.9, 0.9, n)])
+            for k, n in enumerate(counts)
+        ])
+        vals = rng.uniform(-1, 1, len(src_xy)) * 10.0 ** rng.integers(-8, 9, len(src_xy))
+        src = points_fs(src_xy, values=vals)
+        tgt = points_fs([(10.0 * k, 0.0) for k in range(len(counts))])
+        got = with_ids(summarize_sedc(tgt, src, bandwidth=1.5, value_columns=("v",)), tgt).rows
+        assert [r["count"] for r in got] == counts
+        assert [repr(r) for r in got] == [repr(r) for r in self._reference(tgt, src, 1.5, 3.0)]
+        assert repr(got[0]["v_sedc"]) == "0.0"
 
     @pytest.mark.parametrize("block", [None, 1, 3, 7])
     def test_rows_independent_of_block(self, monkeypatch, block):
